@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .config import SeedCurve, SimConfig, config_from_dict, config_to_dict, load_config
 from .curves import (
     ArclengthGrid,
-    TangentField,
-    cumulative_angular_velocity,
+    angular_displacement_profile,
     integrate_tangents,
     rodrigues,
     rotate_vectors,
@@ -18,7 +17,7 @@ from .diagnostics import (
     rotation_field,
     weighted_norm,
 )
-from .growth import GrowthLaw, eval_psi, psi_field
+from .growth import GrowthLaw, psi_field
 from .obstacles import Cylinder, HalfSpace, Scene, Sphere, outer_normal, signed_distance
 from .reaction import (
     ContactSet,
@@ -27,7 +26,6 @@ from .reaction import (
     assemble_constraints,
     detect_contacts,
     oracle_solve_reaction,
-    reaction_velocity,
     solve_reaction,
 )
 from .stepper import StemState, detect_breakdown, init_state, run, step, twin_run
@@ -47,17 +45,15 @@ __all__ = [
     "SimConfig",
     "Sphere",
     "StemState",
-    "TangentField",
     "Trajectory",
     "TrajectoryFrame",
+    "angular_displacement_profile",
     "assemble_constraints",
     "audit_state",
     "config_from_dict",
     "config_to_dict",
-    "cumulative_angular_velocity",
     "detect_breakdown",
     "detect_contacts",
-    "eval_psi",
     "gronwall_certificate",
     "init_state",
     "integrate_tangents",
@@ -66,7 +62,6 @@ __all__ = [
     "oracle_solve_reaction",
     "outer_normal",
     "psi_field",
-    "reaction_velocity",
     "rodrigues",
     "rotate_vectors",
     "rotation_field",

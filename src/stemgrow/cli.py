@@ -70,8 +70,6 @@ def _cmd_run(args, argv) -> int:
     config = load_config(args.config)
     if args.stride is not None:
         config.stride = args.stride
-    if args.seed is not None:
-        config.rng_seed = args.seed
     traj = run_scenario(config)
     _write_run(args.out, traj, config, argv)
     final = traj.final_frame
@@ -192,9 +190,8 @@ def _cmd_audit(args) -> int:
                 bad.append(
                     f"frame t={prev['t']:.6g}: contact normal rate residual {resid:.3e}"
                 )
-    events = read_jsonl(os.path.join(os.path.dirname(args.frames), "events.jsonl")) if os.path.exists(
-        os.path.join(os.path.dirname(args.frames), "events.jsonl")
-    ) else []
+    events_path = os.path.join(os.path.dirname(args.frames), "events.jsonl")
+    events = read_jsonl(events_path) if os.path.exists(events_path) else []
     times = [ev["t"] for ev in events]
     if any(b < a for a, b in zip(times, times[1:])):
         bad.append("events are not ordered by time")
@@ -208,8 +205,6 @@ def _cmd_oracle_check(args) -> int:
     manifest_path = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     manifest = read_manifest(manifest_path)
     config = config_from_dict(manifest["config"])
-    beta = config.law.beta
-    ds = config.dt
     checked = skipped = degenerate = mismatched = 0
     for idx, rec in enumerate(read_jsonl(args.frames)):
         fr = _load_frame_arrays(rec)
@@ -229,12 +224,10 @@ def _cmd_oracle_check(args) -> int:
             contacts=contacts,
             gamma=fr["gamma"],
             s=fr["s"],
-            ds=ds,
+            ds=config.dt,
             t=fr["t"],
-            beta=beta,
+            beta=config.law.beta,
             b=fr["b"],
-            weights=ds * np.exp(beta * (fr["t"] - fr["s"])),
-            tip_row=int(fr["nodes"].size - 1) if fr["tip"] else None,
             tip_tangent=fr["k"][fr["n"]] if fr["tip"] else None,
         )
         try:
@@ -274,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="scenario config JSON (or a run manifest)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--stride", type=int, default=None, help="frame decimation")
-    p_run.add_argument("--seed", type=int, default=None, help="reserved RNG seed, recorded only")
 
     p_twin = sub.add_parser("twin", help="run a scenario and a perturbed twin")
     p_twin.add_argument("config")

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import rodrigues
+from .curves import rodrigues, rotate_vectors
 from .errors import ParseError, ValidationError
 from .growth import GrowthLaw
-from .obstacles import Cylinder, HalfSpace, Scene, Sphere
+from .obstacles import Cylinder, HalfSpace, Scene, Sphere, _unit
 
 
 @dataclass
@@ -69,8 +69,6 @@ class SeedCurve:
             return np.tile(self.direction, (s.size, 1))
         if self.kind == "arc":
             w = (s / self.radius)[:, None] * self.turn_axis[None, :]
-            from .curves import rotate_vectors
-
             return rotate_vectors(w, np.tile(self.initial_direction, (s.size, 1)))
         chords = np.diff(self.points, axis=0)
         lengths = np.linalg.norm(chords, axis=1)
@@ -95,14 +93,6 @@ class SeedCurve:
         return SeedCurve("polyline", points=self.points @ rot.T)
 
 
-def _unit(v, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise ValidationError(f"{what} must be a nonzero vector")
-    return v / n
-
-
 @dataclass
 class SimConfig:
     scene: Scene
@@ -122,7 +112,6 @@ class SimConfig:
     solver_max_sweeps: int = 10_000
     solver_ridge: float = 1e-12
     stride: int = 1
-    rng_seed: int | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -148,8 +137,8 @@ class SimConfig:
             raise ValidationError("numerics.eps_contact and eps_penetration must be positive")
         if self.kappa < 0.0:
             raise ValidationError(f"numerics.kappa must be >= 0, got {self.kappa}")
-        if self.correction_sweeps < 0:
-            raise ValidationError("numerics.correction_sweeps must be >= 0")
+        if self.correction_sweeps < 1:
+            raise ValidationError("numerics.correction_sweeps must be >= 1")
         if self.correction_tol <= 0.0:
             raise ValidationError("numerics.correction_tol must be positive")
         if self.stride < 1:
@@ -317,13 +306,12 @@ def config_from_dict(doc: dict) -> SimConfig:
             except (TypeError, ValueError):
                 raise ValidationError(f"numerics.{key} must be a {cast.__name__}")
     output = dict(doc.get("output", {}))
-    _check_keys(output, {"stride", "seed"}, "output")
+    _check_keys(output, {"stride"}, "output")
     return SimConfig(
         scene=scene_from_dict(doc["scene"]),
         law=law_from_dict(doc["law"]),
         seed=seed_from_dict(doc["seed_curve"]),
         stride=int(output.get("stride", 1)),
-        rng_seed=output.get("seed"),
         label=str(doc.get("label", "")),
         **kwargs,
     )
@@ -345,16 +333,13 @@ def config_to_dict(config: SimConfig) -> dict:
         "solver_max_sweeps": config.solver_max_sweeps,
         "solver_ridge": config.solver_ridge,
     }
-    output: dict = {"stride": config.stride}
-    if config.rng_seed is not None:
-        output["seed"] = config.rng_seed
     return {
         "label": config.label,
         "scene": scene_to_dict(config.scene),
         "law": law_to_dict(config.law),
         "seed_curve": seed_to_dict(config.seed),
         "numerics": numerics,
-        "output": output,
+        "output": {"stride": config.stride},
     }
 
 

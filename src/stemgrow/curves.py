@@ -1,4 +1,4 @@
-"""Arclength grids, tangent fields, and rotation kernels.
+"""Arclength grids, tangent integration, and rotation kernels.
 
 The stem is represented by its unit tangent field on a uniform arclength grid;
 positions are recovered by quadrature from the base point. Rotations are applied
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GridMismatch
 
 
 def _rot_coeffs(theta):
@@ -79,65 +77,20 @@ class ArclengthGrid:
             raise ValueError(f"cell count must be >= 0, got {n_cells}")
         return cls(ds=ds, nodes=ds * np.arange(n_cells + 1, dtype=float))
 
-    def validate(self) -> None:
-        if self.nodes.ndim != 1 or self.nodes.size < 1:
-            raise GridMismatch("grid needs at least one node")
-        if self.nodes[0] != 0.0:
-            raise GridMismatch(f"grid must start at 0, got {self.nodes[0]}")
-        if self.nodes.size > 1:
-            gaps = np.diff(self.nodes)
-            if np.any(gaps <= 0.0):
-                raise GridMismatch("grid nodes must be strictly increasing")
-            if np.max(np.abs(gaps - self.ds)) > 1e-12 * max(1.0, self.ds):
-                raise GridMismatch("grid spacing is not uniform")
-
-    def node_at(self, s: float, tol: float = 1e-9) -> int:
-        """Index of the node at arclength s; s must sit on the grid."""
-        idx = int(round(s / self.ds))
-        if idx < 0 or idx >= self.nodes.size:
-            raise GridMismatch(f"arclength {s} outside grid [0, {self.nodes[-1]}]")
-        if abs(idx * self.ds - s) > tol * max(1.0, abs(s)):
-            raise GridMismatch(f"arclength {s} is not a grid node")
-        return idx
-
-
-@dataclass
-class TangentField:
-    """Unit tangent vectors attached to the nodes of an arclength grid."""
-
-    grid: ArclengthGrid
-    vectors: np.ndarray
-
-    def validate(self, unit_tol: float = 1e-9) -> None:
-        self.grid.validate()
-        if self.vectors.shape != (self.grid.nodes.size, 3):
-            raise GridMismatch(
-                f"tangent array shape {self.vectors.shape} does not match "
-                f"{self.grid.nodes.size} grid nodes"
-            )
-        norms = np.linalg.norm(self.vectors, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if worst > unit_tol:
-            raise ValueError(f"tangents deviate from unit length by {worst:.3e}")
-
 
 def chord_steps(k: np.ndarray, ds: float) -> np.ndarray:
     """Per-cell displacement ds * (k_i + k_{i+1}) / 2."""
     return (0.5 * ds) * (k[:-1] + k[1:])
 
 
-def integrate_tangents(field: TangentField, base: np.ndarray | None = None) -> np.ndarray:
-    """Positions from tangents: trapezoid accumulation from the base point.
+def integrate_tangents(k: np.ndarray, ds: float) -> np.ndarray:
+    """Positions from tangents: trapezoid accumulation from the origin.
 
     Exact for constant tangent fields; each chord has length at most the grid
     spacing because the averaged tangents have norm at most one.
     """
-    k = field.vectors
-    pos = np.zeros((k.shape[0], 3))
-    if k.shape[0] > 1:
-        np.cumsum(chord_steps(k, field.grid.ds), axis=0, out=pos[1:])
-    if base is not None:
-        pos += np.asarray(base, dtype=float)
+    pos = np.zeros_like(k)
+    np.cumsum(chord_steps(k, ds), axis=0, out=pos[1:])
     return pos
 
 
@@ -150,28 +103,3 @@ def angular_displacement_profile(omega: np.ndarray, ds: float) -> np.ndarray:
     if omega.shape[0] > 1:
         np.cumsum(ds * omega[:-1], axis=0, out=prof[1:])
     return prof
-
-
-def cumulative_angular_velocity(
-    omega: np.ndarray, grid: ArclengthGrid, s: float
-) -> np.ndarray:
-    """Integral of the rotation density over [0, s] by left-endpoint rectangles.
-
-    s may sit anywhere inside the grid; a trailing partial cell contributes
-    its left-endpoint value times the leftover width.
-    """
-    grid.validate()
-    if omega.shape != (grid.nodes.size, 3):
-        raise GridMismatch(
-            f"density shape {omega.shape} does not match {grid.nodes.size} nodes"
-        )
-    if s < -1e-12 or s > grid.nodes[-1] + 1e-9 * max(1.0, grid.nodes[-1]):
-        raise GridMismatch(f"arclength {s} outside grid [0, {grid.nodes[-1]}]")
-    s = min(max(s, 0.0), float(grid.nodes[-1]))
-    whole = int(np.floor(s / grid.ds + 1e-12))
-    whole = min(whole, omega.shape[0] - 1)
-    total = grid.ds * np.sum(omega[:whole], axis=0)
-    leftover = s - whole * grid.ds
-    if leftover > 0.0:
-        total = total + leftover * omega[whole]
-    return total

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .curves import chord_steps
 from .errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
 from .obstacles import Scene, signed_distances
 
@@ -110,7 +111,7 @@ def audit_arrays(
     lens = np.linalg.norm(chords, axis=1)
     if lens.size and float(np.max(lens)) > ds * (1.0 + chord_tol):
         bad.append(f"chord length {float(np.max(lens)):.17g} exceeds ds {ds:.17g}")
-    rebuilt = (0.5 * ds) * (k[:-1] + k[1:])
+    rebuilt = chord_steps(k, ds)
     if lens.size:
         drift = float(np.max(np.linalg.norm(chords - rebuilt, axis=1)))
         if drift > 1e-12 * max(1.0, ds):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AgeNegative, ValidationError
+from .obstacles import _unit
 
 VARIANTS = ("gravitropic", "zero", "custom")
 
@@ -34,11 +35,7 @@ class GrowthLaw:
             raise ValidationError(f"law.beta must be >= 0, got {self.beta}")
         if self.gain < 0.0:
             raise ValidationError(f"law.gain must be >= 0, got {self.gain}")
-        self.up = np.asarray(self.up, dtype=float)
-        n = float(np.linalg.norm(self.up))
-        if n < 1e-12:
-            raise ValidationError("law.up must be a nonzero vector")
-        self.up = self.up / n
+        self.up = _unit(self.up, "law.up")
         if self.variant == "custom":
             if self.ages is None or self.response is None:
                 raise ValidationError("law.ages and law.response required for custom variant")
@@ -57,9 +54,7 @@ class GrowthLaw:
         return self.gain * np.exp(-self.beta * age)
 
 
-def psi_field(
-    law: GrowthLaw, t: float, s: np.ndarray, gamma: np.ndarray, k: np.ndarray
-) -> np.ndarray:
+def psi_field(law: GrowthLaw, t: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rotation density at every node: coeff(t - s_i) * (k_i x up).
 
     Material younger than the clock (s > t) is an error.
@@ -72,15 +67,3 @@ def psi_field(
     age = np.maximum(age, 0.0)
     coeff = law._coeff(age)
     return coeff[:, None] * np.cross(k, law.up)
-
-
-def eval_psi(law: GrowthLaw, t: float, s: float, gamma: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rotation density of a single material point."""
-    out = psi_field(
-        law,
-        t,
-        np.array([s], dtype=float),
-        np.asarray(gamma, dtype=float)[None, :],
-        np.asarray(k, dtype=float)[None, :],
-    )
-    return out[0]

@@ -30,6 +30,7 @@ from .errors import (
     PenetrationExceeded,
     TooManyContacts,
 )
+from .growth import psi_field
 from .obstacles import Scene, outer_normal, signed_distances
 
 if TYPE_CHECKING:
@@ -92,8 +93,9 @@ class ConstraintSystem:
     Row j acts on the density through the arm field a_j(sigma_i) =
     (gamma_j - gamma_i) x n_j, supported on nodes below the contact. The
     right-hand side b folds in the growth-law drive, the tip elongation term,
-    and the penetration pushback. `weights` are the energy weights
+    and the penetration pushback. The energy weights are
     ds * exp(beta (t - sigma_i)); the Gram matrix lives in the inverse metric.
+    tip_tangent is the tip's unit tangent when the last contact is the tip.
     """
 
     contacts: ContactSet
@@ -103,10 +105,13 @@ class ConstraintSystem:
     t: float
     beta: float
     b: np.ndarray
-    weights: np.ndarray
-    tip_row: int | None
-    tip_tangent: np.ndarray | None
+    tip_tangent: np.ndarray | None = None
     _gram: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def tip_row(self) -> int | None:
+        """Row of the tip contact (always the last), or None."""
+        return self.contacts.size - 1 if self.contacts.tip else None
 
     @property
     def metric_weights(self) -> np.ndarray:
@@ -203,28 +208,20 @@ def assemble_constraints(
     """
     if contacts.size == 0:
         raise EmptyContactSet("assemble_constraints needs at least one contact")
-    from .growth import psi_field
-
     n = stem.n_grown
-    gam = stem.gamma[: n + 1]
     s = stem.s[: n + 1]
     t = stem.t
-    tip_row = int(contacts.size - 1) if contacts.tip else None
-    tip_tangent = stem.k[n].copy() if contacts.tip else None
-
     system = ConstraintSystem(
         contacts=contacts,
-        gamma=gam,
+        gamma=stem.gamma[: n + 1],
         s=s,
         ds=stem.ds,
         t=t,
         beta=law.beta,
         b=np.zeros(contacts.size),
-        weights=stem.ds * np.exp(law.beta * (t - s)),
-        tip_row=tip_row,
-        tip_tangent=tip_tangent,
+        tip_tangent=stem.k[n].copy() if contacts.tip else None,
     )
-    psi = psi_field(law, t, s, gam, stem.k[: n + 1])
+    psi = psi_field(law, t, s, stem.k[: n + 1])
     drive = linear_rates(system, psi)
     pushback = kappa * np.maximum(0.0, -contacts.phi) / dt
     system.b = pushback - drive
@@ -544,28 +541,3 @@ def oracle_solve_reaction(
         degenerate=degenerate,
         n_candidates=len(candidates),
     )
-
-
-def reaction_velocity(stem: "StemState", omega: np.ndarray, s: float) -> np.ndarray:
-    """Velocity of the material point at arclength s under a rotation density.
-
-    v(s) = integral over [0, s] of omega(sigma) x (gamma(s) - gamma(sigma)),
-    left-endpoint rectangles, linear interpolation of positions inside a cell.
-    """
-    n = stem.n_grown
-    if s < -1e-12 or s > stem.t + 1e-9 * max(1.0, stem.t):
-        raise ValueError(f"arclength {s} outside the grown range [0, {stem.t}]")
-    s = min(max(s, 0.0), stem.t)
-    ds = stem.ds
-    gam = stem.gamma
-    whole = min(int(np.floor(s / ds + 1e-12)), n)
-    frac = s - whole * ds
-    pos = gam[whole]
-    if frac > 0.0 and whole < n:
-        pos = gam[whole] + (frac / ds) * (gam[whole + 1] - gam[whole])
-    v = np.zeros(3)
-    if whole > 0:
-        v = ds * np.sum(np.cross(omega[:whole], pos - gam[:whole]), axis=0)
-    if frac > 0.0:
-        v = v + frac * np.cross(omega[whole], pos - gam[whole])
-    return v

@@ -21,8 +21,24 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import SimConfig
-from .curves import ArclengthGrid, chord_steps, rotate_vectors
-from .errors import InitialBreakdown, InitialPenetration, SimulationError
+from .curves import (
+    ArclengthGrid,
+    angular_displacement_profile,
+    integrate_tangents,
+    rotate_vectors,
+)
+from .diagnostics import (
+    gronwall_certificate,
+    rotation_field,
+    step_normal_rates,
+    weighted_norm,
+)
+from .errors import (
+    InitialBreakdown,
+    InitialPenetration,
+    MaxIterationsExceeded,
+    SimulationError,
+)
 from .growth import psi_field
 from .obstacles import signed_distances
 from .reaction import (
@@ -37,8 +53,6 @@ from .reaction import (
 from .trajectory import Event, Trajectory, TrajectoryFrame
 
 log = logging.getLogger("stemgrow.stepper")
-
-EXIT_KINDS = ("HorizonReached", "Breakdown", "IntegrityFailure")
 
 
 @dataclass
@@ -63,11 +77,6 @@ class StemState:
         return float(self.grid.nodes[self.n_grown])
 
     @property
-    def birth_times(self) -> np.ndarray:
-        """Material at arclength s converted from extension at time s."""
-        return self.grid.nodes
-
-    @property
     def tip_position(self) -> np.ndarray:
         return self.gamma[self.n_grown]
 
@@ -86,12 +95,6 @@ class StepInfo:
     defect: float | None
 
 
-def _integrate(k: np.ndarray, ds: float) -> np.ndarray:
-    pos = np.zeros_like(k)
-    np.cumsum(chord_steps(k, ds), axis=0, out=pos[1:])
-    return pos
-
-
 def init_state(config: SimConfig, validate_breakdown: bool = True) -> StemState:
     """Seed the state: tangents from the seed curve, straight extension, origin base.
 
@@ -104,7 +107,7 @@ def init_state(config: SimConfig, validate_breakdown: bool = True) -> StemState:
     k = np.empty((n_total + 1, 3))
     k[: n0 + 1] = config.seed.tangents(grid.nodes[: n0 + 1])
     k[n0 + 1 :] = k[n0]
-    gamma = _integrate(k, grid.ds)
+    gamma = integrate_tangents(k, grid.ds)
     state = StemState(grid=grid, gamma=gamma, k=k, n_grown=n0)
 
     if config.scene.obstacles:
@@ -168,33 +171,11 @@ def _advance_fields(
     rotation, so identical extension tangents stay bitwise identical.
     """
     n = state.n_grown
-    ds = state.ds
-    omega_cap = np.zeros_like(state.k)
-    np.cumsum(ds * density[:-1], axis=0, out=omega_cap[1 : n + 1])
+    omega_cap = np.empty_like(state.k)
+    omega_cap[: n + 1] = angular_displacement_profile(density, state.ds)
     omega_cap[n + 1 :] = omega_cap[n]
     k_new = rotate_vectors(dt * omega_cap, state.k)
-    return k_new, _integrate(k_new, ds)
-
-
-def _realized_rates(
-    state: StemState,
-    contacts: ContactSet,
-    k_new: np.ndarray,
-    gamma_new: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Normal velocity each contact actually receives from a trial update.
-
-    Interior contacts track their own node; the tip contact tracks the moving
-    tip, which lands on the next grid node after the step.
-    """
-    n = state.n_grown
-    disp = (gamma_new[contacts.nodes] - state.gamma[contacts.nodes]) / dt
-    rates = np.einsum("jd,jd->j", disp, contacts.normals)
-    if contacts.tip:
-        tip_disp = (gamma_new[n + 1] - state.gamma[n]) / dt
-        rates[-1] = float(tip_disp @ contacts.normals[-1])
-    return rates
+    return k_new, integrate_tangents(k_new, state.ds)
 
 
 def step(
@@ -209,7 +190,7 @@ def step(
         raise ValueError("stem already fills the horizon grid")
     t = state.t
     s_g = state.s[: n + 1]
-    psi = psi_field(config.law, t, s_g, state.gamma[: n + 1], state.k[: n + 1])
+    psi = psi_field(config.law, t, s_g, state.k[: n + 1])
     if contacts is None:
         contacts = detect_contacts(
             state, config.scene, config.eps_contact, config.eps_penetration
@@ -241,12 +222,18 @@ def step(
         # the contacts lag the linear prediction by O(dt). Feeding that defect
         # back into b and re-solving (warm-started) contracts the lag
         # geometrically; iterate until the active contacts move at the
-        # demanded pushback rate.
-        defect = None
-        realized_residual = 0.0
-        for sweep in range(max(1, config.correction_sweeps)):
+        # demanded pushback rate. Running out of sweeps first is a failure,
+        # never a silently accepted step.
+        for sweep in range(config.correction_sweeps):
             k_new, gamma_new = _advance_fields(state, psi + sol.omega, config.dt)
-            realized = _realized_rates(state, contacts, k_new, gamma_new, config.dt)
+            realized = step_normal_rates(
+                state.gamma[: n + 1],
+                gamma_new,
+                contacts.nodes,
+                contacts.normals,
+                contacts.tip,
+                config.dt,
+            )
             predicted = linear_rates(system, psi + sol.omega)
             defect = float(np.max(np.abs(realized - predicted)))
             active = sol.mu > 0.0
@@ -255,11 +242,12 @@ def step(
                 if np.any(active)
                 else 0.0
             )
-            if (
-                realized_residual <= config.correction_tol
-                or sweep == config.correction_sweeps - 1
-            ):
+            if realized_residual <= config.correction_tol:
                 break
+            if sweep == config.correction_sweeps - 1:
+                raise MaxIterationsExceeded(
+                    realized_residual, config.correction_tol, config.correction_sweeps
+                )
             system.b = b0 - (realized - predicted)
             sol = solve_reaction(
                 system,
@@ -414,8 +402,6 @@ def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:
     the certificate is the smallest exponential rate bounding its growth from
     the first frame.
     """
-    from .diagnostics import gronwall_certificate, rotation_field, weighted_norm
-
     base = run(config)
     tilted = replace(
         config,

@@ -71,7 +71,5 @@ def random_constraint_system(rng, tip_allowed=True):
         t=t,
         beta=beta,
         b=b,
-        weights=ds * np.exp(beta * (t - s)),
-        tip_row=m - 1 if tip else None,
         tip_tangent=k[n].copy() if tip else None,
     )

@@ -11,6 +11,7 @@ import pytest
 from conftest import STEMGROW, stemgrow_env
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SCENARIOS = PYPROJECT.parent / "scenarios"
 
 
 def invoke(*args, env_extra=None):
@@ -144,7 +145,7 @@ def test_run_straight_scenario(tmp_path):
 def test_run_stride_and_seed_overrides(tmp_path):
     config_path = write_scenario(tmp_path / "straight.json", straight_doc())
     outdir = tmp_path / "out"
-    proc = invoke("run", config_path, "--out", str(outdir), "--stride", "2", "--seed", "5")
+    proc = invoke("run", config_path, "--out", str(outdir), "--stride", "2")
     assert proc.returncode == 0, proc.stderr
     frames = (outdir / "frames.jsonl").read_text().splitlines()
     # frames 0, 2, 4 of 5; the final frame is index 4 and stays included
@@ -152,10 +153,13 @@ def test_run_stride_and_seed_overrides(tmp_path):
     assert json.loads(frames[0])["t"] == pytest.approx(0.1)
     assert json.loads(frames[-1])["t"] == pytest.approx(0.5)
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["config"]["output"]["stride"] == 2
-    assert manifest["config"]["output"]["seed"] == 5
+    assert manifest["config"]["output"] == {"stride": 2}
     assert manifest["outputs"]["frames_written"] == 3
     assert manifest["outputs"]["frames_total"] == 5
+    # the simulator is deterministic: there is no seed to override
+    proc = invoke("run", config_path, "--out", str(outdir), "--seed", "5")
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr
 
 
 def test_run_breakdown_exits_ten(tmp_path):
@@ -200,6 +204,30 @@ def test_run_missing_config_exits_two(tmp_path):
     proc = invoke("run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_zero_correction_sweeps_exits_two(tmp_path):
+    doc = straight_doc()
+    doc["numerics"]["correction_sweeps"] = 0
+    config_path = write_scenario(tmp_path / "bad.json", doc)
+    proc = invoke("run", config_path, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "correction_sweeps" in proc.stderr
+
+
+def test_correction_cap_exits_twenty(tmp_path):
+    # one solve per step cannot absorb the linearization defect at the
+    # sphere, so the step must fail loudly instead of being accepted
+    doc = json.loads((SCENARIOS / "sphere_oblique.json").read_text())
+    doc["numerics"]["correction_sweeps"] = 1
+    config_path = write_scenario(tmp_path / "capped.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 20, proc.stderr
+    assert proc.stdout.startswith("IntegrityFailure:")
+    events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
+    assert events[-1]["kind"] == "IntegrityFailure"
+    assert "after 1 sweeps" in events[-1]["data"]["error"]
 
 
 def test_manifest_replay_is_byte_identical(oblique_run, tmp_path):

@@ -23,7 +23,7 @@ def base_doc():
         "law": {"variant": "gravitropic", "beta": 1.0, "gain": 1.0, "up": [0.0, 0.0, 1.0]},
         "seed_curve": {"type": "segment", "direction": [0.0, 0.0, 1.0], "length": 0.2},
         "numerics": {"dt": 0.1, "t0": 0.2, "horizon": 1.0},
-        "output": {"stride": 1, "seed": 7},
+        "output": {"stride": 1},
     }
 
 
@@ -44,7 +44,6 @@ def test_minimal_config_fills_defaults():
     assert config.correction_sweeps == 12
     assert config.correction_tol == 1e-8
     assert config.stride == 1
-    assert config.rng_seed is None
     assert config.label == ""
 
 
@@ -116,7 +115,7 @@ def test_load_config_replays_manifest(tmp_path):
     path.write_text(json.dumps(manifest))
     config = load_config(str(path))
     assert config.horizon == 1.0
-    assert config.rng_seed == 7
+    assert config_to_dict(config) == config_to_dict(config_from_dict(base_doc()))
 
 
 def test_load_config_missing_file(tmp_path):

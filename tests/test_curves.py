@@ -1,20 +1,16 @@
-"""Rotation kernels, arclength grids, and tangent integration."""
+"""Rotation kernels, cumulative rotation, and tangent integration."""
 
 import numpy as np
 import pytest
 
 from stemgrow.curves import (
-    ArclengthGrid,
-    TangentField,
     angular_displacement_profile,
     chord_steps,
     cross_matrix,
-    cumulative_angular_velocity,
     integrate_tangents,
     rodrigues,
     rotate_vectors,
 )
-from stemgrow.errors import GridMismatch
 
 
 # Reference values computed by integrating v' = w x v with a fourth-order
@@ -108,18 +104,9 @@ def test_rotate_vectors_zero_rotation_is_bitwise_identity():
 
 
 def test_integrate_tangents_straight_vertical():
-    grid = ArclengthGrid.uniform(0.1, 10)
     k = np.tile(np.array([0.0, 0.0, 1.0]), (11, 1))
-    gamma = integrate_tangents(TangentField(grid, k))
+    gamma = integrate_tangents(k, 0.1)
     want = np.stack([np.zeros(11), np.zeros(11), 0.1 * np.arange(11)], axis=1)
-    assert np.max(np.abs(gamma - want)) < 1e-15
-
-
-def test_integrate_tangents_translates_with_base():
-    grid = ArclengthGrid.uniform(0.25, 4)
-    k = np.tile(np.array([1.0, 0.0, 0.0]), (5, 1))
-    gamma = integrate_tangents(TangentField(grid, k), base=np.array([1.0, 2.0, 3.0]))
-    want = np.stack([1.0 + grid.nodes, np.full(5, 2.0), np.full(5, 3.0)], axis=1)
     assert np.max(np.abs(gamma - want)) < 1e-15
 
 
@@ -134,8 +121,7 @@ def test_circle_reconstruction_deviation_frozen(n):
     ds = 2 * np.pi / n
     th = np.arange(n + 1) * ds
     k = np.stack([np.cos(th), np.sin(th), np.zeros(n + 1)], axis=1)
-    grid = ArclengthGrid.uniform(ds, n)
-    gamma = integrate_tangents(TangentField(grid, k))
+    gamma = integrate_tangents(k, ds)
     exact = np.stack([np.sin(th), 1.0 - np.cos(th), np.zeros(n + 1)], axis=1)
     err = float(np.max(np.linalg.norm(gamma - exact, axis=1)))
     assert abs(err - CIRCLE_DEVIATION[n]) < 1e-12
@@ -155,46 +141,33 @@ def test_chord_length_bounded_by_spacing():
 
 
 def test_cumulative_angular_velocity_constant_density():
-    grid = ArclengthGrid.uniform(0.1, 10)
     omega = np.tile(np.array([0.0, 0.0, 1.0]), (11, 1))
-    got = cumulative_angular_velocity(omega, grid, 0.5)
-    assert np.max(np.abs(got - np.array([0.0, 0.0, 0.5]))) < 1e-14
+    prof = angular_displacement_profile(omega, 0.1)
+    assert np.max(np.abs(prof[5] - np.array([0.0, 0.0, 0.5]))) < 1e-14
 
 
 def test_cumulative_angular_velocity_zero_at_origin():
-    grid = ArclengthGrid.uniform(0.1, 10)
     omega = np.ones((11, 3))
-    assert np.array_equal(cumulative_angular_velocity(omega, grid, 0.0), np.zeros(3))
+    assert np.array_equal(angular_displacement_profile(omega, 0.1)[0], np.zeros(3))
 
 
 def test_cumulative_angular_velocity_piecewise_density():
     # density e1 on [0, 0.3), e2 on [0.3, 1]; left-endpoint quadrature gives
     # 0.1 * (3 e1 + 7 e2) over the full interval
-    grid = ArclengthGrid.uniform(0.1, 10)
     omega = np.zeros((11, 3))
     omega[:3, 0] = 1.0
     omega[3:, 1] = 1.0
-    got = cumulative_angular_velocity(omega, grid, 1.0)
+    got = angular_displacement_profile(omega, 0.1)[10]
     assert np.max(np.abs(got - np.array([0.3, 0.7, 0.0]))) < 1e-14
-
-
-def test_cumulative_angular_velocity_partial_cell():
-    grid = ArclengthGrid.uniform(0.1, 10)
-    omega = np.zeros((11, 3))
-    omega[:, 0] = 1.0
-    got = cumulative_angular_velocity(omega, grid, 0.25)
-    assert np.max(np.abs(got - np.array([0.25, 0.0, 0.0]))) < 1e-14
 
 
 def test_cumulative_angular_velocity_additive_in_arclength():
     rng = np.random.default_rng(13)
-    grid = ArclengthGrid.uniform(0.05, 20)
     omega = rng.normal(size=(21, 3))
-    whole = cumulative_angular_velocity(omega, grid, 0.85)
+    whole = angular_displacement_profile(omega, 0.05)[17]
     # split at a node: integral over [0, 0.6] plus the shifted remainder
-    first = cumulative_angular_velocity(omega, grid, 0.6)
-    rest_grid = ArclengthGrid.uniform(0.05, 8)
-    rest = cumulative_angular_velocity(omega[12:], rest_grid, 0.25)
+    first = angular_displacement_profile(omega, 0.05)[12]
+    rest = angular_displacement_profile(omega[12:], 0.05)[5]
     assert np.max(np.abs(whole - first - rest)) < 1e-14
 
 
@@ -203,33 +176,3 @@ def test_angular_displacement_profile_prefix_sums():
     prof = angular_displacement_profile(omega, 0.5)
     want = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 1.0, 0.0]])
     assert np.array_equal(prof, want)
-
-
-def test_grid_validate_rejects_nonuniform():
-    grid = ArclengthGrid(ds=0.1, nodes=np.array([0.0, 0.1, 0.25]))
-    with pytest.raises(GridMismatch):
-        grid.validate()
-
-
-def test_grid_validate_rejects_nonzero_origin():
-    grid = ArclengthGrid(ds=0.1, nodes=np.array([0.1, 0.2]))
-    with pytest.raises(GridMismatch):
-        grid.validate()
-
-
-def test_grid_node_at_rejects_off_grid():
-    grid = ArclengthGrid.uniform(0.1, 10)
-    assert grid.node_at(0.3) == 3
-    with pytest.raises(GridMismatch):
-        grid.node_at(0.349)
-    with pytest.raises(GridMismatch):
-        grid.node_at(1.2)
-
-
-def test_tangent_field_validate_rejects_shape_and_norm():
-    grid = ArclengthGrid.uniform(0.1, 2)
-    with pytest.raises(GridMismatch):
-        TangentField(grid, np.zeros((2, 3))).validate()
-    bad = np.tile(np.array([0.0, 0.0, 1.5]), (3, 1))
-    with pytest.raises(ValueError):
-        TangentField(grid, bad).validate()

@@ -22,7 +22,6 @@ from stemgrow.reaction import (
     detect_contacts,
     linear_rates,
     oracle_solve_reaction,
-    reaction_velocity,
     solve_reaction,
 )
 from stemgrow.stepper import init_state
@@ -69,9 +68,26 @@ def single_contact_system(v=6, n=8, ds=0.25, beta=0.8, b_val=0.3, normal=E3):
         t=t,
         beta=beta,
         b=np.array([b_val]),
-        weights=ds * np.exp(beta * (t - s)),
-        tip_row=None,
-        tip_tangent=None,
+    )
+
+
+def energy_weights(system):
+    """Elastic energy weights ds * exp(beta (t - sigma_i))."""
+    return system.ds * np.exp(system.beta * (system.t - system.s))
+
+
+def rate_system(state, nodes, normals):
+    """Non-tip constraint rows at the given grown nodes of a state."""
+    n = state.n_grown
+    s = state.s[: n + 1]
+    return ConstraintSystem(
+        contacts=contact_at(nodes, normals, np.zeros(len(nodes)), s),
+        gamma=state.gamma[: n + 1],
+        s=s,
+        ds=state.ds,
+        t=state.t,
+        beta=0.0,
+        b=np.zeros(len(nodes)),
     )
 
 
@@ -199,7 +215,8 @@ def test_solution_is_energy_minimal_among_feasible_densities():
     for _ in range(40):
         system = random_constraint_system(rng, tip_allowed=False)
         sol = solve_reaction(system)
-        energy = 0.5 * float(np.sum(system.weights[:, None] * sol.omega**2))
+        weights = energy_weights(system)
+        energy = 0.5 * float(np.sum(weights[:, None] * sol.omega**2))
         assert energy == pytest.approx(sol.energy, rel=1e-9, abs=1e-12)
         for _ in range(20):
             d_omega = rng.normal(scale=0.3 * (1.0 + np.abs(sol.omega)), size=sol.omega.shape)
@@ -208,7 +225,7 @@ def test_solution_is_energy_minimal_among_feasible_densities():
             if np.min(rates - system.b) < 0.0:
                 continue
             tried += 1
-            trial_energy = 0.5 * float(np.sum(system.weights[:, None] * trial**2))
+            trial_energy = 0.5 * float(np.sum(weights[:, None] * trial**2))
             assert trial_energy >= energy - 1e-10 * (1.0 + energy)
     assert tried > 50
 
@@ -273,9 +290,6 @@ def test_contact_with_no_leverage_and_positive_demand_is_infeasible():
         t=1.5,
         beta=0.0,
         b=np.array([0.7]),
-        weights=np.full(4, 0.5),
-        tip_row=None,
-        tip_tangent=None,
     )
     with pytest.raises(InfeasibleReaction):
         solve_reaction(system)
@@ -303,17 +317,17 @@ def test_oracle_rejects_large_contact_counts():
 
 def test_zero_density_moves_nothing():
     state, _ = vertical_state()
+    system = rate_system(state, [0, 3, state.n_grown], [E1, E2, E1])
     omega = np.zeros((state.n_grown + 1, 3))
-    for s_query in (0.0, 0.35, 1.0):
-        v = reaction_velocity(state, omega, s_query)
-        assert np.array_equal(v, np.zeros(3))
+    assert np.array_equal(linear_rates(system, omega), np.zeros(3))
 
 
 def test_reaction_velocity_base_is_pinned():
     rng = np.random.default_rng(48)
     state, _ = vertical_state()
+    system = rate_system(state, [0], [E1])
     omega = rng.normal(size=(state.n_grown + 1, 3))
-    assert np.array_equal(reaction_velocity(state, omega, 0.0), np.zeros(3))
+    assert np.array_equal(linear_rates(system, omega), np.zeros(1))
 
 
 def test_reaction_velocity_matches_direct_quadrature():
@@ -321,16 +335,17 @@ def test_reaction_velocity_matches_direct_quadrature():
     state, _ = vertical_state()
     n = state.n_grown
     omega = rng.normal(size=(n + 1, 3))
-    # left-endpoint rectangles on whole cells below s
-    for idx in (3, n):
-        s_query = idx * state.ds
+    normals = rng.normal(size=(2, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    got = linear_rates(rate_system(state, [3, n], normals), omega)
+    # left-endpoint rectangles on whole cells below each contact node
+    for j, idx in enumerate((3, n)):
         want = np.zeros(3)
         for i in range(idx):
             want += state.ds * np.cross(
                 omega[i], state.gamma[idx] - state.gamma[i]
             )
-        got = reaction_velocity(state, omega, s_query)
-        assert np.max(np.abs(got - want)) < 1e-13
+        assert abs(got[j] - want @ normals[j]) < 1e-13
 
 
 def test_solved_rates_meet_demands_on_active_rows():
