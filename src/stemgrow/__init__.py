@@ -10,13 +10,7 @@ from .curves import (
     rodrigues,
     rotate_vectors,
 )
-from .diagnostics import (
-    audit_state,
-    gronwall_certificate,
-    minimal_rotation,
-    rotation_field,
-    weighted_norm,
-)
+from .diagnostics import gronwall_certificate, rotation_field, weighted_norm
 from .growth import GrowthLaw, psi_field
 from .obstacles import Cylinder, HalfSpace, Scene, Sphere, outer_normal, signed_distance
 from .reaction import (
@@ -49,7 +43,6 @@ __all__ = [
     "TrajectoryFrame",
     "angular_displacement_profile",
     "assemble_constraints",
-    "audit_state",
     "config_from_dict",
     "config_to_dict",
     "detect_breakdown",
@@ -58,7 +51,6 @@ __all__ = [
     "init_state",
     "integrate_tangents",
     "load_config",
-    "minimal_rotation",
     "oracle_solve_reaction",
     "outer_normal",
     "psi_field",

@@ -6,11 +6,12 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import SimConfig, config_from_dict, config_to_dict, load_config
+from .config import SimConfig, config_to_dict, load_config
 from .diagnostics import audit_arrays, step_normal_rates
 from .errors import (
     NoCandidateFeasible,
@@ -24,7 +25,6 @@ from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (
     read_jsonl,
-    read_manifest,
     write_events,
     write_frames,
     write_manifest,
@@ -69,7 +69,7 @@ def _write_run(outdir: str, traj, config: SimConfig, argv: list[str]) -> dict:
 def _cmd_run(args, argv) -> int:
     config = load_config(args.config)
     if args.stride is not None:
-        config.stride = args.stride
+        config = replace(config, stride=args.stride)  # validates the override
     traj = run_scenario(config)
     _write_run(args.out, traj, config, argv)
     final = traj.final_frame
@@ -104,7 +104,7 @@ def _parse_perturbation(spec: str) -> tuple[float, np.ndarray]:
 def _cmd_twin(args, argv) -> int:
     config = load_config(args.config)
     if args.stride is not None:
-        config.stride = args.stride
+        config = replace(config, stride=args.stride)  # validates the override
     angle, axis = _parse_perturbation(args.perturb)
     result = twin_run(config, angle, axis)
 
@@ -152,9 +152,8 @@ def _load_frame_arrays(rec: dict) -> dict:
 
 
 def _cmd_audit(args) -> int:
-    manifest_path = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
-    manifest = read_manifest(manifest_path)
-    config = config_from_dict(manifest["config"])
+    manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
+    config = load_config(manifest)
     records = [_load_frame_arrays(rec) for rec in read_jsonl(args.frames)]
     if not records:
         print("audit: no frames")
@@ -202,9 +201,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    manifest_path = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
-    manifest = read_manifest(manifest_path)
-    config = config_from_dict(manifest["config"])
+    manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
+    config = load_config(manifest)
     checked = skipped = degenerate = mismatched = 0
     for idx, rec in enumerate(read_jsonl(args.frames)):
         fr = _load_frame_arrays(rec)

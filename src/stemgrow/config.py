@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +29,10 @@ class SeedCurve:
 
     def __post_init__(self):
         if self.kind == "segment":
-            if self.direction is None or self.length is None:
-                raise ValidationError("seed_curve: segment needs direction and length")
             self.direction = _unit(self.direction, "seed_curve.direction")
             if self.length <= 0.0:
                 raise ValidationError("seed_curve.length must be positive")
         elif self.kind == "arc":
-            need = (self.initial_direction, self.turn_axis, self.radius, self.length)
-            if any(v is None for v in need):
-                raise ValidationError(
-                    "seed_curve: arc needs initial_direction, turn_axis, radius, length"
-                )
             self.initial_direction = _unit(self.initial_direction, "seed_curve.initial_direction")
             self.turn_axis = _unit(self.turn_axis, "seed_curve.turn_axis")
             if abs(float(self.initial_direction @ self.turn_axis)) > 1e-9:
@@ -47,11 +42,7 @@ class SeedCurve:
             if self.radius <= 0.0 or self.length <= 0.0:
                 raise ValidationError("seed_curve: radius and length must be positive")
         elif self.kind == "polyline":
-            if self.points is None:
-                raise ValidationError("seed_curve: polyline needs points")
             self.points = np.asarray(self.points, dtype=float)
-            if self.points.ndim != 2 or self.points.shape[0] < 2 or self.points.shape[1] != 3:
-                raise ValidationError("seed_curve.points must be an (n>=2, 3) array")
             if np.any(np.linalg.norm(np.diff(self.points, axis=0), axis=1) < 1e-12):
                 raise ValidationError("seed_curve.points contains a zero-length chord")
         else:
@@ -160,186 +151,170 @@ class SimConfig:
         return round(self.horizon / self.dt)
 
 
-_NUMERIC_KEYS = {
-    "dt": float,
-    "t0": float,
-    "horizon": float,
-    "eps_contact": float,
-    "eps_penetration": float,
-    "kappa": float,
-    "correction_sweeps": int,
-    "correction_tol": float,
-    "breakdown_angle_tol": float,
-    "breakdown_curvature_tol": float,
-    "solver_tol": float,
-    "solver_max_sweeps": int,
-    "solver_ridge": float,
-}
+def _real(value, where: str, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{where} must be {what}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN and for ints past float range
+        raise ValidationError(f"{where} must be finite, got {value!r}")
+    return float(value)
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    extra = set(section) - set(allowed)
+def _float(value, where: str) -> float:
+    return _real(value, where, "a float")
+
+
+def _int(value, where: str) -> int:
+    x = _real(value, where, "an int")
+    if x != int(x):
+        raise ValidationError(f"{where} must be an int, got {value!r}")
+    return int(x)
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _list(check, what: str, fits):
+    """A check for a list whose length fits and whose items pass check."""
+
+    def read(value, where: str) -> list:
+        if not isinstance(value, (list, tuple)) or not fits(len(value)):
+            raise ValidationError(f"{where} must be a list of {what}, got {value!r}")
+        return [check(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+    return read
+
+
+_vector = _list(_float, "3 numbers", lambda n: n == 3)
+_floats = _list(_float, "numbers", lambda n: n >= 1)
+_points = _list(_vector, "at least 2 points", lambda n: n >= 2)
+
+
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be an object, got {doc!r}")
+    return doc
+
+
+def _check_keys(doc: dict, allowed, where: str) -> None:
+    extra = set(doc) - set(allowed)
     if extra:
         raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
 
 
-def scene_from_dict(doc: dict) -> Scene:
-    _check_keys(doc, {"obstacles"}, "scene")
-    obstacles = []
-    for i, ob in enumerate(doc.get("obstacles", [])):
-        kind = ob.get("type")
-        where = f"scene.obstacles[{i}]"
-        if kind == "sphere":
-            _check_keys(ob, {"type", "center", "radius"}, where)
-            obstacles.append(Sphere(center=ob["center"], radius=ob["radius"]))
-        elif kind == "half_space":
-            _check_keys(ob, {"type", "point", "outward_normal"}, where)
-            obstacles.append(HalfSpace(point=ob["point"], outward_normal=ob["outward_normal"]))
-        elif kind == "cylinder":
-            _check_keys(ob, {"type", "axis_point", "axis", "radius"}, where)
-            obstacles.append(
-                Cylinder(axis_point=ob["axis_point"], axis=ob["axis"], radius=ob["radius"])
-            )
-        else:
-            raise ValidationError(f"{where}.type must be sphere|half_space|cylinder, got {kind!r}")
-    return Scene(obstacles=obstacles)
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    out = []
-    for ob in scene.obstacles:
-        if isinstance(ob, Sphere):
-            out.append({"type": "sphere", "center": list(ob.center), "radius": ob.radius})
-        elif isinstance(ob, HalfSpace):
-            out.append(
-                {
-                    "type": "half_space",
-                    "point": list(ob.point),
-                    "outward_normal": list(ob.outward_normal),
-                }
-            )
-        else:
-            out.append(
-                {
-                    "type": "cylinder",
-                    "axis_point": list(ob.axis_point),
-                    "axis": list(ob.axis),
-                    "radius": ob.radius,
-                }
-            )
-    return {"obstacles": out}
-
-
-def law_from_dict(doc: dict) -> GrowthLaw:
-    _check_keys(doc, {"variant", "beta", "gain", "up", "ages", "response"}, "law")
-    kwargs = dict(
-        variant=doc.get("variant", "gravitropic"),
-        beta=doc.get("beta", 1.0),
-        gain=doc.get("gain", 1.0),
-        up=np.asarray(doc.get("up", [0.0, 0.0, 1.0]), dtype=float),
-    )
-    if "ages" in doc or "response" in doc:
-        kwargs["ages"] = doc.get("ages")
-        kwargs["response"] = doc.get("response")
-    return GrowthLaw(**kwargs)
-
-
-def law_to_dict(law: GrowthLaw) -> dict:
-    out = {"variant": law.variant, "beta": law.beta, "gain": law.gain, "up": list(law.up)}
-    if law.variant == "custom":
-        out["ages"] = list(law.ages)
-        out["response"] = list(law.response)
+def _section(doc, table: dict, where: str, required=()) -> dict:
+    """The checked values of one document section, in table order."""
+    _check_keys(_object(doc, where), table, where)
+    out = {}
+    for key, check in table.items():
+        if key in doc:
+            out[key] = check(doc[key], f"{where}.{key}")
+        elif key in required:
+            raise ValidationError(f"{where}.{key} is required")
     return out
 
 
-def seed_from_dict(doc: dict) -> SeedCurve:
-    kind = doc.get("type")
-    if kind == "segment":
-        _check_keys(doc, {"type", "direction", "length"}, "seed_curve")
-        return SeedCurve("segment", direction=doc["direction"], length=doc["length"])
-    if kind == "arc":
-        _check_keys(
-            doc, {"type", "initial_direction", "turn_axis", "radius", "length"}, "seed_curve"
-        )
-        return SeedCurve(
-            "arc",
-            initial_direction=doc["initial_direction"],
-            turn_axis=doc["turn_axis"],
-            radius=doc["radius"],
-            length=doc["length"],
-        )
-    if kind == "polyline":
-        _check_keys(doc, {"type", "points"}, "seed_curve")
-        return SeedCurve("polyline", points=doc["points"])
-    raise ValidationError(f"seed_curve.type must be segment|arc|polyline, got {kind!r}")
+def _typed(doc, tables: dict, where: str) -> tuple[str, dict]:
+    """(type, checked values) of a section whose "type" key picks its table."""
+    kind = _object(doc, where).get("type")
+    if not isinstance(kind, str) or kind not in tables:
+        raise ValidationError(f"{where}.type must be {'|'.join(tables)}, got {kind!r}")
+    body = {key: value for key, value in doc.items() if key != "type"}
+    return kind, _section(body, tables[kind], where, required=tables[kind])
 
 
-def seed_to_dict(seed: SeedCurve) -> dict:
-    if seed.kind == "segment":
-        return {"type": "segment", "direction": list(seed.direction), "length": seed.length}
-    if seed.kind == "arc":
-        return {
-            "type": "arc",
-            "initial_direction": list(seed.initial_direction),
-            "turn_axis": list(seed.turn_axis),
-            "radius": seed.radius,
-            "length": seed.length,
-        }
-    return {"type": "polyline", "points": [list(p) for p in seed.points]}
+def _obstacle(doc, where: str):
+    kind, fields = _typed(doc, _OBSTACLES, where)
+    return _OBSTACLE_TYPES[kind](**fields)
+
+
+# One table per section, key -> the check that returns its value. Parsing and
+# writing both walk these tables, so the two cannot drift apart.
+_OBSTACLES = {
+    "sphere": {"center": _vector, "radius": _float},
+    "half_space": {"point": _vector, "outward_normal": _vector},
+    "cylinder": {"axis_point": _vector, "axis": _vector, "radius": _float},
+}
+_OBSTACLE_TYPES = {"sphere": Sphere, "half_space": HalfSpace, "cylinder": Cylinder}
+_SEEDS = {
+    "segment": {"direction": _vector, "length": _float},
+    "arc": {
+        "initial_direction": _vector,
+        "turn_axis": _vector,
+        "radius": _float,
+        "length": _float,
+    },
+    "polyline": {"points": _points},
+}
+_LAW = {
+    "variant": _text,
+    "beta": _float,
+    "gain": _float,
+    "up": _vector,
+    "ages": _floats,
+    "response": _floats,
+}
+_NUMERIC_KEYS = {
+    "dt": _float,
+    "t0": _float,
+    "horizon": _float,
+    "eps_contact": _float,
+    "eps_penetration": _float,
+    "kappa": _float,
+    "correction_sweeps": _int,
+    "correction_tol": _float,
+    "breakdown_angle_tol": _float,
+    "breakdown_curvature_tol": _float,
+    "solver_tol": _float,
+    "solver_max_sweeps": _int,
+    "solver_ridge": _float,
+}
+_SCENE = {"obstacles": _list(_obstacle, "obstacles", lambda n: True)}
+_OUTPUT = {"stride": _int}
+_SECTIONS = ("label", "scene", "law", "seed_curve", "numerics", "output")
+
+
+def _dump(obj, table: dict) -> dict:
+    """The table's keys read back from an object; None is left out, arrays become lists."""
+    out = {}
+    for key in table:
+        value = getattr(obj, key)
+        if value is not None:
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    _check_keys(doc, {"label", "scene", "law", "seed_curve", "numerics", "output"}, "config")
-    for required in ("scene", "law", "seed_curve", "numerics"):
-        if required not in doc:
-            raise ValidationError(f"config: missing section {required!r}")
-    numerics = dict(doc["numerics"])
-    _check_keys(numerics, _NUMERIC_KEYS, "numerics")
-    for key in ("dt", "t0", "horizon"):
-        if key not in numerics:
-            raise ValidationError(f"numerics.{key} is required")
-    kwargs = {}
-    for key, cast in _NUMERIC_KEYS.items():
-        if key in numerics:
-            try:
-                kwargs[key] = cast(numerics[key])
-            except (TypeError, ValueError):
-                raise ValidationError(f"numerics.{key} must be a {cast.__name__}")
-    output = dict(doc.get("output", {}))
-    _check_keys(output, {"stride"}, "output")
+    _check_keys(_object(doc, "config"), _SECTIONS, "config")
+    for name in ("scene", "law", "seed_curve", "numerics"):
+        if name not in doc:
+            raise ValidationError(f"config: missing section {name!r}")
+    seed_kind, seed = _typed(doc["seed_curve"], _SEEDS, "seed_curve")
     return SimConfig(
-        scene=scene_from_dict(doc["scene"]),
-        law=law_from_dict(doc["law"]),
-        seed=seed_from_dict(doc["seed_curve"]),
-        stride=int(output.get("stride", 1)),
-        label=str(doc.get("label", "")),
-        **kwargs,
+        scene=Scene(**_section(doc["scene"], _SCENE, "scene")),
+        law=GrowthLaw(**_section(doc["law"], _LAW, "law")),
+        seed=SeedCurve(seed_kind, **seed),
+        label=_text(doc.get("label", ""), "label"),
+        **_section(doc["numerics"], _NUMERIC_KEYS, "numerics", required=("dt", "t0", "horizon")),
+        **_section(doc.get("output", {}), _OUTPUT, "output"),
     )
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    numerics = {
-        "dt": config.dt,
-        "t0": config.t0,
-        "horizon": config.horizon,
-        "eps_contact": config.eps_contact,
-        "eps_penetration": config.eps_penetration,
-        "kappa": config.kappa,
-        "correction_sweeps": config.correction_sweeps,
-        "correction_tol": config.correction_tol,
-        "breakdown_angle_tol": config.breakdown_angle_tol,
-        "breakdown_curvature_tol": config.breakdown_curvature_tol,
-        "solver_tol": config.solver_tol,
-        "solver_max_sweeps": config.solver_max_sweeps,
-        "solver_ridge": config.solver_ridge,
-    }
+    obstacles = []
+    for ob in config.scene.obstacles:
+        kind = next(k for k, cls in _OBSTACLE_TYPES.items() if isinstance(ob, cls))
+        obstacles.append({"type": kind, **_dump(ob, _OBSTACLES[kind])})
+    seed = config.seed
     return {
         "label": config.label,
-        "scene": scene_to_dict(config.scene),
-        "law": law_to_dict(config.law),
-        "seed_curve": seed_to_dict(config.seed),
-        "numerics": numerics,
-        "output": {"stride": config.stride},
+        "scene": {"obstacles": obstacles},
+        "law": _dump(config.law, _LAW),
+        "seed_curve": {"type": seed.kind, **_dump(seed, _SEEDS[seed.kind])},
+        "numerics": {key: getattr(config, key) for key in _NUMERIC_KEYS},
+        "output": _dump(config, _OUTPUT),
     }
 
 
@@ -350,7 +325,7 @@ def load_config(path: str) -> SimConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not text
         raise ParseError(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

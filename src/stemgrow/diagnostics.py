@@ -9,18 +9,6 @@ from .errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
 from .obstacles import Scene, signed_distances
 
 
-def minimal_rotation(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Smallest rotation vector carrying unit vector k1 to k2.
-
-    The axis is k1 x k2 normalized, the angle atan2(|k1 x k2|, <k1, k2>).
-    Opposite vectors have no distinguished axis and raise.
-    """
-    out = rotation_field(
-        np.asarray(k1, dtype=float)[None, :], np.asarray(k2, dtype=float)[None, :]
-    )
-    return out[0]
-
-
 def rotation_field(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Node-wise minimal rotation between two tangent fields on the same grid."""
     k1 = np.asarray(k1, dtype=float)
@@ -124,25 +112,6 @@ def audit_arrays(
                 f"node {int(np.argmin(phi))} penetrates {-float(np.min(phi)):.3e} "
                 f"(limit {limit:.3e})"
             )
-    return bad
-
-
-def audit_state(state, scene: Scene | None = None, eps_penetration: float | None = None) -> list[str]:
-    """audit_arrays on the grown part plus extension straightness checks."""
-    n = state.n_grown
-    bad = audit_arrays(
-        state.s[: n + 1],
-        state.gamma[: n + 1],
-        state.k[: n + 1],
-        state.ds,
-        scene=scene,
-        eps_penetration=eps_penetration,
-    )
-    ext = state.k[n:]
-    if ext.shape[0] > 1:
-        spread = float(np.max(np.abs(ext - ext[0])))
-        if spread != 0.0:
-            bad.append(f"extension tangents differ from the tip by {spread:.3e}")
     return bad
 
 

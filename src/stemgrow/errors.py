@@ -64,14 +64,19 @@ class InfeasibleReaction(SimulationError):
 
 
 class MaxIterationsExceeded(SimulationError):
-    """Multiplier iteration failed to reach tolerance within the sweep budget."""
+    """An iteration failed to reach tolerance within its sweep budget.
 
-    def __init__(self, residual: float, tol: float, sweeps: int):
+    loop names the iteration that gave up: the dual solver's coordinate
+    descent ("dual solve") or the step's defect correction ("correction loop").
+    """
+
+    def __init__(self, loop: str, residual: float, tol: float, sweeps: int):
+        self.loop = loop
         self.residual = residual
         self.tol = tol
         self.sweeps = sweeps
         super().__init__(
-            f"residual {residual:.3e} after {sweeps} sweeps (tol {tol:.3e})"
+            f"{loop}: residual {residual:.3e} after {sweeps} sweeps (tol {tol:.3e})"
         )
 
 

@@ -377,7 +377,7 @@ def solve_reaction(
             mu = cand
         if sweeps >= max_sweeps:
             worst = min(cert_c, cert_m)
-            raise MaxIterationsExceeded(worst * scale, scale, sweeps)
+            raise MaxIterationsExceeded("dual solve", worst * scale, scale, sweeps)
 
     slack = g @ mu - b
     resid = float(np.max(np.abs(mu - np.maximum(0.0, mu - slack))))

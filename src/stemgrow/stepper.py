@@ -77,10 +77,6 @@ class StemState:
         return float(self.grid.nodes[self.n_grown])
 
     @property
-    def tip_position(self) -> np.ndarray:
-        return self.gamma[self.n_grown]
-
-    @property
     def tip_tangent(self) -> np.ndarray:
         return self.k[self.n_grown]
 
@@ -246,7 +242,10 @@ def step(
                 break
             if sweep == config.correction_sweeps - 1:
                 raise MaxIterationsExceeded(
-                    realized_residual, config.correction_tol, config.correction_sweeps
+                    "correction loop",
+                    realized_residual,
+                    config.correction_tol,
+                    config.correction_sweeps,
                 )
             system.b = b0 - (realized - predicted)
             sol = solve_reaction(
@@ -308,59 +307,53 @@ def run(config: SimConfig) -> Trajectory:
     frames: list[TrajectoryFrame] = []
     events: list[Event] = []
     prev_nodes = np.zeros(0, dtype=int)
+    no_contacts = ContactSet(
+        nodes=np.zeros(0, dtype=int),
+        arclengths=np.zeros(0),
+        normals=np.zeros((0, 3)),
+        phi=np.zeros(0),
+        tip=False,
+    )
     warm: dict[int, float] = {}
-    exit_kind = "HorizonReached"
 
+    # Every iteration either steps or ends the run; the terminal outcome is
+    # recorded once below, as the final frame plus its event.
     while True:
         t = state.t
+        contacts = no_contacts
         try:
             contacts = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
             )
-        except SimulationError as exc:
-            log.warning("integrity failure at t=%.6g: %s", t, exc)
-            events.append(Event(t=t, kind="IntegrityFailure", data={"error": str(exc)}))
-            frames.append(_make_frame(state, _empty_contacts(), None, config.scene))
-            exit_kind = "IntegrityFailure"
-            break
+            onset = np.setdiff1d(contacts.nodes, prev_nodes)
+            release = np.setdiff1d(prev_nodes, contacts.nodes)
+            if onset.size:
+                log.info("contact onset at t=%.6g: nodes %s", t, onset.tolist())
+                events.append(
+                    Event(t=t, kind="ContactOnset", data={"nodes": [int(v) for v in onset]})
+                )
+            if release.size:
+                events.append(
+                    Event(t=t, kind="ContactRelease", data={"nodes": [int(v) for v in release]})
+                )
+            prev_nodes = contacts.nodes
 
-        onset = np.setdiff1d(contacts.nodes, prev_nodes)
-        release = np.setdiff1d(prev_nodes, contacts.nodes)
-        if onset.size:
-            log.info("contact onset at t=%.6g: nodes %s", t, onset.tolist())
-            events.append(
-                Event(t=t, kind="ContactOnset", data={"nodes": [int(v) for v in onset]})
-            )
-        if release.size:
-            events.append(
-                Event(t=t, kind="ContactRelease", data={"nodes": [int(v) for v in release]})
-            )
-        prev_nodes = contacts.nodes
+            broke, diag = detect_breakdown(state, contacts, config)
+            if broke:
+                log.warning("breakdown at t=%.6g: %s", t, diag)
+                exit_kind, data = "Breakdown", diag
+                break
+            if state.n_grown >= n_total:
+                exit_kind, data = "HorizonReached", {}
+                break
 
-        broke, diag = detect_breakdown(state, contacts, config)
-        if broke:
-            log.warning("breakdown at t=%.6g: %s", t, diag)
-            frames.append(_make_frame(state, contacts, None, config.scene))
-            events.append(Event(t=t, kind="Breakdown", data=diag))
-            exit_kind = "Breakdown"
-            break
-
-        if state.n_grown >= n_total:
-            frames.append(_make_frame(state, contacts, None, config.scene))
-            events.append(Event(t=t, kind="HorizonReached", data={}))
-            exit_kind = "HorizonReached"
-            break
-
-        warm_vec = None
-        if contacts.size:
-            warm_vec = np.array([warm.get(int(v), 0.0) for v in contacts.nodes])
-        try:
+            warm_vec = None
+            if contacts.size:
+                warm_vec = np.array([warm.get(int(v), 0.0) for v in contacts.nodes])
             new_state, info = step(state, config, contacts, warm_vec)
         except SimulationError as exc:
             log.warning("integrity failure at t=%.6g: %s", t, exc)
-            frames.append(_make_frame(state, contacts, None, config.scene))
-            events.append(Event(t=t, kind="IntegrityFailure", data={"error": str(exc)}))
-            exit_kind = "IntegrityFailure"
+            exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 
         frames.append(_make_frame(state, contacts, info, config.scene))
@@ -371,17 +364,9 @@ def run(config: SimConfig) -> Trajectory:
             }
         state = new_state
 
+    frames.append(_make_frame(state, contacts, None, config.scene))
+    events.append(Event(t=state.t, kind=exit_kind, data=data))
     return Trajectory(frames=frames, events=events, exit_kind=exit_kind, config=config)
-
-
-def _empty_contacts() -> ContactSet:
-    return ContactSet(
-        nodes=np.zeros(0, dtype=int),
-        arclengths=np.zeros(0),
-        normals=np.zeros((0, 3)),
-        phi=np.zeros(0),
-        tip=False,
-    )
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -168,16 +168,3 @@ def write_manifest(
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest
-
-
-def read_manifest(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}")
-    if "config" not in doc:
-        raise ParseError(f"{path} has no config section")
-    return doc

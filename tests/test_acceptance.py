@@ -15,7 +15,6 @@ import pytest
 from conftest import STEMGROW, random_constraint_system, stemgrow_env
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
-from stemgrow.diagnostics import step_normal_rates
 from stemgrow.growth import GrowthLaw
 from stemgrow.obstacles import Scene, Sphere
 from stemgrow.reaction import check_kkt, oracle_solve_reaction, solve_reaction

@@ -215,6 +215,29 @@ def test_zero_correction_sweeps_exits_two(tmp_path):
     assert "correction_sweeps" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "obstacles, flags, error",
+    [
+        (
+            [{"type": "sphere", "center": [0.0, 0.0, 5.0]}],
+            [],
+            "scene.obstacles[0].radius is required",
+        ),
+        ([], ["--stride", "0"], "output.stride must be >= 1, got 0"),
+    ],
+    ids=["sphere_without_radius", "stride_flag_zero"],
+)
+def test_malformed_config_exits_two_without_traceback(tmp_path, obstacles, flags, error):
+    doc = straight_doc()
+    doc["scene"]["obstacles"] = obstacles
+    config_path = write_scenario(tmp_path / "bad.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir), *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {error}\n"
+    assert not outdir.exists()
+
+
 def test_correction_cap_exits_twenty(tmp_path):
     # one solve per step cannot absorb the linearization defect at the
     # sphere, so the step must fail loudly instead of being accepted
@@ -227,6 +250,7 @@ def test_correction_cap_exits_twenty(tmp_path):
     assert proc.stdout.startswith("IntegrityFailure:")
     events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
     assert events[-1]["kind"] == "IntegrityFailure"
+    assert events[-1]["data"]["error"].startswith("correction loop: ")
     assert "after 1 sweeps" in events[-1]["data"]["error"]
 
 

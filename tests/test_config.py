@@ -1,18 +1,15 @@
 """Tests for scenario configuration parsing, validation, and round-tripping."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stemgrow.config import (
-    SeedCurve,
-    SimConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-)
+from stemgrow.config import SeedCurve, config_from_dict, config_to_dict, load_config
 from stemgrow.errors import ParseError, ValidationError
 
 
@@ -130,6 +127,13 @@ def test_load_config_rejects_invalid_json(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    with pytest.raises(ParseError, match="not valid JSON"):
+        load_config(str(path))
+
+
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")
@@ -237,6 +241,185 @@ def test_overlapping_obstacles_rejected():
     ]
     with pytest.raises(ValidationError):
         config_from_dict(doc)
+
+
+def with_sphere(**fields):
+    """A mutation that puts one sphere, with the given fields, in the scene."""
+    return lambda doc: doc["scene"].update(obstacles=[fields])
+
+
+def set_at(path, value):
+    """A mutation that sets the value at a key path."""
+
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+MALFORMED = {
+    "sphere_without_radius": (with_sphere(type="sphere", center=[0.0, 0.0, 5.0]),
+                              r"scene\.obstacles\[0\]\.radius is required"),
+    "obstacle_is_a_number": (lambda doc: doc["scene"].update(obstacles=[5]),
+                             r"scene\.obstacles\[0\] must be an object"),
+    "seed_without_direction": (lambda doc: doc["seed_curve"].pop("direction"),
+                               r"seed_curve\.direction is required"),
+    "beta_is_text": (set_at(("law", "beta"), "x"), r"law\.beta must be a float"),
+    "numerics_is_a_list": (set_at(("numerics",), [0.1, 0.2, 1.0]),
+                           r"numerics must be an object"),
+    "stride_is_text": (set_at(("output", "stride"), "a"), r"output\.stride must be an int"),
+    "center_has_two_components": (
+        with_sphere(type="sphere", center=[0.0, 5.0], radius=1.0),
+        r"scene\.obstacles\[0\]\.center must be a list of 3 numbers",
+    ),
+    "direction_has_four_components": (
+        set_at(("seed_curve", "direction"), [0.0, 0.0, 1.0, 0.0]),
+        r"seed_curve\.direction must be a list of 3 numbers",
+    ),
+    "radius_is_a_list": (
+        with_sphere(type="sphere", center=[0.0, 0.0, 5.0], radius=[1]),
+        r"scene\.obstacles\[0\]\.radius must be a float",
+    ),
+    "center_is_text": (
+        with_sphere(type="sphere", center="abc", radius=1.0),
+        r"scene\.obstacles\[0\]\.center must be a list of 3 numbers",
+    ),
+    "up_has_two_components": (set_at(("law", "up"), [0.0, 1.0]),
+                              r"law\.up must be a list of 3 numbers"),
+    "kappa_is_nan": (set_at(("numerics", "kappa"), float("nan")),
+                     r"numerics\.kappa must be finite"),
+}
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_names_the_field(mutate, message):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict(doc)
+
+
+def test_integer_keys_must_be_whole_numbers():
+    doc = base_doc()
+    doc["numerics"]["correction_sweeps"] = 2.5
+    with pytest.raises(ValidationError, match="numerics.correction_sweeps must be an int"):
+        config_from_dict(doc)
+    doc["numerics"]["correction_sweeps"] = 3.0
+    assert config_from_dict(doc).correction_sweeps == 3
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: accepted and round-tripped, or rejected with ValidationError
+# ---------------------------------------------------------------------------
+
+
+def valid_docs():
+    """One valid document per obstacle kind, seed kind and law variant."""
+    obstacles = base_doc()
+    obstacles["scene"]["obstacles"] = [
+        {"type": "sphere", "center": [0.0, 0.0, 5.0], "radius": 1.0},
+        {"type": "half_space", "point": [0.0, 0.0, 10.0], "outward_normal": [0.0, 0.0, -1.0]},
+        {"type": "cylinder", "axis_point": [8.0, 0.0, 0.0], "axis": [0.0, 1.0, 0.0], "radius": 1.0},
+    ]
+    arc = base_doc()
+    arc["seed_curve"] = {
+        "type": "arc",
+        "initial_direction": [0.0, 0.0, 1.0],
+        "turn_axis": [1.0, 0.0, 0.0],
+        "radius": 0.5,
+        "length": 0.2,
+    }
+    polyline = base_doc()
+    polyline["seed_curve"] = {
+        "type": "polyline",
+        "points": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.1], [0.0, 0.1, 0.1]],
+    }
+    custom = base_doc()
+    custom["law"] = {
+        "variant": "custom",
+        "beta": 0.5,
+        "gain": 2.0,
+        "up": [0.0, 0.0, 1.0],
+        "ages": [0.0, 1.0, 2.0],
+        "response": [1.0, 0.5, 0.0],
+    }
+    custom["numerics"].update(kappa=0.5, correction_sweeps=4, solver_max_sweeps=500)
+    return [base_doc(), obstacles, arc, polyline, custom]
+
+
+def key_paths(node, prefix=()):
+    """Every key path below a document node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3.0, 3.0),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+UNIT_KEYS = {"direction", "initial_direction", "turn_axis", "outward_normal", "axis", "up"}
+
+
+def assert_same_document(a, b, key=None):
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            assert_same_document(a[k], b[k], k)
+    elif key in UNIT_KEYS:
+        # the constructors normalize these, and normalizing a unit vector
+        # again may move it by an ulp
+        assert np.allclose(a, b, rtol=0.0, atol=1e-15)
+    else:
+        assert a == b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_documents_are_accepted_or_rejected(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(valid_docs())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(key_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        how = data.draw(st.sampled_from(["delete", "retype", "reshape", "non-finite"]))
+        if how == "delete":
+            del parent[key]
+        elif how == "retype":
+            parent[key] = data.draw(ODD_VALUES)
+        elif how == "reshape":
+            value = parent[key]
+            if isinstance(value, list) and value and data.draw(st.booleans()):
+                parent[key] = value[:-1] if data.draw(st.booleans()) else value + value[-1:]
+            else:
+                parent[key] = [value]
+        else:
+            parent[key] = data.draw(NON_FINITE)
+    try:
+        config = config_from_dict(doc)
+    except (ValidationError, ParseError):
+        return
+    dumped = config_to_dict(config)
+    json.dumps(dumped, allow_nan=False)
+    assert_same_document(config_to_dict(config_from_dict(dumped)), dumped)
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,25 @@
 import numpy as np
 import pytest
 
-from stemgrow.config import SeedCurve, SimConfig
 from stemgrow.curves import rotate_vectors
 from stemgrow.diagnostics import (
     audit_arrays,
-    audit_state,
     gronwall_certificate,
-    minimal_rotation,
     rotation_field,
     step_normal_rates,
     weighted_norm,
 )
 from stemgrow.errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
-from stemgrow.growth import GrowthLaw
 from stemgrow.obstacles import HalfSpace, Scene
-from stemgrow.stepper import init_state
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def minimal_rotation(k1, k2):
+    """The minimal rotation between two unit vectors: a one-row rotation field."""
+    return rotation_field(k1[None, :], k2[None, :])[0]
 
 
 def test_minimal_rotation_identical_vectors_is_zero():
@@ -168,22 +168,6 @@ def test_audit_flags_penetration():
     scene = Scene([HalfSpace(point=np.array([0.0, 0.0, 0.5]), outward_normal=-E3)])
     bad = audit_arrays(s, gamma, k, 0.1, scene=scene, eps_penetration=0.005)
     assert any("penetrat" in msg for msg in bad)
-
-
-def test_audit_state_checks_extension_straightness():
-    config = SimConfig(
-        scene=Scene([]),
-        law=GrowthLaw(variant="zero"),
-        seed=SeedCurve(kind="segment", direction=E3, length=0.2),
-        dt=0.1,
-        t0=0.2,
-        horizon=0.5,
-    )
-    state = init_state(config)
-    assert audit_state(state) == []
-    state.k[-1] = np.array([1.0, 0.0, 0.0])
-    bad = audit_state(state)
-    assert any("extension" in msg for msg in bad)
 
 
 def test_step_normal_rates_tracks_interior_and_tip():

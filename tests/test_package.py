@@ -1,4 +1,7 @@
-"""The public surface of the package."""
+"""The public surface of the package and the hygiene of its sources."""
+
+import ast
+from pathlib import Path
 
 import stemgrow
 
@@ -10,3 +13,28 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from stemgrow import *", namespace)
     assert set(stemgrow.__all__) <= set(namespace)
+
+
+def _unused_imports(path):
+    """Names a module imports at top level but never mentions again."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # package __init__ modules import names only to re-export them
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src" / "stemgrow").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = [
+        entry for path in files if path.name != "__init__.py" for entry in _unused_imports(path)
+    ]
+    assert unused == []

@@ -18,7 +18,6 @@ from stemgrow.reaction import (
     ContactSet,
     assemble_constraints,
     check_kkt,
-    density_from_multipliers,
     detect_contacts,
     linear_rates,
     oracle_solve_reaction,

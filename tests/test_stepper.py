@@ -157,7 +157,7 @@ def test_bent_tip_contact_is_not_breakdown():
         horizon=0.5,
     )
     state = init_state(config)
-    contacts = detect_contacts(state, ceiling(float(state.tip_position[2])), 1e-3)
+    contacts = detect_contacts(state, ceiling(float(state.gamma[state.n_grown][2])), 1e-3)
     assert contacts.tip
     broke, diag = detect_breakdown(state, contacts, config)
     # tip tangent is tilted by the arc, so the angle residual is large
