@@ -12,7 +12,7 @@ from .curves import (
 )
 from .diagnostics import gronwall_certificate, rotation_field, weighted_norm
 from .growth import GrowthLaw, psi_field
-from .obstacles import Cylinder, HalfSpace, Scene, Sphere, outer_normal, signed_distance
+from .obstacles import Cylinder, HalfSpace, Scene, Sphere, outer_normal
 from .reaction import (
     ContactSet,
     ConstraintSystem,
@@ -58,7 +58,6 @@ __all__ = [
     "rotate_vectors",
     "rotation_field",
     "run",
-    "signed_distance",
     "solve_reaction",
     "step",
     "twin_run",

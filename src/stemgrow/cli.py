@@ -20,10 +20,11 @@ from .errors import (
     TooManyContacts,
     ValidationError,
 )
-from .reaction import ContactSet, ConstraintSystem, density_from_multipliers, oracle_solve_reaction
+from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
 from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (
+    read_frames,
     read_jsonl,
     write_events,
     write_frames,
@@ -132,62 +133,41 @@ def _cmd_twin(args, argv) -> int:
     return max(EXIT_CODES[result.base.exit_kind], EXIT_CODES[result.perturbed.exit_kind])
 
 
-def _load_frame_arrays(rec: dict) -> dict:
-    out = {
-        "t": float(rec["t"]),
-        "n": int(rec["n"]),
-        "s": np.asarray(rec["s"], dtype=float),
-        "gamma": np.asarray(rec["gamma"], dtype=float),
-        "k": np.asarray(rec["k"], dtype=float),
-        "nodes": np.array([c["node"] for c in rec["contacts"]], dtype=int),
-        "phi": np.array([c["phi"] for c in rec["contacts"]], dtype=float),
-        "normals": np.array([c["normal"] for c in rec["contacts"]], dtype=float).reshape(-1, 3),
-    }
-    mus = [c["mu"] for c in rec["contacts"]]
-    bs = [c["b"] for c in rec["contacts"]]
-    out["mu"] = None if (not mus or mus[0] is None) else np.asarray(mus, dtype=float)
-    out["b"] = None if (not bs or bs[0] is None) else np.asarray(bs, dtype=float)
-    out["tip"] = bool(out["nodes"].size and out["nodes"][-1] == out["n"])
-    return out
-
-
 def _cmd_audit(args) -> int:
     manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     config = load_config(manifest)
-    records = [_load_frame_arrays(rec) for rec in read_jsonl(args.frames)]
-    if not records:
+    frames = read_frames(args.frames)
+    if not frames:
         print("audit: no frames")
         return 1
     bad: list[str] = []
-    for idx, fr in enumerate(records):
-        expect_n = round(fr["t"] / config.dt)
-        if fr["n"] != expect_n or fr["s"].size != fr["n"] + 1:
-            bad.append(f"frame {idx}: grown-node count disagrees with t={fr['t']}")
+    for idx, fr in enumerate(frames):
+        if fr.n_grown != round(fr.t / config.dt):
+            bad.append(f"frame {idx}: grown-node count disagrees with t={fr.t}")
         bad.extend(
             f"frame {idx}: {msg}"
             for msg in audit_arrays(
-                fr["s"],
-                fr["gamma"],
-                fr["k"],
+                fr.s,
+                fr.gamma,
+                fr.k,
                 config.dt,
                 scene=config.scene,
                 eps_penetration=config.eps_penetration,
             )
         )
-    for prev, nxt in zip(records, records[1:]):
-        if nxt["n"] - prev["n"] != 1 or prev["mu"] is None or not prev["nodes"].size:
+    for prev, nxt in zip(frames, frames[1:]):
+        c = prev.contacts
+        if nxt.n_grown - prev.n_grown != 1 or prev.mu is None or not c.size:
             continue
-        rates = step_normal_rates(
-            prev["gamma"], nxt["gamma"], prev["nodes"], prev["normals"], prev["tip"], config.dt
-        )
-        target = config.kappa * np.maximum(0.0, -prev["phi"]) / config.dt
-        active = prev["mu"] > 0.0
+        rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
+        target = config.kappa * np.maximum(0.0, -c.phi) / config.dt
+        active = prev.mu > 0.0
         if np.any(active):
             resid = float(np.max(np.abs(rates[active] - target[active])))
             speed = float(np.max(np.abs(rates[active])))
             if resid > args.rate_tol * (1.0 + speed):
                 bad.append(
-                    f"frame t={prev['t']:.6g}: contact normal rate residual {resid:.3e}"
+                    f"frame t={prev.t:.6g}: contact normal rate residual {resid:.3e}"
                 )
     events_path = os.path.join(os.path.dirname(args.frames), "events.jsonl")
     events = read_jsonl(events_path) if os.path.exists(events_path) else []
@@ -196,7 +176,7 @@ def _cmd_audit(args) -> int:
         bad.append("events are not ordered by time")
     for msg in bad:
         print(f"audit: {msg}")
-    print(f"audit: {len(records)} frames, {len(bad)} violation(s)")
+    print(f"audit: {len(frames)} frames, {len(bad)} violation(s)")
     return 0 if not bad else 1
 
 
@@ -204,29 +184,14 @@ def _cmd_oracle_check(args) -> int:
     manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     config = load_config(manifest)
     checked = skipped = degenerate = mismatched = 0
-    for idx, rec in enumerate(read_jsonl(args.frames)):
-        fr = _load_frame_arrays(rec)
-        if fr["mu"] is None or fr["b"] is None or not fr["nodes"].size:
+    for idx, fr in enumerate(read_frames(args.frames)):
+        if fr.mu is None or fr.b is None or not fr.contacts.size:
             continue
-        if fr["nodes"].size > args.max_contacts:
+        if fr.contacts.size > args.max_contacts:
             skipped += 1
             continue
-        contacts = ContactSet(
-            nodes=fr["nodes"],
-            arclengths=fr["s"][fr["nodes"]],
-            normals=fr["normals"],
-            phi=fr["phi"],
-            tip=fr["tip"],
-        )
         system = ConstraintSystem(
-            contacts=contacts,
-            gamma=fr["gamma"],
-            s=fr["s"],
-            ds=config.dt,
-            t=fr["t"],
-            beta=config.law.beta,
-            b=fr["b"],
-            tip_tangent=fr["k"][fr["n"]] if fr["tip"] else None,
+            fr.contacts, fr.gamma, fr.s, fr.k, config.dt, config.law.beta, fr.b
         )
         try:
             oracle = oracle_solve_reaction(system, max_contacts=args.max_contacts)
@@ -234,7 +199,7 @@ def _cmd_oracle_check(args) -> int:
             print(f"oracle-check: frame {idx}: {exc}")
             mismatched += 1
             continue
-        stored = density_from_multipliers(system, fr["mu"])
+        stored = density_from_multipliers(system, fr.mu)
         diff = float(np.max(np.abs(stored - oracle.omega)))
         scale = 1.0 + float(np.max(np.abs(oracle.omega)))
         checked += 1
@@ -243,7 +208,7 @@ def _cmd_oracle_check(args) -> int:
         elif diff > args.tol * scale:
             mismatched += 1
             print(
-                f"oracle-check: frame {idx} t={fr['t']:.6g}: density differs by "
+                f"oracle-check: frame {idx} t={fr.t:.6g}: density differs by "
                 f"{diff:.3e} (tol {args.tol * scale:.3e})"
             )
     print(

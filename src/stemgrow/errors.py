@@ -8,7 +8,7 @@ class SimulationError(Exception):
 
 
 class ParseError(SimulationError):
-    """Config document could not be parsed."""
+    """Config document or frames file could not be parsed."""
 
 
 class ValidationError(SimulationError):
@@ -17,10 +17,6 @@ class ValidationError(SimulationError):
 
 class InitialPenetration(ValidationError):
     """Seed curve starts inside an obstacle."""
-
-
-class InitialBreakdown(ValidationError):
-    """Seed curve already sits in the rigid-jam configuration."""
 
 
 class GridMismatch(SimulationError):

@@ -150,10 +150,6 @@ def signed_distances(scene: Scene, points: np.ndarray) -> np.ndarray:
     return np.min(per, axis=0)
 
 
-def signed_distance(scene: Scene, x: np.ndarray) -> float:
-    return float(signed_distances(scene, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def outer_normal(scene: Scene, x: np.ndarray, band_width: float | None = None) -> np.ndarray:
     """Unit normal of the nearest obstacle surface, pointing out of the obstacle.
 

@@ -30,7 +30,6 @@ from .errors import (
     PenetrationExceeded,
     TooManyContacts,
 )
-from .growth import psi_field
 from .obstacles import Scene, outer_normal, signed_distances
 
 if TYPE_CHECKING:
@@ -42,7 +41,6 @@ class ContactSet:
     """Grown nodes lying within the contact band of the scene."""
 
     nodes: np.ndarray
-    arclengths: np.ndarray
     normals: np.ndarray
     phi: np.ndarray
     tip: bool
@@ -79,7 +77,6 @@ def detect_contacts(
     ).reshape(nodes.size, 3)
     return ContactSet(
         nodes=nodes,
-        arclengths=stem.s[nodes] if nodes.size else np.zeros(0),
         normals=normals,
         phi=phi[nodes],
         tip=bool(nodes.size and nodes[-1] == stem.n_grown),
@@ -95,18 +92,22 @@ class ConstraintSystem:
     right-hand side b folds in the growth-law drive, the tip elongation term,
     and the penetration pushback. The energy weights are
     ds * exp(beta (t - sigma_i)); the Gram matrix lives in the inverse metric.
-    tip_tangent is the tip's unit tangent when the last contact is the tip.
+    gamma, s and k cover the grown nodes only, so the current time is s[-1]
+    and the tip tangent is k[-1].
     """
 
     contacts: ContactSet
     gamma: np.ndarray
     s: np.ndarray
+    k: np.ndarray
     ds: float
-    t: float
     beta: float
     b: np.ndarray
-    tip_tangent: np.ndarray | None = None
     _gram: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def t(self) -> float:
+        return self.s[-1]
 
     @property
     def tip_row(self) -> int | None:
@@ -188,19 +189,21 @@ def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
     swirl = np.cross(p1[nodes], gam[nodes]) - vx[nodes]
     vals = np.einsum("jd,jd->j", swirl, nrm)
     if system.tip_row is not None:
-        vals[system.tip_row] += float(system.tip_tangent @ nrm[system.tip_row])
+        vals[system.tip_row] += float(system.k[-1] @ nrm[system.tip_row])
     return vals
 
 
 def assemble_constraints(
     stem: "StemState",
     contacts: ContactSet,
-    law,
+    psi: np.ndarray,
+    beta: float,
     kappa: float,
     dt: float,
 ) -> ConstraintSystem:
     """Build the constraint system for the current state.
 
+    psi is the growth-law density on the grown nodes and beta its decay rate.
     b_j = pushback - (drive rate), so the constraint (A omega)_j >= b_j says
     the reaction must cancel whatever inward velocity the growth law alone
     would produce, plus expel any existing penetration at rate
@@ -209,19 +212,15 @@ def assemble_constraints(
     if contacts.size == 0:
         raise EmptyContactSet("assemble_constraints needs at least one contact")
     n = stem.n_grown
-    s = stem.s[: n + 1]
-    t = stem.t
     system = ConstraintSystem(
         contacts=contacts,
         gamma=stem.gamma[: n + 1],
-        s=s,
+        s=stem.s[: n + 1],
+        k=stem.k[: n + 1],
         ds=stem.ds,
-        t=t,
-        beta=law.beta,
+        beta=beta,
         b=np.zeros(contacts.size),
-        tip_tangent=stem.k[n].copy() if contacts.tip else None,
     )
-    psi = psi_field(law, t, s, stem.k[: n + 1])
     drive = linear_rates(system, psi)
     pushback = kappa * np.maximum(0.0, -contacts.phi) / dt
     system.b = pushback - drive
@@ -232,14 +231,8 @@ def assemble_constraints(
 class ReactionSolution:
     mu: np.ndarray
     omega: np.ndarray
-    slack: np.ndarray
     energy: float
-    kkt_residual: float
     sweeps: int
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.mu > 0.0
 
 
 def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.ndarray:
@@ -379,16 +372,10 @@ def solve_reaction(
             worst = min(cert_c, cert_m)
             raise MaxIterationsExceeded("dual solve", worst * scale, scale, sweeps)
 
-    slack = g @ mu - b
-    resid = float(np.max(np.abs(mu - np.maximum(0.0, mu - slack))))
-    omega = density_from_multipliers(system, mu)
-    energy = 0.5 * float(mu @ (g @ mu))
     return ReactionSolution(
         mu=mu,
-        omega=omega,
-        slack=slack,
-        energy=energy,
-        kkt_residual=resid,
+        omega=density_from_multipliers(system, mu),
+        energy=0.5 * float(mu @ (g @ mu)),
         sweeps=sweeps,
     )
 
@@ -455,9 +442,6 @@ def check_kkt(system: ConstraintSystem, sol: ReactionSolution) -> dict:
 class OracleSolution:
     mu: np.ndarray
     omega: np.ndarray
-    slack: np.ndarray
-    energy: float
-    active: np.ndarray
     degenerate: bool
     n_candidates: int
 
@@ -506,38 +490,34 @@ def oracle_solve_reaction(
             mu[act] = np.maximum(mu_a, 0.0)
             if np.linalg.cond(sub) > 1e10:
                 degenerate = True
-        slack = g @ mu - b
-        if np.min(slack) < -feas_tol:
+        if np.min(g @ mu - b) < -feas_tol:
             continue
-        candidates.append((mu, slack))
+        candidates.append(mu)
     if not candidates:
         raise NoCandidateFeasible(f"no active set among 2^{m} is feasible")
 
     decay = np.exp(-system.beta * (system.t - system.s))
     omegas = [
-        decay[:, None] * np.einsum("j,jid->id", mu, rows) for mu, _ in candidates
+        decay[:, None] * np.einsum("j,jid->id", mu, rows) for mu in candidates
     ]
     spread = 0.0
     for om in omegas[1:]:
         spread = max(spread, float(np.max(np.abs(om - omegas[0]))))
     if len(candidates) > 1:
-        supports = {tuple(np.nonzero(mu > 0)[0]) for mu, _ in candidates}
+        supports = {tuple(np.nonzero(mu > 0)[0]) for mu in candidates}
         if len(supports) > 1:
             degenerate = True
     if spread > 1e-7 * (1.0 + float(np.max(np.abs(omegas[0])))):
         degenerate = True
 
-    best = int(np.argmin([float(mu @ mu) for mu, _ in candidates]))
-    mu, slack = candidates[best]
+    best = int(np.argmin([float(mu @ mu) for mu in candidates]))
+    mu = candidates[best]
     if mu.size and np.any(mu > 0):
         if float(np.min(mu[mu > 0])) < 1e-8 * (1.0 + float(np.max(mu))):
             degenerate = True
     return OracleSolution(
         mu=mu,
         omega=omegas[best],
-        slack=slack,
-        energy=0.5 * float(mu @ (g @ mu)),
-        active=mu > 0.0,
         degenerate=degenerate,
         n_candidates=len(candidates),
     )

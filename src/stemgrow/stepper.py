@@ -33,12 +33,7 @@ from .diagnostics import (
     step_normal_rates,
     weighted_norm,
 )
-from .errors import (
-    InitialBreakdown,
-    InitialPenetration,
-    MaxIterationsExceeded,
-    SimulationError,
-)
+from .errors import InitialPenetration, MaxIterationsExceeded, SimulationError
 from .growth import psi_field
 from .obstacles import signed_distances
 from .reaction import (
@@ -76,10 +71,6 @@ class StemState:
     def t(self) -> float:
         return float(self.grid.nodes[self.n_grown])
 
-    @property
-    def tip_tangent(self) -> np.ndarray:
-        return self.k[self.n_grown]
-
 
 @dataclass
 class StepInfo:
@@ -90,12 +81,17 @@ class StepInfo:
     realized_residual: float | None
     defect: float | None
 
+    @classmethod
+    def without_reaction(cls, contacts: ContactSet) -> "StepInfo":
+        return cls(contacts, None, None, None, None, None)
 
-def init_state(config: SimConfig, validate_breakdown: bool = True) -> StemState:
+
+def init_state(config: SimConfig) -> StemState:
     """Seed the state: tangents from the seed curve, straight extension, origin base.
 
-    Rejects seeds that dip into an obstacle, start on a surface, or already
-    sit in the rigid-jam configuration.
+    Rejects seeds that dip into an obstacle or start on a surface. A seed
+    that already sits in the rigid-jam configuration is left to run, which
+    ends it with Breakdown before the first step.
     """
     n0 = config.n_seed_cells
     n_total = config.n_total_cells
@@ -124,13 +120,6 @@ def init_state(config: SimConfig, validate_breakdown: bool = True) -> StemState:
                 f"seed curve dips {-float(np.min(phis)):.3e} into an obstacle "
                 f"near node {bad}"
             )
-        if validate_breakdown:
-            contacts = detect_contacts(
-                state, config.scene, config.eps_contact, config.eps_penetration
-            )
-            broke, diag = detect_breakdown(state, contacts, config)
-            if broke:
-                raise InitialBreakdown(f"seed already jammed: {diag}")
     return state
 
 
@@ -194,16 +183,11 @@ def step(
 
     if contacts.size == 0:
         k_new, gamma_new = _advance_fields(state, psi, config.dt)
-        info = StepInfo(
-            contacts=contacts,
-            solution=None,
-            b_effective=None,
-            kkt=None,
-            realized_residual=None,
-            defect=None,
-        )
+        info = StepInfo.without_reaction(contacts)
     else:
-        system = assemble_constraints(state, contacts, config.law, config.kappa, config.dt)
+        system = assemble_constraints(
+            state, contacts, psi, config.law.beta, config.kappa, config.dt
+        )
         b0 = system.b.copy()
         pushback = config.kappa * np.maximum(0.0, -contacts.phi) / config.dt
         sol = solve_reaction(
@@ -270,46 +254,39 @@ def step(
     return new_state, info
 
 
-def _make_frame(
-    state: StemState, contacts: ContactSet, info: StepInfo | None, scene
-) -> TrajectoryFrame:
+def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
     n = state.n_grown
     gamma = state.gamma[: n + 1]
-    if scene.obstacles:
-        min_phi = float(np.min(signed_distances(scene, gamma)))
-    else:
-        min_phi = None
-    sol = info.solution if info is not None else None
+    sol = info.solution
+    kkt = info.kkt or {}
+    # s, gamma and k are copied: views would pin the full-horizon arrays.
     return TrajectoryFrame(
         t=state.t,
         n_grown=n,
         s=state.s[: n + 1].copy(),
         gamma=gamma.copy(),
         k=state.k[: n + 1].copy(),
-        contact_nodes=contacts.nodes.copy(),
-        contact_phi=contacts.phi.copy(),
-        contact_normals=contacts.normals.copy(),
-        contact_b=info.b_effective.copy() if info is not None and info.b_effective is not None else None,
-        contact_mu=sol.mu.copy() if sol is not None else None,
+        contacts=info.contacts,
+        b=info.b_effective,
+        mu=sol.mu if sol is not None else None,
         energy=sol.energy if sol is not None else None,
-        min_phi=min_phi,
-        kkt_complementarity=info.kkt["complementarity"] if info is not None and info.kkt else None,
-        kkt_stationarity=info.kkt["stationarity"] if info is not None and info.kkt else None,
-        realized_residual=info.realized_residual if info is not None else None,
+        min_phi=float(np.min(signed_distances(scene, gamma))) if scene.obstacles else None,
+        kkt_complementarity=kkt.get("complementarity"),
+        kkt_stationarity=kkt.get("stationarity"),
+        realized_residual=info.realized_residual,
         solver_sweeps=sol.sweeps if sol is not None else None,
     )
 
 
 def run(config: SimConfig) -> Trajectory:
     """Run a scenario to the horizon, a rigid jam, or an integrity failure."""
-    state = init_state(config, validate_breakdown=False)
+    state = init_state(config)
     n_total = config.n_total_cells
     frames: list[TrajectoryFrame] = []
     events: list[Event] = []
     prev_nodes = np.zeros(0, dtype=int)
     no_contacts = ContactSet(
         nodes=np.zeros(0, dtype=int),
-        arclengths=np.zeros(0),
         normals=np.zeros((0, 3)),
         phi=np.zeros(0),
         tip=False,
@@ -356,7 +333,7 @@ def run(config: SimConfig) -> Trajectory:
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 
-        frames.append(_make_frame(state, contacts, info, config.scene))
+        frames.append(_make_frame(state, info, config.scene))
         if info.solution is not None:
             warm = {
                 int(v): float(m)
@@ -364,9 +341,9 @@ def run(config: SimConfig) -> Trajectory:
             }
         state = new_state
 
-    frames.append(_make_frame(state, contacts, None, config.scene))
+    frames.append(_make_frame(state, StepInfo.without_reaction(contacts), config.scene))
     events.append(Event(t=state.t, kind=exit_kind, data=data))
-    return Trajectory(frames=frames, events=events, exit_kind=exit_kind, config=config)
+    return Trajectory(frames=frames, events=events, exit_kind=exit_kind)
 
 
 @dataclass

@@ -1,35 +1,41 @@
 """Run artifacts: frame records, events, JSON Lines files, and manifests.
 
 Frames serialize with a fixed key order and 17-significant-digit reals so a
-rerun of the same manifest reproduces the files byte for byte.
+rerun of the same manifest reproduces the files byte for byte. This module is
+the only one that knows the frames.jsonl keys: frame_to_dict writes them and
+frame_from_dict reads them back, checking every array's shape against n.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .errors import ParseError
+from .reaction import ContactSet
 
 TOOL_NAME = "stemgrow"
 
 
 @dataclass
 class TrajectoryFrame:
+    """One recorded step: the grown stem, its contacts and the reaction solved there.
+
+    b and mu hold one entry per contact (the effective right-hand side and
+    the multipliers); they are None when no reaction was solved.
+    """
+
     t: float
     n_grown: int
     s: np.ndarray
     gamma: np.ndarray
     k: np.ndarray
-    contact_nodes: np.ndarray
-    contact_phi: np.ndarray
-    contact_normals: np.ndarray
-    contact_b: np.ndarray | None
-    contact_mu: np.ndarray | None
+    contacts: ContactSet
+    b: np.ndarray | None
+    mu: np.ndarray | None
     energy: float | None
     min_phi: float | None
     kkt_complementarity: float | None
@@ -50,7 +56,6 @@ class Trajectory:
     frames: list
     events: list
     exit_kind: str
-    config: object = None
 
     @property
     def final_frame(self) -> TrajectoryFrame:
@@ -81,31 +86,94 @@ def _serialize(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_CONTACT_KEYS = ("node", "phi", "normal", "b", "mu")
+# The keys after "contacts" are named as the frame fields they hold.
+_SCALARS = {
+    "energy": float,
+    "min_phi": float,
+    "kkt_complementarity": float,
+    "kkt_stationarity": float,
+    "realized_residual": float,
+    "solver_sweeps": int,
+}
+_FRAME_KEYS = ("t", "n", "s", "gamma", "k", "contacts", *_SCALARS)
+
+
 def frame_to_dict(fr: TrajectoryFrame) -> dict:
-    contacts = []
-    for j in range(fr.contact_nodes.size):
-        entry = {
-            "node": int(fr.contact_nodes[j]),
-            "phi": float(fr.contact_phi[j]),
-            "normal": fr.contact_normals[j],
+    c = fr.contacts
+    contacts = [
+        {
+            "node": int(c.nodes[j]),
+            "phi": float(c.phi[j]),
+            "normal": c.normals[j],
+            "b": float(fr.b[j]) if fr.b is not None else None,
+            "mu": float(fr.mu[j]) if fr.mu is not None else None,
         }
-        entry["b"] = float(fr.contact_b[j]) if fr.contact_b is not None else None
-        entry["mu"] = float(fr.contact_mu[j]) if fr.contact_mu is not None else None
-        contacts.append(entry)
-    return {
-        "t": fr.t,
-        "n": fr.n_grown,
-        "s": fr.s,
-        "gamma": fr.gamma,
-        "k": fr.k,
-        "contacts": contacts,
-        "energy": fr.energy,
-        "min_phi": fr.min_phi,
-        "kkt_complementarity": fr.kkt_complementarity,
-        "kkt_stationarity": fr.kkt_stationarity,
-        "realized_residual": fr.realized_residual,
-        "solver_sweeps": fr.solver_sweeps,
-    }
+        for j in range(c.size)
+    ]
+    record = dict(t=fr.t, n=fr.n_grown, s=fr.s, gamma=fr.gamma, k=fr.k, contacts=contacts)
+    record.update((key, getattr(fr, key)) for key in _SCALARS)
+    return record
+
+
+def _fields(record, keys: tuple, what: str) -> list:
+    if not isinstance(record, dict):
+        raise ParseError(f"{what} is not an object")
+    for key in keys:
+        if key not in record:
+            raise ParseError(f"{what} has no key {key!r}")
+    return [record[key] for key in keys]
+
+
+def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
+    """value as a finite array of the given shape; [] stands for any empty shape."""
+    try:
+        out = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{what} must be numeric and in range") from None
+    if out.size == 0 and 0 in shape:
+        out = out.reshape(shape)
+    if out.shape != shape:
+        raise ParseError(f"{what} has shape {out.shape}, expected {shape}")
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"{what} holds a non-finite number or a stray null")
+    return out
+
+
+def frame_from_dict(rec) -> TrajectoryFrame:
+    """Inverse of frame_to_dict; ParseError names the missing or malformed key."""
+    t, n, s, gamma, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
+    n = int(_array(n, "n", (), dtype=int))
+    if n < 0:
+        raise ParseError(f"n must be >= 0, got {n}")
+    if not isinstance(entries, list):
+        raise ParseError("contacts is not a list")
+    m = len(entries)
+    rows = [_fields(c, _CONTACT_KEYS, f"contacts[{j}]") for j, c in enumerate(entries)]
+    node, phi, normal, b, mu = ([row[i] for row in rows] for i in range(5))
+    nodes = _array(node, "contacts[].node", (m,), dtype=int)
+    if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
+        raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
+    return TrajectoryFrame(
+        t=float(_array(t, "t", ())),
+        n_grown=n,
+        s=_array(s, "s", (n + 1,)),
+        gamma=_array(gamma, "gamma", (n + 1, 3)),
+        k=_array(k, "k", (n + 1, 3)),
+        contacts=ContactSet(
+            nodes=nodes,
+            normals=_array(normal, "contacts[].normal", (m, 3)),
+            phi=_array(phi, "contacts[].phi", (m,)),
+            tip=bool(m and nodes[-1] == n),
+        ),
+        # b and mu are null for every contact of a step that solved no reaction
+        b=None if all(v is None for v in b) else _array(b, "contacts[].b", (m,)),
+        mu=None if all(v is None for v in mu) else _array(mu, "contacts[].mu", (m,)),
+        **{
+            key: None if value is None else kind(_array(value, key, ()))
+            for (key, kind), value in zip(_SCALARS.items(), scalars)
+        },
+    )
 
 
 def event_to_dict(ev: Event) -> dict:
@@ -139,7 +207,7 @@ def write_events(path: str, events: list) -> None:
 def read_jsonl(path: str) -> list[dict]:
     out = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -150,7 +218,20 @@ def read_jsonl(path: str) -> list[dict]:
                     raise ParseError(f"{path}:{line_no}: bad record: {exc}")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
     return out
+
+
+def read_frames(path: str) -> list[TrajectoryFrame]:
+    """Every frame of a frames.jsonl file; errors name path:N for the N-th record."""
+    frames = []
+    for idx, rec in enumerate(read_jsonl(path), 1):
+        try:
+            frames.append(frame_from_dict(rec))
+        except ParseError as exc:
+            raise ParseError(f"{path}:{idx}: {exc}") from None
+    return frames
 
 
 def write_manifest(
@@ -160,7 +241,7 @@ def write_manifest(
         "tool": TOOL_NAME,
         "version": version,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "command": argv if argv is not None else sys.argv,
+        "command": argv,
         "config": config_dict,
         "outputs": outputs,
     }

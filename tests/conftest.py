@@ -36,7 +36,6 @@ def random_constraint_system(rng, tip_allowed=True):
     """
     n = int(rng.integers(20, 101))
     ds = float(rng.uniform(0.005, 0.05))
-    t = n * ds
     s = np.arange(n + 1) * ds
     k0 = rng.normal(size=3)
     k0 /= np.linalg.norm(k0)
@@ -56,20 +55,5 @@ def random_constraint_system(rng, tip_allowed=True):
     beta = float(rng.uniform(0.0, 2.0))
     b = rng.normal(scale=0.5, size=m)
     tip = bool(tip_allowed and nodes[-1] == n and rng.random() < 0.5)
-    contacts = ContactSet(
-        nodes=nodes,
-        arclengths=s[nodes],
-        normals=normals,
-        phi=np.zeros(m),
-        tip=tip,
-    )
-    return ConstraintSystem(
-        contacts=contacts,
-        gamma=gamma,
-        s=s,
-        ds=ds,
-        t=t,
-        beta=beta,
-        b=b,
-        tip_tangent=k[n].copy() if tip else None,
-    )
+    contacts = ContactSet(nodes=nodes, normals=normals, phi=np.zeros(m), tip=tip)
+    return ConstraintSystem(contacts=contacts, gamma=gamma, s=s, k=k, ds=ds, beta=beta, b=b)

@@ -134,7 +134,7 @@ def test_criterion_03_non_penetration_under_ceiling(ceiling):
     config, traj = ceiling
     min_phi = min(f.min_phi for f in traj.frames if f.min_phi is not None)
     bound = -0.05 * config.dt
-    contact_frames = sum(1 for f in traj.frames if f.contact_nodes.size)
+    contact_frames = sum(1 for f in traj.frames if f.contacts.size)
     ok = (
         traj.exit_kind == "HorizonReached"
         and len(traj.frames) == 1001
@@ -155,16 +155,16 @@ def test_criterion_04_normal_velocity_annihilation(ceiling):
     worst = 0.0
     checked = 0
     for prev, nxt in zip(traj.frames, traj.frames[1:]):
-        if prev.contact_mu is None or not np.any(prev.contact_mu > 0):
+        if prev.mu is None or not np.any(prev.mu > 0):
             continue
-        tip = bool(prev.contact_nodes.size and prev.contact_nodes[-1] == prev.n_grown)
-        for j in np.nonzero(prev.contact_mu > 0)[0]:
-            node = prev.contact_nodes[j]
-            if tip and j == prev.contact_nodes.size - 1:
+        tip = bool(prev.contacts.size and prev.contacts.nodes[-1] == prev.n_grown)
+        for j in np.nonzero(prev.mu > 0)[0]:
+            node = prev.contacts.nodes[j]
+            if tip and j == prev.contacts.size - 1:
                 disp = (nxt.gamma[prev.n_grown + 1] - prev.gamma[prev.n_grown]) / dt
             else:
                 disp = (nxt.gamma[node] - prev.gamma[node]) / dt
-            rate = float(disp @ prev.contact_normals[j])
+            rate = float(disp @ prev.contacts.normals[j])
             bound = 1e-6 * (1.0 + float(np.linalg.norm(disp)))
             worst = max(worst, abs(rate) / bound)
             checked += 1
@@ -304,9 +304,9 @@ def test_criterion_09_zero_reaction_purity(ceiling):
 
     # frames without contact never carry reaction artifacts
     _, traj = ceiling
-    empty = [f for f in traj.frames if f.contact_nodes.size == 0]
+    empty = [f for f in traj.frames if f.contacts.size == 0]
     frames_ok = all(
-        (f.energy is None or f.energy == 0.0) and f.contact_mu is None for f in empty
+        (f.energy is None or f.energy == 0.0) and f.mu is None for f in empty
     )
 
     # an unreachable obstacle changes nothing, bit for bit
@@ -327,7 +327,7 @@ def test_criterion_09_zero_reaction_purity(ceiling):
         fa.t == fb.t
         and np.array_equal(fa.gamma, fb.gamma)
         and np.array_equal(fa.k, fb.k)
-        and fa.contact_nodes.size == fb.contact_nodes.size == 0
+        and fa.contacts.size == fb.contacts.size == 0
         for fa, fb in zip(traj_a.frames, traj_b.frames)
     )
 

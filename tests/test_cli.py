@@ -305,6 +305,53 @@ def test_oracle_check_confirms_stored_reactions(oblique_run):
     assert checked >= 10
 
 
+def bare_frame(**fields):
+    """A one-frame record at t = 0: the seed node only, no contacts."""
+    frame = {
+        "t": 0.0,
+        "n": 0,
+        "s": [0.0],
+        "gamma": [[0.0, 0.0, 0.0]],
+        "k": [[0.0, 0.0, 1.0]],
+        "contacts": [],
+        "energy": None,
+        "min_phi": None,
+        "kkt_complementarity": None,
+        "kkt_stationarity": None,
+        "realized_residual": None,
+        "solver_sweeps": None,
+    }
+    frame.update(fields)
+    return (json.dumps(frame) + "\n").encode()
+
+
+CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1, "mu": 0.0}
+
+
+@pytest.mark.parametrize("command", ["audit", "oracle-check"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"t":0}\n', "frames.jsonl:1: frame has no key 'n'"),
+        (b"[1,2]\n", "frames.jsonl:1: frame is not an object"),
+        (bare_frame(gamma=[[0, 0]]), "frames.jsonl:1: gamma has shape (1, 2), expected (1, 3)"),
+        (bare_frame(contacts=[CONTACT_PAST_TIP]), "contacts[].node must increase within 0..0"),
+        (b"\xff\xfe\x7b", "frames.jsonl is not UTF-8 text"),
+    ],
+    ids=["missing_key", "not_an_object", "gamma_shape", "contact_past_tip", "not_utf8"],
+)
+def test_malformed_frames_exit_two_without_traceback(tmp_path, command, content, message):
+    manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(content)
+    proc = invoke(command, str(frames), "--manifest", manifest)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # twin
 # ---------------------------------------------------------------------------

@@ -1,0 +1,78 @@
+"""Byte-identical replay: the bundled scenarios must keep writing the same files.
+
+The SHA-256 values pin the outputs of `run` on three bundled scenarios and of
+the tilted twin of `twin_tilt`. A refactor that changes any bit of a frame or
+event fails here. The same frames must also survive a parse and a rewrite
+through `frame_from_dict`/`frame_to_dict` unchanged, byte for byte.
+"""
+
+import hashlib
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+from conftest import STEMGROW, stemgrow_env
+
+from stemgrow.trajectory import _serialize, frame_from_dict, frame_to_dict
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN = {
+    "straight/frames.jsonl": "82281efbbd68cbf8f349f3fb885ac177b9d7f60c92856ddab9afa0705bbb08e5",
+    "straight/events.jsonl": "a35596288314288a5453b421fbd24d5746874038a092b0908d1a4d92a435063b",
+    "sphere_perpendicular/frames.jsonl": (
+        "71a26e3794a7e0db12a0f8ea9437cb8fd91c1d0a5b82a671deea549f3915face"
+    ),
+    "sphere_perpendicular/events.jsonl": (
+        "f8bef7c26b9564887435eeeaab897b4dd45f887a650393a65e543612b9eb4a7c"
+    ),
+    "sphere_oblique/frames.jsonl": (
+        "d06b015daf3c7a566a9b221c781b30142166fddfdfa25626df97ae2efdb0bc0c"
+    ),
+    "sphere_oblique/events.jsonl": (
+        "ebde976dee8e63d306a7d15f7d870af214747ad6e1fd912358a928d16de50d9e"
+    ),
+    "twin/base/frames.jsonl": "393d3a1ce23bd178618d582efdd6a45563aa6ca6d6456ef1e08ea5c2bcb33f42",
+    "twin/base/events.jsonl": "ef78aef83acc70489b524ae087bf17b63cdbc2c5735c075cafd59b3c408257b5",
+    "twin/perturbed/frames.jsonl": (
+        "920ec35abb9e2b80bf02bd1dddd353b2b2403cd635a9f6d7df3bcb94eb4cbe87"
+    ),
+    "twin/perturbed/events.jsonl": (
+        "509d85e6cc2e0196ab73f2423da4dc1a342495feae854e37503f5c0028f3f89c"
+    ),
+    "twin/distances.jsonl": "7994aa9d0678a7dcefaa42877c4ac0801f1b5373da1a4bd3f00aaeebc4f387db",
+    "twin/certificate.json": "3da4eba8732efd44782032c6eb45f4daa016113cffc58545ac1c6a64d7d45e4a",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Run the three scenarios and the twin once; return the output root."""
+    root = tmp_path_factory.mktemp("golden")
+    # each command with its exit code: the perpendicular sphere jams the tip
+    commands = [
+        (["run", str(SCENARIOS / f"{name}.json"), "--out", str(root / name)], code)
+        for name, code in (("straight", 0), ("sphere_perpendicular", 10), ("sphere_oblique", 0))
+    ]
+    twin = ["twin", str(SCENARIOS / "twin_tilt.json"), "--perturb", "tilt:0.05"]
+    commands.append(([*twin, "--out", str(root / "twin")], 0))
+    for args, code in commands:
+        proc = subprocess.run(
+            [*STEMGROW, *args], capture_output=True, text=True, env=stemgrow_env(), timeout=300
+        )
+        assert proc.returncode == code, proc.stderr
+    return root
+
+
+def test_outputs_match_golden_hashes(outputs):
+    got = {name: hashlib.sha256((outputs / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN
+
+
+@pytest.mark.parametrize("scenario", ["straight", "sphere_oblique"])
+def test_frames_round_trip_byte_for_byte(outputs, scenario):
+    lines = (outputs / scenario / "frames.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        assert _serialize(frame_to_dict(frame_from_dict(json.loads(line)))) == line

@@ -14,7 +14,6 @@ from stemgrow.obstacles import (
     Scene,
     Sphere,
     outer_normal,
-    signed_distance,
     signed_distances,
 )
 
@@ -27,12 +26,12 @@ def unit_sphere():
 
 def test_sphere_distance_outside():
     scene = Scene([unit_sphere()])
-    assert signed_distance(scene, np.array([2.0, 0.0, 0.0])) == pytest.approx(1.0)
+    assert signed_distances(scene, np.array([[2.0, 0.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_sphere_distance_inside():
     scene = Scene([unit_sphere()])
-    assert signed_distance(scene, np.array([0.0, 0.0, 0.5])) == pytest.approx(-0.5)
+    assert signed_distances(scene, np.array([[0.0, 0.0, 0.5]]))[0] == pytest.approx(-0.5)
 
 
 def test_half_space_distance_outside_obstacle():
@@ -40,12 +39,12 @@ def test_half_space_distance_outside_obstacle():
     # point below the plane is outside at its plane distance
     ceiling = HalfSpace(point=np.zeros(3), outward_normal=-E3)
     scene = Scene([ceiling])
-    assert signed_distance(scene, np.array([1.0, 1.0, -0.25])) == pytest.approx(0.25)
-    assert signed_distance(scene, np.array([0.0, 0.0, 0.1])) == pytest.approx(-0.1)
+    assert signed_distances(scene, np.array([[1.0, 1.0, -0.25]]))[0] == pytest.approx(0.25)
+    assert signed_distances(scene, np.array([[0.0, 0.0, 0.1]]))[0] == pytest.approx(-0.1)
 
 
 def test_empty_scene_distance_is_infinite():
-    assert signed_distance(Scene([]), np.zeros(3)) == np.inf
+    assert signed_distances(Scene([]), np.zeros(3)[None])[0] == np.inf
 
 
 def test_scene_distance_is_minimum_over_obstacles():
@@ -56,7 +55,7 @@ def test_scene_distance_is_minimum_over_obstacles():
         ]
     )
     # closest surface is the second sphere
-    assert signed_distance(scene, np.zeros(3)) == pytest.approx(2.0)
+    assert signed_distances(scene, np.zeros(3)[None])[0] == pytest.approx(2.0)
 
 
 def test_signed_distances_batch_shape():
@@ -89,8 +88,8 @@ def test_cylinder_outer_normal_is_radial():
 def test_cylinder_distance():
     cyl = Cylinder(axis_point=np.zeros(3), axis=E3, radius=1.0)
     scene = Scene([cyl])
-    assert signed_distance(scene, np.array([2.0, 0.0, -7.0])) == pytest.approx(1.0)
-    assert signed_distance(scene, np.array([0.5, 0.0, 3.0])) == pytest.approx(-0.5)
+    assert signed_distances(scene, np.array([[2.0, 0.0, -7.0]]))[0] == pytest.approx(1.0)
+    assert signed_distances(scene, np.array([[0.5, 0.0, 3.0]]))[0] == pytest.approx(-0.5)
 
 
 def test_gradient_has_unit_norm_by_finite_differences():
@@ -105,13 +104,14 @@ def test_gradient_has_unit_norm_by_finite_differences():
     rng = np.random.default_rng(21)
     for _ in range(40):
         x = rng.uniform(-2.5, 2.5, size=3)
-        if abs(signed_distance(scene, x)) < 10 * h:
+        if abs(signed_distances(scene, x[None])[0]) < 10 * h:
             continue  # skip points near a surface or medial axis kink
         grad = np.zeros(3)
         for a in range(3):
             e = np.zeros(3)
             e[a] = h
-            grad[a] = (signed_distance(scene, x + e) - signed_distance(scene, x - e)) / (2 * h)
+            pair = signed_distances(scene, np.stack([x + e, x - e]))
+            grad[a] = (pair[0] - pair[1]) / (2 * h)
         assert abs(np.linalg.norm(grad) - 1.0) < 1e-6
 
 
@@ -120,8 +120,8 @@ def test_distance_is_1_lipschitz():
     rng = np.random.default_rng(22)
     for _ in range(200):
         x, y = rng.uniform(-4, 4, size=(2, 3))
-        dx = signed_distance(scene, x)
-        dy = signed_distance(scene, y)
+        dx = signed_distances(scene, x[None])[0]
+        dy = signed_distances(scene, y[None])[0]
         assert abs(dx - dy) <= np.linalg.norm(x - y) + 1e-12
 
 

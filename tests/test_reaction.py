@@ -11,7 +11,7 @@ from stemgrow.errors import (
     PenetrationExceeded,
     TooManyContacts,
 )
-from stemgrow.growth import GrowthLaw
+from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
     ConstraintSystem,
@@ -30,7 +30,7 @@ E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 
-def vertical_state(t0=1.0, dt=0.1, scene=None, horizon=2.0, validate_breakdown=True):
+def vertical_state(t0=1.0, dt=0.1, scene=None, horizon=2.0):
     config = SimConfig(
         scene=scene if scene is not None else Scene([]),
         law=GrowthLaw(variant="zero"),
@@ -39,14 +39,12 @@ def vertical_state(t0=1.0, dt=0.1, scene=None, horizon=2.0, validate_breakdown=T
         t0=t0,
         horizon=horizon,
     )
-    return init_state(config, validate_breakdown=validate_breakdown), config
+    return init_state(config), config
 
 
-def contact_at(nodes, normals, phi, s, tip=False):
-    nodes = np.asarray(nodes)
+def contact_at(nodes, normals, phi, tip=False):
     return ContactSet(
-        nodes=nodes,
-        arclengths=s[nodes],
+        nodes=np.asarray(nodes),
         normals=np.asarray(normals, dtype=float),
         phi=np.asarray(phi, dtype=float),
         tip=tip,
@@ -57,14 +55,13 @@ def single_contact_system(v=6, n=8, ds=0.25, beta=0.8, b_val=0.3, normal=E3):
     """Straight stem along e1 with one contact row; closed form is summable."""
     s = np.arange(n + 1) * ds
     gamma = np.stack([s, np.zeros(n + 1), np.zeros(n + 1)], axis=1)
-    t = n * ds
-    contacts = contact_at([v], [normal], [0.0], s)
+    contacts = contact_at([v], [normal], [0.0])
     return ConstraintSystem(
         contacts=contacts,
         gamma=gamma,
         s=s,
+        k=np.tile(E1, (n + 1, 1)),
         ds=ds,
-        t=t,
         beta=beta,
         b=np.array([b_val]),
     )
@@ -78,16 +75,22 @@ def energy_weights(system):
 def rate_system(state, nodes, normals):
     """Non-tip constraint rows at the given grown nodes of a state."""
     n = state.n_grown
-    s = state.s[: n + 1]
     return ConstraintSystem(
-        contacts=contact_at(nodes, normals, np.zeros(len(nodes)), s),
+        contacts=contact_at(nodes, normals, np.zeros(len(nodes))),
         gamma=state.gamma[: n + 1],
-        s=s,
+        s=state.s[: n + 1],
+        k=state.k[: n + 1],
         ds=state.ds,
-        t=state.t,
         beta=0.0,
         b=np.zeros(len(nodes)),
     )
+
+
+def assemble(state, contacts, law, kappa, dt):
+    """assemble_constraints fed the growth density the stepper would pass."""
+    n = state.n_grown
+    psi = psi_field(law, state.t, state.s[: n + 1], state.k[: n + 1])
+    return assemble_constraints(state, contacts, psi, law.beta, kappa, dt)
 
 
 def test_straight_stem_far_from_sphere_has_no_contacts():
@@ -100,9 +103,9 @@ def test_straight_stem_far_from_sphere_has_no_contacts():
 
 def test_detect_contacts_flags_touching_tip():
     # vertical stem of length 1, ceiling at z = 1: the tip sits on the surface
-    # (a head-on jam, so breakdown validation must be skipped to inspect it)
+    # (a head-on jam, which seeding accepts and run ends as Breakdown)
     scene = Scene([HalfSpace(point=np.array([0.0, 0.0, 1.0]), outward_normal=-E3)])
-    state, config = vertical_state(scene=scene, validate_breakdown=False)
+    state, config = vertical_state(scene=scene)
     contacts = detect_contacts(state, scene, config.eps_contact)
     assert contacts.size == 1
     assert contacts.tip
@@ -125,8 +128,8 @@ def test_assemble_right_hand_side_hand_quadrature():
     state, _ = _horizontal_state(ds=ds, n_cells=2)
     law = GrowthLaw(variant="gravitropic", beta=beta, gain=1.0)
     phi = -0.01
-    contacts = contact_at([2], [E3], [phi], state.s, tip=True)
-    system = assemble_constraints(state, contacts, law, kappa, dt)
+    contacts = contact_at([2], [E3], [phi], tip=True)
+    system = assemble(state, contacts, law, kappa, dt)
 
     # drive: sum over cells i < 2 of ds * <psi_i x (gamma_2 - gamma_i), e3>
     # with psi_i = -e^{-(t - s_i)} e2 and gamma along e1; the tip row adds
@@ -147,10 +150,10 @@ def test_assemble_tip_row_carries_elongation_term():
     law = GrowthLaw(variant="zero")
     theta = 0.3
     n_vec = np.array([np.sin(theta), 0.0, np.cos(theta)])
-    as_tip = contact_at([2], [n_vec], [0.0], state.s, tip=True)
-    as_interior = contact_at([2], [n_vec], [0.0], state.s, tip=False)
-    b_tip = assemble_constraints(state, as_tip, law, kappa, dt).b[0]
-    b_interior = assemble_constraints(state, as_interior, law, kappa, dt).b[0]
+    as_tip = contact_at([2], [n_vec], [0.0], tip=True)
+    as_interior = contact_at([2], [n_vec], [0.0], tip=False)
+    b_tip = assemble(state, as_tip, law, kappa, dt).b[0]
+    b_interior = assemble(state, as_interior, law, kappa, dt).b[0]
     assert b_interior - b_tip == pytest.approx(np.sin(theta), abs=1e-14)
 
 
@@ -280,13 +283,13 @@ def test_contact_with_no_leverage_and_positive_demand_is_infeasible():
     # a contact at the base node has an empty support: no density can move it
     s = np.arange(4) * 0.5
     gamma = np.stack([s, np.zeros(4), np.zeros(4)], axis=1)
-    contacts = contact_at([0], [E3], [0.0], s)
+    contacts = contact_at([0], [E3], [0.0])
     system = ConstraintSystem(
         contacts=contacts,
         gamma=gamma,
         s=s,
+        k=np.tile(E1, (4, 1)),
         ds=0.5,
-        t=1.5,
         beta=0.0,
         b=np.array([0.7]),
     )
@@ -298,13 +301,12 @@ def test_empty_contact_set_is_rejected():
     state, config = vertical_state()
     empty = ContactSet(
         nodes=np.zeros(0, dtype=int),
-        arclengths=np.zeros(0),
         normals=np.zeros((0, 3)),
         phi=np.zeros(0),
         tip=False,
     )
     with pytest.raises(EmptyContactSet):
-        assemble_constraints(state, empty, config.law, config.kappa, config.dt)
+        assemble(state, empty, config.law, config.kappa, config.dt)
 
 
 def test_oracle_rejects_large_contact_counts():
