@@ -24,10 +24,13 @@ from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_r
 from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (
+    event_from_dict,
+    parse_records,
     read_frames,
     read_jsonl,
     write_events,
     write_frames,
+    write_jsonl,
     write_manifest,
     _serialize,
 )
@@ -112,10 +115,10 @@ def _cmd_twin(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_run(os.path.join(args.out, "base"), result.base, config, argv)
     _write_run(os.path.join(args.out, "perturbed"), result.perturbed, config, argv)
-    with open(os.path.join(args.out, "distances.jsonl"), "w") as fh:
-        for t, d in zip(result.times, result.distances):
-            fh.write(_serialize({"t": float(t), "distance": float(d)}))
-            fh.write("\n")
+    write_jsonl(
+        os.path.join(args.out, "distances.jsonl"),
+        ({"t": float(t), "distance": float(d)} for t, d in zip(result.times, result.distances)),
+    )
     cert = {
         "growth_constant": result.growth_constant,
         "perturbation": {"kind": "tilt", "angle": angle, "axis": axis},
@@ -136,12 +139,12 @@ def _cmd_twin(args, argv) -> int:
 def _cmd_audit(args) -> int:
     manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     config = load_config(manifest)
-    frames = read_frames(args.frames)
-    if not frames:
-        print("audit: no frames")
-        return 1
     bad: list[str] = []
-    for idx, fr in enumerate(frames):
+    rate_bad: list[str] = []  # reported after every per-frame message
+    n_frames = 0
+    prev = None
+    for idx, fr in enumerate(read_frames(args.frames)):
+        n_frames += 1
         if fr.n_grown != round(fr.t / config.dt):
             bad.append(f"frame {idx}: grown-node count disagrees with t={fr.t}")
         bad.extend(
@@ -155,29 +158,39 @@ def _cmd_audit(args) -> int:
                 eps_penetration=config.eps_penetration,
             )
         )
-    for prev, nxt in zip(frames, frames[1:]):
-        c = prev.contacts
-        if nxt.n_grown - prev.n_grown != 1 or prev.mu is None or not c.size:
-            continue
-        rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
-        target = config.kappa * np.maximum(0.0, -c.phi) / config.dt
-        active = prev.mu > 0.0
-        if np.any(active):
-            resid = float(np.max(np.abs(rates[active] - target[active])))
-            speed = float(np.max(np.abs(rates[active])))
-            if resid > args.rate_tol * (1.0 + speed):
-                bad.append(
-                    f"frame t={prev.t:.6g}: contact normal rate residual {resid:.3e}"
-                )
+        if prev is not None and (msg := _rate_violation(prev, fr, config, args.rate_tol)):
+            rate_bad.append(msg)
+        prev = fr
+    if not n_frames:
+        print("audit: no frames")
+        return 1
+    bad.extend(rate_bad)
     events_path = os.path.join(os.path.dirname(args.frames), "events.jsonl")
-    events = read_jsonl(events_path) if os.path.exists(events_path) else []
-    times = [ev["t"] for ev in events]
+    records = read_jsonl(events_path) if os.path.exists(events_path) else []
+    times = [ev.t for ev in parse_records(events_path, records, event_from_dict)]
     if any(b < a for a, b in zip(times, times[1:])):
         bad.append("events are not ordered by time")
     for msg in bad:
         print(f"audit: {msg}")
-    print(f"audit: {len(frames)} frames, {len(bad)} violation(s)")
+    print(f"audit: {n_frames} frames, {len(bad)} violation(s)")
     return 0 if not bad else 1
+
+
+def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None:
+    """The message for a too-large contact normal-rate residual from prev to nxt, if any."""
+    c = prev.contacts
+    if nxt.n_grown - prev.n_grown != 1 or prev.mu is None or not c.size:
+        return None
+    rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
+    target = config.kappa * np.maximum(0.0, -c.phi) / config.dt
+    active = prev.mu > 0.0
+    if not np.any(active):
+        return None
+    resid = float(np.max(np.abs(rates[active] - target[active])))
+    speed = float(np.max(np.abs(rates[active])))
+    if resid > rate_tol * (1.0 + speed):
+        return f"frame t={prev.t:.6g}: contact normal rate residual {resid:.3e}"
+    return None
 
 
 def _cmd_oracle_check(args) -> int:

@@ -4,6 +4,8 @@ Frames serialize with a fixed key order and 17-significant-digit reals so a
 rerun of the same manifest reproduces the files byte for byte. This module is
 the only one that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
+Each float array is written from one '%.17g' template, and the readers parse
+a file one record at a time, so a reader holds one frame, not the file.
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ class Trajectory:
         return self.frames[-1]
 
 
+def _float_array_text(a: np.ndarray) -> str:
+    """A 1-D or 2-D float64 array as _serialize's nested list text, from one template.
+
+    '%.17g' % x and f"{x:.17g}" format a float alike, so the text is the
+    same as the per-element path gives; only the formatting is batched.
+    """
+    template = "[" + ",".join(["%.17g"] * a.shape[-1]) + "]"
+    if a.ndim == 2:
+        template = "[" + ",".join([template] * a.shape[0]) + "]"
+    return template % tuple(a.ravel().tolist())
+
+
 def _serialize(obj) -> str:
     """JSON text with %.17g floats and dict insertion order preserved."""
     if obj is None:
@@ -77,6 +91,8 @@ def _serialize(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim in (1, 2):
+            return _float_array_text(obj)
         return _serialize(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_serialize(v) for v in obj) + "]"
@@ -180,6 +196,16 @@ def event_to_dict(ev: Event) -> dict:
     return {"t": ev.t, "kind": ev.kind, "data": ev.data}
 
 
+def event_from_dict(rec) -> Event:
+    """Inverse of event_to_dict; ParseError names the missing or malformed key."""
+    t, kind, data = _fields(rec, ("t", "kind", "data"), "event")
+    if not isinstance(kind, str):
+        raise ParseError("event kind is not a string")
+    if not isinstance(data, dict):
+        raise ParseError("event data is not an object")
+    return Event(t=float(_array(t, "t", ())), kind=kind, data=data)
+
+
 def stride_indices(n_frames: int, stride: int) -> list[int]:
     """Every stride-th frame, always keeping the first and last."""
     idx = list(range(0, n_frames, stride))
@@ -188,24 +214,26 @@ def stride_indices(n_frames: int, stride: int) -> list[int]:
     return idx
 
 
-def write_frames(path: str, frames: list, stride: int = 1) -> int:
-    rows = [frames[i] for i in stride_indices(len(frames), stride)]
+def write_jsonl(path: str, records) -> None:
+    """One _serialize'd record per line."""
     with open(path, "w") as fh:
-        for fr in rows:
-            fh.write(_serialize(frame_to_dict(fr)))
+        for rec in records:
+            fh.write(_serialize(rec))
             fh.write("\n")
-    return len(rows)
+
+
+def write_frames(path: str, frames: list, stride: int = 1) -> int:
+    idx = stride_indices(len(frames), stride)
+    write_jsonl(path, (frame_to_dict(frames[i]) for i in idx))
+    return len(idx)
 
 
 def write_events(path: str, events: list) -> None:
-    with open(path, "w") as fh:
-        for ev in events:
-            fh.write(_serialize(event_to_dict(ev)))
-            fh.write("\n")
+    write_jsonl(path, (event_to_dict(ev) for ev in events))
 
 
-def read_jsonl(path: str) -> list[dict]:
-    out = []
+def _records(path: str):
+    """The records of a JSON Lines file, parsed one line at a time; blank lines are skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -213,25 +241,34 @@ def read_jsonl(path: str) -> list[dict]:
                 if not line:
                     continue
                 try:
-                    out.append(json.loads(line))
+                    rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"{path}:{line_no}: bad record: {exc}")
+                yield rec
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}")
-    return out
 
 
-def read_frames(path: str) -> list[TrajectoryFrame]:
-    """Every frame of a frames.jsonl file; errors name path:N for the N-th record."""
-    frames = []
-    for idx, rec in enumerate(read_jsonl(path), 1):
+def read_jsonl(path: str) -> list:
+    """Every record of a JSON Lines file, parsed at once."""
+    return list(_records(path))
+
+
+def parse_records(path: str, records, parse):
+    """parse applied to each record as the caller iterates; errors name path:N for the N-th."""
+    for idx, rec in enumerate(records, 1):
         try:
-            frames.append(frame_from_dict(rec))
+            item = parse(rec)
         except ParseError as exc:
             raise ParseError(f"{path}:{idx}: {exc}") from None
-    return frames
+        yield item
+
+
+def read_frames(path: str):
+    """The frames of a frames.jsonl file, read and parsed one at a time."""
+    return parse_records(path, _records(path), frame_from_dict)
 
 
 def write_manifest(

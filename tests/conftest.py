@@ -1,5 +1,6 @@
-"""Shared helpers: randomized constraint systems and the command-line runner."""
+"""Shared helpers: random constraint systems, a bare frame record and the command-line runner."""
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -57,3 +58,23 @@ def random_constraint_system(rng, tip_allowed=True):
     tip = bool(tip_allowed and nodes[-1] == n and rng.random() < 0.5)
     contacts = ContactSet(nodes=nodes, normals=normals, phi=np.zeros(m), tip=tip)
     return ConstraintSystem(contacts=contacts, gamma=gamma, s=s, k=k, ds=ds, beta=beta, b=b)
+
+
+def bare_frame(**fields):
+    """A one-frame record at t = 0: the seed node only, no contacts."""
+    frame = {
+        "t": 0.0,
+        "n": 0,
+        "s": [0.0],
+        "gamma": [[0.0, 0.0, 0.0]],
+        "k": [[0.0, 0.0, 1.0]],
+        "contacts": [],
+        "energy": None,
+        "min_phi": None,
+        "kkt_complementarity": None,
+        "kkt_stationarity": None,
+        "realized_residual": None,
+        "solver_sweeps": None,
+    }
+    frame.update(fields)
+    return (json.dumps(frame) + "\n").encode()

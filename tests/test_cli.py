@@ -8,7 +8,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import STEMGROW, stemgrow_env
+from conftest import STEMGROW, bare_frame, stemgrow_env
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCENARIOS = PYPROJECT.parent / "scenarios"
@@ -305,26 +305,6 @@ def test_oracle_check_confirms_stored_reactions(oblique_run):
     assert checked >= 10
 
 
-def bare_frame(**fields):
-    """A one-frame record at t = 0: the seed node only, no contacts."""
-    frame = {
-        "t": 0.0,
-        "n": 0,
-        "s": [0.0],
-        "gamma": [[0.0, 0.0, 0.0]],
-        "k": [[0.0, 0.0, 1.0]],
-        "contacts": [],
-        "energy": None,
-        "min_phi": None,
-        "kkt_complementarity": None,
-        "kkt_stationarity": None,
-        "realized_residual": None,
-        "solver_sweeps": None,
-    }
-    frame.update(fields)
-    return (json.dumps(frame) + "\n").encode()
-
-
 CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1, "mu": 0.0}
 
 
@@ -350,6 +330,55 @@ def test_malformed_frames_exit_two_without_traceback(tmp_path, command, content,
     assert proc.stderr.count("\n") == 1
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def straight_run(tmp_path_factory):
+    """The straight scenario's outputs, copied by tests that tamper with them."""
+    root = tmp_path_factory.mktemp("straight")
+    outdir = root / "out"
+    config_path = write_scenario(root / "scenario.json", straight_doc())
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 0, proc.stderr
+    return outdir
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1]\n", "events.jsonl:1: event is not an object"),
+        ('{"t": 0}\n', "events.jsonl:1: event has no key 'kind'"),
+    ],
+    ids=["not_an_object", "missing_key"],
+)
+def test_audit_malformed_events_exit_two_without_traceback(
+    straight_run, tmp_path, content, message
+):
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    (outdir / "events.jsonl").write_text(content)
+    proc = invoke("audit", str(outdir / "frames.jsonl"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["audit", "oracle-check"])
+def test_malformed_third_frame_stops_the_stream(straight_run, tmp_path, command):
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    frames = outdir / "frames.jsonl"
+    lines = frames.read_text().splitlines(keepends=True)
+    assert len(lines) >= 3
+    frames.write_text("".join(lines[:2]) + '{"t": 0.3, "n": [\n')
+    proc = invoke(command, str(frames))
+    assert proc.returncode == 2
+    assert "frames.jsonl:3: bad record" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if command == "audit":
+        assert "frames," not in proc.stdout
 
 
 # ---------------------------------------------------------------------------
