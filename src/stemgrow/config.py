@@ -17,7 +17,11 @@ from .obstacles import Cylinder, HalfSpace, Scene, Sphere, _unit
 
 @dataclass
 class SeedCurve:
-    """Initial stem shape: a named primitive or a polyline resampled by arclength."""
+    """Initial stem shape: a named primitive or a polyline resampled by arclength.
+
+    Direction vectors are kept as given, so a config writes them back
+    unchanged; tangents and tilted use their normalizations.
+    """
 
     kind: str
     direction: np.ndarray | None = None
@@ -29,13 +33,15 @@ class SeedCurve:
 
     def __post_init__(self):
         if self.kind == "segment":
-            self.direction = _unit(self.direction, "seed_curve.direction")
+            self.direction = np.asarray(self.direction, dtype=float)
+            _unit(self.direction, "seed_curve.direction")
             if self.length <= 0.0:
                 raise ValidationError("seed_curve.length must be positive")
         elif self.kind == "arc":
-            self.initial_direction = _unit(self.initial_direction, "seed_curve.initial_direction")
-            self.turn_axis = _unit(self.turn_axis, "seed_curve.turn_axis")
-            if abs(float(self.initial_direction @ self.turn_axis)) > 1e-9:
+            self.initial_direction = np.asarray(self.initial_direction, dtype=float)
+            self.turn_axis = np.asarray(self.turn_axis, dtype=float)
+            start, axis = self._arc_frame()
+            if abs(float(start @ axis)) > 1e-9:
                 raise ValidationError(
                     "seed_curve.turn_axis must be orthogonal to initial_direction"
                 )
@@ -48,6 +54,13 @@ class SeedCurve:
         else:
             raise ValidationError(f"seed_curve.type must be segment|arc|polyline, got {self.kind!r}")
 
+    def _arc_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arc's unit initial direction and unit turn axis."""
+        return (
+            _unit(self.initial_direction, "seed_curve.initial_direction"),
+            _unit(self.turn_axis, "seed_curve.turn_axis"),
+        )
+
     def arclength(self) -> float:
         if self.kind == "polyline":
             return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
@@ -57,10 +70,11 @@ class SeedCurve:
         """Unit tangents of the arclength-parameterized seed at the given nodes."""
         s = np.asarray(s, dtype=float)
         if self.kind == "segment":
-            return np.tile(self.direction, (s.size, 1))
+            return np.tile(_unit(self.direction, "seed_curve.direction"), (s.size, 1))
         if self.kind == "arc":
-            w = (s / self.radius)[:, None] * self.turn_axis[None, :]
-            return rotate_vectors(w, np.tile(self.initial_direction, (s.size, 1)))
+            start, axis = self._arc_frame()
+            w = (s / self.radius)[:, None] * axis[None, :]
+            return rotate_vectors(w, np.tile(start, (s.size, 1)))
         chords = np.diff(self.points, axis=0)
         lengths = np.linalg.norm(chords, axis=1)
         tangents = chords / lengths[:, None]
@@ -72,12 +86,14 @@ class SeedCurve:
         """Copy of the seed rigidly rotated about the origin."""
         rot = rodrigues(angle * _unit(axis, "perturbation axis"))
         if self.kind == "segment":
-            return SeedCurve("segment", direction=rot @ self.direction, length=self.length)
+            direction = _unit(self.direction, "seed_curve.direction")
+            return SeedCurve("segment", direction=rot @ direction, length=self.length)
         if self.kind == "arc":
+            start, axis = self._arc_frame()
             return SeedCurve(
                 "arc",
-                initial_direction=rot @ self.initial_direction,
-                turn_axis=rot @ self.turn_axis,
+                initial_direction=rot @ start,
+                turn_axis=rot @ axis,
                 radius=self.radius,
                 length=self.length,
             )

@@ -19,12 +19,15 @@ VARIANTS = ("gravitropic", "zero", "custom")
 
 @dataclass
 class GrowthLaw:
+    """A growth law; up is kept as given and psi_field uses its normalization unit_up."""
+
     variant: str = "gravitropic"
     beta: float = 1.0
     gain: float = 1.0
     up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     ages: np.ndarray | None = None
     response: np.ndarray | None = None
+    unit_up: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -35,7 +38,8 @@ class GrowthLaw:
             raise ValidationError(f"law.beta must be >= 0, got {self.beta}")
         if self.gain < 0.0:
             raise ValidationError(f"law.gain must be >= 0, got {self.gain}")
-        self.up = _unit(self.up, "law.up")
+        self.up = np.asarray(self.up, dtype=float)
+        self.unit_up = _unit(self.up, "law.up")
         if self.variant == "custom":
             if self.ages is None or self.response is None:
                 raise ValidationError("law.ages and law.response required for custom variant")
@@ -66,4 +70,4 @@ def psi_field(law: GrowthLaw, t: float, s: np.ndarray, k: np.ndarray) -> np.ndar
         raise AgeNegative(f"queried s > t by {-worst:.3e}")
     age = np.maximum(age, 0.0)
     coeff = law._coeff(age)
-    return coeff[:, None] * np.cross(k, law.up)
+    return coeff[:, None] * np.cross(k, law.unit_up)

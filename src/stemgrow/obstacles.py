@@ -46,39 +46,50 @@ class Sphere:
 
 @dataclass
 class HalfSpace:
-    """Obstacle filling the side of a plane opposite to outward_normal."""
+    """Obstacle filling the side of a plane opposite to outward_normal.
+
+    outward_normal is kept as given, so a config writes it back unchanged;
+    the geometry uses its normalization unit_normal.
+    """
 
     point: np.ndarray
     outward_normal: np.ndarray
+    unit_normal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
-        self.outward_normal = _unit(self.outward_normal, "half_space.outward_normal")
+        self.outward_normal = np.asarray(self.outward_normal, dtype=float)
+        self.unit_normal = _unit(self.outward_normal, "half_space.outward_normal")
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.point) @ self.outward_normal
+        return (x - self.point) @ self.unit_normal
 
     def normal(self, x: np.ndarray) -> np.ndarray:
-        return self.outward_normal
+        return self.unit_normal
 
 
 @dataclass
 class Cylinder:
-    """Infinite cylinder around the line through axis_point along axis."""
+    """Infinite cylinder around the line through axis_point along axis.
+
+    axis is kept as given; the geometry uses its normalization unit_axis.
+    """
 
     axis_point: np.ndarray
     axis: np.ndarray
     radius: float
+    unit_axis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.axis_point = np.asarray(self.axis_point, dtype=float)
-        self.axis = _unit(self.axis, "cylinder.axis")
+        self.axis = np.asarray(self.axis, dtype=float)
+        self.unit_axis = _unit(self.axis, "cylinder.axis")
         if self.radius <= 0.0:
             raise ValidationError(f"cylinder radius must be positive, got {self.radius}")
 
     def _radial(self, x: np.ndarray) -> np.ndarray:
         d = x - self.axis_point
-        return d - np.multiply.outer(d @ self.axis, self.axis)
+        return d - np.multiply.outer(d @ self.unit_axis, self.unit_axis)
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self._radial(x), axis=-1) - self.radius
@@ -124,20 +135,20 @@ def _pair_gap(a, b) -> float:
     if isinstance(a, Sphere) and isinstance(b, Cylinder):
         return float(b.distances(a.center[None, :])[0]) - a.radius
     if isinstance(a, Cylinder) and isinstance(b, HalfSpace):
-        if abs(float(a.axis @ b.outward_normal)) > 1e-9:
+        if abs(float(a.unit_axis @ b.unit_normal)) > 1e-9:
             return -np.inf
         return float(b.distances(a.axis_point)) - a.radius
     if isinstance(a, Cylinder) and isinstance(b, Cylinder):
-        cr = np.cross(a.axis, b.axis)
+        cr = np.cross(a.unit_axis, b.unit_axis)
         off = b.axis_point - a.axis_point
         if np.linalg.norm(cr) < 1e-9:
-            perp = off - (off @ a.axis) * a.axis
+            perp = off - (off @ a.unit_axis) * a.unit_axis
             return float(np.linalg.norm(perp)) - a.radius - b.radius
         return abs(float(off @ cr)) / float(np.linalg.norm(cr)) - a.radius - b.radius
     if isinstance(a, HalfSpace) and isinstance(b, HalfSpace):
-        if float(a.outward_normal @ b.outward_normal) > -1.0 + 1e-9:
+        if float(a.unit_normal @ b.unit_normal) > -1.0 + 1e-9:
             return -np.inf
-        return float((b.point - a.point) @ a.outward_normal)
+        return float((b.point - a.point) @ a.unit_normal)
     raise TypeError(f"unsupported obstacle pair {type(a).__name__}/{type(b).__name__}")
 
 

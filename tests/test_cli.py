@@ -262,6 +262,24 @@ def test_manifest_replay_is_byte_identical(oblique_run, tmp_path):
     assert (replay / "events.jsonl").read_bytes() == (oblique_run / "events.jsonl").read_bytes()
 
 
+def test_non_unit_seed_direction_replays_byte_identically(tmp_path):
+    # the manifest keeps the direction as given; writing back a normalized
+    # copy made the replay normalize it twice and move the frames by an ulp
+    doc = json.loads((SCENARIOS / "sphere_oblique.json").read_text())
+    doc["seed_curve"]["direction"] = [0.1, 0.2, 1.0]
+    doc["numerics"]["horizon"] = 0.6
+    first = tmp_path / "first"
+    proc = invoke("run", write_scenario(tmp_path / "tilted.json", doc), "--out", str(first))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["seed_curve"]["direction"] == [0.1, 0.2, 1.0]
+    replay = tmp_path / "replay"
+    proc = invoke("run", str(first / "manifest.json"), "--out", str(replay))
+    assert proc.returncode == 0, proc.stderr
+    assert (replay / "frames.jsonl").read_bytes() == (first / "frames.jsonl").read_bytes()
+    assert (replay / "events.jsonl").read_bytes() == (first / "events.jsonl").read_bytes()
+
+
 def test_log_level_env_controls_verbosity(tmp_path):
     config_path = write_scenario(tmp_path / "jam.json", breakdown_doc())
     # at the default WARNING level the jam emits a breakdown warning

@@ -157,10 +157,14 @@ def test_normal_on_cylinder_axis_is_degenerate():
 
 
 def test_constructors_normalize_and_reject_bad_parameters():
+    # the geometry uses the normalized vector; the given one is kept for writing back
     hs = HalfSpace(point=np.zeros(3), outward_normal=np.array([0.0, 0.0, 2.0]))
-    assert np.allclose(hs.outward_normal, E3)
+    assert np.allclose(hs.normal(np.zeros(3)), E3)
+    assert np.array_equal(hs.outward_normal, [0.0, 0.0, 2.0])
     cyl = Cylinder(axis_point=np.zeros(3), axis=np.array([0.0, 3.0, 0.0]), radius=2.0)
-    assert np.allclose(cyl.axis, [0.0, 1.0, 0.0])
+    assert np.allclose(cyl.unit_axis, [0.0, 1.0, 0.0])
+    assert np.allclose(cyl.distances(np.array([[2.0, 5.0, 0.0]])), [0.0])
+    assert np.array_equal(cyl.axis, [0.0, 3.0, 0.0])
     with pytest.raises(ValidationError):
         Sphere(center=np.zeros(3), radius=0.0)
     with pytest.raises(ValidationError):
