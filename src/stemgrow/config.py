@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,12 +15,16 @@ from .growth import GrowthLaw
 from .obstacles import Cylinder, HalfSpace, Scene, Sphere, _unit
 
 
+# The direction vectors of each seed kind.
+_SEED_VECTORS = {"segment": ("direction",), "arc": ("initial_direction", "turn_axis"), "polyline": ()}
+
+
 @dataclass
 class SeedCurve:
     """Initial stem shape: a named primitive or a polyline resampled by arclength.
 
     Direction vectors are kept as given, so a config writes them back
-    unchanged; tangents and tilted use their normalizations.
+    unchanged; the shape uses their normalizations, held in units.
     """
 
     kind: str
@@ -30,36 +34,29 @@ class SeedCurve:
     turn_axis: np.ndarray | None = None
     radius: float | None = None
     points: np.ndarray | None = None
+    units: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.kind not in _SEED_VECTORS:
+            raise ValidationError(f"seed_curve.type must be segment|arc|polyline, got {self.kind!r}")
+        self.units = {}
+        for key in _SEED_VECTORS[self.kind]:
+            setattr(self, key, np.asarray(getattr(self, key), dtype=float))
+            self.units[key] = _unit(getattr(self, key), f"seed_curve.{key}")
         if self.kind == "segment":
-            self.direction = np.asarray(self.direction, dtype=float)
-            _unit(self.direction, "seed_curve.direction")
             if self.length <= 0.0:
                 raise ValidationError("seed_curve.length must be positive")
         elif self.kind == "arc":
-            self.initial_direction = np.asarray(self.initial_direction, dtype=float)
-            self.turn_axis = np.asarray(self.turn_axis, dtype=float)
-            start, axis = self._arc_frame()
-            if abs(float(start @ axis)) > 1e-9:
+            if abs(float(self.units["initial_direction"] @ self.units["turn_axis"])) > 1e-9:
                 raise ValidationError(
                     "seed_curve.turn_axis must be orthogonal to initial_direction"
                 )
             if self.radius <= 0.0 or self.length <= 0.0:
                 raise ValidationError("seed_curve: radius and length must be positive")
-        elif self.kind == "polyline":
+        else:
             self.points = np.asarray(self.points, dtype=float)
             if np.any(np.linalg.norm(np.diff(self.points, axis=0), axis=1) < 1e-12):
                 raise ValidationError("seed_curve.points contains a zero-length chord")
-        else:
-            raise ValidationError(f"seed_curve.type must be segment|arc|polyline, got {self.kind!r}")
-
-    def _arc_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """The arc's unit initial direction and unit turn axis."""
-        return (
-            _unit(self.initial_direction, "seed_curve.initial_direction"),
-            _unit(self.turn_axis, "seed_curve.turn_axis"),
-        )
 
     def arclength(self) -> float:
         if self.kind == "polyline":
@@ -70,11 +67,10 @@ class SeedCurve:
         """Unit tangents of the arclength-parameterized seed at the given nodes."""
         s = np.asarray(s, dtype=float)
         if self.kind == "segment":
-            return np.tile(_unit(self.direction, "seed_curve.direction"), (s.size, 1))
+            return np.tile(self.units["direction"], (s.size, 1))
         if self.kind == "arc":
-            start, axis = self._arc_frame()
-            w = (s / self.radius)[:, None] * axis[None, :]
-            return rotate_vectors(w, np.tile(start, (s.size, 1)))
+            w = (s / self.radius)[:, None] * self.units["turn_axis"][None, :]
+            return rotate_vectors(w, np.tile(self.units["initial_direction"], (s.size, 1)))
         chords = np.diff(self.points, axis=0)
         lengths = np.linalg.norm(chords, axis=1)
         tangents = chords / lengths[:, None]
@@ -85,19 +81,10 @@ class SeedCurve:
     def tilted(self, angle: float, axis: np.ndarray) -> "SeedCurve":
         """Copy of the seed rigidly rotated about the origin."""
         rot = rodrigues(angle * _unit(axis, "perturbation axis"))
-        if self.kind == "segment":
-            direction = _unit(self.direction, "seed_curve.direction")
-            return SeedCurve("segment", direction=rot @ direction, length=self.length)
-        if self.kind == "arc":
-            start, axis = self._arc_frame()
-            return SeedCurve(
-                "arc",
-                initial_direction=rot @ start,
-                turn_axis=rot @ axis,
-                radius=self.radius,
-                length=self.length,
-            )
-        return SeedCurve("polyline", points=self.points @ rot.T)
+        if self.kind == "polyline":
+            return SeedCurve("polyline", points=self.points @ rot.T)
+        rotated = {key: rot @ unit for key, unit in self.units.items()}
+        return SeedCurve(self.kind, length=self.length, radius=self.radius, **rotated)
 
 
 @dataclass
@@ -115,9 +102,6 @@ class SimConfig:
     correction_tol: float = 1e-8
     breakdown_angle_tol: float = 1e-3
     breakdown_curvature_tol: float = 1e-3
-    solver_tol: float = 1e-10
-    solver_max_sweeps: int = 10_000
-    solver_ridge: float = 1e-12
     stride: int = 1
     label: str = ""
 
@@ -283,9 +267,6 @@ _NUMERIC_KEYS = {
     "correction_tol": _float,
     "breakdown_angle_tol": _float,
     "breakdown_curvature_tol": _float,
-    "solver_tol": _float,
-    "solver_max_sweeps": _int,
-    "solver_ridge": _float,
 }
 _SCENE = {"obstacles": _list(_obstacle, "obstacles", lambda n: True)}
 _OUTPUT = {"stride": _int}

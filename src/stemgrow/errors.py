@@ -62,8 +62,8 @@ class InfeasibleReaction(SimulationError):
 class MaxIterationsExceeded(SimulationError):
     """An iteration failed to reach tolerance within its sweep budget.
 
-    loop names the iteration that gave up: the dual solver's coordinate
-    descent ("dual solve") or the step's defect correction ("correction loop").
+    loop names the iteration that gave up: the dual solver's active-set
+    iteration ("dual solve") or the step's defect correction ("correction loop").
     """
 
     def __init__(self, loop: str, residual: float, tol: float, sweeps: int):

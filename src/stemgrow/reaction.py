@@ -10,9 +10,10 @@ bound-constrained quadratic program
 
     minimize  0.5 mu^T G mu - b^T mu   subject to  mu >= 0
 
-solved by projected coordinate descent with a tiny ridge for tie-breaking.
-An exhaustive active-set enumeration solver over all 2^m subsets serves as an
-independent cross-check for small contact counts.
+solved exactly by a Lawson-Hanson active-set method: with one to a few
+contacts, each face of the active set costs one small linear solve. An
+exhaustive enumeration of all 2^m active sets serves as an independent
+cross-check for small contact counts.
 """
 
 from __future__ import annotations
@@ -146,7 +147,6 @@ def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
     nrm = system.contacts.normals
     gam = system.gamma
     w = system.metric_weights
-    m = nodes.size
 
     u = np.cross(gam[nodes], nrm)
     s0 = np.concatenate([[0.0], np.cumsum(w)])
@@ -259,58 +259,32 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     return decay[:, None] * rho
 
 
-def _cd_sweeps(
-    g: np.ndarray,
-    b: np.ndarray,
-    mu: np.ndarray,
-    order: np.ndarray,
-    ridge: float,
-    scale: float,
-    budget: int,
-) -> tuple[float, int]:
-    """Run up to budget cyclic projected-descent sweeps in place.
+def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, float]:
+    """Direction d with d_j = 1 that keeps G d zero on the face, and d^T G d.
 
-    Returns the ridged projected-gradient residual and the sweeps consumed;
-    stops early once the residual confirms below scale against a fresh
-    gradient.
+    d_F = -G_FF^{-1} G_Fj. The curvature d^T G d is the Schur complement of
+    the face in the face plus row j: zero exactly when row j depends on it.
     """
-    diag = np.diag(g) + ridge
-    r = g @ mu - b
-    resid = np.inf
-    for sweep in range(1, budget + 1):
-        for j in order:
-            grad = r[j] + ridge * mu[j]
-            new = mu[j] - grad / diag[j]
-            if new < 0.0:
-                new = 0.0
-            d = new - mu[j]
-            if d != 0.0:
-                mu[j] = new
-                r += d * g[:, j]
-        grad = r + ridge * mu
-        resid = float(np.max(np.abs(mu - np.maximum(0.0, mu - grad))))
-        if resid <= scale:
-            r = g @ mu - b
-            grad = r + ridge * mu
-            resid = float(np.max(np.abs(mu - np.maximum(0.0, mu - grad))))
-            if resid <= scale:
-                return resid, sweep
-    return resid, budget
+    d = np.zeros(g.shape[0])
+    d[j] = 1.0
+    d[face] = -np.linalg.solve(g[np.ix_(face, face)], g[face, j])
+    return d, float(g[j] @ d)
 
 
 def solve_reaction(
-    system: ConstraintSystem,
-    tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-    ridge: float = 1e-12,
-    warm_start: np.ndarray | None = None,
+    system: ConstraintSystem, warm_start: np.ndarray | None = None
 ) -> ReactionSolution:
     """Minimize the weighted reaction energy subject to the contact constraints.
 
-    Solves the nonnegative dual by projected coordinate descent, warm-startable
-    with the multipliers of a nearby solve. Raises when a constraint row with
-    no leverage demands positive velocity (a jam-adjacent configuration) or
-    when the sweep budget runs out.
+    Solves the nonnegative dual exactly by a Lawson-Hanson active-set method
+    on the Gram matrix. The face is the set of rows with positive
+    multipliers; each iteration, counted in sweeps, either adds the row with
+    the most negative slack, or moves towards the face minimizer and drops
+    the row whose multiplier reaches zero first. warm_start's support seeds
+    the face. Raises InfeasibleReaction when a row with no leverage demands
+    positive velocity, when a row that depends on the face makes the dual
+    unbounded (no reaction meets the constraints), or when round-off leaves
+    the face rows unsolved; MaxIterationsExceeded past the iteration bound.
     """
     m = system.contacts.size
     if m == 0:
@@ -328,89 +302,68 @@ def solve_reaction(
         )
 
     mu = np.zeros(m)
+    face = np.zeros(m, dtype=bool)
     if warm_start is not None and warm_start.shape == (m,):
-        mu = np.maximum(warm_start, 0.0)
-        mu[dead] = 0.0
-    order = np.nonzero(~dead)[0]
-    scale = tol * bscale
-
-    def certificate(x: np.ndarray) -> float:
-        """Worst violation across optimality and complementarity, as a ratio.
-
-        Optimality is the projected-gradient residual over scale;
-        complementarity is max |x_j slack_j| relative to the product of the
-        data and multiplier magnitudes — the sharpest bound evaluating
-        G x - b in double precision can certify. A value <= 1 means the
-        candidate is acceptable on both counts.
-        """
-        slack = g @ x - b
-        opt = float(np.max(np.abs(x - np.maximum(0.0, x - slack)))) / scale
-        comp_scale = 1e-9 * bscale * (1.0 + float(np.max(x)))
-        comp = float(np.max(np.abs(x * slack))) / comp_scale
-        return max(opt, comp)
-
-    # The descent discovers the active face; on ill-conditioned faces its tail
-    # converges slowly, so after every chunk of sweeps the exact face system is
-    # solved and the candidate accepted once the unridged certificate clears
-    # the tolerance.
-    chunk = 25
-    sweeps = 0
+        for j in np.nonzero((warm_start > 0.0) & ~dead)[0]:
+            if _face_step(g, face, j)[1] > 1e-12 * diag[j]:
+                face[j] = True
+                mu[j] = warm_start[j]
+    tol = 1e-10 * bscale
+    # Every add lowers the energy, so no face repeats. Lawson and Hanson bound
+    # NNLS at 3m iterations; the warm face may cost up to m drops more.
+    limit = 4 * m
+    steps = 0
     while True:
-        _, used = _cd_sweeps(g, b, mu, order, ridge, scale, min(chunk, max_sweeps - sweeps))
-        sweeps += used
-        cand = _polish_active_set(g, b, mu)
-        cert_c = certificate(cand)
-        cert_m = cert_c if cand is mu else certificate(mu)
-        if cert_c <= min(1.0, cert_m):
-            mu = cand
-            break
-        if cert_m <= 1.0:
-            break
-        if cand is not mu and cert_c < cert_m:
-            mu = cand
-        if sweeps >= max_sweeps:
-            worst = min(cert_c, cert_m)
-            raise MaxIterationsExceeded("dual solve", worst * scale, scale, sweeps)
+        z = np.zeros(m)
+        z[face] = np.linalg.solve(g[np.ix_(face, face)], b[face])
+        p = None
+        if not np.all(z[face] > 0.0):
+            p = z - mu
+        else:
+            mu = z
+            slack = g @ mu - b
+            open_rows = ~face & ~dead & (slack < -tol)
+            if not open_rows.any():
+                break
+            j = int(np.argmin(np.where(open_rows, slack, np.inf)))
+            d, curvature = _face_step(g, face, j)
+            face[j] = True
+            if curvature <= 1e-12 * diag[j]:
+                # Row j depends on the face: the energy falls linearly along d.
+                # Weights below round-off, relative to row j, count as zero.
+                d[np.abs(d) * np.sqrt(diag) <= 1e-6 * np.sqrt(diag[j])] = 0.0
+                if not np.any(face & (d < 0.0)):
+                    raise InfeasibleReaction(
+                        f"contact row {j} (node {int(system.contacts.nodes[j])}) "
+                        "depends on the active rows, and no reaction meets them all"
+                    )
+                p = d
+        steps += 1
+        if steps > limit:
+            worst = -float(np.min(g @ mu - b))
+            raise MaxIterationsExceeded("dual solve", worst, tol, steps)
+        if p is not None:
+            # Move along p, towards the face minimizer or along d, until a
+            # face multiplier reaches zero, and drop its row.
+            shrink = face & (p < 0.0)
+            ratios = mu[shrink] / -p[shrink]
+            mu = mu + float(np.min(ratios)) * p
+            mu[np.nonzero(shrink)[0][np.argmin(ratios)]] = 0.0
+            face &= mu > 0.0
+            mu[~face] = 0.0
 
+    # Round-off on a face too close to dependent leaves its rows unsolved.
+    resid = float(np.max(np.abs(slack[face]), initial=0.0))
+    if resid > tol:
+        raise InfeasibleReaction(
+            f"active contact rows are too close to dependent: face residual {resid:.3e}"
+        )
     return ReactionSolution(
         mu=mu,
         omega=density_from_multipliers(system, mu),
         energy=0.5 * float(mu @ (g @ mu)),
-        sweeps=sweeps,
+        sweeps=steps,
     )
-
-
-def _polish_active_set(g: np.ndarray, b: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Re-solve the equality system on the active set found by the descent.
-
-    The descent iterate satisfies the ridged optimality conditions, which
-    leaves a slack offset of order ridge times mu on active rows; solving the
-    unridged face system removes it. The face system is Jacobi-equilibrated
-    and the solution refined so the active-row slack (and with it the
-    complementarity product) reaches round-off level even when the face is
-    ill-conditioned. The polished point is kept only if it stays dual and
-    primal feasible.
-    """
-    act = np.nonzero(mu > 0.0)[0]
-    if act.size == 0:
-        return mu
-    sub = g[np.ix_(act, act)]
-    d = np.sqrt(np.maximum(np.diag(sub), 1e-300))
-    scaled = sub / d[:, None] / d[None, :]
-    rhs = b[act] / d
-    y, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    for _ in range(2):
-        res = rhs - scaled @ y
-        y += np.linalg.lstsq(scaled, res, rcond=None)[0]
-    mu_a = y / d
-    if float(np.min(mu_a)) < -1e-12 * (1.0 + float(np.max(np.abs(mu_a)))):
-        return mu
-    cand = np.zeros_like(mu)
-    cand[act] = np.maximum(mu_a, 0.0)
-    slack = g @ cand - b
-    if float(np.min(slack)) < -1e-9 * (1.0 + float(np.max(np.abs(b)))):
-        return mu
-    return cand
 
 
 def check_kkt(system: ConstraintSystem, sol: ReactionSolution) -> dict:

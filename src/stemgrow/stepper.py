@@ -173,9 +173,7 @@ def step(
     n = state.n_grown
     if n >= state.grid.nodes.size - 1:
         raise ValueError("stem already fills the horizon grid")
-    t = state.t
-    s_g = state.s[: n + 1]
-    psi = psi_field(config.law, t, s_g, state.k[: n + 1])
+    psi = psi_field(config.law, state.t, state.s[: n + 1], state.k[: n + 1])
     if contacts is None:
         contacts = detect_contacts(
             state, config.scene, config.eps_contact, config.eps_penetration
@@ -190,13 +188,7 @@ def step(
         )
         b0 = system.b.copy()
         pushback = config.kappa * np.maximum(0.0, -contacts.phi) / config.dt
-        sol = solve_reaction(
-            system,
-            tol=config.solver_tol,
-            max_sweeps=config.solver_max_sweeps,
-            ridge=config.solver_ridge,
-            warm_start=warm_start,
-        )
+        sol = solve_reaction(system, warm_start)
         # The solve is exact for the linearized rates; the actual update
         # rotates nodes along circular arcs, so the realized normal rates at
         # the contacts lag the linear prediction by O(dt). Feeding that defect
@@ -217,11 +209,8 @@ def step(
             predicted = linear_rates(system, psi + sol.omega)
             defect = float(np.max(np.abs(realized - predicted)))
             active = sol.mu > 0.0
-            realized_residual = (
-                float(np.max(np.abs(realized[active] - pushback[active])))
-                if np.any(active)
-                else 0.0
-            )
+            gap = np.abs(realized[active] - pushback[active])
+            realized_residual = float(np.max(gap, initial=0.0))
             if realized_residual <= config.correction_tol:
                 break
             if sweep == config.correction_sweeps - 1:
@@ -232,13 +221,7 @@ def step(
                     config.correction_sweeps,
                 )
             system.b = b0 - (realized - predicted)
-            sol = solve_reaction(
-                system,
-                tol=config.solver_tol,
-                max_sweeps=config.solver_max_sweeps,
-                ridge=config.solver_ridge,
-                warm_start=sol.mu,
-            )
+            sol = solve_reaction(system, sol.mu)
         info = StepInfo(
             contacts=contacts,
             solution=sol,
@@ -248,10 +231,7 @@ def step(
             defect=defect,
         )
 
-    new_state = StemState(
-        grid=state.grid, gamma=gamma_new, k=k_new, n_grown=n + 1
-    )
-    return new_state, info
+    return StemState(grid=state.grid, gamma=gamma_new, k=k_new, n_grown=n + 1), info
 
 
 def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:

@@ -142,7 +142,11 @@ def _fields(record, keys: tuple, what: str) -> list:
 
 
 def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
-    """value as a finite array of the given shape; [] stands for any empty shape."""
+    """value as a finite array of the given shape; [] stands for any empty shape.
+
+    Only JSON numbers pass: text and true/false are rejected rather than
+    converted, and an int array takes whole numbers only.
+    """
     try:
         out = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -153,6 +157,16 @@ def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
         raise ParseError(f"{what} has shape {out.shape}, expected {shape}")
     if not np.all(np.isfinite(out)):
         raise ParseError(f"{what} holds a non-finite number or a stray null")
+    if len(shape) == 0:
+        kinds = {type(value)}
+    elif len(shape) == 1:
+        kinds = set(map(type, value))
+    else:
+        kinds = {type(x) for row in value for x in row}
+    if not kinds <= {float, int}:
+        raise ParseError(f"{what} must hold numbers, not text or true/false")
+    if dtype is int and float in kinds and not np.array_equal(np.asarray(value, dtype=float), out):
+        raise ParseError(f"{what} must hold whole numbers")
     return out
 
 
@@ -186,7 +200,7 @@ def frame_from_dict(rec) -> TrajectoryFrame:
         b=None if all(v is None for v in b) else _array(b, "contacts[].b", (m,)),
         mu=None if all(v is None for v in mu) else _array(mu, "contacts[].mu", (m,)),
         **{
-            key: None if value is None else kind(_array(value, key, ()))
+            key: None if value is None else kind(_array(value, key, (), dtype=kind))
             for (key, kind), value in zip(_SCALARS.items(), scalars)
         },
     )

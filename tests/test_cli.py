@@ -280,6 +280,17 @@ def test_non_unit_seed_direction_replays_byte_identically(tmp_path):
     assert (replay / "events.jsonl").read_bytes() == (first / "events.jsonl").read_bytes()
 
 
+def test_manifest_with_removed_solver_key_exits_two(straight_run, tmp_path):
+    manifest = json.loads((straight_run / "manifest.json").read_text())
+    manifest["config"]["numerics"]["solver_ridge"] = 1e-12
+    path = write_scenario(tmp_path / "manifest.json", manifest)
+    outdir = tmp_path / "out"
+    proc = invoke("run", path, "--out", str(outdir))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: numerics: unknown keys ['solver_ridge']\n"
+    assert not outdir.exists()
+
+
 def test_log_level_env_controls_verbosity(tmp_path):
     config_path = write_scenario(tmp_path / "jam.json", breakdown_doc())
     # at the default WARNING level the jam emits a breakdown warning
@@ -335,8 +346,27 @@ CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1,
         (bare_frame(gamma=[[0, 0]]), "frames.jsonl:1: gamma has shape (1, 2), expected (1, 3)"),
         (bare_frame(contacts=[CONTACT_PAST_TIP]), "contacts[].node must increase within 0..0"),
         (b"\xff\xfe\x7b", "frames.jsonl is not UTF-8 text"),
+        (bare_frame(t="0.0"), "frames.jsonl:1: t must hold numbers, not text or true/false"),
+        (bare_frame(s=["0"]), "frames.jsonl:1: s must hold numbers, not text or true/false"),
+        (
+            bare_frame(solver_sweeps=True),
+            "frames.jsonl:1: solver_sweeps must hold numbers, not text or true/false",
+        ),
+        (bare_frame(n=0.7), "frames.jsonl:1: n must hold whole numbers"),
+        (bare_frame(solver_sweeps=2.9), "frames.jsonl:1: solver_sweeps must hold whole numbers"),
     ],
-    ids=["missing_key", "not_an_object", "gamma_shape", "contact_past_tip", "not_utf8"],
+    ids=[
+        "missing_key",
+        "not_an_object",
+        "gamma_shape",
+        "contact_past_tip",
+        "not_utf8",
+        "t_is_text",
+        "s_holds_text",
+        "sweeps_is_boolean",
+        "n_is_fractional",
+        "sweeps_is_fractional",
+    ],
 )
 def test_malformed_frames_exit_two_without_traceback(tmp_path, command, content, message):
     manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
@@ -366,8 +396,10 @@ def straight_run(tmp_path_factory):
     [
         ("[1]\n", "events.jsonl:1: event is not an object"),
         ('{"t": 0}\n', "events.jsonl:1: event has no key 'kind'"),
+        ('{"t": "0.5", "kind": "X", "data": {}}\n',
+         "events.jsonl:1: t must hold numbers, not text or true/false"),
     ],
-    ids=["not_an_object", "missing_key"],
+    ids=["not_an_object", "missing_key", "t_is_text"],
 )
 def test_audit_malformed_events_exit_two_without_traceback(
     straight_run, tmp_path, content, message

@@ -305,6 +305,13 @@ MALFORMED = {
                               r"law\.up must be a list of 3 numbers"),
     "kappa_is_nan": (set_at(("numerics", "kappa"), float("nan")),
                      r"numerics\.kappa must be finite"),
+    # the dual solver is exact and has no tuning keys
+    "removed_solver_tol": (set_at(("numerics", "solver_tol"), 1e-10),
+                           r"numerics: unknown keys \['solver_tol'\]"),
+    "removed_solver_max_sweeps": (set_at(("numerics", "solver_max_sweeps"), 500),
+                                  r"numerics: unknown keys \['solver_max_sweeps'\]"),
+    "removed_solver_ridge": (set_at(("numerics", "solver_ridge"), 1e-12),
+                             r"numerics: unknown keys \['solver_ridge'\]"),
 }
 
 
@@ -360,7 +367,7 @@ def valid_docs():
         "ages": [0.0, 1.0, 2.0],
         "response": [1.0, 0.5, 0.0],
     }
-    custom["numerics"].update(kappa=0.5, correction_sweeps=4, solver_max_sweeps=500)
+    custom["numerics"].update(kappa=0.5, correction_sweeps=4)
     return [base_doc(), obstacles, arc, polyline, custom]
 
 

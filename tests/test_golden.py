@@ -28,21 +28,21 @@ GOLDEN = {
         "f8bef7c26b9564887435eeeaab897b4dd45f887a650393a65e543612b9eb4a7c"
     ),
     "sphere_oblique/frames.jsonl": (
-        "d06b015daf3c7a566a9b221c781b30142166fddfdfa25626df97ae2efdb0bc0c"
+        "38bbb0adcac1b28323297c062af489f2a410557bb74383aaa1359616b09b55b8"
     ),
     "sphere_oblique/events.jsonl": (
         "ebde976dee8e63d306a7d15f7d870af214747ad6e1fd912358a928d16de50d9e"
     ),
-    "twin/base/frames.jsonl": "393d3a1ce23bd178618d582efdd6a45563aa6ca6d6456ef1e08ea5c2bcb33f42",
+    "twin/base/frames.jsonl": "e3460daa4ee68205fdeb0436dd57c93fc34adccbf92c6e10d84f458a7912d237",
     "twin/base/events.jsonl": "ef78aef83acc70489b524ae087bf17b63cdbc2c5735c075cafd59b3c408257b5",
     "twin/perturbed/frames.jsonl": (
-        "920ec35abb9e2b80bf02bd1dddd353b2b2403cd635a9f6d7df3bcb94eb4cbe87"
+        "514b4f39af266ebfad7f4de4a53e79f6a38aa6fd3619f71f8c4bc59f6708d914"
     ),
     "twin/perturbed/events.jsonl": (
         "509d85e6cc2e0196ab73f2423da4dc1a342495feae854e37503f5c0028f3f89c"
     ),
-    "twin/distances.jsonl": "7994aa9d0678a7dcefaa42877c4ac0801f1b5373da1a4bd3f00aaeebc4f387db",
-    "twin/certificate.json": "3da4eba8732efd44782032c6eb45f4daa016113cffc58545ac1c6a64d7d45e4a",
+    "twin/distances.jsonl": "05eba16b033748f3734b8b79c0b19c9b9dfc16a41d6fb727c44918d4dfb1892e",
+    "twin/certificate.json": "e923e7f60f8fc602296802c4f770f2f935eee9657a8664840b3c985a6a70c660",
 }
 
 

@@ -297,6 +297,29 @@ def test_contact_with_no_leverage_and_positive_demand_is_infeasible():
         solve_reaction(system)
 
 
+@pytest.mark.parametrize("demand", [0.5, 1e-3])
+def test_opposed_contacts_at_one_node_are_infeasible(demand):
+    # rows with normals +e1 and -e1 at node 6 are exact negatives: the second
+    # row depends on the first, and no density moves the node both ways
+    state, _ = vertical_state()
+    system = rate_system(state, [6, 6], [E1, -E1])
+    system.b = np.array([demand, demand])
+    with pytest.raises(InfeasibleReaction):
+        solve_reaction(system)
+
+
+def test_nearly_opposed_contacts_are_infeasible():
+    # independent rows, but only by 1e-5 rad: the face solve cannot meet them
+    # to round-off, and the solver says so rather than return multipliers of
+    # order 1e10
+    state, _ = vertical_state()
+    tilted = -E1 + 1e-5 * E2
+    system = rate_system(state, [6, 6], [E1, tilted / np.linalg.norm(tilted)])
+    system.b = np.array([0.5, 0.5])
+    with pytest.raises(InfeasibleReaction, match="too close to dependent"):
+        solve_reaction(system)
+
+
 def test_empty_contact_set_is_rejected():
     state, config = vertical_state()
     empty = ContactSet(
