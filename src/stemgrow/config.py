@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class SeedCurve:
     turn_axis: np.ndarray | None = None
     radius: float | None = None
     points: np.ndarray | None = None
-    units: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _SEED_VECTORS:
