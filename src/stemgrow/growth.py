@@ -27,7 +27,6 @@ class GrowthLaw:
     up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     ages: np.ndarray | None = None
     response: np.ndarray | None = None
-    unit_up: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

@@ -54,7 +54,6 @@ class HalfSpace:
 
     point: np.ndarray
     outward_normal: np.ndarray
-    unit_normal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
@@ -78,7 +77,6 @@ class Cylinder:
     axis_point: np.ndarray
     axis: np.ndarray
     radius: float
-    unit_axis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.axis_point = np.asarray(self.axis_point, dtype=float)

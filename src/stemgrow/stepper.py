@@ -304,9 +304,7 @@ def run(config: SimConfig) -> Trajectory:
                 exit_kind, data = "HorizonReached", {}
                 break
 
-            warm_vec = None
-            if contacts.size:
-                warm_vec = np.array([warm.get(int(v), 0.0) for v in contacts.nodes])
+            warm_vec = np.array([warm.get(int(v), 0.0) for v in contacts.nodes])
             new_state, info = step(state, config, contacts, warm_vec)
         except SimulationError as exc:
             log.warning("integrity failure at t=%.6g: %s", t, exc)
