@@ -52,14 +52,14 @@ def _write_run(outdir: str, traj, config: SimConfig, argv: list[str]) -> dict:
     os.makedirs(outdir, exist_ok=True)
     frames_path = os.path.join(outdir, "frames.jsonl")
     events_path = os.path.join(outdir, "events.jsonl")
-    n_written = write_frames(frames_path, traj.frames, config.stride)
+    n_written = write_frames(frames_path, traj.frames)
     write_events(events_path, traj.events)
     outputs = {
         "frames": "frames.jsonl",
         "events": "events.jsonl",
         "exit_kind": traj.exit_kind,
         "frames_written": n_written,
-        "frames_total": len(traj.frames),
+        "frames_total": traj.frames_total,
     }
     return write_manifest(
         os.path.join(outdir, "manifest.json"),
@@ -79,7 +79,7 @@ def _cmd_run(args, argv) -> int:
     final = traj.final_frame
     print(
         f"{traj.exit_kind}: t={final.t:.6g} nodes={final.n_grown + 1} "
-        f"frames={len(traj.frames)} events={len(traj.events)} -> {args.out}"
+        f"frames={traj.frames_total} events={len(traj.events)} -> {args.out}"
     )
     return EXIT_CODES[traj.exit_kind]
 
@@ -114,7 +114,9 @@ def _cmd_twin(args, argv) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     _write_run(os.path.join(args.out, "base"), result.base, config, argv)
-    _write_run(os.path.join(args.out, "perturbed"), result.perturbed, config, argv)
+    _write_run(
+        os.path.join(args.out, "perturbed"), result.perturbed, result.perturbed_config, argv
+    )
     write_jsonl(
         os.path.join(args.out, "distances.jsonl"),
         ({"t": float(t), "distance": float(d)} for t, d in zip(result.times, result.distances)),

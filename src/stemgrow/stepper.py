@@ -11,12 +11,18 @@ When contacts are present the constraint right-hand side is refined a few
 times against the velocity the geometric update actually realizes, so that
 complementarity holds for the realized per-step displacement, not just the
 first-order model.
+
+simulate is the only stepping loop: it yields each frame as it is made. run
+and twin_run keep only the frames a run writes, so a run holds every
+stride-th frame rather than all of them.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -258,12 +264,15 @@ def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
     )
 
 
-def run(config: SimConfig) -> Trajectory:
-    """Run a scenario to the horizon, a rigid jam, or an integrity failure."""
+def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
+    """Step a scenario to the horizon, a rigid jam, or an integrity failure.
+
+    Yields each frame as it is made, with the events first seen at it. The
+    last item is the terminal frame, whose events end with the run's exit
+    event (HorizonReached, Breakdown or IntegrityFailure).
+    """
     state = init_state(config)
     n_total = config.n_total_cells
-    frames: list[TrajectoryFrame] = []
-    events: list[Event] = []
     prev_nodes = np.zeros(0, dtype=int)
     no_contacts = ContactSet(
         nodes=np.zeros(0, dtype=int),
@@ -274,10 +283,11 @@ def run(config: SimConfig) -> Trajectory:
     warm: dict[int, float] = {}
 
     # Every iteration either steps or ends the run; the terminal outcome is
-    # recorded once below, as the final frame plus its event.
+    # yielded once below, as the final frame plus its event.
     while True:
         t = state.t
         contacts = no_contacts
+        events: list[Event] = []
         try:
             contacts = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
@@ -311,7 +321,7 @@ def run(config: SimConfig) -> Trajectory:
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 
-        frames.append(_make_frame(state, info, config.scene))
+        yield _make_frame(state, info, config.scene), events
         if info.solution is not None:
             warm = {
                 int(v): float(m)
@@ -319,15 +329,45 @@ def run(config: SimConfig) -> Trajectory:
             }
         state = new_state
 
-    frames.append(_make_frame(state, StepInfo.without_reaction(contacts), config.scene))
     events.append(Event(t=state.t, kind=exit_kind, data=data))
-    return Trajectory(frames=frames, events=events, exit_kind=exit_kind)
+    yield _make_frame(state, StepInfo.without_reaction(contacts), config.scene), events
+
+
+def _record(config: SimConfig, traj: Trajectory) -> Iterator[TrajectoryFrame]:
+    """Pass on each frame of simulate(config), filling traj as it goes.
+
+    traj keeps every event, each frame whose index is a multiple of the
+    config's stride, and the terminal frame; frames_total counts every frame
+    made. This is the one place that decides which frames a run writes.
+    """
+    for i, (frame, events) in enumerate(simulate(config)):
+        if i % config.stride == 0:
+            traj.frames.append(frame)
+        traj.events.extend(events)
+        yield frame
+    if traj.frames[-1] is not frame:
+        traj.frames.append(frame)
+    traj.frames_total = i + 1
+    traj.exit_kind = traj.events[-1].kind
+
+
+def _empty_trajectory() -> Trajectory:
+    return Trajectory(frames=[], events=[], exit_kind="", frames_total=0)
+
+
+def run(config: SimConfig) -> Trajectory:
+    """Run a scenario, keeping only the frames its stride writes."""
+    traj = _empty_trajectory()
+    for _ in _record(config, traj):
+        pass
+    return traj
 
 
 @dataclass
 class TwinResult:
     base: Trajectory
     perturbed: Trajectory
+    perturbed_config: SimConfig
     times: np.ndarray
     distances: np.ndarray
     growth_constant: float
@@ -335,36 +375,39 @@ class TwinResult:
 
 
 def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:
-    """Run a scenario and a seed-tilted twin; track their weighted distance.
+    """Run a scenario and a seed-tilted twin in lockstep; track their weighted distance.
 
     The distance at each shared frame is the exponentially weighted norm of
-    the node-wise minimal rotation field between the two tangent fields, and
-    the certificate is the smallest exponential rate bounding its growth from
-    the first frame.
+    the node-wise minimal rotation field between the two tangent fields,
+    taken as the two frames are made; the certificate is the smallest
+    exponential rate bounding its growth from the first frame. Each run keeps
+    only the frames its stride writes.
     """
-    base = run(config)
     tilted = replace(
         config,
         seed=config.seed.tilted(angle, axis),
         label=config.label + "+tilt" if config.label else "tilt",
     )
-    pert = run(tilted)
+    base, pert = _empty_trajectory(), _empty_trajectory()
+    base_frames = _record(config, base)
+    pert_frames = _record(tilted, pert)
+    times, dists = [], []
+    for fa, fb in zip(base_frames, pert_frames):
+        times.append(fa.t)
+        dists.append(weighted_norm(rotation_field(fa.k, fb.k), config.dt, config.law.beta))
+    # the run that outlasts the other goes on alone to its own end
+    for _ in chain(base_frames, pert_frames):
+        pass
 
-    shared = min(len(base.frames), len(pert.frames))
-    times = np.zeros(shared)
-    dists = np.zeros(shared)
-    for i in range(shared):
-        fa, fb = base.frames[i], pert.frames[i]
-        w = rotation_field(fa.k, fb.k)
-        times[i] = fa.t
-        dists[i] = weighted_norm(w, config.dt, config.law.beta)
+    times, dists = np.array(times), np.array(dists)
     c, details = gronwall_certificate(times, dists)
-    details["shared_frames"] = shared
+    details["shared_frames"] = times.size
     details["base_exit"] = base.exit_kind
     details["perturbed_exit"] = pert.exit_kind
     return TwinResult(
         base=base,
         perturbed=pert,
+        perturbed_config=tilted,
         times=times,
         distances=dists,
         growth_constant=c,

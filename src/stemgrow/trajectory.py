@@ -55,9 +55,12 @@ class Event:
 
 @dataclass
 class Trajectory:
+    """A run's kept frames and all its events; frames_total counts every frame made."""
+
     frames: list
     events: list
     exit_kind: str
+    frames_total: int
 
     @property
     def final_frame(self) -> TrajectoryFrame:
@@ -220,14 +223,6 @@ def event_from_dict(rec) -> Event:
     return Event(t=float(_array(t, "t", ())), kind=kind, data=data)
 
 
-def stride_indices(n_frames: int, stride: int) -> list[int]:
-    """Every stride-th frame, always keeping the first and last."""
-    idx = list(range(0, n_frames, stride))
-    if idx and idx[-1] != n_frames - 1:
-        idx.append(n_frames - 1)
-    return idx
-
-
 def write_jsonl(path: str, records) -> None:
     """One _serialize'd record per line."""
     with open(path, "w") as fh:
@@ -236,10 +231,10 @@ def write_jsonl(path: str, records) -> None:
             fh.write("\n")
 
 
-def write_frames(path: str, frames: list, stride: int = 1) -> int:
-    idx = stride_indices(len(frames), stride)
-    write_jsonl(path, (frame_to_dict(frames[i]) for i in idx))
-    return len(idx)
+def write_frames(path: str, frames: list) -> int:
+    """Write every frame given; returns how many."""
+    write_jsonl(path, (frame_to_dict(fr) for fr in frames))
+    return len(frames)
 
 
 def write_events(path: str, events: list) -> None:

@@ -462,6 +462,31 @@ def test_twin_writes_certificate_and_distances(tmp_path):
     assert (outdir / "perturbed" / "frames.jsonl").exists()
 
 
+def test_twin_manifests_replay_each_run_byte_identically(tmp_path):
+    # the perturbed manifest holds the tilted seed, so replaying it gives the
+    # perturbed run, not the base run again
+    doc = straight_doc()
+    doc["law"] = {"variant": "gravitropic", "beta": 1.0, "gain": 1.0}
+    config_path = write_scenario(tmp_path / "twin.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke(
+        "twin", config_path, "--perturb", "tilt:0.05", "--stride", "2", "--out", str(outdir)
+    )
+    assert proc.returncode == 0, proc.stderr
+    base, perturbed = outdir / "base", outdir / "perturbed"
+    assert (base / "frames.jsonl").read_bytes() != (perturbed / "frames.jsonl").read_bytes()
+    for run_dir in (base, perturbed):
+        replay = tmp_path / "replay" / run_dir.name
+        proc = invoke("run", str(run_dir / "manifest.json"), "--out", str(replay))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("frames.jsonl", "events.jsonl"):
+            assert (replay / name).read_bytes() == (run_dir / name).read_bytes(), name
+        outputs = [
+            json.loads((d / "manifest.json").read_text())["outputs"] for d in (replay, run_dir)
+        ]
+        assert outputs[0] == outputs[1]
+
+
 def test_twin_bad_perturbation_exits_two(tmp_path):
     config_path = write_scenario(tmp_path / "twin.json", straight_doc())
     proc = invoke("twin", config_path, "--perturb", "shear:0.1", "--out", str(tmp_path / "out"))

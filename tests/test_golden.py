@@ -1,9 +1,10 @@
 """Byte-identical replay: the bundled scenarios must keep writing the same files.
 
-The SHA-256 values pin the outputs of `run` on three bundled scenarios and of
-the tilted twin of `twin_tilt`. A refactor that changes any bit of a frame or
-event fails here. The same frames must also survive a parse and a rewrite
-through `frame_from_dict`/`frame_to_dict` unchanged, byte for byte.
+The SHA-256 values pin the outputs of `run` on three bundled scenarios, of
+the tilted twin of `twin_tilt`, and of a strided twin of `sphere_perpendicular`
+whose two runs end at different frames. A refactor that changes any bit of a
+frame or event fails here. The same frames must also survive a parse and a
+rewrite through `frame_from_dict`/`frame_to_dict` unchanged, byte for byte.
 """
 
 import hashlib
@@ -43,12 +44,32 @@ GOLDEN = {
     ),
     "twin/distances.jsonl": "05eba16b033748f3734b8b79c0b19c9b9dfc16a41d6fb727c44918d4dfb1892e",
     "twin/certificate.json": "e923e7f60f8fc602296802c4f770f2f935eee9657a8664840b3c985a6a70c660",
+    # a twin whose base jams at frame 129 while the tilted run goes on to 180,
+    # at a stride that divides neither end
+    "twin_perpendicular/base/frames.jsonl": (
+        "16c312582997ab6ab7f220895f04345f1a05b61aac3ab266bbb9b57d479aa89b"
+    ),
+    "twin_perpendicular/base/events.jsonl": (
+        "f8bef7c26b9564887435eeeaab897b4dd45f887a650393a65e543612b9eb4a7c"
+    ),
+    "twin_perpendicular/perturbed/frames.jsonl": (
+        "1138bb88009c0e8208d9f63d2021daaac5a190227899a8b580ae3b77e7ba45b1"
+    ),
+    "twin_perpendicular/perturbed/events.jsonl": (
+        "4790434f573ecdba73631ce270952b832c83f9f280bd2a2fce482dd86ed38494"
+    ),
+    "twin_perpendicular/distances.jsonl": (
+        "a2d057636460c934ad598d72c701c119159fc45d53a717ab99e80daf715aefda"
+    ),
+    "twin_perpendicular/certificate.json": (
+        "0cbb1a4eefddc140cacefe6ec2a485465d2295178106c141c9a297ebd7943f96"
+    ),
 }
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Run the three scenarios and the twin once; return the output root."""
+    """Run the three scenarios and the two twins once; return the output root."""
     root = tmp_path_factory.mktemp("golden")
     # each command with its exit code: the perpendicular sphere jams the tip
     commands = [
@@ -57,6 +78,8 @@ def outputs(tmp_path_factory):
     ]
     twin = ["twin", str(SCENARIOS / "twin_tilt.json"), "--perturb", "tilt:0.05"]
     commands.append(([*twin, "--out", str(root / "twin")], 0))
+    twin = ["twin", str(SCENARIOS / "sphere_perpendicular.json"), "--perturb", "tilt:0.05"]
+    commands.append(([*twin, "--stride", "7", "--out", str(root / "twin_perpendicular")], 10))
     for args, code in commands:
         proc = subprocess.run(
             [*STEMGROW, *args], capture_output=True, text=True, env=stemgrow_env(), timeout=300

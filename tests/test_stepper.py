@@ -1,9 +1,12 @@
 """Time stepping: free growth, contact response, breakdown, and runs."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stemgrow.config import SeedCurve, SimConfig
+from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.errors import InitialPenetration
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
@@ -14,6 +17,9 @@ from stemgrow.reaction import (
     solve_reaction,
 )
 from stemgrow.stepper import detect_breakdown, init_state, run, step
+from stemgrow.trajectory import _serialize, frame_to_dict
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -268,3 +274,43 @@ def test_defect_correction_cancels_realized_normal_rates():
             assert info.realized_residual <= config.correction_tol
             assert info.defect is not None and info.defect < 0.1
     assert saw_contact
+
+
+def _kept_indices(total, stride):
+    """The frames a run keeps: every stride-th one, and always the terminal one."""
+    idx = list(range(0, total, stride))
+    if idx[-1] != total - 1:
+        idx.append(total - 1)
+    return idx
+
+
+def _frame_text(frame):
+    # %.17g text round-trips every float, so equal text means equal bits
+    return _serialize(frame_to_dict(frame))
+
+
+@pytest.mark.parametrize(
+    "name, overrides, exit_kind, total",
+    [
+        ("straight", {}, "HorizonReached", 10),
+        ("sphere_perpendicular", {}, "Breakdown", 130),
+        # the correction cap ends the run at frame 136, which 3 and 7 do not divide
+        ("sphere_oblique", {"correction_sweeps": 1}, "IntegrityFailure", 137),
+    ],
+)
+def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit_kind, total):
+    config = replace(load_config(str(SCENARIOS / f"{name}.json")), **overrides)
+    full = run(config)
+    assert full.exit_kind == exit_kind
+    assert full.events[-1].kind == exit_kind
+    assert full.frames_total == len(full.frames) == total
+    every = [_frame_text(fr) for fr in full.frames]
+    for k in (3, 7, total + 5):
+        kept = run(replace(config, stride=k))
+        assert kept.exit_kind == exit_kind
+        assert kept.frames_total == total
+        assert [_frame_text(fr) for fr in kept.frames] == [
+            every[i] for i in _kept_indices(total, k)
+        ]
+        assert kept.events == full.events
+

@@ -1,0 +1,39 @@
+"""The benchmark's layer tracer still reaches the layers a run and a twin go through.
+
+`bench/tracing.py` wraps each layer function at the import sites the CLI
+uses (`cli.run_scenario`, `cli.twin_run`, `cli.write_frames`, ...). A
+refactor that stops calling one of them would make a traced benchmark run
+record nothing for that layer; this test catches it in Tier-1.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from stemgrow import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+STRAIGHT = str(ROOT / "scenarios" / "straight.json")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_run_twin_step_and_write(tmp_path):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", STRAIGHT, "--out", str(tmp_path / "run")]) == 0
+        twin = ["twin", STRAIGHT, "--perturb", "tilt:0.05", "--out", str(tmp_path / "twin")]
+        assert cli.main(twin) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary()["layers"]
+    for name in ("stepper.run", "stepper.twin_run", "stepper.step", "trajectory.write_frames"):
+        assert layers[name]["calls"] > 0, name
+    # one frames file for the run and one for each side of the twin
+    assert layers["trajectory.write_frames"]["calls"] == 3
+    assert tracer.counts["frames_written"] == 30
