@@ -23,6 +23,18 @@ def _rot_coeffs(theta):
     return a, b
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b over the last axis, broadcasting the leading axes.
+
+    Built from components in numpy's own multiply-then-subtract order, so the
+    bits match numpy.cross; skipping its axis handling makes it about twice as
+    fast on the small arrays the stepper passes.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def cross_matrix(w: np.ndarray) -> np.ndarray:
     """Matrix W with W v = w x v."""
     return np.array(
@@ -57,8 +69,8 @@ def rotate_vectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     theta = np.linalg.norm(w, axis=-1, keepdims=True)
     a, b = _rot_coeffs(theta)
-    wxv = np.cross(w, v)
-    wxwxv = np.cross(w, wxv)
+    wxv = cross(w, v)
+    wxwxv = cross(w, wxv)
     return v + a * wxv + b * wxwxv
 
 

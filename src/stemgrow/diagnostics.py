@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import chord_steps
+from .curves import chord_steps, cross
 from .errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
 from .obstacles import Scene, signed_distances
 
@@ -15,14 +15,14 @@ def rotation_field(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     k2 = np.asarray(k2, dtype=float)
     if k1.shape != k2.shape:
         raise GridMismatch(f"tangent fields have shapes {k1.shape} and {k2.shape}")
-    cross = np.cross(k1, k2)
+    normal = cross(k1, k2)
     dot = np.einsum("id,id->i", k1, k2)
     if np.any(dot <= -1.0 + 1e-9):
         raise AntipodalAmbiguity("fields contain an antipodal tangent pair")
-    sin = np.linalg.norm(cross, axis=1)
+    sin = np.linalg.norm(normal, axis=1)
     angle = np.arctan2(sin, dot)
     safe = np.where(sin < 1e-15, 1.0, sin)
-    axis = cross / safe[:, None]
+    axis = normal / safe[:, None]
     w = angle[:, None] * axis
     w[sin < 1e-15] = 0.0
     return w

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import cross
 from .errors import AgeNegative, ValidationError
 from .obstacles import _unit
 
@@ -69,4 +70,4 @@ def psi_field(law: GrowthLaw, t: float, s: np.ndarray, k: np.ndarray) -> np.ndar
         raise AgeNegative(f"queried s > t by {-worst:.3e}")
     age = np.maximum(age, 0.0)
     coeff = law._coeff(age)
-    return coeff[:, None] * np.cross(k, law.unit_up)
+    return coeff[:, None] * cross(k, law.unit_up)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import cross
 from .errors import DegenerateGradient, NoNearbyBoundary, ValidationError
 
 
@@ -137,7 +138,7 @@ def _pair_gap(a, b) -> float:
             return -np.inf
         return float(b.distances(a.axis_point)) - a.radius
     if isinstance(a, Cylinder) and isinstance(b, Cylinder):
-        cr = np.cross(a.unit_axis, b.unit_axis)
+        cr = cross(a.unit_axis, b.unit_axis)
         off = b.axis_point - a.axis_point
         if np.linalg.norm(cr) < 1e-9:
             perp = off - (off @ a.unit_axis) * a.unit_axis

@@ -18,11 +18,13 @@ cross-check for small contact counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .curves import cross
 from .errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -94,7 +96,9 @@ class ConstraintSystem:
     and the penetration pushback. The energy weights are
     ds * exp(beta (t - sigma_i)); the Gram matrix lives in the inverse metric.
     gamma, s and k cover the grown nodes only, so the current time is s[-1]
-    and the tip tangent is k[-1].
+    and the tip tangent is k[-1]. The decay, the arms and the Gram matrix
+    depend on the geometry alone, so each is computed once per system; the
+    correction loop changes only b.
     """
 
     contacts: ContactSet
@@ -104,7 +108,6 @@ class ConstraintSystem:
     ds: float
     beta: float
     b: np.ndarray
-    _gram: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def t(self) -> float:
@@ -115,25 +118,34 @@ class ConstraintSystem:
         """Row of the tip contact (always the last), or None."""
         return self.contacts.size - 1 if self.contacts.tip else None
 
+    @cached_property
+    def decay(self) -> np.ndarray:
+        """Decay exp(-beta (t - sigma_i)) at every node."""
+        return np.exp(-self.beta * (self.t - self.s))
+
     @property
     def metric_weights(self) -> np.ndarray:
         """Quadrature-times-decay weights ds * exp(-beta (t - sigma_i))."""
-        return self.ds * np.exp(-self.beta * (self.t - self.s))
+        return self.ds * self.decay
+
+    @cached_property
+    def arms(self) -> np.ndarray:
+        """gamma_j x n_j for every contact row j: a_j(sigma_i) = arms_j - gamma_i x n_j."""
+        return cross(self.gamma[self.contacts.nodes], self.contacts.normals)
 
     def row(self, j: int) -> np.ndarray:
         """Materialize a_j(sigma_i) for every node i."""
         v = int(self.contacts.nodes[j])
         out = np.zeros((self.s.size, 3))
-        out[:v] = np.cross(self.gamma[v] - self.gamma[:v], self.contacts.normals[j])
+        out[:v] = cross(self.gamma[v] - self.gamma[:v], self.contacts.normals[j])
         return out
 
     def rows(self) -> np.ndarray:
         return np.stack([self.row(j) for j in range(self.contacts.size)])
 
+    @cached_property
     def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = _gram_matrix(self)
-        return self._gram
+        return _gram_matrix(self)
 
 
 def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
@@ -148,7 +160,7 @@ def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
     gam = system.gamma
     w = system.metric_weights
 
-    u = np.cross(gam[nodes], nrm)
+    u = system.arms
     s0 = np.concatenate([[0.0], np.cumsum(w)])
     s1 = np.concatenate([np.zeros((1, 3)), np.cumsum(w[:, None] * gam, axis=0)])
     sq = np.concatenate([[0.0], np.cumsum(w * np.einsum("id,id->i", gam, gam))])
@@ -162,7 +174,7 @@ def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
     cut = np.minimum.outer(nodes, nodes)
     term1 = s0[cut] * (u @ u.T)
     # <u_j, S1_c x n_l> written as <S1_c, n_l x u_j>
-    x = np.cross(nrm[None, :, :], u[:, None, :])
+    x = cross(nrm[None, :, :], u[:, None, :])
     term2 = np.einsum("jld,jld->jl", s1[cut], x)
     term4 = sq[cut] * (nrm @ nrm.T) - np.einsum(
         "jlab,ja,lb->jl", s2[cut], nrm, nrm
@@ -184,9 +196,9 @@ def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
 
     p1 = np.concatenate([np.zeros((1, 3)), np.cumsum(ds * density, axis=0)])
     vx = np.concatenate(
-        [np.zeros((1, 3)), np.cumsum(ds * np.cross(density, gam), axis=0)]
+        [np.zeros((1, 3)), np.cumsum(ds * cross(density, gam), axis=0)]
     )
-    swirl = np.cross(p1[nodes], gam[nodes]) - vx[nodes]
+    swirl = cross(p1[nodes], gam[nodes]) - vx[nodes]
     vals = np.einsum("jd,jd->j", swirl, nrm)
     if system.tip_row is not None:
         vals[system.tip_row] += float(system.k[-1] @ nrm[system.tip_row])
@@ -244,7 +256,7 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     nrm = system.contacts.normals
     gam = system.gamma
     m = nodes.size
-    u = np.cross(gam[nodes], nrm)
+    u = system.arms
 
     suf_u = np.zeros((m + 1, 3))
     suf_n = np.zeros((m + 1, 3))
@@ -254,9 +266,8 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     suf_n = suf_n[::-1]
 
     idx = np.searchsorted(nodes, np.arange(gam.shape[0]), side="right")
-    rho = suf_u[idx] - np.cross(gam, suf_n[idx])
-    decay = np.exp(-system.beta * (system.t - system.s))
-    return decay[:, None] * rho
+    rho = suf_u[idx] - cross(gam, suf_n[idx])
+    return system.decay[:, None] * rho
 
 
 def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, float]:
@@ -289,7 +300,7 @@ def solve_reaction(
     m = system.contacts.size
     if m == 0:
         raise EmptyContactSet("solve_reaction needs at least one contact")
-    g = system.gram()
+    g = system.gram
     b = system.b
     diag = np.diag(g)
     bscale = 1.0 + float(np.max(np.abs(b)))
@@ -372,7 +383,7 @@ def check_kkt(system: ConstraintSystem, sol: ReactionSolution) -> dict:
     Stationarity is re-verified from materialized rows for small systems
     (independent of the suffix-sum evaluation path).
     """
-    g = system.gram()
+    g = system.gram
     slack = g @ sol.mu - system.b
     comp = float(np.max(np.abs(sol.mu * slack))) if sol.mu.size else 0.0
     feas = float(np.min(slack)) if slack.size else 0.0
@@ -385,8 +396,7 @@ def check_kkt(system: ConstraintSystem, sol: ReactionSolution) -> dict:
     }
     if system.contacts.size <= 64:
         rows = system.rows()
-        decay = np.exp(-system.beta * (system.t - system.s))
-        rebuilt = decay[:, None] * np.einsum("j,jid->id", sol.mu, rows)
+        rebuilt = system.decay[:, None] * np.einsum("j,jid->id", sol.mu, rows)
         out["stationarity"] = float(np.max(np.abs(rebuilt - sol.omega)))
     return out
 
@@ -449,9 +459,8 @@ def oracle_solve_reaction(
     if not candidates:
         raise NoCandidateFeasible(f"no active set among 2^{m} is feasible")
 
-    decay = np.exp(-system.beta * (system.t - system.s))
     omegas = [
-        decay[:, None] * np.einsum("j,jid->id", mu, rows) for mu in candidates
+        system.decay[:, None] * np.einsum("j,jid->id", mu, rows) for mu in candidates
     ]
     spread = 0.0
     for om in omegas[1:]:

@@ -159,13 +159,17 @@ def _advance_fields(
     """Rotate tangents by the cumulative rotation below each node, rebuild positions.
 
     density lives on grown nodes; extension nodes reuse the tip's cumulative
-    rotation, so identical extension tangents stay bitwise identical.
+    rotation, so identical extension tangents stay bitwise identical. The rows
+    above n + 1 are copies of row n + 1, so only rows 0..n+1 are rotated and
+    the rest copy row n + 1 of the result.
     """
     n = state.n_grown
-    omega_cap = np.empty_like(state.k)
+    omega_cap = np.empty((n + 2, 3))
     omega_cap[: n + 1] = angular_displacement_profile(density, state.ds)
-    omega_cap[n + 1 :] = omega_cap[n]
-    k_new = rotate_vectors(dt * omega_cap, state.k)
+    omega_cap[n + 1] = omega_cap[n]
+    k_new = np.empty_like(state.k)
+    k_new[: n + 2] = rotate_vectors(dt * omega_cap, state.k[: n + 2])
+    k_new[n + 2 :] = k_new[n + 1]
     return k_new, integrate_tangents(k_new, state.ds)
 
 
@@ -245,6 +249,13 @@ def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
     gamma = state.gamma[: n + 1]
     sol = info.solution
     kkt = info.kkt or {}
+    min_phi = None
+    if info.contacts.size:
+        # the nearest node lies within the contact band, so it is a contact
+        # and detection has already measured it
+        min_phi = float(np.min(info.contacts.phi))
+    elif scene.obstacles:
+        min_phi = float(np.min(signed_distances(scene, gamma)))
     # s, gamma and k are copied: views would pin the full-horizon arrays.
     return TrajectoryFrame(
         t=state.t,
@@ -256,7 +267,7 @@ def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
         b=info.b_effective,
         mu=sol.mu if sol is not None else None,
         energy=sol.energy if sol is not None else None,
-        min_phi=float(np.min(signed_distances(scene, gamma))) if scene.obstacles else None,
+        min_phi=min_phi,
         kkt_complementarity=kkt.get("complementarity"),
         kkt_stationarity=kkt.get("stationarity"),
         realized_residual=info.realized_residual,

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stemgrow.curves import (
     angular_displacement_profile,
     chord_steps,
+    cross,
     cross_matrix,
     integrate_tangents,
     rodrigues,
@@ -86,6 +90,34 @@ def test_cross_matrix_matches_cross_product():
     w = rng.normal(size=3)
     v = rng.normal(size=3)
     assert np.max(np.abs(cross_matrix(w) @ v - np.cross(w, v))) < 1e-15
+
+
+# bounded so that no product overflows: equal bits are then comparable
+_components = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@st.composite
+def _cross_operands(draw):
+    """Operand pairs in the shapes the package crosses, the Gram broadcast included."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 4))
+    shape_a, shape_b = draw(
+        st.sampled_from(
+            [((n, 3), (n, 3)), ((n, 3), (3,)), ((3,), (3,)), ((1, m, 3), (m, 1, 3))]
+        )
+    )
+    a = draw(arrays(np.float64, shape_a, elements=_components))
+    b = draw(arrays(np.float64, shape_b, elements=_components))
+    return a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_cross_operands())
+@example((np.zeros((0, 3)), np.zeros((0, 3))))
+@example((np.zeros((0, 3)), np.array([0.3, -1.0, 2.0])))
+def test_cross_is_bitwise_numpy_cross(operands):
+    a, b = operands
+    assert np.array_equal(cross(a, b), np.cross(a, b))
 
 
 def test_rotate_vectors_matches_matrix_rows():

@@ -1,10 +1,11 @@
 """Byte-identical replay: the bundled scenarios must keep writing the same files.
 
 The SHA-256 values pin the outputs of `run` on three bundled scenarios, of
-the tilted twin of `twin_tilt`, and of a strided twin of `sphere_perpendicular`
-whose two runs end at different frames. A refactor that changes any bit of a
-frame or event fails here. The same frames must also survive a parse and a
-rewrite through `frame_from_dict`/`frame_to_dict` unchanged, byte for byte.
+the ceiling's sustained sliding contact at stride 20, of the tilted twin of
+`twin_tilt`, and of a strided twin of `sphere_perpendicular` whose two runs
+end at different frames. A refactor that changes any bit of a frame or event
+fails here. The same frames must also survive a parse and a rewrite through
+`frame_from_dict`/`frame_to_dict` unchanged, byte for byte.
 """
 
 import hashlib
@@ -34,6 +35,9 @@ GOLDEN = {
     "sphere_oblique/events.jsonl": (
         "ebde976dee8e63d306a7d15f7d870af214747ad6e1fd912358a928d16de50d9e"
     ),
+    # up to three contacts per step and about three solves and advances each
+    "ceiling/frames.jsonl": "2ac1554448f3d48e97c27134d116c366314fe72d07c226bfc1b6821f23acac2e",
+    "ceiling/events.jsonl": "26b3812d81f282c13ccca98b68ba884fd2b41e7236bf598dc6a8e9e0dd2ff0cb",
     "twin/base/frames.jsonl": "e3460daa4ee68205fdeb0436dd57c93fc34adccbf92c6e10d84f458a7912d237",
     "twin/base/events.jsonl": "ef78aef83acc70489b524ae087bf17b63cdbc2c5735c075cafd59b3c408257b5",
     "twin/perturbed/frames.jsonl": (
@@ -69,13 +73,15 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Run the three scenarios and the two twins once; return the output root."""
+    """Run the four scenarios and the two twins once; return the output root."""
     root = tmp_path_factory.mktemp("golden")
     # each command with its exit code: the perpendicular sphere jams the tip
     commands = [
         (["run", str(SCENARIOS / f"{name}.json"), "--out", str(root / name)], code)
         for name, code in (("straight", 0), ("sphere_perpendicular", 10), ("sphere_oblique", 0))
     ]
+    ceiling = ["run", str(SCENARIOS / "gravitropic_ceiling.json"), "--stride", "20"]
+    commands.append(([*ceiling, "--out", str(root / "ceiling")], 0))
     twin = ["twin", str(SCENARIOS / "twin_tilt.json"), "--perturb", "tilt:0.05"]
     commands.append(([*twin, "--out", str(root / "twin")], 0))
     twin = ["twin", str(SCENARIOS / "sphere_perpendicular.json"), "--perturb", "tilt:0.05"]

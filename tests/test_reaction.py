@@ -274,7 +274,7 @@ def test_gram_assembly_matches_direct_summation():
             rows.shape[0], -1
         ).T
         direct = 0.5 * (direct + direct.T)
-        got = system.gram()
+        got = system.gram
         scale = 1.0 + float(np.max(np.abs(direct)))
         assert np.max(np.abs(got - direct)) <= 1e-12 * scale
 

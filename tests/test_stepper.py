@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
+from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
 from stemgrow.errors import InitialPenetration
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
@@ -16,7 +17,7 @@ from stemgrow.reaction import (
     oracle_solve_reaction,
     solve_reaction,
 )
-from stemgrow.stepper import detect_breakdown, init_state, run, step
+from stemgrow.stepper import _advance_fields, detect_breakdown, init_state, run, step
 from stemgrow.trajectory import _serialize, frame_to_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -194,6 +195,42 @@ def test_extension_stays_bitwise_straight_through_contact():
         assert np.all(ext == ext[0])
         norms = np.linalg.norm(state.k, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
+
+
+@pytest.fixture(scope="module", params=["sphere_oblique", "straight"])
+def stepped(request):
+    """A bundled scenario stepped to its horizon: its config and every state."""
+    config = load_config(str(SCENARIOS / f"{request.param}.json"))
+    states = [init_state(config)]
+    while states[-1].n_grown < config.n_total_cells:
+        states.append(step(states[-1], config)[0])
+    return config, states
+
+
+def test_extension_rows_copy_the_row_above_the_tip(stepped):
+    # _advance_fields rotates rows 0..n+1 and copies row n+1 upward, which
+    # reproduces a rotation of every row only while this holds
+    _, states = stepped
+    for state in states:
+        ext = state.k[state.n_grown + 1 :]
+        assert np.all(ext == ext[:1])
+
+
+def test_advance_matches_rotation_of_every_row(stepped):
+    config, states = stepped
+    n0, n_total = states[0].n_grown, config.n_total_cells
+    rng = np.random.default_rng(13)
+    # n_total - 1 leaves no extension row beyond n + 1
+    for n in sorted({n0, (n0 + n_total) // 2, n_total - 2, n_total - 1}):
+        state = states[n - n0]
+        density = rng.normal(scale=0.5, size=(n + 1, 3))
+        omega_cap = np.empty_like(state.k)
+        omega_cap[: n + 1] = angular_displacement_profile(density, state.ds)
+        omega_cap[n + 1 :] = omega_cap[n]
+        k_want = rotate_vectors(config.dt * omega_cap, state.k)
+        k_got, gamma_got = _advance_fields(state, density, config.dt)
+        assert np.array_equal(k_got, k_want)
+        assert np.array_equal(gamma_got, integrate_tangents(k_want, state.ds))
 
 
 def test_far_obstacle_run_is_bitwise_identical_to_empty_scene():
