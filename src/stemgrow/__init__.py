@@ -3,13 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import SeedCurve, SimConfig, config_from_dict, config_to_dict, load_config
-from .curves import (
-    ArclengthGrid,
-    angular_displacement_profile,
-    integrate_tangents,
-    rodrigues,
-    rotate_vectors,
-)
+from .curves import angular_displacement_profile, integrate_tangents, rodrigues, rotate_vectors
 from .diagnostics import gronwall_certificate, rotation_field, weighted_norm
 from .growth import GrowthLaw, psi_field
 from .obstacles import Cylinder, HalfSpace, Scene, Sphere, outer_normal
@@ -26,7 +20,6 @@ from .stepper import StemState, detect_breakdown, init_state, run, step, twin_ru
 from .trajectory import Event, Trajectory, TrajectoryFrame
 
 __all__ = [
-    "ArclengthGrid",
     "ContactSet",
     "ConstraintSystem",
     "Cylinder",

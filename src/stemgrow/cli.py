@@ -102,7 +102,14 @@ def _parse_perturbation(spec: str) -> tuple[float, np.ndarray]:
             raise ValidationError(f"--perturb axis {parts[2]!r} is not X,Y,Z")
         if axis.shape != (3,):
             raise ValidationError("--perturb axis needs three components")
+    if not (np.isfinite(angle) and np.all(np.isfinite(axis))):
+        raise ValidationError(f"--perturb angle and axis must be finite, got {spec!r}")
     return angle, axis
+
+
+def _check_tolerance(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{flag} must be finite and positive, got {value}")
 
 
 def _cmd_twin(args, argv) -> int:
@@ -139,6 +146,7 @@ def _cmd_twin(args, argv) -> int:
 
 
 def _cmd_audit(args) -> int:
+    _check_tolerance("--rate-tol", args.rate_tol)
     manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     config = load_config(manifest)
     bad: list[str] = []
@@ -152,12 +160,7 @@ def _cmd_audit(args) -> int:
         bad.extend(
             f"frame {idx}: {msg}"
             for msg in audit_arrays(
-                fr.s,
-                fr.gamma,
-                fr.k,
-                config.dt,
-                scene=config.scene,
-                eps_penetration=config.eps_penetration,
+                fr.gamma, fr.k, config.dt, config.scene, config.eps_penetration
             )
         )
         if prev is not None and (msg := _rate_violation(prev, fr, config, args.rate_tol)):
@@ -196,6 +199,9 @@ def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None
 
 
 def _cmd_oracle_check(args) -> int:
+    _check_tolerance("--tol", args.tol)
+    if args.max_contacts < 1:
+        raise ValidationError(f"--max-contacts must be at least 1, got {args.max_contacts}")
     manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     config = load_config(manifest)
     checked = skipped = degenerate = mismatched = 0

@@ -1,4 +1,4 @@
-"""Arclength grids, tangent integration, and rotation kernels.
+"""Tangent integration, cumulative rotation, and rotation kernels.
 
 The stem is represented by its unit tangent field on a uniform arclength grid;
 positions are recovered by quadrature from the base point. Rotations are applied
@@ -7,8 +7,6 @@ in closed form with a series branch near zero angle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,22 +70,6 @@ def rotate_vectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     wxv = cross(w, v)
     wxwxv = cross(w, wxv)
     return v + a * wxv + b * wxwxv
-
-
-@dataclass
-class ArclengthGrid:
-    """Uniform grid 0 = s_0 < s_1 < ... over the material parameter."""
-
-    ds: float
-    nodes: np.ndarray
-
-    @classmethod
-    def uniform(cls, ds: float, n_cells: int) -> "ArclengthGrid":
-        if ds <= 0.0:
-            raise ValueError(f"grid spacing must be positive, got {ds}")
-        if n_cells < 0:
-            raise ValueError(f"cell count must be >= 0, got {n_cells}")
-        return cls(ds=ds, nodes=ds * np.arange(n_cells + 1, dtype=float))
 
 
 def chord_steps(k: np.ndarray, ds: float) -> np.ndarray:

@@ -8,6 +8,12 @@ from .curves import chord_steps, cross
 from .errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
 from .obstacles import Scene, signed_distances
 
+# audit_arrays tolerances: tangent norm drift, relative chord excess over ds,
+# and distance of the base from the origin
+UNIT_TOL = 1e-10
+CHORD_TOL = 1e-10
+BASE_TOL = 1e-12
+
 
 def rotation_field(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Node-wise minimal rotation between two tangent fields on the same grid."""
@@ -77,40 +83,35 @@ def gronwall_certificate(
 
 
 def audit_arrays(
-    s: np.ndarray,
     gamma: np.ndarray,
     k: np.ndarray,
     ds: float,
-    scene: Scene | None = None,
-    eps_penetration: float | None = None,
-    unit_tol: float = 1e-10,
-    chord_tol: float = 1e-10,
-    base_tol: float = 1e-12,
+    scene: Scene,
+    eps_penetration: float,
 ) -> list[str]:
     """Structural invariant checks on one snapshot; returns violation messages."""
     bad: list[str] = []
     norms = np.linalg.norm(k, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > unit_tol:
-        bad.append(f"tangent norms drift from 1 by {worst:.3e} (tol {unit_tol:.1e})")
-    if float(np.linalg.norm(gamma[0])) > base_tol:
+    if worst > UNIT_TOL:
+        bad.append(f"tangent norms drift from 1 by {worst:.3e} (tol {UNIT_TOL:.1e})")
+    if float(np.linalg.norm(gamma[0])) > BASE_TOL:
         bad.append(f"base has wandered {float(np.linalg.norm(gamma[0])):.3e} from the origin")
     chords = np.diff(gamma, axis=0)
     lens = np.linalg.norm(chords, axis=1)
-    if lens.size and float(np.max(lens)) > ds * (1.0 + chord_tol):
+    if lens.size and float(np.max(lens)) > ds * (1.0 + CHORD_TOL):
         bad.append(f"chord length {float(np.max(lens)):.17g} exceeds ds {ds:.17g}")
     rebuilt = chord_steps(k, ds)
     if lens.size:
         drift = float(np.max(np.linalg.norm(chords - rebuilt, axis=1)))
         if drift > 1e-12 * max(1.0, ds):
             bad.append(f"positions desynced from tangents by {drift:.3e}")
-    if scene is not None and scene.obstacles:
+    if scene.obstacles:
         phi = signed_distances(scene, gamma)
-        limit = eps_penetration if eps_penetration is not None else 0.05 * ds
-        if float(np.min(phi)) < -limit:
+        if float(np.min(phi)) < -eps_penetration:
             bad.append(
                 f"node {int(np.argmin(phi))} penetrates {-float(np.min(phi)):.3e} "
-                f"(limit {limit:.3e})"
+                f"(limit {eps_penetration:.3e})"
             )
     return bad
 

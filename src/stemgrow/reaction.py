@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import cross
+from .curves import angular_displacement_profile, cross
 from .errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -57,7 +57,7 @@ def detect_contacts(
     stem: "StemState",
     scene: Scene,
     eps_contact: float,
-    eps_penetration: float | None = None,
+    eps_penetration: float,
 ) -> ContactSet:
     """Nodes with signed distance at most eps_contact.
 
@@ -65,9 +65,7 @@ def detect_contacts(
     hard failure. Normals are queried in a band wide enough to cover both
     tolerances.
     """
-    if eps_penetration is None:
-        eps_penetration = 0.05 * stem.ds
-    gamma = stem.gamma[: stem.n_grown + 1]
+    gamma = stem.gamma
     phi = signed_distances(scene, gamma)
     worst = int(np.argmin(phi)) if phi.size else 0
     if phi.size and phi[worst] < -eps_penetration:
@@ -186,19 +184,18 @@ def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
 def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
     """Per-row first-order normal velocity produced by a rotation density.
 
-    Quadrature matches the cumulative-rotation rule of the stepper
-    (left-endpoint rectangles); the tip row adds the elongation term.
+    Quadrature is the stepper's cumulative-rotation rule, left-endpoint
+    rectangles from angular_displacement_profile; the tip row adds the
+    elongation term.
     """
     nodes = system.contacts.nodes
     nrm = system.contacts.normals
     gam = system.gamma
     ds = system.ds
 
-    p1 = np.concatenate([np.zeros((1, 3)), np.cumsum(ds * density, axis=0)])
-    vx = np.concatenate(
-        [np.zeros((1, 3)), np.cumsum(ds * cross(density, gam), axis=0)]
-    )
-    swirl = cross(p1[nodes], gam[nodes]) - vx[nodes]
+    p1 = angular_displacement_profile(density, ds)[nodes]
+    vx = angular_displacement_profile(cross(density, gam), ds)[nodes]
+    swirl = cross(p1, gam[nodes]) - vx
     vals = np.einsum("jd,jd->j", swirl, nrm)
     if system.tip_row is not None:
         vals[system.tip_row] += float(system.k[-1] @ nrm[system.tip_row])
@@ -223,12 +220,11 @@ def assemble_constraints(
     """
     if contacts.size == 0:
         raise EmptyContactSet("assemble_constraints needs at least one contact")
-    n = stem.n_grown
     system = ConstraintSystem(
         contacts=contacts,
-        gamma=stem.gamma[: n + 1],
-        s=stem.s[: n + 1],
-        k=stem.k[: n + 1],
+        gamma=stem.gamma,
+        s=stem.s,
+        k=stem.k,
         ds=stem.ds,
         beta=beta,
         b=np.zeros(contacts.size),

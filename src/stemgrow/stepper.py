@@ -1,11 +1,11 @@
 """Time stepping: elongate, react against obstacles, rotate, reconstruct.
 
-One step advances the clock by dt (equal to the grid spacing, so one grid cell
-converts from extension to grown material per step): evaluate the growth
+The state holds the grown stem only: nodes 0..n on a uniform grid whose
+spacing equals dt. One step advances the clock by dt: evaluate the growth
 density, detect contacts, solve for the reaction, rotate every tangent by the
-cumulative rotation below it, rebuild positions from the base, and grow the
-tip by one node. The straight extension beyond the tip rotates with the tip's
-cumulative rotation, which keeps it exactly straight.
+cumulative rotation below it, append the new tip node as a copy of the
+rotated tip tangent, and rebuild positions from the base. So one grid cell
+grows per step, and the new cell continues the tip straight.
 
 When contacts are present the constraint right-hand side is refined a few
 times against the velocity the geometric update actually realizes, so that
@@ -27,12 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .config import SimConfig
-from .curves import (
-    ArclengthGrid,
-    angular_displacement_profile,
-    integrate_tangents,
-    rotate_vectors,
-)
+from .curves import angular_displacement_profile, integrate_tangents, rotate_vectors
 from .diagnostics import (
     gronwall_certificate,
     rotation_field,
@@ -58,24 +53,23 @@ log = logging.getLogger("stemgrow.stepper")
 
 @dataclass
 class StemState:
-    """Stem geometry on the full horizon grid; nodes above n_grown are extension."""
+    """Geometry of the grown stem: arclength, positions and tangents at nodes 0..n_grown.
 
-    grid: ArclengthGrid
+    Its arrays are never written after the state is made, so frames share them.
+    """
+
+    ds: float
+    s: np.ndarray
     gamma: np.ndarray
     k: np.ndarray
-    n_grown: int
 
     @property
-    def ds(self) -> float:
-        return self.grid.ds
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.grid.nodes
+    def n_grown(self) -> int:
+        return self.s.size - 1
 
     @property
     def t(self) -> float:
-        return float(self.grid.nodes[self.n_grown])
+        return float(self.s[-1])
 
 
 @dataclass
@@ -93,20 +87,17 @@ class StepInfo:
 
 
 def init_state(config: SimConfig) -> StemState:
-    """Seed the state: tangents from the seed curve, straight extension, origin base.
+    """Seed the state: tangents from the seed curve, positions from the origin base.
 
     Rejects seeds that dip into an obstacle or start on a surface. A seed
     that already sits in the rigid-jam configuration is left to run, which
     ends it with Breakdown before the first step.
     """
     n0 = config.n_seed_cells
-    n_total = config.n_total_cells
-    grid = ArclengthGrid.uniform(config.dt, n_total)
-    k = np.empty((n_total + 1, 3))
-    k[: n0 + 1] = config.seed.tangents(grid.nodes[: n0 + 1])
-    k[n0 + 1 :] = k[n0]
-    gamma = integrate_tangents(k, grid.ds)
-    state = StemState(grid=grid, gamma=gamma, k=k, n_grown=n0)
+    s = config.dt * np.arange(n0 + 1, dtype=float)
+    k = config.seed.tangents(s)
+    gamma = integrate_tangents(k, config.dt)
+    state = StemState(ds=config.dt, s=s, gamma=gamma, k=k)
 
     if config.scene.obstacles:
         base_phi = float(signed_distances(config.scene, gamma[0][None, :])[0])
@@ -142,7 +133,7 @@ def detect_breakdown(
         return False, {"angle_residual": angle_residual}
     in_contact = np.zeros(n + 1, dtype=bool)
     in_contact[contacts.nodes] = True
-    curv = np.linalg.norm(np.diff(state.k[: n + 1], axis=0), axis=1) / state.ds
+    curv = np.linalg.norm(np.diff(state.k, axis=0), axis=1) / state.ds
     free_cell = ~(in_contact[:-1] | in_contact[1:])
     max_free_curv = float(np.max(curv[free_cell])) if np.any(free_cell) else 0.0
     diag = {
@@ -156,20 +147,14 @@ def detect_breakdown(
 def _advance_fields(
     state: StemState, density: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate tangents by the cumulative rotation below each node, rebuild positions.
+    """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
 
-    density lives on grown nodes; extension nodes reuse the tip's cumulative
-    rotation, so identical extension tangents stay bitwise identical. The rows
-    above n + 1 are copies of row n + 1, so only rows 0..n+1 are rotated and
-    the rest copy row n + 1 of the result.
+    The new tip node continues the rotated tip tangent: its row is a bitwise
+    copy of the row below it.
     """
-    n = state.n_grown
-    omega_cap = np.empty((n + 2, 3))
-    omega_cap[: n + 1] = angular_displacement_profile(density, state.ds)
-    omega_cap[n + 1] = omega_cap[n]
-    k_new = np.empty_like(state.k)
-    k_new[: n + 2] = rotate_vectors(dt * omega_cap, state.k[: n + 2])
-    k_new[n + 2 :] = k_new[n + 1]
+    omega_cap = angular_displacement_profile(density, state.ds)
+    rotated = rotate_vectors(dt * omega_cap, state.k)
+    k_new = np.concatenate([rotated, rotated[-1:]])
     return k_new, integrate_tangents(k_new, state.ds)
 
 
@@ -180,10 +165,7 @@ def step(
     warm_start: np.ndarray | None = None,
 ) -> tuple[StemState, StepInfo]:
     """Advance one dt; returns the new state and what the step did."""
-    n = state.n_grown
-    if n >= state.grid.nodes.size - 1:
-        raise ValueError("stem already fills the horizon grid")
-    psi = psi_field(config.law, state.t, state.s[: n + 1], state.k[: n + 1])
+    psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts is None:
         contacts = detect_contacts(
             state, config.scene, config.eps_contact, config.eps_penetration
@@ -209,7 +191,7 @@ def step(
         for sweep in range(config.correction_sweeps):
             k_new, gamma_new = _advance_fields(state, psi + sol.omega, config.dt)
             realized = step_normal_rates(
-                state.gamma[: n + 1],
+                state.gamma,
                 gamma_new,
                 contacts.nodes,
                 contacts.normals,
@@ -241,12 +223,11 @@ def step(
             defect=defect,
         )
 
-    return StemState(grid=state.grid, gamma=gamma_new, k=k_new, n_grown=n + 1), info
+    s_new = state.ds * np.arange(state.n_grown + 2, dtype=float)
+    return StemState(ds=state.ds, s=s_new, gamma=gamma_new, k=k_new), info
 
 
 def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
-    n = state.n_grown
-    gamma = state.gamma[: n + 1]
     sol = info.solution
     kkt = info.kkt or {}
     min_phi = None
@@ -255,14 +236,13 @@ def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
         # and detection has already measured it
         min_phi = float(np.min(info.contacts.phi))
     elif scene.obstacles:
-        min_phi = float(np.min(signed_distances(scene, gamma)))
-    # s, gamma and k are copied: views would pin the full-horizon arrays.
+        min_phi = float(np.min(signed_distances(scene, state.gamma)))
     return TrajectoryFrame(
         t=state.t,
-        n_grown=n,
-        s=state.s[: n + 1].copy(),
-        gamma=gamma.copy(),
-        k=state.k[: n + 1].copy(),
+        n_grown=state.n_grown,
+        s=state.s,
+        gamma=state.gamma,
+        k=state.k,
         contacts=info.contacts,
         b=info.b_effective,
         mu=sol.mu if sol is not None else None,

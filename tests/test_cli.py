@@ -334,6 +334,30 @@ def test_oracle_check_confirms_stored_reactions(oblique_run):
     assert checked >= 10
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("audit", "--rate-tol", "nan"),
+        ("audit", "--rate-tol", "inf"),
+        ("audit", "--rate-tol", "0"),
+        ("audit", "--rate-tol", "-1e-6"),
+        ("oracle-check", "--tol", "nan"),
+        ("oracle-check", "--tol", "inf"),
+        ("oracle-check", "--tol", "0"),
+        ("oracle-check", "--tol", "-1"),
+        ("oracle-check", "--max-contacts", "0"),
+        ("oracle-check", "--max-contacts", "-3"),
+    ],
+)
+def test_bad_check_tolerance_exits_two(oblique_run, command, flag, value):
+    # a NaN tolerance compares false and would pass every frame unchecked
+    proc = invoke(command, str(oblique_run / "frames.jsonl"), f"{flag}={value}")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), proc.stderr
+
+
 CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1, "mu": 0.0}
 
 
@@ -492,3 +516,15 @@ def test_twin_bad_perturbation_exits_two(tmp_path):
     proc = invoke("twin", config_path, "--perturb", "shear:0.1", "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "tilt:ANGLE" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["tilt:nan", "tilt:inf", "tilt:-inf", "tilt:0.05:0,nan,1"])
+def test_twin_non_finite_perturbation_exits_two(tmp_path, spec):
+    # a NaN angle would be written as a bare nan token, which is not JSON
+    config_path = write_scenario(tmp_path / "twin.json", straight_doc())
+    outdir = tmp_path / "out"
+    proc = invoke("twin", config_path, f"--perturb={spec}", "--out", str(outdir))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --perturb "), proc.stderr
+    assert not outdir.exists()

@@ -133,40 +133,45 @@ def clean_arrays(n=10, ds=0.1):
     s = ds * np.arange(n + 1)
     k = np.tile(E3, (n + 1, 1))
     gamma = np.stack([np.zeros(n + 1), np.zeros(n + 1), s], axis=1)
-    return s, gamma, k
+    return gamma, k
+
+
+def audit_free(gamma, k):
+    """audit_arrays on a ds = 0.1 stem with no obstacles."""
+    return audit_arrays(gamma, k, 0.1, Scene([]), 0.005)
 
 
 def test_audit_accepts_clean_stem():
-    s, gamma, k = clean_arrays()
-    assert audit_arrays(s, gamma, k, 0.1) == []
+    gamma, k = clean_arrays()
+    assert audit_free(gamma, k) == []
 
 
 def test_audit_flags_norm_drift():
-    s, gamma, k = clean_arrays()
+    gamma, k = clean_arrays()
     k = k * 1.001
-    bad = audit_arrays(s, gamma, k, 0.1)
+    bad = audit_free(gamma, k)
     assert any("norm" in msg for msg in bad)
 
 
 def test_audit_flags_wandering_base():
-    s, gamma, k = clean_arrays()
+    gamma, k = clean_arrays()
     gamma = gamma + np.array([1e-6, 0.0, 0.0])
-    bad = audit_arrays(s, gamma, k, 0.1)
+    bad = audit_free(gamma, k)
     assert any("base" in msg for msg in bad)
 
 
 def test_audit_flags_overlong_chord():
-    s, gamma, k = clean_arrays()
+    gamma, k = clean_arrays()
     gamma[5:] += np.array([0.0, 0.0, 0.01])
-    bad = audit_arrays(s, gamma, k, 0.1)
+    bad = audit_free(gamma, k)
     assert any("chord" in msg for msg in bad)
     assert any("desync" in msg for msg in bad)
 
 
 def test_audit_flags_penetration():
-    s, gamma, k = clean_arrays()
+    gamma, k = clean_arrays()
     scene = Scene([HalfSpace(point=np.array([0.0, 0.0, 0.5]), outward_normal=-E3)])
-    bad = audit_arrays(s, gamma, k, 0.1, scene=scene, eps_penetration=0.005)
+    bad = audit_arrays(gamma, k, 0.1, scene, 0.005)
     assert any("penetrat" in msg for msg in bad)
 
 

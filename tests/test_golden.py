@@ -1,7 +1,7 @@
 """Byte-identical replay: the bundled scenarios must keep writing the same files.
 
 The SHA-256 values pin the outputs of `run` on three bundled scenarios, of
-the ceiling's sustained sliding contact at stride 20, of the tilted twin of
+the ceiling's sustained sliding contact at strides 20 and 1, of the tilted twin of
 `twin_tilt`, and of a strided twin of `sphere_perpendicular` whose two runs
 end at different frames. A refactor that changes any bit of a frame or event
 fails here. The same frames must also survive a parse and a rewrite through
@@ -38,6 +38,13 @@ GOLDEN = {
     # up to three contacts per step and about three solves and advances each
     "ceiling/frames.jsonl": "2ac1554448f3d48e97c27134d116c366314fe72d07c226bfc1b6821f23acac2e",
     "ceiling/events.jsonl": "26b3812d81f282c13ccca98b68ba884fd2b41e7236bf598dc6a8e9e0dd2ff0cb",
+    # every frame of the same run: stride 20 skips the frames between
+    "ceiling_stride1/frames.jsonl": (
+        "ec248293a4f152fe97d1a2c6ab6bc3f07ccc7717c909b0fffa66762e23d33d40"
+    ),
+    "ceiling_stride1/events.jsonl": (
+        "26b3812d81f282c13ccca98b68ba884fd2b41e7236bf598dc6a8e9e0dd2ff0cb"
+    ),
     "twin/base/frames.jsonl": "e3460daa4ee68205fdeb0436dd57c93fc34adccbf92c6e10d84f458a7912d237",
     "twin/base/events.jsonl": "ef78aef83acc70489b524ae087bf17b63cdbc2c5735c075cafd59b3c408257b5",
     "twin/perturbed/frames.jsonl": (
@@ -73,15 +80,16 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Run the four scenarios and the two twins once; return the output root."""
+    """Run the four scenarios (the ceiling at two strides) and the two twins once."""
     root = tmp_path_factory.mktemp("golden")
     # each command with its exit code: the perpendicular sphere jams the tip
     commands = [
         (["run", str(SCENARIOS / f"{name}.json"), "--out", str(root / name)], code)
         for name, code in (("straight", 0), ("sphere_perpendicular", 10), ("sphere_oblique", 0))
     ]
-    ceiling = ["run", str(SCENARIOS / "gravitropic_ceiling.json"), "--stride", "20"]
-    commands.append(([*ceiling, "--out", str(root / "ceiling")], 0))
+    ceiling = ["run", str(SCENARIOS / "gravitropic_ceiling.json")]
+    commands.append(([*ceiling, "--stride", "20", "--out", str(root / "ceiling")], 0))
+    commands.append(([*ceiling, "--stride", "1", "--out", str(root / "ceiling_stride1")], 0))
     twin = ["twin", str(SCENARIOS / "twin_tilt.json"), "--perturb", "tilt:0.05"]
     commands.append(([*twin, "--out", str(root / "twin")], 0))
     twin = ["twin", str(SCENARIOS / "sphere_perpendicular.json"), "--perturb", "tilt:0.05"]

@@ -74,12 +74,11 @@ def energy_weights(system):
 
 def rate_system(state, nodes, normals):
     """Non-tip constraint rows at the given grown nodes of a state."""
-    n = state.n_grown
     return ConstraintSystem(
         contacts=contact_at(nodes, normals, np.zeros(len(nodes))),
-        gamma=state.gamma[: n + 1],
-        s=state.s[: n + 1],
-        k=state.k[: n + 1],
+        gamma=state.gamma,
+        s=state.s,
+        k=state.k,
         ds=state.ds,
         beta=0.0,
         b=np.zeros(len(nodes)),
@@ -88,15 +87,14 @@ def rate_system(state, nodes, normals):
 
 def assemble(state, contacts, law, kappa, dt):
     """assemble_constraints fed the growth density the stepper would pass."""
-    n = state.n_grown
-    psi = psi_field(law, state.t, state.s[: n + 1], state.k[: n + 1])
+    psi = psi_field(law, state.t, state.s, state.k)
     return assemble_constraints(state, contacts, psi, law.beta, kappa, dt)
 
 
 def test_straight_stem_far_from_sphere_has_no_contacts():
     scene = Scene([Sphere(center=np.array([10.0, 0.0, 0.0]), radius=1.0)])
     state, config = vertical_state(scene=scene)
-    contacts = detect_contacts(state, scene, config.eps_contact)
+    contacts = detect_contacts(state, scene, config.eps_contact, config.eps_penetration)
     assert contacts.size == 0
     assert not contacts.tip
 
@@ -106,7 +104,7 @@ def test_detect_contacts_flags_touching_tip():
     # (a head-on jam, which seeding accepts and run ends as Breakdown)
     scene = Scene([HalfSpace(point=np.array([0.0, 0.0, 1.0]), outward_normal=-E3)])
     state, config = vertical_state(scene=scene)
-    contacts = detect_contacts(state, scene, config.eps_contact)
+    contacts = detect_contacts(state, scene, config.eps_contact, config.eps_penetration)
     assert contacts.size == 1
     assert contacts.tip
     assert contacts.nodes[0] == state.n_grown
