@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -104,6 +105,15 @@ def _parse_perturbation(spec: str) -> tuple[float, np.ndarray]:
             raise ValidationError("--perturb axis needs three components")
     if not (np.isfinite(angle) and np.all(np.isfinite(axis))):
         raise ValidationError(f"--perturb angle and axis must be finite, got {spec!r}")
+    if angle == 0.0:
+        raise ValidationError(f"--perturb angle must be nonzero, got {spec!r}")
+    # the norm the tilt normalizes by; one that overflows would tilt by zero
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(axis))
+    if not (math.isfinite(norm) and norm >= 1e-12):
+        raise ValidationError(
+            f"--perturb axis must have a finite norm of at least 1e-12, got {spec!r}"
+        )
     return angle, axis
 
 

@@ -145,6 +145,11 @@ class ConstraintSystem:
     def gram(self) -> np.ndarray:
         return _gram_matrix(self)
 
+    @cached_property
+    def rows_above(self) -> np.ndarray:
+        """For every node i, the first contact row whose node lies above i."""
+        return np.searchsorted(self.contacts.nodes, np.arange(self.s.size), side="right")
+
 
 def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
     """G_jl = sum_i w_i <a_j(sigma_i), a_l(sigma_i)>, w_i = ds e^{-beta(t-s_i)}.
@@ -248,10 +253,8 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
 
     Evaluated with suffix sums over contacts above each node.
     """
-    nodes = system.contacts.nodes
     nrm = system.contacts.normals
-    gam = system.gamma
-    m = nodes.size
+    m = nrm.shape[0]
     u = system.arms
 
     suf_u = np.zeros((m + 1, 3))
@@ -261,9 +264,20 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     suf_u = suf_u[::-1]
     suf_n = suf_n[::-1]
 
-    idx = np.searchsorted(nodes, np.arange(gam.shape[0]), side="right")
-    rho = suf_u[idx] - cross(gam, suf_n[idx])
+    idx = system.rows_above
+    rho = suf_u[idx] - cross(system.gamma, suf_n[idx])
     return system.decay[:, None] * rho
+
+
+def _solve_face(g: np.ndarray, face: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G_FF^{-1} rhs for a face F given as one or more row indices.
+
+    A one-row face is a single divide: its row is never dead, so the diagonal
+    is positive, and the quotient equals LAPACK's bit for bit.
+    """
+    if face.size == 1:
+        return rhs / g[face[0], face[0]]
+    return np.linalg.solve(g[face[:, None], face], rhs)
 
 
 def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, float]:
@@ -274,7 +288,9 @@ def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, flo
     """
     d = np.zeros(g.shape[0])
     d[j] = 1.0
-    d[face] = -np.linalg.solve(g[np.ix_(face, face)], g[face, j])
+    idx = np.flatnonzero(face)
+    if idx.size:
+        d[idx] = -_solve_face(g, idx, g[idx, j])
     return d, float(g[j] @ d)
 
 
@@ -322,9 +338,11 @@ def solve_reaction(
     steps = 0
     while True:
         z = np.zeros(m)
-        z[face] = np.linalg.solve(g[np.ix_(face, face)], b[face])
+        idx = np.flatnonzero(face)
+        if idx.size:
+            z[idx] = _solve_face(g, idx, b[idx])
         p = None
-        if not np.all(z[face] > 0.0):
+        if not np.all(z[idx] > 0.0):
             p = z - mu
         else:
             mu = z

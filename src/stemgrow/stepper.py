@@ -189,7 +189,8 @@ def step(
         # demanded pushback rate. Running out of sweeps first is a failure,
         # never a silently accepted step.
         for sweep in range(config.correction_sweeps):
-            k_new, gamma_new = _advance_fields(state, psi + sol.omega, config.dt)
+            density = psi + sol.omega
+            k_new, gamma_new = _advance_fields(state, density, config.dt)
             realized = step_normal_rates(
                 state.gamma,
                 gamma_new,
@@ -198,7 +199,7 @@ def step(
                 contacts.tip,
                 config.dt,
             )
-            predicted = linear_rates(system, psi + sol.omega)
+            predicted = linear_rates(system, density)
             defect = float(np.max(np.abs(realized - predicted)))
             active = sol.mu > 0.0
             gap = np.abs(realized[active] - pushback[active])
@@ -264,7 +265,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
     """
     state = init_state(config)
     n_total = config.n_total_cells
-    prev_nodes = np.zeros(0, dtype=int)
+    prev_nodes: set[int] = set()
     no_contacts = ContactSet(
         nodes=np.zeros(0, dtype=int),
         normals=np.zeros((0, 3)),
@@ -283,18 +284,15 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
             contacts = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
             )
-            onset = np.setdiff1d(contacts.nodes, prev_nodes)
-            release = np.setdiff1d(prev_nodes, contacts.nodes)
-            if onset.size:
-                log.info("contact onset at t=%.6g: nodes %s", t, onset.tolist())
-                events.append(
-                    Event(t=t, kind="ContactOnset", data={"nodes": [int(v) for v in onset]})
-                )
-            if release.size:
-                events.append(
-                    Event(t=t, kind="ContactRelease", data={"nodes": [int(v) for v in release]})
-                )
-            prev_nodes = contacts.nodes
+            nodes = set(contacts.nodes.tolist())
+            onset = sorted(nodes - prev_nodes)
+            release = sorted(prev_nodes - nodes)
+            if onset:
+                log.info("contact onset at t=%.6g: nodes %s", t, onset)
+                events.append(Event(t=t, kind="ContactOnset", data={"nodes": onset}))
+            if release:
+                events.append(Event(t=t, kind="ContactRelease", data={"nodes": release}))
+            prev_nodes = nodes
 
             broke, diag = detect_breakdown(state, contacts, config)
             if broke:
@@ -305,7 +303,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
                 exit_kind, data = "HorizonReached", {}
                 break
 
-            warm_vec = np.array([warm.get(int(v), 0.0) for v in contacts.nodes])
+            warm_vec = np.array([warm.get(v, 0.0) for v in contacts.nodes.tolist()])
             new_state, info = step(state, config, contacts, warm_vec)
         except SimulationError as exc:
             log.warning("integrity failure at t=%.6g: %s", t, exc)
@@ -314,10 +312,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
 
         yield _make_frame(state, info, config.scene), events
         if info.solution is not None:
-            warm = {
-                int(v): float(m)
-                for v, m in zip(contacts.nodes, info.solution.mu)
-            }
+            warm = dict(zip(contacts.nodes.tolist(), info.solution.mu.tolist()))
         state = new_state
 
     events.append(Event(t=state.t, kind=exit_kind, data=data))

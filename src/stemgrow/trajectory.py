@@ -11,8 +11,10 @@ a file one record at a time, so a reader holds one frame, not the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -148,8 +150,30 @@ def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     """value as a finite array of the given shape; [] stands for any empty shape.
 
     Only JSON numbers pass: text and true/false are rejected rather than
-    converted, and an int array takes whole numbers only.
+    converted, and an int array takes whole numbers only. A float table
+    given as a list of shape[0] lists of shape[1] numbers is flattened, its
+    element types are taken in one pass, and it is converted in one call.
+    Any other value, or a table that pass does not accept, is converted
+    nested by np.asarray and walked element by element, and that path
+    raises the ParseError that names the fault.
     """
+    if (
+        dtype is float
+        and len(shape) == 2
+        and type(value) is list
+        and len(value) == shape[0]
+        and set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {shape[1]}
+    ):
+        flat = list(chain.from_iterable(value))
+        if set(map(type, flat)) <= {float, int}:
+            try:
+                out = np.fromiter(flat, float, len(flat)).reshape(shape)
+            except OverflowError:
+                pass
+            else:
+                if np.isfinite(out).all():
+                    return out
     try:
         out = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -173,10 +197,28 @@ def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     return out
 
 
+def _scalar(value, what: str, kind=float):
+    """value as a finite float, or as an int (kind=int) that fits int64.
+
+    A JSON number is checked in Python; anything else goes through _array,
+    which raises the ParseError that names the fault.
+    """
+    if type(value) is float or type(value) is int:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if finite and (
+            kind is float or (float(value).is_integer() and -(2**63) <= value < 2**63)
+        ):
+            return kind(value)
+    return kind(_array(value, what, (), dtype=kind))
+
+
 def frame_from_dict(rec) -> TrajectoryFrame:
     """Inverse of frame_to_dict; ParseError names the missing or malformed key."""
     t, n, s, gamma, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
-    n = int(_array(n, "n", (), dtype=int))
+    n = _scalar(n, "n", int)
     if n < 0:
         raise ParseError(f"n must be >= 0, got {n}")
     if not isinstance(entries, list):
@@ -188,7 +230,7 @@ def frame_from_dict(rec) -> TrajectoryFrame:
     if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
     return TrajectoryFrame(
-        t=float(_array(t, "t", ())),
+        t=_scalar(t, "t"),
         n_grown=n,
         s=_array(s, "s", (n + 1,)),
         gamma=_array(gamma, "gamma", (n + 1, 3)),
@@ -203,7 +245,7 @@ def frame_from_dict(rec) -> TrajectoryFrame:
         b=None if all(v is None for v in b) else _array(b, "contacts[].b", (m,)),
         mu=None if all(v is None for v in mu) else _array(mu, "contacts[].mu", (m,)),
         **{
-            key: None if value is None else kind(_array(value, key, (), dtype=kind))
+            key: None if value is None else _scalar(value, key, kind)
             for (key, kind), value in zip(_SCALARS.items(), scalars)
         },
     )
@@ -220,7 +262,7 @@ def event_from_dict(rec) -> Event:
         raise ParseError("event kind is not a string")
     if not isinstance(data, dict):
         raise ParseError("event data is not an object")
-    return Event(t=float(_array(t, "t", ())), kind=kind, data=data)
+    return Event(t=_scalar(t, "t"), kind=kind, data=data)
 
 
 def write_jsonl(path: str, records) -> None:

@@ -518,9 +518,22 @@ def test_twin_bad_perturbation_exits_two(tmp_path):
     assert "tilt:ANGLE" in proc.stderr
 
 
-@pytest.mark.parametrize("spec", ["tilt:nan", "tilt:inf", "tilt:-inf", "tilt:0.05:0,nan,1"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "tilt:nan",
+        "tilt:inf",
+        "tilt:-inf",
+        "tilt:0.05:0,nan,1",
+        "tilt:0",
+        "tilt:0.05:0,0,0",
+        "tilt:0.05:1e200,1e200,1e200",
+    ],
+)
 def test_twin_non_finite_perturbation_exits_two(tmp_path, spec):
-    # a NaN angle would be written as a bare nan token, which is not JSON
+    # a NaN angle would be written as a bare nan token, which is not JSON;
+    # a zero angle, or an axis whose norm is zero or overflows, tilts by zero
+    # and leaves the twin with nothing to measure
     config_path = write_scenario(tmp_path / "twin.json", straight_doc())
     outdir = tmp_path / "out"
     proc = invoke("twin", config_path, f"--perturb={spec}", "--out", str(outdir))

@@ -107,7 +107,7 @@ def test_outputs_match_golden_hashes(outputs):
     assert got == GOLDEN
 
 
-@pytest.mark.parametrize("scenario", ["straight", "sphere_oblique"])
+@pytest.mark.parametrize("scenario", ["straight", "sphere_oblique", "ceiling_stride1"])
 def test_frames_round_trip_byte_for_byte(outputs, scenario):
     lines = (outputs / scenario / "frames.jsonl").read_text().splitlines()
     assert lines

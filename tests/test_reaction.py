@@ -187,6 +187,26 @@ def test_single_contact_closed_form():
     assert np.array_equal(sol.omega[v:], np.zeros((system.s.size - v, 3)))
 
 
+def test_one_by_one_divide_matches_lapack_bit_for_bit():
+    # a one-row face is solved as b / g in place of a 1x1 np.linalg.solve;
+    # this pins that the two agree to the bit on the BLAS/LAPACK in use
+    rng = np.random.default_rng(1101)
+    g = 10.0 ** rng.uniform(-12.0, 6.0, size=20_000) * rng.uniform(1.0, 10.0, size=20_000)
+    b = 10.0 ** rng.uniform(-10.0, 8.0, size=20_000) * rng.uniform(1.0, 10.0, size=20_000)
+    lapack = np.array(
+        [np.linalg.solve(np.array([[gi]]), np.array([bi]))[0] for gi, bi in zip(g, b)]
+    )
+    assert np.array_equal((b / g).view(np.int64), lapack.view(np.int64))
+
+
+def test_single_contact_multiplier_is_one_divide():
+    for b_val, v, beta in [(0.3, 6, 0.8), (1e-7, 3, 0.0), (42.0, 8, 2.5)]:
+        system = single_contact_system(v=v, beta=beta, b_val=b_val)
+        mu = solve_reaction(system).mu
+        want = system.b / system.gram[0, 0]
+        assert mu.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_single_contact_negative_demand_is_inactive():
     system = single_contact_system(b_val=-0.4)
     sol = solve_reaction(system)

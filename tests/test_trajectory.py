@@ -1,6 +1,8 @@
 """Tests of the run-artifact layer: the float-array writer and the lazy readers."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from stemgrow.trajectory import (
     _serialize,
     event_from_dict,
     event_to_dict,
+    frame_from_dict,
+    frame_to_dict,
     read_frames,
 )
 
@@ -78,3 +82,117 @@ def test_event_round_trips():
 def test_malformed_event_is_a_parse_error(record, message):
     with pytest.raises(ParseError, match=message):
         event_from_dict(record)
+
+
+def two_node_frame():
+    """A frame record at n = 1 with one tip contact, as json.loads gives it."""
+    return {
+        "t": 0.01,
+        "n": 1,
+        "s": [0.0, 0.01],
+        "gamma": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.01]],
+        "k": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        "contacts": [{"node": 1, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.5, "mu": 2.0}],
+        "energy": 1.0,
+        "min_phi": 0.0,
+        "kkt_complementarity": 0.0,
+        "kkt_stationarity": 0.0,
+        "realized_residual": 1e-9,
+        "solver_sweeps": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("gamma", "[[0, 0, 0], [0, 0]]", "gamma must be numeric and in range"),
+        ("gamma", '[[0, 0, 0], "abc"]', "gamma must be numeric and in range"),
+        ("gamma", '[[0, 0, 0], {"x": 0, "y": 0, "z": 1}]', "gamma must be numeric and in range"),
+        ("gamma", "[[0, true, 0], [0, 0, 1]]", "gamma must hold numbers, not text or true/false"),
+        ("gamma", '[[0, "0", 0], [0, 0, 1]]', "gamma must hold numbers, not text or true/false"),
+        ("k", "[[0, 0, 1], [0, null, 1]]", "k holds a non-finite number or a stray null"),
+        ("gamma", "[[0, 0, 0], [0, 0, 1e400]]", "gamma holds a non-finite number or a stray null"),
+        ("t", "1e400", "t holds a non-finite number or a stray null"),
+        ("n", "1" + "0" * 400, "n must be numeric and in range"),
+        ("t", "1" + "0" * 400, "t must be numeric and in range"),
+        ("t", '"late"', "t must be numeric"),
+        ("gamma", "5", r"gamma has shape \(\), expected \(2, 3\)"),
+        ("s", "[[0.0], [0.01]]", r"s has shape \(2, 1\), expected \(2,\)"),
+    ],
+    ids=[
+        "ragged_row",
+        "row_is_text",
+        "row_is_object",
+        "true_in_gamma",
+        "text_in_gamma",
+        "null_in_k",
+        "overflow_in_gamma",
+        "overflow_t",
+        "huge_int_n",
+        "huge_int_t",
+        "t_is_text",
+        "gamma_is_scalar",
+        "s_is_a_column",
+    ],
+)
+def test_malformed_frame_is_a_parse_error(key, text, message):
+    record = two_node_frame()
+    record[key] = json.loads(text)
+    with pytest.raises(ParseError, match=message):
+        frame_from_dict(record)
+
+
+def test_two_node_frame_round_trips():
+    line = _serialize(two_node_frame())
+    assert _serialize(frame_to_dict(frame_from_dict(json.loads(line)))) == line
+
+
+def value_paths(node, prefix=()):
+    """Every key or index path below a record node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from value_paths(child, prefix + (key,))
+
+
+ODD_ELEMENTS = st.sampled_from([True, False, "0", "x", None, math.nan, math.inf, -math.inf])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_mutated_frames_are_accepted_or_rejected(data):
+    record = copy.deepcopy(two_node_frame())
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(value_paths(record))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        value = parent[key]
+        how = data.draw(st.sampled_from(["swap", "drop", "append", "nest", "unnest", "delete"]))
+        if how == "swap":
+            parent[key] = data.draw(ODD_ELEMENTS)
+        elif how == "drop" and isinstance(value, list) and value:
+            del value[-1]
+        elif how == "append" and isinstance(value, list):
+            value.append(copy.deepcopy(value[-1]) if value else 0.0)
+        elif how == "nest":
+            parent[key] = [value]
+        elif how == "unnest" and isinstance(value, list) and value:
+            parent[key] = value[0]
+        elif how == "delete":
+            del parent[key]
+    try:
+        frame = frame_from_dict(record)
+    except ParseError:
+        return
+    line = _serialize(frame_to_dict(frame))
+    assert _serialize(frame_to_dict(frame_from_dict(json.loads(line)))) == line
