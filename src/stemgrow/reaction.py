@@ -264,8 +264,9 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     suf_u = suf_u[::-1]
     suf_n = suf_n[::-1]
 
+    # take gathers the same rows as suf[idx], without fancy indexing's overhead
     idx = system.rows_above
-    rho = suf_u[idx] - cross(system.gamma, suf_n[idx])
+    rho = suf_u.take(idx, axis=0) - cross(system.gamma, suf_n.take(idx, axis=0))
     return system.decay[:, None] * rho
 
 
@@ -288,7 +289,7 @@ def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, flo
     """
     d = np.zeros(g.shape[0])
     d[j] = 1.0
-    idx = np.flatnonzero(face)
+    idx = face.nonzero()[0]
     if idx.size:
         d[idx] = -_solve_face(g, idx, g[idx, j])
     return d, float(g[j] @ d)
@@ -314,11 +315,11 @@ def solve_reaction(
         raise EmptyContactSet("solve_reaction needs at least one contact")
     g = system.gram
     b = system.b
-    diag = np.diag(g)
-    bscale = 1.0 + float(np.max(np.abs(b)))
-    dead = diag <= 1e-20 * max(1.0, float(np.max(diag)))
-    if np.any(dead & (b > 1e-12 * bscale)):
-        j = int(np.nonzero(dead & (b > 1e-12 * bscale))[0][0])
+    diag = g.diagonal()
+    bscale = 1.0 + float(np.abs(b).max())
+    dead = diag <= 1e-20 * max(1.0, float(diag.max()))
+    if (dead & (b > 1e-12 * bscale)).any():
+        j = int((dead & (b > 1e-12 * bscale)).nonzero()[0][0])
         raise InfeasibleReaction(
             f"contact row {j} (node {int(system.contacts.nodes[j])}) has no "
             f"leverage but demands rate {b[j]:.3e}"
@@ -327,7 +328,7 @@ def solve_reaction(
     mu = np.zeros(m)
     face = np.zeros(m, dtype=bool)
     if warm_start is not None and warm_start.shape == (m,):
-        for j in np.nonzero((warm_start > 0.0) & ~dead)[0]:
+        for j in ((warm_start > 0.0) & ~dead).nonzero()[0]:
             if _face_step(g, face, j)[1] > 1e-12 * diag[j]:
                 face[j] = True
                 mu[j] = warm_start[j]
@@ -338,11 +339,11 @@ def solve_reaction(
     steps = 0
     while True:
         z = np.zeros(m)
-        idx = np.flatnonzero(face)
+        idx = face.nonzero()[0]
         if idx.size:
             z[idx] = _solve_face(g, idx, b[idx])
         p = None
-        if not np.all(z[idx] > 0.0):
+        if not (z[idx] > 0.0).all():
             p = z - mu
         else:
             mu = z
@@ -372,13 +373,13 @@ def solve_reaction(
             # face multiplier reaches zero, and drop its row.
             shrink = face & (p < 0.0)
             ratios = mu[shrink] / -p[shrink]
-            mu = mu + float(np.min(ratios)) * p
+            mu = mu + float(ratios.min()) * p
             mu[np.nonzero(shrink)[0][np.argmin(ratios)]] = 0.0
             face &= mu > 0.0
             mu[~face] = 0.0
 
     # Round-off on a face too close to dependent leaves its rows unsolved.
-    resid = float(np.max(np.abs(slack[face]), initial=0.0))
+    resid = float(np.abs(slack[face]).max(initial=0.0))
     if resid > tol:
         raise InfeasibleReaction(
             f"active contact rows are too close to dependent: face residual {resid:.3e}"

@@ -6,6 +6,9 @@ the only one that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
 Each float array is written from one '%.17g' template, and the readers parse
 a file one record at a time, so a reader holds one frame, not the file.
+Reading, a well-formed (n, 3) table is flattened and converted in one call
+and a number is checked in Python; any other value is converted nested by
+np.asarray, and that path names what is wrong with it.
 """
 
 from __future__ import annotations
@@ -152,10 +155,10 @@ def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     Only JSON numbers pass: text and true/false are rejected rather than
     converted, and an int array takes whole numbers only. A float table
     given as a list of shape[0] lists of shape[1] numbers is flattened, its
-    element types are taken in one pass, and it is converted in one call.
-    Any other value, or a table that pass does not accept, is converted
-    nested by np.asarray and walked element by element, and that path
-    raises the ParseError that names the fault.
+    element types are taken in one set(map(type, ...)) pass, and it is
+    converted in one call. Any other value, and a table with a wrong type or
+    a non-finite number, is converted nested by np.asarray and walked element
+    by element; that path raises the ParseError that names the fault.
     """
     if (
         dtype is float
