@@ -200,8 +200,13 @@ def test_one_by_one_divide_matches_lapack_bit_for_bit():
 
 
 def test_single_contact_multiplier_is_one_divide():
-    for b_val, v, beta in [(0.3, 6, 0.8), (1e-7, 3, 0.0), (42.0, 8, 2.5)]:
-        system = single_contact_system(v=v, beta=beta, b_val=b_val)
+    rng = np.random.default_rng(1102)
+    for _ in range(200):
+        system = single_contact_system(
+            v=int(rng.integers(1, 9)),
+            beta=float(rng.uniform(0.0, 3.0)),
+            b_val=float(10.0 ** rng.uniform(-8.0, 3.0)),
+        )
         mu = solve_reaction(system).mu
         want = system.b / system.gram[0, 0]
         assert mu.view(np.int64).tolist() == want.view(np.int64).tolist()

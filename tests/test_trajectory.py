@@ -166,7 +166,7 @@ ODD_ELEMENTS = st.sampled_from([True, False, "0", "x", None, math.nan, math.inf,
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.data())
 def test_mutated_frames_are_accepted_or_rejected(data):
-    record = copy.deepcopy(two_node_frame())
+    record = two_node_frame()
     for _ in range(data.draw(st.integers(1, 3))):
         paths = list(value_paths(record))
         if not paths:
