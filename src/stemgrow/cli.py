@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -21,6 +20,7 @@ from .errors import (
     TooManyContacts,
     ValidationError,
 )
+from .obstacles import _unit
 from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
 from .stepper import run as run_scenario
 from .stepper import twin_run
@@ -107,13 +107,7 @@ def _parse_perturbation(spec: str) -> tuple[float, np.ndarray]:
         raise ValidationError(f"--perturb angle and axis must be finite, got {spec!r}")
     if angle == 0.0:
         raise ValidationError(f"--perturb angle must be nonzero, got {spec!r}")
-    # the norm the tilt normalizes by; one that overflows would tilt by zero
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(axis))
-    if not (math.isfinite(norm) and norm >= 1e-12):
-        raise ValidationError(
-            f"--perturb axis must have a finite norm of at least 1e-12, got {spec!r}"
-        )
+    _unit(axis, "--perturb axis")  # the check the tilt's normalization makes later
     return angle, axis
 
 

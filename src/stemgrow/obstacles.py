@@ -8,6 +8,7 @@ meaningful near a surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,11 @@ from .errors import DegenerateGradient, NoNearbyBoundary, ValidationError
 
 def _unit(v: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise ValidationError(f"{what} must be a nonzero vector")
+    # huge finite components overflow the norm; v / inf would be the zero vector
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if not (math.isfinite(n) and n >= 1e-12):
+        raise ValidationError(f"{what} must be a nonzero vector with a finite norm")
     return v / n
 
 

@@ -6,6 +6,10 @@ the only one that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
 Each float array is written from one '%.17g' template, and the readers parse
 a file one record at a time, so a reader holds one frame, not the file.
+Lines decode with orjson under strict RFC 8259 rules, which give every
+'%.17g' token the bits float() gives it; they reject what json.loads would
+let through: NaN and Infinity, a number that overflows to infinity, and a
+lone surrogate escape in a string.
 Reading, a well-formed (n, 3) table is flattened and converted in one call
 and a number is checked in Python; any other value is converted nested by
 np.asarray, and that path names what is wrong with it.
@@ -20,6 +24,7 @@ from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .reaction import ContactSet
@@ -287,7 +292,12 @@ def write_events(path: str, events: list) -> None:
 
 
 def _records(path: str):
-    """The records of a JSON Lines file, parsed one line at a time; blank lines are skipped."""
+    """The records of a JSON Lines file, parsed one line at a time; blank lines are skipped.
+
+    Each line decodes with orjson.loads, which rejects NaN, Infinity, a
+    number that overflows to infinity and a lone surrogate escape as a bad
+    record. An integer beyond 64 bits decodes as the nearest float.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -295,8 +305,8 @@ def _records(path: str):
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    rec = orjson.loads(line)
+                except orjson.JSONDecodeError as exc:
                     raise ParseError(f"{path}:{line_no}: bad record: {exc}")
                 yield rec
     except OSError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import runpy
 import shutil
 import subprocess
@@ -238,6 +239,44 @@ def test_malformed_config_exits_two_without_traceback(tmp_path, obstacles, flags
     assert not outdir.exists()
 
 
+HUGE_VECTOR = [1e200, 1e200, 1e200]
+
+
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("seed_curve", {"type": "segment", "direction": HUGE_VECTOR, "length": 0.1}),
+        ("law", {"variant": "zero", "up": HUGE_VECTOR}),
+        (
+            "scene",
+            {"obstacles": [
+                {"type": "half_space", "point": [0.0, 0.0, 5.0], "outward_normal": HUGE_VECTOR}
+            ]},
+        ),
+        (
+            "scene",
+            {"obstacles": [
+                {"type": "cylinder", "axis_point": [5.0, 0.0, 0.0], "axis": HUGE_VECTOR,
+                 "radius": 1.0}
+            ]},
+        ),
+    ],
+    ids=["seed_direction", "law_up", "half_space_normal", "cylinder_axis"],
+)
+def test_vector_with_overflowing_norm_exits_two(tmp_path, section, entry):
+    # the norm of such a vector is inf, and dividing by it gave the zero vector
+    doc = straight_doc()
+    doc[section] = entry
+    config_path = write_scenario(tmp_path / "huge.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "must be a nonzero vector with a finite norm" in lines[0]
+    assert not (outdir / "frames.jsonl").exists()
+
+
 def test_correction_cap_exits_twenty(tmp_path):
     # one solve per step cannot absorb the linearization defect at the
     # sphere, so the step must fail loudly instead of being accepted
@@ -422,8 +461,12 @@ def straight_run(tmp_path_factory):
         ('{"t": 0}\n', "events.jsonl:1: event has no key 'kind'"),
         ('{"t": "0.5", "kind": "X", "data": {}}\n',
          "events.jsonl:1: t must hold numbers, not text or true/false"),
+        ('{"t": NaN, "kind": "X", "data": {}}\n', "events.jsonl:1: "),
+        # strict JSON: a lone surrogate escape is not text
+        ('{"t": 0.5, "kind": "X", "data": {"note": "\\ud800"}}\n',
+         "events.jsonl:1: bad record"),
     ],
-    ids=["not_an_object", "missing_key", "t_is_text"],
+    ids=["not_an_object", "missing_key", "t_is_text", "t_is_nan", "lone_surrogate"],
 )
 def test_audit_malformed_events_exit_two_without_traceback(
     straight_run, tmp_path, content, message
@@ -453,6 +496,45 @@ def test_malformed_third_frame_stops_the_stream(straight_run, tmp_path, command)
     assert "Traceback" not in proc.stderr
     if command == "audit":
         assert "frames," not in proc.stdout
+
+
+TOO_BIG_FOR_UINT64 = "18446744073709551616"
+# Each turns the third frame of a clean run into text that is not a valid
+# frame: a non-JSON token, a number that overflows, or broken syntax.
+TEXT_FAULTS = {
+    "nan_in_gamma": (r'"gamma":\[\[[^,]+,', '"gamma":[[NaN,'),
+    "infinity_in_gamma": (r'"gamma":\[\[[^,]+,', '"gamma":[[Infinity,'),
+    "minus_infinity_in_gamma": (r'"gamma":\[\[[^,]+,', '"gamma":[[-Infinity,'),
+    "overflow_t": (r'"t":[^,]+,', '"t":1e400,'),
+    "n_past_uint64": (r'"n":\d+', f'"n":{TOO_BIG_FOR_UINT64}'),
+    "node_past_uint64": (
+        r'"contacts":\[\]',
+        f'"contacts":[{{"node":{TOO_BIG_FOR_UINT64},"phi":0.0,'
+        '"normal":[0.0,0.0,-1.0],"b":null,"mu":null}]',
+    ),
+    "leading_zero": (r'"n":(\d+)', r'"n":0\1'),
+    "trailing_comma": (r"\}$", ",}"),
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "oracle-check"])
+@pytest.mark.parametrize("fault", sorted(TEXT_FAULTS))
+def test_text_fault_in_third_frame_exits_two(straight_run, tmp_path, command, fault):
+    # only the record prefix is asserted: a field check and the JSON decoder
+    # word these faults differently, and either may catch them
+    pattern, replacement = TEXT_FAULTS[fault]
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    frames = outdir / "frames.jsonl"
+    lines = frames.read_text().splitlines()
+    bad = re.sub(pattern, replacement, lines[2], count=1)
+    assert bad != lines[2]
+    frames.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n")
+    proc = invoke(command, str(frames))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "frames.jsonl:3: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

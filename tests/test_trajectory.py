@@ -3,10 +3,13 @@
 import copy
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bare_frame
+from conftest import STEMGROW, bare_frame, stemgrow_env
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,6 +17,8 @@ from hypothesis.extra.numpy import arrays
 from stemgrow.errors import ParseError
 from stemgrow.trajectory import (
     Event,
+    _float_array_text,
+    _records,
     _serialize,
     event_from_dict,
     event_to_dict,
@@ -22,6 +27,7 @@ from stemgrow.trajectory import (
     read_frames,
 )
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
 
 
@@ -62,6 +68,51 @@ def test_read_frames_parses_lazily(tmp_path):
     assert next(frames).t == 0.25
     with pytest.raises(ParseError, match="frames.jsonl:2: bad record"):
         next(frames)
+
+
+def test_decoder_keeps_the_writers_bits(tmp_path):
+    # every token must decode to the double float() reads from it, the
+    # correctly rounded one, across the whole range of bit patterns
+    rng = np.random.default_rng(20)
+    patterns = rng.integers(-(2**63), 2**63, size=150_000, dtype=np.int64).view(np.float64)
+    subnormals = rng.integers(1, 2**52, size=20_000, dtype=np.int64).view(np.float64)
+    edges = np.array([sys.float_info.max, -sys.float_info.max, 5e-324, -0.0])
+    normals = rng.standard_normal(40_000)
+    values = np.concatenate(
+        [patterns[np.isfinite(patterns)], subnormals, -subnormals, edges, normals]
+    )
+    assert values.size >= 200_000
+    text = _float_array_text(values)
+    path = tmp_path / "frames.jsonl"
+    path.write_text(text + "\n")
+    (decoded,) = _records(str(path))
+    tokens = text[1:-1].split(",")
+    expected = np.array([float(token) for token in tokens])
+    assert np.array_equal(expected.view(np.int64), values.view(np.int64))
+    # '%.17g' writes -0.0 as "-0", a JSON integer, which json.loads and the
+    # reader alike decode as 0 without its sign
+    whole = np.array([token == "-0" for token in tokens])
+    assert whole.sum() == 1 and decoded[int(np.argmax(whole))] == 0
+    got = np.array(decoded)
+    assert np.array_equal(got[~whole].view(np.int64), expected[~whole].view(np.int64))
+    assert np.array_equal(got.view(np.int64), np.array(json.loads(text)).view(np.int64))
+
+
+def test_contact_frames_round_trip_through_the_reader(tmp_path):
+    # the reader, not json.loads, decodes here: each line must come back
+    outdir = tmp_path / "out"
+    proc = subprocess.run(
+        [*STEMGROW, "run", str(SCENARIOS / "sphere_oblique.json"), "--out", str(outdir)],
+        capture_output=True,
+        text=True,
+        env=stemgrow_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    path = outdir / "frames.jsonl"
+    frames = list(read_frames(str(path)))
+    assert any(fr.contacts.size for fr in frames)
+    assert [_serialize(frame_to_dict(fr)) for fr in frames] == path.read_text().splitlines()
 
 
 def test_event_round_trips():
