@@ -21,7 +21,12 @@ from .errors import (
     ValidationError,
 )
 from .obstacles import _unit
-from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
+from .reaction import (
+    ConstraintSystem,
+    density_from_multipliers,
+    oracle_solve_reaction,
+    pushback_rates,
+)
 from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (
@@ -77,7 +82,7 @@ def _cmd_run(args, argv) -> int:
         config = replace(config, stride=args.stride)  # validates the override
     traj = run_scenario(config)
     _write_run(args.out, traj, config, argv)
-    final = traj.final_frame
+    final = traj.frames[-1]
     print(
         f"{traj.exit_kind}: t={final.t:.6g} nodes={final.n_grown + 1} "
         f"frames={traj.frames_total} events={len(traj.events)} -> {args.out}"
@@ -191,7 +196,7 @@ def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None
     if nxt.n_grown - prev.n_grown != 1 or prev.mu is None or not c.size:
         return None
     rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
-    target = config.kappa * np.maximum(0.0, -c.phi) / config.dt
+    target = pushback_rates(c.phi, config.kappa, config.dt)
     active = prev.mu > 0.0
     if not np.any(active):
         return None

@@ -13,6 +13,8 @@ from .obstacles import Scene, signed_distances
 UNIT_TOL = 1e-10
 CHORD_TOL = 1e-10
 BASE_TOL = 1e-12
+# gronwall_certificate's relative slack on the initial distance
+JITTER = 1e-9
 
 
 def rotation_field(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
@@ -50,10 +52,8 @@ def weighted_norm(w: np.ndarray, ds: float, beta: float) -> float:
     )
 
 
-def gronwall_certificate(
-    times: np.ndarray, distances: np.ndarray, jitter: float = 1e-9
-) -> tuple[float, dict]:
-    """Smallest exponential rate C with D(t) <= D(t0) (1 + jitter) e^{C (t - t0)}.
+def gronwall_certificate(times: np.ndarray, distances: np.ndarray) -> tuple[float, dict]:
+    """Smallest exponential rate C with D(t) <= D(t0) (1 + JITTER) e^{C (t - t0)}.
 
     Fitted as the max over samples of log growth divided by elapsed time; a
     constant series certifies at (numerically) zero.
@@ -68,7 +68,7 @@ def gronwall_certificate(
         raise NonPositiveDistance(
             f"distance samples must be positive, min {float(np.min(distances)):.3e}"
         )
-    ratios = (np.log(distances[1:] / distances[0]) - np.log1p(jitter)) / (
+    ratios = (np.log(distances[1:] / distances[0]) - np.log1p(JITTER)) / (
         times[1:] - times[0]
     )
     arg = int(np.argmax(ratios))

@@ -163,18 +163,17 @@ def signed_distances(scene: Scene, points: np.ndarray) -> np.ndarray:
     return np.min(per, axis=0)
 
 
-def outer_normal(scene: Scene, x: np.ndarray, band_width: float | None = None) -> np.ndarray:
+def outer_normal(scene: Scene, x: np.ndarray, band_width: float) -> np.ndarray:
     """Unit normal of the nearest obstacle surface, pointing out of the obstacle.
 
-    With a band width, the query errors unless the point lies within that
-    distance of the active surface.
+    The query errors unless the point lies within band_width of that surface.
     """
     x = np.asarray(x, dtype=float)
     if not scene.obstacles:
         raise NoNearbyBoundary("scene has no obstacles")
     dists = [float(ob.distances(x[None, :])[0]) for ob in scene.obstacles]
     best = int(np.argmin(dists))
-    if band_width is not None and abs(dists[best]) > band_width:
+    if abs(dists[best]) > band_width:
         raise NoNearbyBoundary(
             f"nearest surface is {dists[best]:.3e} away, band is {band_width:.3e}"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -44,6 +44,7 @@ from .reaction import (
     check_kkt,
     detect_contacts,
     linear_rates,
+    pushback_rates,
     solve_reaction,
 )
 from .trajectory import Event, Trajectory, TrajectoryFrame
@@ -79,11 +80,10 @@ class StepInfo:
     b_effective: np.ndarray | None
     kkt: dict | None
     realized_residual: float | None
-    defect: float | None
 
     @classmethod
     def without_reaction(cls, contacts: ContactSet) -> "StepInfo":
-        return cls(contacts, None, None, None, None, None)
+        return cls(contacts, None, None, None, None)
 
 
 def init_state(config: SimConfig) -> StemState:
@@ -161,16 +161,14 @@ def _advance_fields(
 def step(
     state: StemState,
     config: SimConfig,
-    contacts: ContactSet | None = None,
-    warm_start: np.ndarray | None = None,
+    contacts: ContactSet,
+    warm_start: np.ndarray | None,
 ) -> tuple[StemState, StepInfo]:
-    """Advance one dt; returns the new state and what the step did."""
-    psi = psi_field(config.law, state.t, state.s, state.k)
-    if contacts is None:
-        contacts = detect_contacts(
-            state, config.scene, config.eps_contact, config.eps_penetration
-        )
+    """Advance one dt against the state's contacts; returns the new state and what the step did.
 
+    warm_start holds a multiplier per contact to seed the first solve, or is None.
+    """
+    psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
         k_new, gamma_new = _advance_fields(state, psi, config.dt)
         info = StepInfo.without_reaction(contacts)
@@ -178,8 +176,8 @@ def step(
         system = assemble_constraints(
             state, contacts, psi, config.law.beta, config.kappa, config.dt
         )
-        b0 = system.b.copy()
-        pushback = config.kappa * np.maximum(0.0, -contacts.phi) / config.dt
+        b0 = system.b
+        pushback = pushback_rates(contacts.phi, config.kappa, config.dt)
         sol = solve_reaction(system, warm_start)
         # The solve is exact for the linearized rates; the actual update
         # rotates nodes along circular arcs, so the realized normal rates at
@@ -199,8 +197,6 @@ def step(
                 contacts.tip,
                 config.dt,
             )
-            predicted = linear_rates(system, density)
-            defect = float(np.max(np.abs(realized - predicted)))
             active = sol.mu > 0.0
             gap = np.abs(realized[active] - pushback[active])
             realized_residual = float(np.max(gap, initial=0.0))
@@ -213,15 +209,14 @@ def step(
                     config.correction_tol,
                     config.correction_sweeps,
                 )
-            system.b = b0 - (realized - predicted)
+            system.b = b0 - (realized - linear_rates(system, density))
             sol = solve_reaction(system, sol.mu)
         info = StepInfo(
             contacts=contacts,
             solution=sol,
-            b_effective=system.b.copy(),
+            b_effective=system.b,
             kkt=check_kkt(system, sol),
             realized_residual=realized_residual,
-            defect=defect,
         )
 
     s_new = state.ds * np.arange(state.n_grown + 2, dtype=float)
@@ -357,7 +352,7 @@ class TwinResult:
     times: np.ndarray
     distances: np.ndarray
     growth_constant: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:

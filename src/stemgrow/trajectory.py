@@ -72,10 +72,6 @@ class Trajectory:
     exit_kind: str
     frames_total: int
 
-    @property
-    def final_frame(self) -> TrajectoryFrame:
-        return self.frames[-1]
-
 
 def _float_array_text(a: np.ndarray) -> str:
     """A 1-D or 2-D float64 array as _serialize's nested list text, from one template.

@@ -117,7 +117,7 @@ def test_criterion_02_kkt_certificates(qp_battery):
         omega_norm = float(np.linalg.norm(sol.omega))
         stat_bound = 1e-9 * omega_norm
         worst_stat = max(worst_stat, kkt["stationarity"] - stat_bound)
-        min_mu = min(min_mu, kkt["dual_sign"])
+        min_mu = min(min_mu, float(np.min(sol.mu)))
         comp_bound = 1e-8 * (1.0 + float(np.max(np.abs(system.b))))
         worst_comp = max(worst_comp, kkt["complementarity"] / comp_bound)
     ok = worst_stat <= 0.0 and min_mu >= 0.0 and worst_comp <= 1.0
@@ -202,7 +202,7 @@ def test_criterion_06_free_growth_convergence_order():
         )
         traj = run(config)
         assert traj.exit_kind == "HorizonReached"
-        final = traj.final_frame
+        final = traj.frames[-1]
         return final.gamma[final.n_grown]
 
     reference = tip_at_horizon(1.5625e-4)

@@ -263,8 +263,8 @@ def test_kkt_certificates_on_random_fixtures():
         kk = check_kkt(system, sol)
         bscale = 1.0 + float(np.max(np.abs(system.b)))
         omega_scale = 1.0 + float(np.max(np.abs(sol.omega)))
-        assert kk["dual_sign"] >= 0.0
-        assert kk["feasibility"] >= -1e-9 * bscale
+        assert np.min(sol.mu) >= 0.0
+        assert np.min(system.gram @ sol.mu - system.b) >= -1e-9 * bscale
         assert kk["complementarity"] <= 1e-8 * bscale * (1.0 + float(np.max(sol.mu)))
         assert kk["stationarity"] <= 1e-9 * omega_scale
 

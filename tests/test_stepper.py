@@ -8,12 +8,14 @@ import pytest
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
+from stemgrow.diagnostics import step_normal_rates
 from stemgrow.errors import InitialPenetration
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
     assemble_constraints,
     detect_contacts,
+    linear_rates,
     oracle_solve_reaction,
     solve_reaction,
 )
@@ -41,6 +43,10 @@ def make_config(**overrides):
 
 def ceiling(z):
     return Scene([HalfSpace(point=np.array([0.0, 0.0, z]), outward_normal=-E3)])
+
+
+def contacts_of(state, config):
+    return detect_contacts(state, config.scene, config.eps_contact, config.eps_penetration)
 
 
 def test_seed_fills_grid_with_vertical_tangents():
@@ -191,7 +197,7 @@ def test_extension_stays_bitwise_straight_through_contact():
     )
     state = init_state(config)
     for _ in range(12):
-        state, info = step(state, config)
+        state, info = step(state, config, contacts_of(state, config), None)
         # the new tip node continues the rotated tip tangent exactly
         assert np.array_equal(state.k[-1], state.k[-2])
         norms = np.linalg.norm(state.k, axis=1)
@@ -204,7 +210,7 @@ def stepped(request):
     config = load_config(str(SCENARIOS / f"{request.param}.json"))
     states = [init_state(config)]
     while states[-1].n_grown < config.n_total_cells:
-        states.append(step(states[-1], config)[0])
+        states.append(step(states[-1], config, contacts_of(states[-1], config), None)[0])
     return config, states
 
 
@@ -299,14 +305,30 @@ def test_defect_correction_cancels_realized_normal_rates():
     state = init_state(config)
     saw_contact = False
     for _ in range(15):
-        state, info = step(state, config)
+        contacts = contacts_of(state, config)
+        new_state, info = step(state, config, contacts, None)
         if info.solution is not None and np.any(info.solution.mu > 0):
             saw_contact = True
-            # the correction compensates the linearization defect rather than
-            # removing it, so the defect stays finite while the realized
-            # rates land on the demanded pushback
+            # the correction compensates the linearization defect (realized
+            # minus predicted rates) rather than removing it, so the defect
+            # stays finite while the realized rates land on the demanded
+            # pushback
             assert info.realized_residual <= config.correction_tol
-            assert info.defect is not None and info.defect < 0.1
+            psi = psi_field(config.law, state.t, state.s, state.k)
+            system = assemble_constraints(
+                state, contacts, psi, config.law.beta, config.kappa, config.dt
+            )
+            predicted = linear_rates(system, psi + info.solution.omega)
+            realized = step_normal_rates(
+                state.gamma,
+                new_state.gamma,
+                contacts.nodes,
+                contacts.normals,
+                contacts.tip,
+                config.dt,
+            )
+            assert np.max(np.abs(realized - predicted)) < 0.1
+        state = new_state
     assert saw_contact
 
 
