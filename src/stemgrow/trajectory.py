@@ -24,7 +24,6 @@ from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .errors import ParseError
 from .reaction import ContactSet
@@ -233,7 +232,7 @@ def frame_from_dict(rec) -> TrajectoryFrame:
     nodes = _array(node, "contacts[].node", (m,), dtype=int)
     if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
-    return TrajectoryFrame(
+    frame = TrajectoryFrame(
         t=_scalar(t, "t"),
         n_grown=n,
         s=_array(s, "s", (n + 1,)),
@@ -253,6 +252,9 @@ def frame_from_dict(rec) -> TrajectoryFrame:
             for (key, kind), value in zip(_SCALARS.items(), scalars)
         },
     )
+    if frame.solver_sweeps is not None and frame.solver_sweeps < 0:
+        raise ParseError(f"solver_sweeps must be >= 0, got {frame.solver_sweeps}")
+    return frame
 
 
 def event_to_dict(ev: Event) -> dict:
@@ -292,8 +294,11 @@ def _records(path: str):
 
     Each line decodes with orjson.loads, which rejects NaN, Infinity, a
     number that overflows to infinity and a lone surrogate escape as a bad
-    record. An integer beyond 64 bits decodes as the nearest float.
+    record. An integer beyond 64 bits decodes as the nearest float. orjson
+    is imported here, so run and twin, which only write, never load it.
     """
+    import orjson
+
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):

@@ -417,6 +417,11 @@ CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1,
         ),
         (bare_frame(n=0.7), "frames.jsonl:1: n must hold whole numbers"),
         (bare_frame(solver_sweeps=2.9), "frames.jsonl:1: solver_sweeps must hold whole numbers"),
+        # decoded as the float -2^63, a whole number in the int64 range
+        (
+            bare_frame(solver_sweeps=-9223372036854775809),
+            "frames.jsonl:1: solver_sweeps must be >= 0, got -9223372036854775808",
+        ),
     ],
     ids=[
         "missing_key",
@@ -429,6 +434,7 @@ CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1,
         "sweeps_is_boolean",
         "n_is_fractional",
         "sweeps_is_fractional",
+        "sweeps_below_int64",
     ],
 )
 def test_malformed_frames_exit_two_without_traceback(tmp_path, command, content, message):

@@ -10,9 +10,7 @@ from stemgrow.curves import (
     angular_displacement_profile,
     chord_steps,
     cross,
-    cross_matrix,
     integrate_tangents,
-    rodrigues,
     rotate_vectors,
 )
 
@@ -38,9 +36,14 @@ RK4_CASES = [
 ]
 
 
+# rotate_vectors evaluates Rodrigues' formula; these tests hold it to the
+# rotation it stands for. Rotating the basis gives the transposed matrix.
+BASIS = np.eye(3)
+
+
 @pytest.mark.parametrize("w, v, expected", RK4_CASES)
 def test_rodrigues_matches_integrated_rotation(w, v, expected):
-    got = rodrigues(np.array(w)) @ np.array(v)
+    got = rotate_vectors(np.array(w), np.array(v))
     assert np.max(np.abs(got - np.array(expected))) < 1e-11
 
 
@@ -48,7 +51,7 @@ def test_rodrigues_is_orthogonal_with_unit_determinant():
     rng = np.random.default_rng(7)
     for _ in range(50):
         w = rng.normal(scale=2.0, size=3)
-        q = rodrigues(w)
+        q = rotate_vectors(w, BASIS)
         assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(q) - 1.0) < 1e-12
 
@@ -57,7 +60,7 @@ def test_rodrigues_negative_vector_is_inverse():
     rng = np.random.default_rng(8)
     for _ in range(20):
         w = rng.normal(size=3)
-        q = rodrigues(w) @ rodrigues(-w)
+        q = rotate_vectors(-w, rotate_vectors(w, BASIS))
         assert np.max(np.abs(q - np.eye(3))) < 1e-12
 
 
@@ -67,11 +70,11 @@ def test_rodrigues_preserves_unit_norm():
         w = rng.normal(scale=3.0, size=3)
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        assert abs(np.linalg.norm(rodrigues(w) @ v) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(rotate_vectors(w, v)) - 1.0) < 1e-12
 
 
 def test_rodrigues_zero_vector_is_identity():
-    assert np.array_equal(rodrigues(np.zeros(3)), np.eye(3))
+    assert np.array_equal(rotate_vectors(np.zeros(3), BASIS), np.eye(3))
 
 
 @pytest.mark.parametrize("theta", [9.9e-7, 1.1e-6])
@@ -80,16 +83,9 @@ def test_rodrigues_accurate_near_series_threshold(theta):
     # and the cubic remainder sits far below round-off
     v = np.array([1.0, 2.0, 3.0])
     w = theta * np.array([0.0, 1.0, 0.0])
-    got = rodrigues(w) @ v
+    got = rotate_vectors(w, v)
     want = v + np.cross(w, v) + 0.5 * np.cross(w, np.cross(w, v))
     assert np.max(np.abs(got - want)) < 5e-15
-
-
-def test_cross_matrix_matches_cross_product():
-    rng = np.random.default_rng(10)
-    w = rng.normal(size=3)
-    v = rng.normal(size=3)
-    assert np.max(np.abs(cross_matrix(w) @ v - np.cross(w, v))) < 1e-15
 
 
 # bounded so that no product overflows: equal bits are then comparable
@@ -120,12 +116,20 @@ def test_cross_is_bitwise_numpy_cross(operands):
     assert np.array_equal(cross(a, b), np.cross(a, b))
 
 
+def rotation_matrix(w):
+    """exp(W) = I + a W + b W^2 for a nonzero rotation vector w, with W v = w x v,
+    t = |w|, a = sin t / t and b = (1 - cos t) / t^2."""
+    t = float(np.linalg.norm(w))
+    mat = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return np.eye(3) + np.sin(t) / t * mat + (1.0 - np.cos(t)) / t**2 * (mat @ mat)
+
+
 def test_rotate_vectors_matches_matrix_rows():
     rng = np.random.default_rng(11)
     w = rng.normal(size=(40, 3))
     v = rng.normal(size=(40, 3))
     got = rotate_vectors(w, v)
-    want = np.stack([rodrigues(wi) @ vi for wi, vi in zip(w, v)])
+    want = np.stack([rotation_matrix(wi) @ vi for wi, vi in zip(w, v)])
     assert np.max(np.abs(got - want)) < 1e-13
 
 

@@ -169,6 +169,9 @@ def two_node_frame():
         ("t", '"late"', "t must be numeric"),
         ("gamma", "5", r"gamma has shape \(\), expected \(2, 3\)"),
         ("s", "[[0.0], [0.01]]", r"s has shape \(2, 1\), expected \(2,\)"),
+        ("solver_sweeps", "-5", "solver_sweeps must be >= 0, got -5"),
+        # what the frame reader decodes -9223372036854775809 to: the float -2^63
+        ("solver_sweeps", "-9.223372036854776e18", "solver_sweeps must be >= 0"),
     ],
     ids=[
         "ragged_row",
@@ -184,6 +187,8 @@ def two_node_frame():
         "t_is_text",
         "gamma_is_scalar",
         "s_is_a_column",
+        "negative_sweeps",
+        "sweeps_below_int64",
     ],
 )
 def test_malformed_frame_is_a_parse_error(key, text, message):
