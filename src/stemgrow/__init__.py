@@ -1,8 +1,4 @@
-"""Constrained growth simulation for tree stems and vines.
-
-The package root holds what a user needs to load a scenario, run it and read
-the result. The numerical kernels are imported from their own modules.
-"""
+"""Constrained growth simulation for tree stems and vines."""
 
 __version__ = "0.1.0"
 

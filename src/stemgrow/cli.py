@@ -21,12 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .obstacles import _unit
-from .reaction import (
-    ConstraintSystem,
-    density_from_multipliers,
-    oracle_solve_reaction,
-    pushback_rates,
-)
+from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
+from .reaction import pushback_rates
 from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (

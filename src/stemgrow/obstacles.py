@@ -104,9 +104,6 @@ class Cylinder:
         return r / n
 
 
-Obstacle = Sphere | HalfSpace | Cylinder
-
-
 @dataclass
 class Scene:
     obstacles: list = field(default_factory=list)

@@ -208,11 +208,7 @@ def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
 
 
 def pushback_rates(phi: np.ndarray, kappa: float, dt: float) -> np.ndarray:
-    """The normal rate each contact must reach: kappa * depth / dt, depth = max(0, -phi).
-
-    The stabilization target that pushes a penetrated node back out; zero for
-    a node outside the obstacle.
-    """
+    """Stabilization target per contact: the normal rate that expels a penetration."""
     return kappa * np.maximum(0.0, -phi) / dt
 
 

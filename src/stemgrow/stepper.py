@@ -164,10 +164,7 @@ def step(
     contacts: ContactSet,
     warm_start: np.ndarray | None,
 ) -> tuple[StemState, StepInfo]:
-    """Advance one dt against the state's contacts; returns the new state and what the step did.
-
-    warm_start holds a multiplier per contact to seed the first solve, or is None.
-    """
+    """Advance one dt against the state's contacts; returns the new state and what it did."""
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
         k_new, gamma_new = _advance_fields(state, psi, config.dt)

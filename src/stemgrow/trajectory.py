@@ -294,8 +294,8 @@ def _records(path: str):
 
     Each line decodes with orjson.loads, which rejects NaN, Infinity, a
     number that overflows to infinity and a lone surrogate escape as a bad
-    record. An integer beyond 64 bits decodes as the nearest float. orjson
-    is imported here, so run and twin, which only write, never load it.
+    record. An integer beyond 64 bits decodes as the nearest float. Only
+    readers import orjson.
     """
     import orjson
 
