@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import rodrigues, rotate_vectors
+from .curves import rotate_vectors
 from .errors import ParseError, ValidationError
 from .growth import GrowthLaw
 from .obstacles import Cylinder, HalfSpace, Scene, Sphere, _unit
@@ -79,10 +79,10 @@ class SeedCurve:
 
     def tilted(self, angle: float, axis: np.ndarray) -> "SeedCurve":
         """Copy of the seed rigidly rotated about the origin."""
-        rot = rodrigues(angle * _unit(axis, "perturbation axis"))
+        w = angle * _unit(axis, "perturbation axis")
         if self.kind == "polyline":
-            return SeedCurve("polyline", points=self.points @ rot.T)
-        rotated = {key: rot @ unit for key, unit in self.units.items()}
+            return SeedCurve("polyline", points=rotate_vectors(w, self.points))
+        rotated = {key: rotate_vectors(w, unit) for key, unit in self.units.items()}
         return SeedCurve(self.kind, length=self.length, radius=self.radius, **rotated)
 
 

@@ -1,4 +1,4 @@
-"""Tangent integration, cumulative rotation, and rotation kernels.
+"""Tangent integration, cumulative rotation, and the rotation kernel.
 
 The stem is represented by its unit tangent field on a uniform arclength grid;
 positions are recovered by quadrature from the base point. Rotations are applied
@@ -33,35 +33,13 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def cross_matrix(w: np.ndarray) -> np.ndarray:
-    """Matrix W with W v = w x v."""
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-def rodrigues(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp(W) for the rotation vector w.
-
-    Solves v' = w x v over unit time: R = I + a(t) W + b(t) W^2 with t = |w|,
-    a = sin t / t, b = (1 - cos t) / t^2.
-    """
-    w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    a, b = _rot_coeffs(np.float64(theta))
-    mat = cross_matrix(w)
-    return np.eye(3) + float(a) * mat + float(b) * (mat @ mat)
-
-
 def rotate_vectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the rotation exp([w_i]) to v_i for every row i.
+    """Apply the rotation exp([w_i]) to v_i for every row i; one w may rotate every row.
 
-    Uses R v = v + a (w x v) + b (w x (w x v)) so zero rotation vectors need
-    no branch. Rows with identical (w, v) produce bitwise identical output.
+    exp([w]) solves v' = w x v over unit time. Uses Rodrigues' formula
+    R v = v + a (w x v) + b (w x (w x v)) with t = |w|, a = sin t / t and
+    b = (1 - cos t) / t^2, so zero rotation vectors need no branch. Rows
+    with identical (w, v) produce bitwise identical output.
     """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -208,7 +208,7 @@ def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
 
 
 def pushback_rates(phi: np.ndarray, kappa: float, dt: float) -> np.ndarray:
-    """Stabilization target per contact: the normal rate that expels a penetration."""
+    """Stabilization target per contact: normal rate kappa * depth / dt, depth = max(0, -phi)."""
     return kappa * np.maximum(0.0, -phi) / dt
 
 

@@ -48,13 +48,13 @@ GOLDEN = {
     "twin/base/frames.jsonl": "e3460daa4ee68205fdeb0436dd57c93fc34adccbf92c6e10d84f458a7912d237",
     "twin/base/events.jsonl": "ef78aef83acc70489b524ae087bf17b63cdbc2c5735c075cafd59b3c408257b5",
     "twin/perturbed/frames.jsonl": (
-        "514b4f39af266ebfad7f4de4a53e79f6a38aa6fd3619f71f8c4bc59f6708d914"
+        "6f2815c629b3b624663deb9ceb3427344959eafe28ffa83131d17e71d033c0a5"
     ),
     "twin/perturbed/events.jsonl": (
         "509d85e6cc2e0196ab73f2423da4dc1a342495feae854e37503f5c0028f3f89c"
     ),
-    "twin/distances.jsonl": "05eba16b033748f3734b8b79c0b19c9b9dfc16a41d6fb727c44918d4dfb1892e",
-    "twin/certificate.json": "e923e7f60f8fc602296802c4f770f2f935eee9657a8664840b3c985a6a70c660",
+    "twin/distances.jsonl": "d2f02884ab83ed1689d0666836a47659afb2f981e69924d49a1d59d1aeb91739",
+    "twin/certificate.json": "23ecd354c96437de83578a4c6641ab0b2d32f053ccc992e12932e494a6c5fd1b",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
