@@ -34,7 +34,6 @@ from .trajectory import (
     write_frames,
     write_jsonl,
     write_manifest,
-    _serialize,
 )
 
 log = logging.getLogger("stemgrow.cli")
@@ -138,9 +137,7 @@ def _cmd_twin(args, argv) -> int:
         "perturbation": {"kind": "tilt", "angle": angle, "axis": axis},
         **result.details,
     }
-    with open(os.path.join(args.out, "certificate.json"), "w") as fh:
-        fh.write(_serialize(cert))
-        fh.write("\n")
+    write_jsonl(os.path.join(args.out, "certificate.json"), [cert])
     print(
         f"twin: C={result.growth_constant:.6g} "
         f"D0={result.details['initial_distance']:.6g} "

@@ -108,7 +108,7 @@ class Cylinder:
 class Scene:
     obstacles: list = field(default_factory=list)
 
-    def validate(self, min_separation: float = 0.0) -> None:
+    def validate(self, min_separation: float) -> None:
         for a_i, a in enumerate(self.obstacles):
             for b in self.obstacles[a_i + 1 :]:
                 gap = _pair_gap(a, b)

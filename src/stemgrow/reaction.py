@@ -298,7 +298,7 @@ def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, flo
 
 
 def solve_reaction(
-    system: ConstraintSystem, warm_start: np.ndarray | None = None
+    system: ConstraintSystem, warm_start: np.ndarray | None
 ) -> ReactionSolution:
     """Minimize the weighted reaction energy subject to the contact constraints.
 
@@ -420,7 +420,7 @@ class OracleSolution:
 
 
 def oracle_solve_reaction(
-    system: ConstraintSystem, max_contacts: int = 12
+    system: ConstraintSystem, max_contacts: int
 ) -> OracleSolution:
     """Exhaustive active-set enumeration solve, for cross-checking.
 

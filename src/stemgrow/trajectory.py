@@ -1,15 +1,19 @@
 """Run artifacts: frame records, events, JSON Lines files, and manifests.
 
-Frames serialize with a fixed key order and 17-significant-digit reals so a
-rerun of the same manifest reproduces the files byte for byte. This module is
-the only one that knows the frames.jsonl keys: frame_to_dict writes them and
+Records are written by orjson with a fixed key order, each float as the
+shortest text that reads back to the same double, so a rerun of the same
+manifest reproduces the files byte for byte. This module is the only one
+that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
-Each float array is written from one '%.17g' template, and the readers parse
-a file one record at a time, so a reader holds one frame, not the file.
+The readers parse a file one record at a time, so a reader holds one frame,
+not the file.
+orjson writes NaN and +-inf as null. No record holds one: a NaN residual
+fails the correction loop and the twin's distances are checked to be
+positive. The reader rejects a null inside every array.
 Lines decode with orjson under strict RFC 8259 rules, which give every
-'%.17g' token the bits float() gives it; they reject what json.loads would
-let through: NaN and Infinity, a number that overflows to infinity, and a
-lone surrogate escape in a string.
+written token its double back; they reject what json.loads would let
+through: NaN and Infinity, a number that overflows to infinity, and a lone
+surrogate escape in a string.
 Reading, a well-formed (n, 3) table is flattened and converted in one call
 and a number is checked in Python; any other value is converted nested by
 np.asarray, and that path names what is wrong with it.
@@ -70,44 +74,6 @@ class Trajectory:
     events: list
     exit_kind: str
     frames_total: int
-
-
-def _float_array_text(a: np.ndarray) -> str:
-    """A 1-D or 2-D float64 array as _serialize's nested list text, from one template.
-
-    '%.17g' % x and f"{x:.17g}" format a float alike, so the text is the
-    same as the per-element path gives; only the formatting is batched.
-    """
-    template = "[" + ",".join(["%.17g"] * a.shape[-1]) + "]"
-    if a.ndim == 2:
-        template = "[" + ",".join([template] * a.shape[0]) + "]"
-    return template % tuple(a.ravel().tolist())
-
-
-def _serialize(obj) -> str:
-    """JSON text with %.17g floats and dict insertion order preserved."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.17g}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim in (1, 2):
-            return _float_array_text(obj)
-        return _serialize(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_serialize(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(str(key))}:{_serialize(v)}" for key, v in obj.items())
-        return "{" + items + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 _CONTACT_KEYS = ("node", "phi", "normal", "b", "mu")
@@ -271,12 +237,21 @@ def event_from_dict(rec) -> Event:
     return Event(t=_scalar(t, "t"), kind=kind, data=data)
 
 
+def _as_list(obj):
+    # orjson hands over the arrays it does not write itself: those that are not C-contiguous
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def write_jsonl(path: str, records) -> None:
-    """One _serialize'd record per line."""
-    with open(path, "w") as fh:
+    """One record per line, written by orjson, which is imported only when a file is written."""
+    import orjson
+
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    with open(path, "wb") as fh:
         for rec in records:
-            fh.write(_serialize(rec))
-            fh.write("\n")
+            fh.write(orjson.dumps(rec, option=option, default=_as_list))
 
 
 def write_frames(path: str, frames: list) -> int:
@@ -294,8 +269,7 @@ def _records(path: str):
 
     Each line decodes with orjson.loads, which rejects NaN, Infinity, a
     number that overflows to infinity and a lone surrogate escape as a bad
-    record. An integer beyond 64 bits decodes as the nearest float. Only
-    readers import orjson.
+    record. An integer beyond 64 bits decodes as the nearest float.
     """
     import orjson
 

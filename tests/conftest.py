@@ -1,8 +1,10 @@
-"""Shared helpers: random constraint systems, a bare frame record and the command-line runner."""
+"""Shared helpers: random constraint systems, a bare frame record, the lines the
+writer writes and the command-line runner."""
 
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import numpy as np
 import stemgrow
 from stemgrow.curves import rotate_vectors
 from stemgrow.reaction import ConstraintSystem, ContactSet
+from stemgrow.trajectory import write_jsonl
 
 # The command line as a child process; the same as the installed ``stemgrow``.
 STEMGROW = [sys.executable, "-m", "stemgrow"]
@@ -78,3 +81,12 @@ def bare_frame(**fields):
     }
     frame.update(fields)
     return (json.dumps(frame) + "\n").encode()
+
+
+def written_lines(records):
+    """The lines write_jsonl writes for records, as bytes without their newlines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        write_jsonl(path, records)
+        with open(path, "rb") as fh:
+            return fh.read().splitlines()

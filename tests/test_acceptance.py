@@ -42,7 +42,7 @@ def qp_battery():
     start = time.monotonic()
     for _ in range(500):
         system = random_constraint_system(rng)
-        sol = solve_reaction(system)
+        sol = solve_reaction(system, warm_start=None)
         oracle = oracle_solve_reaction(system, max_contacts=5)
         solves.append((system, sol, oracle))
     return solves, time.monotonic() - start
@@ -295,7 +295,7 @@ def test_criterion_09_zero_reaction_purity(ceiling):
     rng = np.random.default_rng(7)
     system = random_constraint_system(rng)
     system.b = -np.abs(system.b) - 0.1
-    sol = solve_reaction(system)
+    sol = solve_reaction(system, warm_start=None)
     direct_ok = (
         sol.energy == 0.0
         and bool(np.all(sol.omega == 0.0))

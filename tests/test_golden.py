@@ -4,8 +4,10 @@ The SHA-256 values pin the outputs of `run` on three bundled scenarios, of
 the ceiling's sustained sliding contact at strides 20 and 1, of the tilted twin of
 `twin_tilt`, and of a strided twin of `sphere_perpendicular` whose two runs
 end at different frames. A refactor that changes any bit of a frame or event
-fails here. The same frames must also survive a parse and a rewrite through
-`frame_from_dict`/`frame_to_dict` unchanged, byte for byte.
+fails here. The pinned text is orjson's (3.8.3): each float is the shortest
+text that reads back to the same double. The same frames must also survive a
+parse and a rewrite through `frame_from_dict`/`frame_to_dict` and
+`write_jsonl` unchanged, byte for byte.
 """
 
 import hashlib
@@ -14,66 +16,66 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import STEMGROW, stemgrow_env
+from conftest import STEMGROW, stemgrow_env, written_lines
 
-from stemgrow.trajectory import _serialize, frame_from_dict, frame_to_dict
+from stemgrow.trajectory import frame_from_dict, frame_to_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    "straight/frames.jsonl": "82281efbbd68cbf8f349f3fb885ac177b9d7f60c92856ddab9afa0705bbb08e5",
-    "straight/events.jsonl": "a35596288314288a5453b421fbd24d5746874038a092b0908d1a4d92a435063b",
+    "straight/frames.jsonl": "99f321b93eab0885553e609a61bbf746f7293b74c55b1ffd8957f6f845faf219",
+    "straight/events.jsonl": "a4114731c418110aab24cb3ff3a9ab818e28e3ea8390655426a1dfa5275d5c3a",
     "sphere_perpendicular/frames.jsonl": (
-        "71a26e3794a7e0db12a0f8ea9437cb8fd91c1d0a5b82a671deea549f3915face"
+        "ce4e803204ed23b5e92692243ccde78411b033454de1ddb4ec717cba3adbb56a"
     ),
     "sphere_perpendicular/events.jsonl": (
-        "f8bef7c26b9564887435eeeaab897b4dd45f887a650393a65e543612b9eb4a7c"
+        "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "38bbb0adcac1b28323297c062af489f2a410557bb74383aaa1359616b09b55b8"
+        "116b34137d0cfc5547d795d4a4e3cf84cb780f0428af230e5a57c1aa111c2c74"
     ),
     "sphere_oblique/events.jsonl": (
-        "ebde976dee8e63d306a7d15f7d870af214747ad6e1fd912358a928d16de50d9e"
+        "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and about three solves and advances each
-    "ceiling/frames.jsonl": "2ac1554448f3d48e97c27134d116c366314fe72d07c226bfc1b6821f23acac2e",
-    "ceiling/events.jsonl": "26b3812d81f282c13ccca98b68ba884fd2b41e7236bf598dc6a8e9e0dd2ff0cb",
+    "ceiling/frames.jsonl": "20b5f0e211238ac7d0b17380212780e61183348ba8417b82e7e7c015402fc7e8",
+    "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "ec248293a4f152fe97d1a2c6ab6bc3f07ccc7717c909b0fffa66762e23d33d40"
+        "b498a52d73065c42045a10b65e2cad11fe22c665f6f3e802feba97c523b12cfa"
     ),
     "ceiling_stride1/events.jsonl": (
-        "26b3812d81f282c13ccca98b68ba884fd2b41e7236bf598dc6a8e9e0dd2ff0cb"
+        "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "e3460daa4ee68205fdeb0436dd57c93fc34adccbf92c6e10d84f458a7912d237",
-    "twin/base/events.jsonl": "ef78aef83acc70489b524ae087bf17b63cdbc2c5735c075cafd59b3c408257b5",
+    "twin/base/frames.jsonl": "64a9a342cb7a3f8d74dd5532174d0b8ce5e4fdad5d2e8babfacf9814950af5e2",
+    "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "6f2815c629b3b624663deb9ceb3427344959eafe28ffa83131d17e71d033c0a5"
+        "a2dad580a12042d726ec17e7d3d84da71df692a8048c47fab3770a111142ff09"
     ),
     "twin/perturbed/events.jsonl": (
-        "509d85e6cc2e0196ab73f2423da4dc1a342495feae854e37503f5c0028f3f89c"
+        "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
     ),
-    "twin/distances.jsonl": "d2f02884ab83ed1689d0666836a47659afb2f981e69924d49a1d59d1aeb91739",
-    "twin/certificate.json": "23ecd354c96437de83578a4c6641ab0b2d32f053ccc992e12932e494a6c5fd1b",
+    "twin/distances.jsonl": "34a9cd393af5c91eea37a4c4bb7fa8bd7f6c2ef0e653c80bcc1581f457bc909b",
+    "twin/certificate.json": "c991ca7e6dd19e48441f127e05c5502b356431b918be25a0da9b5e2845dba6e2",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
-        "16c312582997ab6ab7f220895f04345f1a05b61aac3ab266bbb9b57d479aa89b"
+        "9e7ecc04619441a37f5bea76d6d0557b550fef5d7af0ff8e48bd8755515983e7"
     ),
     "twin_perpendicular/base/events.jsonl": (
-        "f8bef7c26b9564887435eeeaab897b4dd45f887a650393a65e543612b9eb4a7c"
+        "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "1138bb88009c0e8208d9f63d2021daaac5a190227899a8b580ae3b77e7ba45b1"
+        "db7a73043abca497df2cb625caf5ada0b9214244fb25993a28d0fb2fd89bf774"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
-        "4790434f573ecdba73631ce270952b832c83f9f280bd2a2fce482dd86ed38494"
+        "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"
     ),
     "twin_perpendicular/distances.jsonl": (
-        "a2d057636460c934ad598d72c701c119159fc45d53a717ab99e80daf715aefda"
+        "57373113ef8f6dc09cdd1931f4f56b3a7b2fff87b1eb31d585dcfc88572e25a0"
     ),
     "twin_perpendicular/certificate.json": (
-        "0cbb1a4eefddc140cacefe6ec2a485465d2295178106c141c9a297ebd7943f96"
+        "554ab935d566b88d5af86ac9d94d7c7b7bd7607f91816340ee5c2ead65f5e84e"
     ),
 }
 
@@ -109,7 +111,7 @@ def test_outputs_match_golden_hashes(outputs):
 
 @pytest.mark.parametrize("scenario", ["straight", "sphere_oblique", "ceiling_stride1"])
 def test_frames_round_trip_byte_for_byte(outputs, scenario):
-    lines = (outputs / scenario / "frames.jsonl").read_text().splitlines()
+    lines = (outputs / scenario / "frames.jsonl").read_bytes().splitlines()
     assert lines
-    for line in lines:
-        assert _serialize(frame_to_dict(frame_from_dict(json.loads(line)))) == line
+    rewritten = written_lines(frame_to_dict(frame_from_dict(json.loads(line))) for line in lines)
+    assert rewritten == lines

@@ -192,7 +192,7 @@ def test_scene_validate_rejects_touching_spheres():
         ]
     )
     with pytest.raises(ValidationError):
-        scene.validate()
+        scene.validate(min_separation=0.0)
 
 
 def test_scene_validate_rejects_sphere_crossing_plane():
@@ -203,7 +203,7 @@ def test_scene_validate_rejects_sphere_crossing_plane():
         ]
     )
     with pytest.raises(ValidationError):
-        scene.validate()
+        scene.validate(min_separation=0.0)
 
 
 def test_scene_validate_rejects_tilted_cylinder_against_plane():
@@ -215,7 +215,7 @@ def test_scene_validate_rejects_tilted_cylinder_against_plane():
         ]
     )
     with pytest.raises(ValidationError):
-        scene.validate()
+        scene.validate(min_separation=0.0)
 
 
 def test_scene_validate_separated_parallel_cylinders():

@@ -88,7 +88,8 @@ def test_test_extra_installs_what_the_tests_import():
 
 
 def test_command_line_does_not_load_orjson():
-    # only the readers decode; run and twin never need the decoder
+    # the writer and the readers import orjson only when they are called, so
+    # importing the command line, which every run pays for, does not load it
     code = "import stemgrow.cli, sys; sys.exit(int('orjson' in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=stemgrow_env()

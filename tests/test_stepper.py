@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import written_lines
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
@@ -20,7 +21,7 @@ from stemgrow.reaction import (
     solve_reaction,
 )
 from stemgrow.stepper import _advance_fields, detect_breakdown, init_state, run, step
-from stemgrow.trajectory import _serialize, frame_to_dict
+from stemgrow.trajectory import frame_to_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -285,8 +286,8 @@ def test_contact_step_agrees_with_enumeration_solver():
     system = assemble_constraints(
         state, contacts, psi, config.law.beta, config.kappa, config.dt
     )
-    sol = solve_reaction(system)
-    ora = oracle_solve_reaction(system)
+    sol = solve_reaction(system, warm_start=None)
+    ora = oracle_solve_reaction(system, max_contacts=12)
     scale = 1.0 + float(np.max(np.abs(ora.omega)))
     assert np.max(np.abs(sol.omega - ora.omega)) <= 1e-8 * scale
 
@@ -340,9 +341,9 @@ def _kept_indices(total, stride):
     return idx
 
 
-def _frame_text(frame):
-    # %.17g text round-trips every float, so equal text means equal bits
-    return _serialize(frame_to_dict(frame))
+def _frame_lines(frames):
+    # the writer's text round-trips every float, so equal text means equal bits
+    return written_lines(frame_to_dict(fr) for fr in frames)
 
 
 @pytest.mark.parametrize(
@@ -360,12 +361,12 @@ def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit
     assert full.exit_kind == exit_kind
     assert full.events[-1].kind == exit_kind
     assert full.frames_total == len(full.frames) == total
-    every = [_frame_text(fr) for fr in full.frames]
+    every = _frame_lines(full.frames)
     for k in (3, 7, total + 5):
         kept = run(replace(config, stride=k))
         assert kept.exit_kind == exit_kind
         assert kept.frames_total == total
-        assert [_frame_text(fr) for fr in kept.frames] == [
+        assert _frame_lines(kept.frames) == [
             every[i] for i in _kept_indices(total, k)
         ]
         assert kept.events == full.events

@@ -1,4 +1,4 @@
-"""Tests of the run-artifact layer: the float-array writer and the lazy readers."""
+"""Tests of the run-artifact layer: the JSON Lines writer and the lazy readers."""
 
 import copy
 import json
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import STEMGROW, bare_frame, stemgrow_env
+from conftest import STEMGROW, bare_frame, stemgrow_env, written_lines
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,25 +17,17 @@ from hypothesis.extra.numpy import arrays
 from stemgrow.errors import ParseError
 from stemgrow.trajectory import (
     Event,
-    _float_array_text,
     _records,
-    _serialize,
     event_from_dict,
     event_to_dict,
     frame_from_dict,
     frame_to_dict,
     read_frames,
+    write_jsonl,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
-
-
-def recursive_text(a: np.ndarray) -> str:
-    """The per-element text the writer gave before it batched float arrays."""
-    if a.ndim == 1:
-        return "[" + ",".join(f"{x:.17g}" for x in a.tolist()) + "]"
-    return "[" + ",".join(recursive_text(row) for row in a) + "]"
 
 
 float_arrays = st.integers(0, 40).flatmap(
@@ -53,12 +45,27 @@ float_arrays = st.integers(0, 40).flatmap(
 @example(np.zeros((0, 3)))
 @example(np.array(EDGE_FLOATS))
 @example(np.array(EDGE_FLOATS[:6]).reshape(2, 3))
-def test_float_array_text_matches_per_element_text(a):
-    assert _serialize(a) == recursive_text(a)
+def test_float_arrays_round_trip_exactly(a):
+    # finite floats come back bit for bit; orjson writes NaN and +-inf as null
+    (line,) = written_lines([a])
+    got = np.array(json.loads(line), dtype=float).reshape(a.shape)
+    finite = np.isfinite(a)
+    assert np.array_equal(got[finite].view(np.int64), a[finite].view(np.int64))
+    assert np.isnan(got[~finite]).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(float_arrays)
+@example(np.array(EDGE_FLOATS))
+@example(np.array(EDGE_FLOATS[:6]).reshape(2, 3))
+def test_non_contiguous_view_writes_its_copys_bytes(a):
+    # orjson writes only C-contiguous arrays itself; the writer lists the others
+    view = a[::-1] if a.ndim == 1 else a.T
+    assert written_lines([view]) == written_lines([np.ascontiguousarray(view)])
 
 
 def test_integer_array_keeps_the_integer_path():
-    assert _serialize(np.array([2**60])) == "[1152921504606846976]"
+    assert written_lines([np.array([2**60])]) == [b"[1152921504606846976]"]
 
 
 def test_read_frames_parses_lazily(tmp_path):
@@ -71,8 +78,8 @@ def test_read_frames_parses_lazily(tmp_path):
 
 
 def test_decoder_keeps_the_writers_bits(tmp_path):
-    # every token must decode to the double float() reads from it, the
-    # correctly rounded one, across the whole range of bit patterns
+    # every value must come back from write_jsonl and the reader with its
+    # bits, across the whole range of bit patterns, -0.0 included
     rng = np.random.default_rng(20)
     patterns = rng.integers(-(2**63), 2**63, size=150_000, dtype=np.int64).view(np.float64)
     subnormals = rng.integers(1, 2**52, size=20_000, dtype=np.int64).view(np.float64)
@@ -82,20 +89,12 @@ def test_decoder_keeps_the_writers_bits(tmp_path):
         [patterns[np.isfinite(patterns)], subnormals, -subnormals, edges, normals]
     )
     assert values.size >= 200_000
-    text = _float_array_text(values)
     path = tmp_path / "frames.jsonl"
-    path.write_text(text + "\n")
+    write_jsonl(str(path), [values])
     (decoded,) = _records(str(path))
-    tokens = text[1:-1].split(",")
-    expected = np.array([float(token) for token in tokens])
-    assert np.array_equal(expected.view(np.int64), values.view(np.int64))
-    # '%.17g' writes -0.0 as "-0", a JSON integer, which json.loads and the
-    # reader alike decode as 0 without its sign
-    whole = np.array([token == "-0" for token in tokens])
-    assert whole.sum() == 1 and decoded[int(np.argmax(whole))] == 0
-    got = np.array(decoded)
-    assert np.array_equal(got[~whole].view(np.int64), expected[~whole].view(np.int64))
-    assert np.array_equal(got.view(np.int64), np.array(json.loads(text)).view(np.int64))
+    assert np.array_equal(np.array(decoded).view(np.int64), values.view(np.int64))
+    text = path.read_text()
+    assert np.array_equal(np.array(json.loads(text)).view(np.int64), values.view(np.int64))
 
 
 def test_contact_frames_round_trip_through_the_reader(tmp_path):
@@ -112,12 +111,13 @@ def test_contact_frames_round_trip_through_the_reader(tmp_path):
     path = outdir / "frames.jsonl"
     frames = list(read_frames(str(path)))
     assert any(fr.contacts.size for fr in frames)
-    assert [_serialize(frame_to_dict(fr)) for fr in frames] == path.read_text().splitlines()
+    assert written_lines(frame_to_dict(fr) for fr in frames) == path.read_bytes().splitlines()
 
 
 def test_event_round_trips():
     ev = Event(t=0.5, kind="ContactOnset", data={"nodes": [3, 4]})
-    assert event_from_dict(json.loads(_serialize(event_to_dict(ev)))) == ev
+    (line,) = written_lines([event_to_dict(ev)])
+    assert event_from_dict(json.loads(line)) == ev
 
 
 @pytest.mark.parametrize(
@@ -199,8 +199,8 @@ def test_malformed_frame_is_a_parse_error(key, text, message):
 
 
 def test_two_node_frame_round_trips():
-    line = _serialize(two_node_frame())
-    assert _serialize(frame_to_dict(frame_from_dict(json.loads(line)))) == line
+    lines = written_lines([two_node_frame()])
+    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0])))]) == lines
 
 
 def value_paths(node, prefix=()):
@@ -250,5 +250,5 @@ def test_mutated_frames_are_accepted_or_rejected(data):
         frame = frame_from_dict(record)
     except ParseError:
         return
-    line = _serialize(frame_to_dict(frame))
-    assert _serialize(frame_to_dict(frame_from_dict(json.loads(line)))) == line
+    lines = written_lines([frame_to_dict(frame)])
+    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0])))]) == lines
