@@ -186,19 +186,24 @@ def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
+def linear_rates(
+    system: ConstraintSystem, density: np.ndarray, profile: np.ndarray | None = None
+) -> np.ndarray:
     """Per-row first-order normal velocity produced by a rotation density.
 
     Quadrature is the stepper's cumulative-rotation rule, left-endpoint
     rectangles from angular_displacement_profile; the tip row adds the
-    elongation term.
+    elongation term. profile, when given, is that rule's profile of density,
+    which a caller that has already built it passes instead of building it twice.
     """
     nodes = system.contacts.nodes
     nrm = system.contacts.normals
     gam = system.gamma
     ds = system.ds
 
-    p1 = angular_displacement_profile(density, ds)[nodes]
+    if profile is None:
+        profile = angular_displacement_profile(density, ds)
+    p1 = profile[nodes]
     vx = angular_displacement_profile(cross(density, gam), ds)[nodes]
     swirl = cross(p1, gam[nodes]) - vx
     vals = np.einsum("jd,jd->j", swirl, nrm)

@@ -145,14 +145,14 @@ def detect_breakdown(
 
 
 def _advance_fields(
-    state: StemState, density: np.ndarray, dt: float
+    state: StemState, omega_cap: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
 
-    The new tip node continues the rotated tip tangent: its row is a bitwise
-    copy of the row below it.
+    omega_cap is the density's angular_displacement_profile. The new tip node
+    continues the rotated tip tangent: its row is a bitwise copy of the row
+    below it.
     """
-    omega_cap = angular_displacement_profile(density, state.ds)
     rotated = rotate_vectors(dt * omega_cap, state.k)
     k_new = np.concatenate([rotated, rotated[-1:]])
     return k_new, integrate_tangents(k_new, state.ds)
@@ -167,7 +167,9 @@ def step(
     """Advance one dt against the state's contacts; returns the new state and what it did."""
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
-        k_new, gamma_new = _advance_fields(state, psi, config.dt)
+        k_new, gamma_new = _advance_fields(
+            state, angular_displacement_profile(psi, state.ds), config.dt
+        )
         info = StepInfo.without_reaction(contacts)
     else:
         system = assemble_constraints(
@@ -185,7 +187,8 @@ def step(
         # never a silently accepted step.
         for sweep in range(config.correction_sweeps):
             density = psi + sol.omega
-            k_new, gamma_new = _advance_fields(state, density, config.dt)
+            profile = angular_displacement_profile(density, state.ds)
+            k_new, gamma_new = _advance_fields(state, profile, config.dt)
             realized = step_normal_rates(
                 state.gamma,
                 gamma_new,
@@ -206,7 +209,7 @@ def step(
                     config.correction_tol,
                     config.correction_sweeps,
                 )
-            system.b = b0 - (realized - linear_rates(system, density))
+            system.b = b0 - (realized - linear_rates(system, density, profile))
             sol = solve_reaction(system, sol.mu)
         info = StepInfo(
             contacts=contacts,

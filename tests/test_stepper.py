@@ -239,7 +239,7 @@ def test_advance_matches_rotation_of_every_row(stepped):
         omega_cap[n + 1 :] = omega_cap[n]
         k_want = rotate_vectors(config.dt * omega_cap, k_pad)
         gamma_want = integrate_tangents(k_want, state.ds)
-        k_got, gamma_got = _advance_fields(state, density, config.dt)
+        k_got, gamma_got = _advance_fields(state, omega_cap[: n + 1], config.dt)
         assert np.array_equal(k_got, k_want[: n + 2])
         assert np.array_equal(gamma_got, gamma_want[: n + 2])
 
