@@ -10,7 +10,12 @@ grows per step, and the new cell continues the tip straight.
 When contacts are present the constraint right-hand side is refined a few
 times against the velocity the geometric update actually realizes, so that
 complementarity holds for the realized per-step displacement, not just the
-first-order model.
+first-order model. The reaction and that defect change smoothly from step to
+step, so each active contact carries its multiplier and its last two defects
+to the next contact step: the multiplier warm-starts the dual solve, and the
+defect extrapolated from the last two seeds the first solve. A contact is
+keyed by its material node, and the tip contact by "tip", so that its memory
+follows the tip as the tip moves up one node per step.
 
 simulate is the only stepping loop: it yields each frame as it is made. run
 and twin_run keep only the frames a run writes, so a run holds every
@@ -80,10 +85,13 @@ class StepInfo:
     b_effective: np.ndarray | None
     kkt: dict | None
     realized_residual: float | None
+    # realized minus linear normal rates per contact row, as the accepted
+    # density moves the stem
+    defect: np.ndarray | None
 
     @classmethod
     def without_reaction(cls, contacts: ContactSet) -> "StepInfo":
-        return cls(contacts, None, None, None, None)
+        return cls(contacts, None, None, None, None, None)
 
 
 def init_state(config: SimConfig) -> StemState:
@@ -163,8 +171,14 @@ def step(
     config: SimConfig,
     contacts: ContactSet,
     warm_start: np.ndarray | None,
+    seed: np.ndarray | None,
 ) -> tuple[StemState, StepInfo]:
-    """Advance one dt against the state's contacts; returns the new state and what it did."""
+    """Advance one dt against the state's contacts; returns the new state and what it did.
+
+    With contacts, seed is the defect guessed for each contact row, and the
+    first solve is made on b0 - seed; a step without contacts reads neither
+    warm_start nor seed.
+    """
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
         k_new, gamma_new = _advance_fields(
@@ -177,14 +191,18 @@ def step(
         )
         b0 = system.b
         pushback = pushback_rates(contacts.phi, config.kappa, config.dt)
+        system.b = b0 - seed
         sol = solve_reaction(system, warm_start)
         # The solve is exact for the linearized rates; the actual update
         # rotates nodes along circular arcs, so the realized normal rates at
         # the contacts lag the linear prediction by O(dt). Feeding that defect
         # back into b and re-solving (warm-started) contracts the lag
         # geometrically; iterate until the active contacts move at the
-        # demanded pushback rate. Running out of sweeps first is a failure,
-        # never a silently accepted step.
+        # demanded pushback rate. The first solve starts from the seed, the
+        # defect extrapolated from the last contact steps, so a good seed
+        # saves sweeps; a bad one costs sweeps, since only the realized rates
+        # decide acceptance. Running out of sweeps first is a failure, never
+        # a silently accepted step.
         for sweep in range(config.correction_sweeps):
             density = psi + sol.omega
             profile = angular_displacement_profile(density, state.ds)
@@ -197,6 +215,7 @@ def step(
                 contacts.tip,
                 config.dt,
             )
+            defect = realized - linear_rates(system, density, profile)
             active = sol.mu > 0.0
             gap = np.abs(realized[active] - pushback[active])
             realized_residual = float(np.max(gap, initial=0.0))
@@ -209,7 +228,7 @@ def step(
                     config.correction_tol,
                     config.correction_sweeps,
                 )
-            system.b = b0 - (realized - linear_rates(system, density, profile))
+            system.b = b0 - defect
             sol = solve_reaction(system, sol.mu)
         info = StepInfo(
             contacts=contacts,
@@ -217,10 +236,56 @@ def step(
             b_effective=system.b,
             kkt=check_kkt(system, sol),
             realized_residual=realized_residual,
+            defect=defect,
         )
 
     s_new = state.ds * np.arange(state.n_grown + 2, dtype=float)
     return StemState(ds=state.ds, s=s_new, gamma=gamma_new, k=k_new), info
+
+
+class _ContactMemory:
+    """What each active contact carries from one contact step to the next.
+
+    Keys are material nodes, and "tip" for the tip contact, so that the tip's
+    memory follows the tip. Each key holds the last multiplier and the last
+    two defects, newest first. Only the active contacts of the last contact
+    step are kept: an inactive contact's multiplier is 0, and its defect never
+    enters the acceptance test, so carried on it would only demand a spurious
+    rate of round-off size from a contact that the next step leaves at rest.
+    """
+
+    def __init__(self) -> None:
+        self._last: dict[int | str, tuple[float, float, float | None]] = {}
+
+    @staticmethod
+    def _keys(contacts: ContactSet) -> list[int | str]:
+        keys: list[int | str] = contacts.nodes.tolist()
+        if contacts.tip:
+            keys[-1] = "tip"
+        return keys
+
+    def start(self, contacts: ContactSet) -> tuple[np.ndarray, np.ndarray]:
+        """Warm start and seed for a step on contacts.
+
+        The seed is 2 d1 - d2 where a contact has two defects, d1 where it has
+        one, and 0 for a contact that carries nothing.
+        """
+        warm, seed = [], []
+        for key in self._keys(contacts):
+            mu, d1, d2 = self._last.get(key, (0.0, 0.0, None))
+            warm.append(mu)
+            seed.append(d1 if d2 is None else 2.0 * d1 - d2)
+        return np.array(warm), np.array(seed)
+
+    def remember(self, contacts: ContactSet, info: StepInfo) -> None:
+        last = self._last
+        self._last = {
+            key: (mu, d, last[key][1] if key in last else None)
+            for key, mu, d in zip(
+                self._keys(contacts), info.solution.mu.tolist(), info.defect.tolist()
+            )
+            if mu > 0.0
+        }
 
 
 def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
@@ -267,7 +332,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
         phi=np.zeros(0),
         tip=False,
     )
-    warm: dict[int, float] = {}
+    memory = _ContactMemory()
 
     # Every iteration either steps or ends the run; the terminal outcome is
     # yielded once below, as the final frame plus its event.
@@ -298,8 +363,10 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
                 exit_kind, data = "HorizonReached", {}
                 break
 
-            warm_vec = np.array([warm.get(v, 0.0) for v in contacts.nodes.tolist()])
-            new_state, info = step(state, config, contacts, warm_vec)
+            warm_start = seed = None
+            if contacts.size:
+                warm_start, seed = memory.start(contacts)
+            new_state, info = step(state, config, contacts, warm_start, seed)
         except SimulationError as exc:
             log.warning("integrity failure at t=%.6g: %s", t, exc)
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
@@ -307,7 +374,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
 
         yield _make_frame(state, info, config.scene), events
         if info.solution is not None:
-            warm = dict(zip(contacts.nodes.tolist(), info.solution.mu.tolist()))
+            memory.remember(contacts, info)
         state = new_state
 
     events.append(Event(t=state.t, kind=exit_kind, data=data))

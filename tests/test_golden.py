@@ -32,31 +32,31 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "116b34137d0cfc5547d795d4a4e3cf84cb780f0428af230e5a57c1aa111c2c74"
+        "2f86bee6e7deb36ac640dfddd1e2abb206c40d9e9bbe930d0c3962dbdeeb0f89"
     ),
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
-    # up to three contacts per step and about three solves and advances each
-    "ceiling/frames.jsonl": "20b5f0e211238ac7d0b17380212780e61183348ba8417b82e7e7c015402fc7e8",
+    # up to three contacts per step and one to two solves and advances each
+    "ceiling/frames.jsonl": "6c415c4c8d1cf38bdc81d0a02d148baa4bba6b1ab0f3c831f8f42b83228d4b17",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "b498a52d73065c42045a10b65e2cad11fe22c665f6f3e802feba97c523b12cfa"
+        "717b26e3ba6d5042741bc260f4729e69db4e2b8d9830bcf936f31e0aa579dfbd"
     ),
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "64a9a342cb7a3f8d74dd5532174d0b8ce5e4fdad5d2e8babfacf9814950af5e2",
+    "twin/base/frames.jsonl": "0ed116c20a67cfba12878dd3767013eb871d3b7644ba4fdada23582e611cab86",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "a2dad580a12042d726ec17e7d3d84da71df692a8048c47fab3770a111142ff09"
+        "91db4cb381a650370587f7b7049d0cbf52bbec07754df5f7538205dcdc8d751d"
     ),
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
     ),
-    "twin/distances.jsonl": "34a9cd393af5c91eea37a4c4bb7fa8bd7f6c2ef0e653c80bcc1581f457bc909b",
-    "twin/certificate.json": "c991ca7e6dd19e48441f127e05c5502b356431b918be25a0da9b5e2845dba6e2",
+    "twin/distances.jsonl": "f25cf1976df1ab602242eefdd50518385e7727bda74ebdc6d5c72a7e4a23b656",
+    "twin/certificate.json": "018ca5c74cb141864173a16ac47aa3d7aba09f6649af76333e5598335a72ba36",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
@@ -66,7 +66,7 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "db7a73043abca497df2cb625caf5ada0b9214244fb25993a28d0fb2fd89bf774"
+        "c6e7a8b25c8ae0d494a6a5e6026477a3c17feda4bc6fa51b0e776a4e7127fb91"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"

@@ -10,7 +10,7 @@ from conftest import written_lines
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
 from stemgrow.diagnostics import step_normal_rates
-from stemgrow.errors import InitialPenetration
+from stemgrow.errors import InitialPenetration, MaxIterationsExceeded
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
@@ -20,7 +20,16 @@ from stemgrow.reaction import (
     oracle_solve_reaction,
     solve_reaction,
 )
-from stemgrow.stepper import _advance_fields, detect_breakdown, init_state, run, step
+from stemgrow import stepper
+from stemgrow.stepper import (
+    _advance_fields,
+    _ContactMemory,
+    detect_breakdown,
+    init_state,
+    run,
+    simulate,
+    step,
+)
 from stemgrow.trajectory import frame_to_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -48,6 +57,11 @@ def ceiling(z):
 
 def contacts_of(state, config):
     return detect_contacts(state, config.scene, config.eps_contact, config.eps_penetration)
+
+
+def cold_step(state, config, contacts):
+    """One step with no warm multipliers and a zero seed."""
+    return step(state, config, contacts, None, np.zeros(contacts.size))
 
 
 def test_seed_fills_grid_with_vertical_tangents():
@@ -198,7 +212,7 @@ def test_extension_stays_bitwise_straight_through_contact():
     )
     state = init_state(config)
     for _ in range(12):
-        state, info = step(state, config, contacts_of(state, config), None)
+        state, info = cold_step(state, config, contacts_of(state, config))
         # the new tip node continues the rotated tip tangent exactly
         assert np.array_equal(state.k[-1], state.k[-2])
         norms = np.linalg.norm(state.k, axis=1)
@@ -211,7 +225,7 @@ def stepped(request):
     config = load_config(str(SCENARIOS / f"{request.param}.json"))
     states = [init_state(config)]
     while states[-1].n_grown < config.n_total_cells:
-        states.append(step(states[-1], config, contacts_of(states[-1], config), None)[0])
+        states.append(cold_step(states[-1], config, contacts_of(states[-1], config))[0])
     return config, states
 
 
@@ -307,7 +321,7 @@ def test_defect_correction_cancels_realized_normal_rates():
     saw_contact = False
     for _ in range(15):
         contacts = contacts_of(state, config)
-        new_state, info = step(state, config, contacts, None)
+        new_state, info = cold_step(state, config, contacts)
         if info.solution is not None and np.any(info.solution.mu > 0):
             saw_contact = True
             # the correction compensates the linearization defect (realized
@@ -371,3 +385,102 @@ def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit
         ]
         assert kept.events == full.events
 
+
+
+def test_seed_changes_only_the_iteration_count():
+    # one sliding ceiling step, with the tip in contact, taken from the seed
+    # the run carries, from zero and from two wrong seeds: each is accepted on
+    # its realized rates or fails loudly, and the accepted steps agree to
+    # within the correction tolerance's reach
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    state, memory = init_state(config), _ContactMemory()
+    for _ in range(300):
+        contacts = contacts_of(state, config)
+        warm = seed = None
+        if contacts.size:
+            warm, seed = memory.start(contacts)
+        state, info = step(state, config, contacts, warm, seed)
+        if info.solution is not None:
+            memory.remember(contacts, info)
+    contacts = contacts_of(state, config)
+    assert contacts.tip
+    warm, carried = memory.start(contacts)
+    assert carried[-1] != 0.0
+    pushback = stepper.pushback_rates(contacts.phi, config.kappa, config.dt)
+    accepted = {}
+    for name, seed in [
+        ("carried", carried),
+        ("zero", np.zeros(contacts.size)),
+        ("ten_times", 10.0 * carried),
+        ("flipped", -carried),
+    ]:
+        try:
+            new_state, info = step(state, config, contacts, warm, seed)
+        except MaxIterationsExceeded:
+            continue
+        assert info.realized_residual <= config.correction_tol
+        realized = step_normal_rates(
+            state.gamma, new_state.gamma, contacts.nodes, contacts.normals, True, config.dt
+        )
+        active = info.solution.mu > 0.0
+        assert np.all(np.abs(realized[active] - pushback[active]) <= config.correction_tol)
+        accepted[name] = (new_state, info.solution.mu)
+    assert {"carried", "zero"} <= accepted.keys()
+    ref_state, ref_mu = accepted["carried"]
+    for new_state, mu in accepted.values():
+        assert np.max(np.abs(new_state.gamma - ref_state.gamma)) <= 1e-9
+        assert np.max(np.abs(new_state.k - ref_state.k)) <= 1e-9
+        assert np.max(np.abs(mu - ref_mu)) <= 1e-6 * (1.0 + np.max(np.abs(ref_mu)))
+
+
+def test_ceiling_carries_each_contact_across_steps(monkeypatch):
+    # the carried defect and the tip-keyed warm start hold the sliding
+    # ceiling to under two dual solves per contact step and leave the warm
+    # face right at almost every solve; a cold first solve per step, or a tip
+    # whose memory is lost each step, costs about 3.2 solves and one
+    # active-set iteration per step
+    solve = stepper.solve_reaction
+    solves, sweeps = [], []
+
+    def counted(system, warm_start):
+        sol = solve(system, warm_start)
+        solves.append(1)
+        sweeps.append(sol.sweeps)
+        return sol
+
+    monkeypatch.setattr(stepper, "solve_reaction", counted)
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    contact_steps = 0
+    for frame, _ in simulate(config):
+        if frame.mu is not None:
+            contact_steps += 1
+            assert frame.realized_residual <= config.correction_tol
+    assert contact_steps > 900
+    assert len(solves) / contact_steps <= 2.0
+    assert sum(sweeps) <= 10
+
+
+@pytest.mark.parametrize("obstacles", ["ceiling", "none"])
+def test_final_shape_converges_at_first_order_in_dt(obstacles):
+    # the ceiling run, contact included, on a short horizon at dt, dt/2 and
+    # dt/4 with eps_contact = dt: at first order each halving of dt halves
+    # the difference of the final shapes on the coarse grid (measured ratios
+    # 2.01 and 2.02); an O(1) error would hold it near 1
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    if obstacles == "none":
+        config = replace(config, scene=Scene([]))
+    finals = []
+    for refine in (1, 2, 4):
+        dt = 0.01 / refine
+        traj = run(
+            replace(
+                config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt, horizon=1.5
+            )
+        )
+        assert traj.exit_kind == "HorizonReached"
+        assert any(f.mu is not None for f in traj.frames) == (obstacles == "ceiling")
+        finals.append(traj.frames[-1].gamma[::refine])
+    coarse = np.max(np.abs(finals[0] - finals[1]))
+    fine = np.max(np.abs(finals[1] - finals[2]))
+    assert fine > 0.0
+    assert coarse / fine >= 1.8
