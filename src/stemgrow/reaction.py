@@ -193,8 +193,8 @@ def linear_rates(
 
     Quadrature is the stepper's cumulative-rotation rule, left-endpoint
     rectangles from angular_displacement_profile; the tip row adds the
-    elongation term. profile, when given, is that rule's profile of density,
-    which a caller that has already built it passes instead of building it twice.
+    elongation term. A caller that has already built that profile of density
+    passes it as profile, so that it is not built twice.
     """
     nodes = system.contacts.nodes
     nrm = system.contacts.normals
