@@ -120,7 +120,7 @@ class SimConfig:
                     f"numerics.{name} ({value}) is not a whole number of dt cells"
                 )
         if self.eps_contact is None:
-            self.eps_contact = 1e-3 * self.dt
+            self.eps_contact = self.dt
         if self.eps_penetration is None:
             self.eps_penetration = 0.05 * self.dt
         if self.eps_contact <= 0.0 or self.eps_penetration <= 0.0:

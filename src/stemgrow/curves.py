@@ -50,19 +50,15 @@ def rotate_vectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + a * wxv + b * wxwxv
 
 
-def chord_steps(k: np.ndarray, ds: float) -> np.ndarray:
-    """Per-cell displacement ds * (k_i + k_{i+1}) / 2."""
-    return (0.5 * ds) * (k[:-1] + k[1:])
-
-
 def integrate_tangents(k: np.ndarray, ds: float) -> np.ndarray:
     """Positions from tangents: trapezoid accumulation from the origin.
 
-    Exact for constant tangent fields; each chord has length at most the grid
-    spacing because the averaged tangents have norm at most one.
+    Each cell moves by ds * (k_i + k_{i+1}) / 2. Exact for constant tangent
+    fields; each chord has length at most the grid spacing because the
+    averaged tangents have norm at most one.
     """
     pos = np.zeros_like(k)
-    np.cumsum(chord_steps(k, ds), axis=0, out=pos[1:])
+    np.cumsum((0.5 * ds) * (k[:-1] + k[1:]), axis=0, out=pos[1:])
     return pos
 
 

@@ -5,6 +5,10 @@ shortest text that reads back to the same double, so a rerun of the same
 manifest reproduces the files byte for byte. This module is the only one
 that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
+A frame record holds the tangents k, not what they imply: the reader
+rebuilds the grid s and the positions gamma from n, k and dt as the stepper
+builds them, bit for bit. A record with a key outside its format, such as an
+older file's s or gamma, is a parse error.
 The readers parse a file one record at a time, so a reader holds one frame,
 not the file.
 orjson writes NaN and +-inf as null. No record holds one: a NaN residual
@@ -29,6 +33,7 @@ from itertools import chain
 
 import numpy as np
 
+from .curves import integrate_tangents
 from .errors import ParseError
 from .reaction import ContactSet
 
@@ -86,7 +91,7 @@ _SCALARS = {
     "realized_residual": float,
     "solver_sweeps": int,
 }
-_FRAME_KEYS = ("t", "n", "s", "gamma", "k", "contacts", *_SCALARS)
+_FRAME_KEYS = ("t", "n", "k", "contacts", *_SCALARS)
 
 
 def frame_to_dict(fr: TrajectoryFrame) -> dict:
@@ -101,7 +106,7 @@ def frame_to_dict(fr: TrajectoryFrame) -> dict:
         }
         for j in range(c.size)
     ]
-    record = dict(t=fr.t, n=fr.n_grown, s=fr.s, gamma=fr.gamma, k=fr.k, contacts=contacts)
+    record = dict(t=fr.t, n=fr.n_grown, k=fr.k, contacts=contacts)
     record.update((key, getattr(fr, key)) for key in _SCALARS)
     return record
 
@@ -112,6 +117,8 @@ def _fields(record, keys: tuple, what: str) -> list:
     for key in keys:
         if key not in record:
             raise ParseError(f"{what} has no key {key!r}")
+    if len(record) > len(keys):
+        raise ParseError(f"{what} has unknown keys {[key for key in record if key not in keys]}")
     return [record[key] for key in keys]
 
 
@@ -184,9 +191,13 @@ def _scalar(value, what: str, kind=float):
     return kind(_array(value, what, (), dtype=kind))
 
 
-def frame_from_dict(rec) -> TrajectoryFrame:
-    """Inverse of frame_to_dict; ParseError names the missing or malformed key."""
-    t, n, s, gamma, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
+def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
+    """Inverse of frame_to_dict for a run on a grid of spacing ds.
+
+    s and gamma are rebuilt as init_state and step build them. ParseError
+    names the missing, unknown or malformed key.
+    """
+    t, n, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
     n = _scalar(n, "n", int)
     if n < 0:
         raise ParseError(f"n must be >= 0, got {n}")
@@ -198,12 +209,13 @@ def frame_from_dict(rec) -> TrajectoryFrame:
     nodes = _array(node, "contacts[].node", (m,), dtype=int)
     if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
+    k = _array(k, "k", (n + 1, 3))
     frame = TrajectoryFrame(
         t=_scalar(t, "t"),
         n_grown=n,
-        s=_array(s, "s", (n + 1,)),
-        gamma=_array(gamma, "gamma", (n + 1, 3)),
-        k=_array(k, "k", (n + 1, 3)),
+        s=ds * np.arange(n + 1, dtype=float),
+        gamma=integrate_tangents(k, ds),
+        k=k,
         contacts=ContactSet(
             nodes=nodes,
             normals=_array(normal, "contacts[].normal", (m, 3)),
@@ -305,9 +317,9 @@ def parse_records(path: str, records, parse):
         yield item
 
 
-def read_frames(path: str):
-    """The frames of a frames.jsonl file, read and parsed one at a time."""
-    return parse_records(path, _records(path), frame_from_dict)
+def read_frames(path: str, ds: float):
+    """The frames of a frames.jsonl file on a grid of spacing ds, read and parsed one at a time."""
+    return parse_records(path, _records(path), lambda rec: frame_from_dict(rec, ds))
 
 
 def write_manifest(

@@ -68,8 +68,6 @@ def bare_frame(**fields):
     frame = {
         "t": 0.0,
         "n": 0,
-        "s": [0.0],
-        "gamma": [[0.0, 0.0, 0.0]],
         "k": [[0.0, 0.0, 1.0]],
         "contacts": [],
         "energy": None,

@@ -318,6 +318,7 @@ def test_criterion_09_zero_reaction_purity(ceiling):
             dt=0.1,
             t0=0.1,
             horizon=1.0,
+            eps_contact=1e-3 * 0.1,
         )
 
     far = Scene([Sphere(center=np.array([50.0, 0.0, 0.0]), radius=1.0)])

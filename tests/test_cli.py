@@ -8,8 +8,13 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import STEMGROW, bare_frame, stemgrow_env
+
+from stemgrow.config import load_config
+from stemgrow.reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
+from stemgrow.trajectory import frame_from_dict
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCENARIOS = PYPROJECT.parent / "scenarios"
@@ -53,7 +58,8 @@ def breakdown_doc():
         },
         "law": {"variant": "zero"},
         "seed_curve": {"type": "segment", "direction": [0.0, 0.0, 1.0], "length": 0.3},
-        "numerics": {"dt": 0.1, "t0": 0.3, "horizon": 1.0},
+        # a band a thousandth of a cell wide, narrower than the default dt
+        "numerics": {"dt": 0.1, "t0": 0.3, "horizon": 1.0, "eps_contact": 1e-3 * 0.1},
         "output": {"stride": 1},
     }
 
@@ -179,7 +185,7 @@ def test_run_gross_penetration_exits_twenty(tmp_path):
     # a time step so large the tip jumps past the contact band and deep into
     # the obstacle before any contact is ever detected
     doc = breakdown_doc()
-    doc["numerics"] = {"dt": 0.2, "t0": 0.2, "horizon": 1.0}
+    doc["numerics"] = {"dt": 0.2, "t0": 0.2, "horizon": 1.0, "eps_contact": 1e-3 * 0.2}
     doc["seed_curve"]["length"] = 0.2
     config_path = write_scenario(tmp_path / "coarse.json", doc)
     outdir = tmp_path / "out"
@@ -293,6 +299,23 @@ def test_correction_cap_exits_twenty(tmp_path):
     assert "after 1 sweeps" in events[-1]["data"]["error"]
 
 
+def test_default_contact_band_carries_the_ceiling(tmp_path):
+    # the band defaults to one cell, as every bundled obstacle scenario sets
+    # it: a node moves about |v| dt per step, so a band a thousandth of a cell
+    # wide let the ceiling's nodes cross it in one step and penetrate (exit 20
+    # at t = 1.1)
+    doc = json.loads((SCENARIOS / "gravitropic_ceiling.json").read_text())
+    del doc["numerics"]["eps_contact"]
+    doc["numerics"]["horizon"] = 1.5
+    outdir = tmp_path / "out"
+    proc = invoke("run", write_scenario(tmp_path / "ceiling.json", doc), "--out", str(outdir))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
+    assert "ContactOnset" in [ev["kind"] for ev in events]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["config"]["numerics"]["eps_contact"] == doc["numerics"]["dt"]
+
+
 def test_manifest_replay_is_byte_identical(oblique_run, tmp_path):
     replay = tmp_path / "replay"
     proc = invoke("run", str(oblique_run / "manifest.json"), "--out", str(replay))
@@ -373,6 +396,40 @@ def test_oracle_check_confirms_stored_reactions(oblique_run):
     assert checked >= 10
 
 
+def test_oracle_check_compares_degenerate_frames(tmp_path):
+    # one tip contact whose demand b is 1e-10 of its Gram entry: a multiplier
+    # of 1e-10 and none at all both meet the oracle's feasibility tolerance,
+    # so it calls the frame degenerate. The density is unique all the same,
+    # and a stored multiplier that moves it by 10x --tol must read as a
+    # mismatch (the frame read 0 mismatched when degenerate frames went
+    # uncompared)
+    manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
+    config = load_config(manifest)
+    n, tol = 5, 1e-8
+    contact = {"node": n, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.0, "mu": 0.0}
+    record = json.loads(
+        bare_frame(t=n * config.dt, n=n, k=[[0.0, 0.0, 1.0]] * (n + 1), contacts=[contact])
+    )
+    frame = frame_from_dict(record, config.dt)
+    system = ConstraintSystem(
+        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta, frame.b
+    )
+    system.b = 1e-10 * system.gram[0]
+    oracle = oracle_solve_reaction(system, max_contacts=12)
+    assert oracle.degenerate
+    unit = float(np.max(np.abs(density_from_multipliers(system, np.ones(1)))))
+    scale = 1.0 + float(np.max(np.abs(oracle.omega)))
+    contact["b"] = float(system.b[0])
+    contact["mu"] = float(oracle.mu[0]) + 10.0 * tol * scale / unit
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(bare_frame(**{**record, "contacts": [contact]}))
+    proc = invoke("oracle-check", str(frames), "--manifest", manifest, f"--tol={tol}")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "oracle-check: 1 checked, 0 skipped (too many contacts), 1 degenerate, 1 mismatched"
+    )
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -400,17 +457,29 @@ def test_bad_check_tolerance_exits_two(oblique_run, command, flag, value):
 CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1, "mu": 0.0}
 
 
+def old_format_frame():
+    """bare_frame as the older format wrote it, with s and gamma between n and k."""
+    record = json.loads(bare_frame())
+    old = {"t": record.pop("t"), "n": record.pop("n"), "s": [0.0], "gamma": [[0.0, 0.0, 0.0]]}
+    return (json.dumps({**old, **record}) + "\n").encode()
+
+
 @pytest.mark.parametrize("command", ["audit", "oracle-check"])
 @pytest.mark.parametrize(
     "content, message",
     [
         (b'{"t":0}\n', "frames.jsonl:1: frame has no key 'n'"),
         (b"[1,2]\n", "frames.jsonl:1: frame is not an object"),
-        (bare_frame(gamma=[[0, 0]]), "frames.jsonl:1: gamma has shape (1, 2), expected (1, 3)"),
+        (bare_frame(k=[[0, 0]]), "frames.jsonl:1: k has shape (1, 2), expected (1, 3)"),
         (bare_frame(contacts=[CONTACT_PAST_TIP]), "contacts[].node must increase within 0..0"),
         (b"\xff\xfe\x7b", "frames.jsonl is not UTF-8 text"),
         (bare_frame(t="0.0"), "frames.jsonl:1: t must hold numbers, not text or true/false"),
-        (bare_frame(s=["0"]), "frames.jsonl:1: s must hold numbers, not text or true/false"),
+        (bare_frame(k=[["0", 0, 1]]), "frames.jsonl:1: k must hold numbers, not text or true/false"),
+        # positions and the arclength grid are rebuilt, not read, whatever a
+        # record holds under their old keys
+        (bare_frame(gamma=[[0, 0]]), "frames.jsonl:1: frame has unknown keys ['gamma']"),
+        (bare_frame(s=["0"]), "frames.jsonl:1: frame has unknown keys ['s']"),
+        (old_format_frame(), "frames.jsonl:1: frame has unknown keys ['s', 'gamma']"),
         (
             bare_frame(solver_sweeps=True),
             "frames.jsonl:1: solver_sweeps must hold numbers, not text or true/false",
@@ -426,11 +495,14 @@ CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1,
     ids=[
         "missing_key",
         "not_an_object",
-        "gamma_shape",
+        "k_shape",
         "contact_past_tip",
         "not_utf8",
         "t_is_text",
+        "k_holds_text",
+        "gamma_shape",
         "s_holds_text",
+        "old_format",
         "sweeps_is_boolean",
         "n_is_fractional",
         "sweeps_is_fractional",
@@ -508,9 +580,13 @@ TOO_BIG_FOR_UINT64 = "18446744073709551616"
 # Each turns the third frame of a clean run into text that is not a valid
 # frame: a non-JSON token, a number that overflows, or broken syntax.
 TEXT_FAULTS = {
-    "nan_in_gamma": (r'"gamma":\[\[[^,]+,', '"gamma":[[NaN,'),
-    "infinity_in_gamma": (r'"gamma":\[\[[^,]+,', '"gamma":[[Infinity,'),
-    "minus_infinity_in_gamma": (r'"gamma":\[\[[^,]+,', '"gamma":[[-Infinity,'),
+    "nan_in_k": (r'"k":\[\[[^,]+,', '"k":[[NaN,'),
+    "infinity_in_k": (r'"k":\[\[[^,]+,', '"k":[[Infinity,'),
+    "minus_infinity_in_k": (r'"k":\[\[[^,]+,', '"k":[[-Infinity,'),
+    # the same tokens in the positions an older record held before k
+    "nan_in_gamma": (r'"k":', '"gamma":[[NaN,0.0,0.0]],"k":'),
+    "infinity_in_gamma": (r'"k":', '"gamma":[[Infinity,0.0,0.0]],"k":'),
+    "minus_infinity_in_gamma": (r'"k":', '"gamma":[[-Infinity,0.0,0.0]],"k":'),
     "overflow_t": (r'"t":[^,]+,', '"t":1e400,'),
     "n_past_uint64": (r'"n":\d+', f'"n":{TOO_BIG_FOR_UINT64}'),
     "node_past_uint64": (

@@ -35,7 +35,7 @@ def test_minimal_config_fills_defaults():
     del doc["label"]
     config = config_from_dict(doc)
     assert config.dt == 0.1
-    assert config.eps_contact == pytest.approx(1e-3 * 0.1)
+    assert config.eps_contact == 0.1
     assert config.eps_penetration == pytest.approx(0.05 * 0.1)
     assert config.kappa == 0.2
     assert config.correction_sweeps == 12

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from stemgrow.curves import (
     angular_displacement_profile,
-    chord_steps,
     cross,
     integrate_tangents,
     rotate_vectors,
@@ -172,7 +171,7 @@ def test_chord_length_bounded_by_spacing():
     rng = np.random.default_rng(12)
     k = rng.normal(size=(30, 3))
     k /= np.linalg.norm(k, axis=1, keepdims=True)
-    steps = chord_steps(k, 0.05)
+    steps = np.diff(integrate_tangents(k, 0.05), axis=0)
     assert np.max(np.linalg.norm(steps, axis=1)) <= 0.05 + 1e-15
 
 

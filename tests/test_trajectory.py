@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stemgrow.config import load_config
 from stemgrow.errors import ParseError
+from stemgrow.stepper import run
 from stemgrow.trajectory import (
     Event,
     _records,
@@ -23,10 +26,13 @@ from stemgrow.trajectory import (
     frame_from_dict,
     frame_to_dict,
     read_frames,
+    write_frames,
     write_jsonl,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the grid spacing of the hand-made frames below
+DS = 0.01
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
 
 
@@ -71,7 +77,7 @@ def test_integer_array_keeps_the_integer_path():
 def test_read_frames_parses_lazily(tmp_path):
     path = tmp_path / "frames.jsonl"
     path.write_bytes(bare_frame(t=0.25) + b"{garbage\n")
-    frames = iter(read_frames(str(path)))
+    frames = iter(read_frames(str(path), DS))
     assert next(frames).t == 0.25
     with pytest.raises(ParseError, match="frames.jsonl:2: bad record"):
         next(frames)
@@ -109,9 +115,49 @@ def test_contact_frames_round_trip_through_the_reader(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     path = outdir / "frames.jsonl"
-    frames = list(read_frames(str(path)))
+    dt = json.loads((outdir / "manifest.json").read_text())["config"]["numerics"]["dt"]
+    frames = list(read_frames(str(path), dt))
     assert any(fr.contacts.size for fr in frames)
     assert written_lines(frame_to_dict(fr) for fr in frames) == path.read_bytes().splitlines()
+
+
+def frame_values(frame):
+    """Every field of a frame, its contacts' fields included; floats as their bits."""
+    out = {}
+    for field in fields(frame):
+        value = getattr(frame, field.name)
+        if field.name == "contacts":
+            out.update((f"contacts.{f.name}", getattr(value, f.name)) for f in fields(value))
+        else:
+            out[field.name] = value
+    return {
+        key: np.asarray(value).view(np.uint64) if np.asarray(value).dtype == float else value
+        for key, value in out.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "scenario, stride",
+    [("straight", 1), ("sphere_oblique", 1), ("twin_tilt", 1), ("gravitropic_ceiling", 20)],
+)
+def test_read_frames_gives_back_the_frames_run_made(tmp_path, scenario, stride):
+    # a record holds no s or gamma: the reader rebuilds them from n, k and dt,
+    # and must give back the arrays the stepper made, bit for bit
+    config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
+    made = run(config).frames
+    path = str(tmp_path / "frames.jsonl")
+    write_frames(path, made)
+    back = list(read_frames(path, config.dt))
+    assert len(back) == len(made)
+    assert any(fr.contacts.size for fr in made) == (scenario != "straight")
+    for fa, fb in zip(made, back):
+        want, got = frame_values(fa), frame_values(fb)
+        assert want.keys() == got.keys()
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got[key], value), key
+            else:
+                assert got[key] == value and type(got[key]) is type(value), key
 
 
 def test_event_round_trips():
@@ -128,6 +174,7 @@ def test_event_round_trips():
         ({"t": "late", "kind": "Breakdown", "data": {}}, "t must be numeric"),
         ({"t": 0, "kind": 7, "data": {}}, "event kind is not a string"),
         ({"t": 0, "kind": "Breakdown", "data": [1]}, "event data is not an object"),
+        ({"t": 0, "kind": "Breakdown", "data": {}, "note": 1}, r"event has unknown keys \['note'\]"),
     ],
 )
 def test_malformed_event_is_a_parse_error(record, message):
@@ -140,8 +187,6 @@ def two_node_frame():
     return {
         "t": 0.01,
         "n": 1,
-        "s": [0.0, 0.01],
-        "gamma": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.01]],
         "k": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
         "contacts": [{"node": 1, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.5, "mu": 2.0}],
         "energy": 1.0,
@@ -156,51 +201,63 @@ def two_node_frame():
 @pytest.mark.parametrize(
     "key, text, message",
     [
-        ("gamma", "[[0, 0, 0], [0, 0]]", "gamma must be numeric and in range"),
-        ("gamma", '[[0, 0, 0], "abc"]', "gamma must be numeric and in range"),
-        ("gamma", '[[0, 0, 0], {"x": 0, "y": 0, "z": 1}]', "gamma must be numeric and in range"),
-        ("gamma", "[[0, true, 0], [0, 0, 1]]", "gamma must hold numbers, not text or true/false"),
-        ("gamma", '[[0, "0", 0], [0, 0, 1]]', "gamma must hold numbers, not text or true/false"),
+        ("k", "[[0, 0, 1], [0, 0]]", "k must be numeric and in range"),
+        ("k", '[[0, 0, 1], "abc"]', "k must be numeric and in range"),
+        ("k", '[[0, 0, 1], {"x": 0, "y": 0, "z": 1}]', "k must be numeric and in range"),
+        ("k", "[[0, true, 1], [0, 0, 1]]", "k must hold numbers, not text or true/false"),
+        ("k", '[[0, "0", 1], [0, 0, 1]]', "k must hold numbers, not text or true/false"),
         ("k", "[[0, 0, 1], [0, null, 1]]", "k holds a non-finite number or a stray null"),
-        ("gamma", "[[0, 0, 0], [0, 0, 1e400]]", "gamma holds a non-finite number or a stray null"),
+        ("k", "[[0, 0, 1], [0, 0, 1e400]]", "k holds a non-finite number or a stray null"),
         ("t", "1e400", "t holds a non-finite number or a stray null"),
         ("n", "1" + "0" * 400, "n must be numeric and in range"),
         ("t", "1" + "0" * 400, "t must be numeric and in range"),
         ("t", '"late"', "t must be numeric"),
-        ("gamma", "5", r"gamma has shape \(\), expected \(2, 3\)"),
-        ("s", "[[0.0], [0.01]]", r"s has shape \(2, 1\), expected \(2,\)"),
+        ("k", "5", r"k has shape \(\), expected \(2, 3\)"),
+        ("k", "[0, 0, 1, 0, 0, 1]", r"k has shape \(6,\), expected \(2, 3\)"),
         ("solver_sweeps", "-5", "solver_sweeps must be >= 0, got -5"),
         # what the frame reader decodes -9223372036854775809 to: the float -2^63
         ("solver_sweeps", "-9.223372036854776e18", "solver_sweeps must be >= 0"),
+        # the arclength grid and the positions of the older format are not
+        # keys of a frame, whatever they hold
+        ("gamma", "[[0, true, 0], [0, 0, 1]]", r"frame has unknown keys \['gamma'\]"),
+        ("gamma", '[[0, "0", 0], [0, 0, 1]]', r"frame has unknown keys \['gamma'\]"),
+        ("gamma", "[[0, 0, 0], [0, 0, 1e400]]", r"frame has unknown keys \['gamma'\]"),
+        ("gamma", "5", r"frame has unknown keys \['gamma'\]"),
+        ("s", "[[0.0], [0.01]]", r"frame has unknown keys \['s'\]"),
     ],
     ids=[
         "ragged_row",
         "row_is_text",
         "row_is_object",
-        "true_in_gamma",
-        "text_in_gamma",
+        "true_in_k",
+        "text_in_k",
         "null_in_k",
-        "overflow_in_gamma",
+        "overflow_in_k",
         "overflow_t",
         "huge_int_n",
         "huge_int_t",
         "t_is_text",
-        "gamma_is_scalar",
-        "s_is_a_column",
+        "k_is_scalar",
+        "k_is_flat",
         "negative_sweeps",
         "sweeps_below_int64",
+        "true_in_gamma",
+        "text_in_gamma",
+        "overflow_in_gamma",
+        "gamma_is_scalar",
+        "s_is_a_column",
     ],
 )
 def test_malformed_frame_is_a_parse_error(key, text, message):
     record = two_node_frame()
     record[key] = json.loads(text)
     with pytest.raises(ParseError, match=message):
-        frame_from_dict(record)
+        frame_from_dict(record, DS)
 
 
 def test_two_node_frame_round_trips():
     lines = written_lines([two_node_frame()])
-    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0])))]) == lines
+    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0]), DS))]) == lines
 
 
 def value_paths(node, prefix=()):
@@ -247,8 +304,8 @@ def test_mutated_frames_are_accepted_or_rejected(data):
         elif how == "delete":
             del parent[key]
     try:
-        frame = frame_from_dict(record)
+        frame = frame_from_dict(record, DS)
     except ParseError:
         return
     lines = written_lines([frame_to_dict(frame)])
-    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0])))]) == lines
+    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0]), DS))]) == lines
