@@ -157,8 +157,6 @@ def _cmd_audit(args) -> int:
     prev = None
     for idx, fr in enumerate(read_frames(args.frames, config.dt)):
         n_frames += 1
-        if fr.n_grown != round(fr.t / config.dt):
-            bad.append(f"frame {idx}: grown-node count disagrees with t={fr.t}")
         bad.extend(
             f"frame {idx}: {msg}"
             for msg in audit_arrays(fr.gamma, fr.k, config.scene, config.eps_penetration)

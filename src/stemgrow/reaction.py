@@ -58,12 +58,12 @@ def detect_contacts(
     scene: Scene,
     eps_contact: float,
     eps_penetration: float,
-) -> ContactSet:
-    """Nodes with signed distance at most eps_contact.
+) -> tuple[ContactSet, float | None]:
+    """Nodes with signed distance at most eps_contact, and the least distance of any node.
 
     Every grown node must satisfy phi >= -eps_penetration; a deeper node is a
     hard failure. Normals are queried in a band wide enough to cover both
-    tolerances.
+    tolerances. The least distance is None for an empty scene.
     """
     gamma = stem.gamma
     phi = signed_distances(scene, gamma)
@@ -76,12 +76,13 @@ def detect_contacts(
     normals = np.array(
         [outer_normal(scene, gamma[v], band_width=band) for v in nodes]
     ).reshape(nodes.size, 3)
-    return ContactSet(
+    contacts = ContactSet(
         nodes=nodes,
         normals=normals,
         phi=phi[nodes],
         tip=bool(nodes.size and nodes[-1] == stem.n_grown),
     )
+    return contacts, float(phi[worst]) if scene.obstacles else None
 
 
 @dataclass

@@ -288,16 +288,9 @@ class _ContactMemory:
         }
 
 
-def _make_frame(state: StemState, info: StepInfo, scene) -> TrajectoryFrame:
+def _make_frame(state: StemState, info: StepInfo, min_phi: float | None) -> TrajectoryFrame:
     sol = info.solution
     kkt = info.kkt or {}
-    min_phi = None
-    if info.contacts.size:
-        # the nearest node lies within the contact band, so it is a contact
-        # and detection has already measured it
-        min_phi = float(np.min(info.contacts.phi))
-    elif scene.obstacles:
-        min_phi = float(np.min(signed_distances(scene, state.gamma)))
     return TrajectoryFrame(
         t=state.t,
         n_grown=state.n_grown,
@@ -338,10 +331,10 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
     # yielded once below, as the final frame plus its event.
     while True:
         t = state.t
-        contacts = no_contacts
+        contacts, min_phi = no_contacts, None
         events: list[Event] = []
         try:
-            contacts = detect_contacts(
+            contacts, min_phi = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
             )
             nodes = set(contacts.nodes.tolist())
@@ -372,13 +365,16 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 
-        yield _make_frame(state, info, config.scene), events
+        yield _make_frame(state, info, min_phi), events
         if info.solution is not None:
             memory.remember(contacts, info)
         state = new_state
 
     events.append(Event(t=state.t, kind=exit_kind, data=data))
-    yield _make_frame(state, StepInfo.without_reaction(contacts), config.scene), events
+    if min_phi is None and config.scene.obstacles:
+        # detection failed on this state before it measured it
+        min_phi = float(np.min(signed_distances(config.scene, state.gamma)))
+    yield _make_frame(state, StepInfo.without_reaction(contacts), min_phi), events
 
 
 def _record(config: SimConfig, traj: Trajectory) -> Iterator[TrajectoryFrame]:

@@ -5,31 +5,33 @@ shortest text that reads back to the same double, so a rerun of the same
 manifest reproduces the files byte for byte. This module is the only one
 that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
-A frame record holds the tangents k, not what they imply: the reader
-rebuilds the grid s and the positions gamma from n, k and dt as the stepper
-builds them, bit for bit. A record with a key outside its format, such as an
-older file's s or gamma, is a parse error.
+A frame record holds the node count n and the tangents k, not what they
+imply: the reader rebuilds the grid s, the time t = s[-1] and the positions
+gamma from n, k and dt as the stepper builds them, bit for bit. A record with
+a key outside its format, such as an older file's t, s or gamma, is a parse
+error.
+k, the only field whose size grows with n, is one base64 string of the
+little-endian float64 bytes of its rows (three values each, in order), so
+its bits pass through the file unchanged on any host and a reader decodes it
+in one call. Every other number is JSON text.
 The readers parse a file one record at a time, so a reader holds one frame,
 not the file.
 orjson writes NaN and +-inf as null. No record holds one: a NaN residual
 fails the correction loop and the twin's distances are checked to be
-positive. The reader rejects a null inside every array.
+positive. The reader rejects a null inside every array and a non-finite k.
 Lines decode with orjson under strict RFC 8259 rules, which give every
 written token its double back; they reject what json.loads would let
 through: NaN and Infinity, a number that overflows to infinity, and a lone
 surrogate escape in a string.
-Reading, a well-formed (n, 3) table is flattened and converted in one call
-and a number is checked in Python; any other value is converted nested by
-np.asarray, and that path names what is wrong with it.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
 
 import numpy as np
 
@@ -91,7 +93,7 @@ _SCALARS = {
     "realized_residual": float,
     "solver_sweeps": int,
 }
-_FRAME_KEYS = ("t", "n", "k", "contacts", *_SCALARS)
+_FRAME_KEYS = ("n", "k", "contacts", *_SCALARS)
 
 
 def frame_to_dict(fr: TrajectoryFrame) -> dict:
@@ -106,7 +108,8 @@ def frame_to_dict(fr: TrajectoryFrame) -> dict:
         }
         for j in range(c.size)
     ]
-    record = dict(t=fr.t, n=fr.n_grown, k=fr.k, contacts=contacts)
+    k = base64.b64encode(np.ascontiguousarray(fr.k, dtype="<f8").tobytes()).decode("ascii")
+    record = dict(n=fr.n_grown, k=k, contacts=contacts)
     record.update((key, getattr(fr, key)) for key in _SCALARS)
     return record
 
@@ -126,30 +129,8 @@ def _array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     """value as a finite array of the given shape; [] stands for any empty shape.
 
     Only JSON numbers pass: text and true/false are rejected rather than
-    converted, and an int array takes whole numbers only. A float table
-    given as a list of shape[0] lists of shape[1] numbers is flattened, its
-    element types are taken in one set(map(type, ...)) pass, and it is
-    converted in one call. Any other value, and a table with a wrong type or
-    a non-finite number, is converted nested by np.asarray and walked element
-    by element; that path raises the ParseError that names the fault.
+    converted, and an int array takes whole numbers only.
     """
-    if (
-        dtype is float
-        and len(shape) == 2
-        and type(value) is list
-        and len(value) == shape[0]
-        and set(map(type, value)) <= {list}
-        and set(map(len, value)) <= {shape[1]}
-    ):
-        flat = list(chain.from_iterable(value))
-        if set(map(type, flat)) <= {float, int}:
-            try:
-                out = np.fromiter(flat, float, len(flat)).reshape(shape)
-            except OverflowError:
-                pass
-            else:
-                if np.isfinite(out).all():
-                    return out
     try:
         out = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -191,13 +172,36 @@ def _scalar(value, what: str, kind=float):
     return kind(_array(value, what, (), dtype=kind))
 
 
+def _tangents(value, n: int) -> np.ndarray:
+    """k decoded: base64 of the little-endian float64 bytes of n + 1 rows of three.
+
+    24 bytes a row is a whole number of base64 groups, so the one encoding of
+    k has 32 characters a row and no padding; any other is rejected.
+    """
+    if type(value) is not str:
+        raise ParseError(f"k must be a base64 string, not {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ParseError(f"k is not base64: {exc}") from None
+    if len(raw) != 24 * (n + 1) or len(value) != 32 * (n + 1):
+        raise ParseError(
+            f"k holds {len(raw)} bytes in {len(value)} characters, "
+            f"expected {24 * (n + 1)} bytes in {32 * (n + 1)} for n = {n}"
+        )
+    k = np.frombuffer(raw, "<f8").reshape(n + 1, 3)
+    if not np.isfinite(k).all():
+        raise ParseError("k holds a non-finite number")
+    return k
+
+
 def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
     """Inverse of frame_to_dict for a run on a grid of spacing ds.
 
-    s and gamma are rebuilt as init_state and step build them. ParseError
+    s, t and gamma are rebuilt as init_state and step build them. ParseError
     names the missing, unknown or malformed key.
     """
-    t, n, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
+    n, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
     n = _scalar(n, "n", int)
     if n < 0:
         raise ParseError(f"n must be >= 0, got {n}")
@@ -209,11 +213,12 @@ def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
     nodes = _array(node, "contacts[].node", (m,), dtype=int)
     if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
-    k = _array(k, "k", (n + 1, 3))
+    k = _tangents(k, n)
+    s = ds * np.arange(n + 1, dtype=float)
     frame = TrajectoryFrame(
-        t=_scalar(t, "t"),
+        t=float(s[-1]),
         n_grown=n,
-        s=ds * np.arange(n + 1, dtype=float),
+        s=s,
         gamma=integrate_tangents(k, ds),
         k=k,
         contacts=ContactSet(

@@ -1,6 +1,7 @@
 """Shared helpers: random constraint systems, a bare frame record, the lines the
 writer writes and the command-line runner."""
 
+import base64
 import json
 import os
 import sys
@@ -63,12 +64,16 @@ def random_constraint_system(rng, tip_allowed=True):
     return ConstraintSystem(contacts=contacts, gamma=gamma, s=s, k=k, ds=ds, beta=beta, b=b)
 
 
+def k_text(rows):
+    """rows as a frame record's k: base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
 def bare_frame(**fields):
     """A one-frame record at t = 0: the seed node only, no contacts."""
     frame = {
-        "t": 0.0,
         "n": 0,
-        "k": [[0.0, 0.0, 1.0]],
+        "k": k_text([[0.0, 0.0, 1.0]]),
         "contacts": [],
         "energy": None,
         "min_phi": None,

@@ -1,5 +1,6 @@
 """End-to-end tests of the stemgrow command line: run, twin, audit, oracle-check."""
 
+import base64
 import json
 import math
 import re
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import STEMGROW, bare_frame, stemgrow_env
+from conftest import STEMGROW, bare_frame, k_text, stemgrow_env
 
 from stemgrow.config import load_config
 from stemgrow.reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
-from stemgrow.trajectory import frame_from_dict
+from stemgrow.trajectory import frame_from_dict, read_frames
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCENARIOS = PYPROJECT.parent / "scenarios"
@@ -135,7 +136,8 @@ def test_run_straight_scenario(tmp_path):
     # one frame per loop pass: t = 0.1, 0.2, 0.3, 0.4 and the horizon frame
     assert len(frames) == 5
     last = json.loads(frames[-1])
-    assert last["t"] == pytest.approx(0.5)
+    # no t is stored: it is dt * n, here 0.1 * 5
+    assert "t" not in last
     assert last["n"] == 5
     assert last["contacts"] == []
 
@@ -157,8 +159,8 @@ def test_run_stride_and_seed_overrides(tmp_path):
     frames = (outdir / "frames.jsonl").read_text().splitlines()
     # frames 0, 2, 4 of 5; the final frame is index 4 and stays included
     assert len(frames) == 3
-    assert json.loads(frames[0])["t"] == pytest.approx(0.1)
-    assert json.loads(frames[-1])["t"] == pytest.approx(0.5)
+    times = [fr.t for fr in read_frames(str(outdir / "frames.jsonl"), 0.1)]
+    assert times == pytest.approx([0.1, 0.3, 0.5])
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["config"]["output"] == {"stride": 2}
     assert manifest["outputs"]["frames_written"] == 3
@@ -381,7 +383,9 @@ def test_audit_rejects_tampered_frames(oblique_run, tmp_path):
     shutil.copytree(oblique_run, outdir)
     frames_path = outdir / "frames.jsonl"
     rows = [json.loads(line) for line in frames_path.read_text().splitlines()]
-    rows[-1]["k"][0][2] = rows[-1]["k"][0][2] * 1.1  # stretch one tangent
+    k = np.frombuffer(base64.b64decode(rows[-1]["k"]), "<f8").copy()
+    k[2] *= 1.1  # stretch one tangent
+    rows[-1]["k"] = k_text(k)
     frames_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     proc = invoke("audit", str(frames_path))
     assert proc.returncode == 1
@@ -408,7 +412,7 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     n, tol = 5, 1e-8
     contact = {"node": n, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.0, "mu": 0.0}
     record = json.loads(
-        bare_frame(t=n * config.dt, n=n, k=[[0.0, 0.0, 1.0]] * (n + 1), contacts=[contact])
+        bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
     )
     frame = frame_from_dict(record, config.dt)
     system = ConstraintSystem(
@@ -458,10 +462,10 @@ CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1,
 
 
 def old_format_frame():
-    """bare_frame as the older format wrote it, with s and gamma between n and k."""
+    """bare_frame as an older format wrote it: t, s and gamma, and k as nested lists."""
     record = json.loads(bare_frame())
-    old = {"t": record.pop("t"), "n": record.pop("n"), "s": [0.0], "gamma": [[0.0, 0.0, 0.0]]}
-    return (json.dumps({**old, **record}) + "\n").encode()
+    old = {"t": 0.0, "n": record.pop("n"), "s": [0.0], "gamma": [[0.0, 0.0, 0.0]]}
+    return (json.dumps({**old, **record, "k": [[0.0, 0.0, 1.0]]}) + "\n").encode()
 
 
 @pytest.mark.parametrize("command", ["audit", "oracle-check"])
@@ -470,16 +474,31 @@ def old_format_frame():
     [
         (b'{"t":0}\n', "frames.jsonl:1: frame has no key 'n'"),
         (b"[1,2]\n", "frames.jsonl:1: frame is not an object"),
-        (bare_frame(k=[[0, 0]]), "frames.jsonl:1: k has shape (1, 2), expected (1, 3)"),
+        (
+            bare_frame(k=k_text([0.0, 0.0])),
+            "frames.jsonl:1: k holds 16 bytes in 24 characters, expected 24 bytes in 32 for n = 0",
+        ),
         (bare_frame(contacts=[CONTACT_PAST_TIP]), "contacts[].node must increase within 0..0"),
         (b"\xff\xfe\x7b", "frames.jsonl is not UTF-8 text"),
-        (bare_frame(t="0.0"), "frames.jsonl:1: t must hold numbers, not text or true/false"),
-        (bare_frame(k=[["0", 0, 1]]), "frames.jsonl:1: k must hold numbers, not text or true/false"),
+        (bare_frame(t="0.0"), "frames.jsonl:1: frame has unknown keys ['t']"),
+        (bare_frame(k=[["0", 0, 1]]), "frames.jsonl:1: k must be a base64 string, not list"),
         # positions and the arclength grid are rebuilt, not read, whatever a
         # record holds under their old keys
         (bare_frame(gamma=[[0, 0]]), "frames.jsonl:1: frame has unknown keys ['gamma']"),
         (bare_frame(s=["0"]), "frames.jsonl:1: frame has unknown keys ['s']"),
-        (old_format_frame(), "frames.jsonl:1: frame has unknown keys ['s', 'gamma']"),
+        (old_format_frame(), "frames.jsonl:1: frame has unknown keys ['t', 's', 'gamma']"),
+        # each encoding fault names k
+        (bare_frame(k=[0.0, 0.0, 1.0]), "frames.jsonl:1: k must be a base64 string, not list"),
+        (bare_frame(k=1.0), "frames.jsonl:1: k must be a base64 string, not float"),
+        (bare_frame(k=None), "frames.jsonl:1: k must be a base64 string, not NoneType"),
+        (bare_frame(k="*" + k_text([0.0, 0.0, 1.0])[1:]), "frames.jsonl:1: k is not base64"),
+        (bare_frame(k=k_text([0.0, 0.0, 1.0])[:-1]), "frames.jsonl:1: k is not base64"),
+        (bare_frame(k=k_text([0.0, 0.0, 1.0]) + "="), "frames.jsonl:1: k holds 24 bytes in 33"),
+        (bare_frame(k=k_text([0.0] * 4)), "frames.jsonl:1: k holds 32 bytes in 44 characters"),
+        (bare_frame(k=k_text([0.0] * 6)), "frames.jsonl:1: k holds 48 bytes in 64 characters"),
+        (bare_frame(k=k_text([0.0, 0.0, math.nan])), "frames.jsonl:1: k holds a non-finite number"),
+        (bare_frame(k=k_text([0.0, 0.0, math.inf])), "frames.jsonl:1: k holds a non-finite number"),
+        (bare_frame(k=k_text([0.0, 0.0, -math.inf])), "frames.jsonl:1: k holds a non-finite number"),
         (
             bare_frame(solver_sweeps=True),
             "frames.jsonl:1: solver_sweeps must hold numbers, not text or true/false",
@@ -503,6 +522,17 @@ def old_format_frame():
         "gamma_shape",
         "s_holds_text",
         "old_format",
+        "k_is_a_list",
+        "k_is_a_number",
+        "k_is_null",
+        "k_not_in_the_alphabet",
+        "k_bad_padding",
+        "k_padding_past_the_end",
+        "k_eight_bytes_over",
+        "k_a_row_over",
+        "k_holds_nan",
+        "k_holds_infinity",
+        "k_holds_minus_infinity",
         "sweeps_is_boolean",
         "n_is_fractional",
         "sweeps_is_fractional",
@@ -578,16 +608,20 @@ def test_malformed_third_frame_stops_the_stream(straight_run, tmp_path, command)
 
 TOO_BIG_FOR_UINT64 = "18446744073709551616"
 # Each turns the third frame of a clean run into text that is not a valid
-# frame: a non-JSON token, a number that overflows, or broken syntax.
+# frame: a non-JSON token, a number that overflows, broken syntax, or the bits
+# of a non-finite number in k.
+# The first row of k is its first 32 characters.
+FIRST_ROW = r'"k":"[^"]{32}'
 TEXT_FAULTS = {
-    "nan_in_k": (r'"k":\[\[[^,]+,', '"k":[[NaN,'),
-    "infinity_in_k": (r'"k":\[\[[^,]+,', '"k":[[Infinity,'),
-    "minus_infinity_in_k": (r'"k":\[\[[^,]+,', '"k":[[-Infinity,'),
+    "nan_in_k": (FIRST_ROW, '"k":"' + k_text([math.nan, 0.0, 1.0])),
+    "infinity_in_k": (FIRST_ROW, '"k":"' + k_text([math.inf, 0.0, 1.0])),
+    "minus_infinity_in_k": (FIRST_ROW, '"k":"' + k_text([-math.inf, 0.0, 1.0])),
     # the same tokens in the positions an older record held before k
     "nan_in_gamma": (r'"k":', '"gamma":[[NaN,0.0,0.0]],"k":'),
     "infinity_in_gamma": (r'"k":', '"gamma":[[Infinity,0.0,0.0]],"k":'),
     "minus_infinity_in_gamma": (r'"k":', '"gamma":[[-Infinity,0.0,0.0]],"k":'),
-    "overflow_t": (r'"t":[^,]+,', '"t":1e400,'),
+    # where the older format held t
+    "overflow_t": (r"^\{", '{"t":1e400,'),
     "n_past_uint64": (r'"n":\d+', f'"n":{TOO_BIG_FOR_UINT64}'),
     "node_past_uint64": (
         r'"contacts":\[\]',

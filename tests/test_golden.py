@@ -5,8 +5,10 @@ the ceiling's sustained sliding contact at strides 20 and 1, of the tilted twin 
 `twin_tilt`, and of a strided twin of `sphere_perpendicular` whose two runs
 end at different frames. A refactor that changes any bit of a frame or event
 fails here. The pinned text is orjson's (3.8.3): each float is the shortest
-text that reads back to the same double. A frame holds the tangents, not the
-positions or the arclength grid they imply. The same frames must also survive
+text that reads back to the same double, except a frame's tangents, which are
+one base64 string of their little-endian float64 bytes. A frame holds the
+node count and the tangents, not the time, positions or arclength grid they
+imply. The same frames must also survive
 a parse and a rewrite through `frame_from_dict`/`frame_to_dict` and
 `write_jsonl` unchanged, byte for byte.
 """
@@ -24,34 +26,34 @@ from stemgrow.trajectory import frame_from_dict, frame_to_dict
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    "straight/frames.jsonl": "49dd56cb200c07d759a399ce72ac70504c43c2f35d1240da4907323871508e8b",
+    "straight/frames.jsonl": "1063d6a916f263b4ff41af9a5c6efa260b27a84c90a36061a710e21f6f482b2b",
     "straight/events.jsonl": "a4114731c418110aab24cb3ff3a9ab818e28e3ea8390655426a1dfa5275d5c3a",
     "sphere_perpendicular/frames.jsonl": (
-        "871ff75cdee4702cfa0503681d1047003d0030f7b70002bb4ab24320f75a319e"
+        "d99b0d34938438ce2c4562d960a152379715dc4048c69735c0b09f604d87630a"
     ),
     "sphere_perpendicular/events.jsonl": (
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "64e93443d3fdac0bcfcbdba548230c9b2abbb5b9b711ea7b05e845efaf9ecf13"
+        "a3ee597487880371fcefffcdf1af398101388af424810741701d6070e96cb08f"
     ),
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "745838253ef57353ce6c1f90a961e2004167ce914fcf11fd8c38a9d5457f4432",
+    "ceiling/frames.jsonl": "8feeac42359b896b00829b3273de39be9d42cf8a4c8cc6fd61a66e6a0c6db884",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "9ee7ab770e9243417483344c01c788fe4476ad4cc033d0fff7089919ff1574a9"
+        "52ce84d39be03ea9836a34512a43d8180a5d74bd99c5b2c58f3c88623ca4b8d0"
     ),
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "9976ac884b81cd26e58066e664009275a0fca1cd028036898af8acab2d25b62b",
+    "twin/base/frames.jsonl": "7c2efd1e435f815a7e6494f67a7d0dcf6699ea2c985b0a8d6c51acff2811266b",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "85031b81c97ddfbacdcc91c9427d6a0444823f665f95bb8fcd4f2a2e0a9edf77"
+        "15ee6c41a4e8e3a4e79efb0687763b7f05a2c0ccd4fcec0b775a79c864ca077b"
     ),
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
@@ -61,13 +63,13 @@ GOLDEN = {
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
-        "789c2eb1a2427ff84a85047d8e7577e22fb3aed918e80768178c5ad2be08420f"
+        "281ba9bc0a8f8a80caac2caa7c1c8cb4421c01d37077e4700df1e8d78dfed994"
     ),
     "twin_perpendicular/base/events.jsonl": (
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "954c11b63a770b97a74d19f8fdde093d45a4ed40352c7195bdc8c87d3449d927"
+        "4512fc491243884aaabe9f4bd68ce87eef1a07db35aa493e1d35caead579d474"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"

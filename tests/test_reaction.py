@@ -1,10 +1,12 @@
 """Contact detection, constraint assembly, and the reaction minimizer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import random_constraint_system
 
-from stemgrow.config import SeedCurve, SimConfig
+from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -18,12 +20,15 @@ from stemgrow.reaction import (
     ContactSet,
     assemble_constraints,
     check_kkt,
+    density_from_multipliers,
     detect_contacts,
     linear_rates,
     oracle_solve_reaction,
     solve_reaction,
 )
-from stemgrow.stepper import init_state
+from stemgrow.stepper import init_state, simulate
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -95,9 +100,11 @@ def assemble(state, contacts, law, kappa, dt):
 def test_straight_stem_far_from_sphere_has_no_contacts():
     scene = Scene([Sphere(center=np.array([10.0, 0.0, 0.0]), radius=1.0)])
     state, config = vertical_state(scene=scene)
-    contacts = detect_contacts(state, scene, config.eps_contact, config.eps_penetration)
+    contacts, min_phi = detect_contacts(state, scene, config.eps_contact, config.eps_penetration)
     assert contacts.size == 0
     assert not contacts.tip
+    # the base node is nearest: |(10, 0, 0)| - 1
+    assert min_phi == 9.0
 
 
 def test_detect_contacts_flags_touching_tip():
@@ -105,9 +112,10 @@ def test_detect_contacts_flags_touching_tip():
     # (a head-on jam, which seeding accepts and run ends as Breakdown)
     scene = Scene([HalfSpace(point=np.array([0.0, 0.0, 1.0]), outward_normal=-E3)])
     state, config = vertical_state(scene=scene)
-    contacts = detect_contacts(state, scene, config.eps_contact, config.eps_penetration)
+    contacts, min_phi = detect_contacts(state, scene, config.eps_contact, config.eps_penetration)
     assert contacts.size == 1
     assert contacts.tip
+    assert min_phi == contacts.phi[0]
     assert contacts.nodes[0] == state.n_grown
     assert np.allclose(contacts.normals[0], -E3)
     assert abs(contacts.phi[0]) <= config.eps_contact
@@ -301,6 +309,42 @@ def test_gram_assembly_matches_direct_summation():
         got = system.gram
         scale = 1.0 + float(np.max(np.abs(direct)))
         assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+
+
+def gram_identity_gap(system, mu):
+    """Largest gap between G mu and the linear rates of omega(mu) less the tip's
+    elongation term, relative to the largest entry of G mu."""
+    rates = linear_rates(system, density_from_multipliers(system, mu))
+    if system.tip_row is not None:
+        rates[system.tip_row] -= system.k[-1] @ system.contacts.normals[system.tip_row]
+    want = system.gram @ mu
+    return float(np.max(np.abs(rates - want)) / np.max(np.abs(want)))
+
+
+def test_gram_and_linear_rates_share_one_quadrature():
+    # the dual is built so that the linear rate of the density omega(mu) is
+    # G mu: the Gram matrix and linear_rates must sum the same cells, so the
+    # defect could be taken through G without moving a bit past round-off
+    rng = np.random.default_rng(52)
+    for _ in range(100):
+        system = random_constraint_system(rng)
+        mu = rng.uniform(0.0, 2.0, size=system.contacts.size)
+        assert gram_identity_gap(system, mu) <= 1e-12
+
+
+def test_gram_identity_holds_on_a_sliding_ceiling_step():
+    # the first step at which the tip and a node below it both touch the
+    # ceiling, with the multipliers that step accepted: the tip presses, and
+    # the row below it reads the rate the tip's reaction gives it
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    frame = next(
+        fr for fr, _ in simulate(config) if fr.contacts.tip and fr.contacts.size > 1
+    )
+    assert frame.mu[-1] > 0.0
+    system = ConstraintSystem(
+        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta, frame.b
+    )
+    assert gram_identity_gap(system, frame.mu) <= 1e-12
 
 
 def test_contact_with_no_leverage_and_positive_demand_is_infeasible():

@@ -12,7 +12,7 @@ from stemgrow.curves import angular_displacement_profile, integrate_tangents, ro
 from stemgrow.diagnostics import step_normal_rates
 from stemgrow.errors import InitialPenetration, MaxIterationsExceeded
 from stemgrow.growth import GrowthLaw, psi_field
-from stemgrow.obstacles import HalfSpace, Scene, Sphere
+from stemgrow.obstacles import HalfSpace, Scene, Sphere, signed_distances
 from stemgrow.reaction import (
     assemble_constraints,
     detect_contacts,
@@ -58,7 +58,7 @@ def ceiling(z):
 
 
 def contacts_of(state, config):
-    return detect_contacts(state, config.scene, config.eps_contact, config.eps_penetration)
+    return detect_contacts(state, config.scene, config.eps_contact, config.eps_penetration)[0]
 
 
 def cold_step(state, config, contacts):
@@ -136,6 +136,34 @@ def test_oblique_plane_contact_slides_to_horizon():
             assert f.realized_residual <= 1e-6 * (1.0 + 1.0)
 
 
+@pytest.mark.parametrize("scenario", ["straight", "sphere_oblique"])
+def test_frames_keep_the_distance_detection_measured(scenario):
+    # a frame's min_phi is the least distance detection measured on its state,
+    # not a second measurement of the same positions
+    config = load_config(str(SCENARIOS / f"{scenario}.json"))
+    for fr in run(config).frames:
+        if config.scene.obstacles:
+            assert fr.min_phi == float(np.min(signed_distances(config.scene, fr.gamma)))
+        else:
+            assert fr.min_phi is None
+
+
+def test_penetrated_terminal_frame_measures_its_distance():
+    # detection fails on the last state before it returns a distance, so the
+    # terminal frame measures that state itself
+    config = make_config(
+        scene=ceiling(0.5),
+        seed=SeedCurve(kind="segment", direction=E3, length=0.2),
+        dt=0.2,
+        t0=0.2,
+        eps_contact=1e-3 * 0.2,
+    )
+    traj = run(config)
+    assert traj.exit_kind == "IntegrityFailure"
+    final = traj.frames[-1]
+    assert final.min_phi == float(np.min(signed_distances(config.scene, final.gamma))) < 0.0
+
+
 def test_head_on_plane_contact_breaks_down():
     config = make_config(
         scene=ceiling(0.5),
@@ -195,7 +223,7 @@ def test_bent_tip_contact_is_not_breakdown():
         eps_contact=1e-3 * 0.01,
     )
     state = init_state(config)
-    contacts = detect_contacts(
+    contacts, _ = detect_contacts(
         state, ceiling(float(state.gamma[-1][2])), 1e-3, config.eps_penetration
     )
     assert contacts.tip
@@ -299,7 +327,7 @@ def test_contact_step_agrees_with_enumeration_solver():
         law=GrowthLaw(variant="gravitropic", beta=1.0, gain=1.0),
     )
     state = init_state(config)
-    contacts = detect_contacts(
+    contacts, _ = detect_contacts(
         state, config.scene, config.eps_contact, config.eps_penetration
     )
     assert 0 < contacts.size <= 12

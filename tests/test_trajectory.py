@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import STEMGROW, bare_frame, stemgrow_env, written_lines
+from conftest import STEMGROW, bare_frame, k_text, stemgrow_env, written_lines
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -76,9 +76,10 @@ def test_integer_array_keeps_the_integer_path():
 
 def test_read_frames_parses_lazily(tmp_path):
     path = tmp_path / "frames.jsonl"
-    path.write_bytes(bare_frame(t=0.25) + b"{garbage\n")
+    path.write_bytes(bare_frame(n=25, k=k_text([[0.0, 0.0, 1.0]] * 26)) + b"{garbage\n")
     frames = iter(read_frames(str(path), DS))
-    assert next(frames).t == 0.25
+    # t is not stored: it is the end of the rebuilt grid, DS * n
+    assert next(frames).t == DS * 25
     with pytest.raises(ParseError, match="frames.jsonl:2: bad record"):
         next(frames)
 
@@ -182,12 +183,14 @@ def test_malformed_event_is_a_parse_error(record, message):
         event_from_dict(record)
 
 
+TWO_ROWS = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+
+
 def two_node_frame():
     """A frame record at n = 1 with one tip contact, as json.loads gives it."""
     return {
-        "t": 0.01,
         "n": 1,
-        "k": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        "k": k_text(TWO_ROWS),
         "contacts": [{"node": 1, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.5, "mu": 2.0}],
         "energy": 1.0,
         "min_phi": 0.0,
@@ -198,22 +201,39 @@ def two_node_frame():
     }
 
 
+def k_with(rows=TWO_ROWS, edit=lambda text: text):
+    """A k value as JSON text: the values encoded, then edited as a string."""
+    return json.dumps(edit(k_text(rows)))
+
+
 @pytest.mark.parametrize(
     "key, text, message",
     [
-        ("k", "[[0, 0, 1], [0, 0]]", "k must be numeric and in range"),
-        ("k", '[[0, 0, 1], "abc"]', "k must be numeric and in range"),
-        ("k", '[[0, 0, 1], {"x": 0, "y": 0, "z": 1}]', "k must be numeric and in range"),
-        ("k", "[[0, true, 1], [0, 0, 1]]", "k must hold numbers, not text or true/false"),
-        ("k", '[[0, "0", 1], [0, 0, 1]]', "k must hold numbers, not text or true/false"),
-        ("k", "[[0, 0, 1], [0, null, 1]]", "k holds a non-finite number or a stray null"),
-        ("k", "[[0, 0, 1], [0, 0, 1e400]]", "k holds a non-finite number or a stray null"),
-        ("t", "1e400", "t holds a non-finite number or a stray null"),
+        # k is one base64 string of exactly n + 1 rows of three float64s
+        ("k", k_with([0, 0, 1, 0, 0]), "k holds 40 bytes in 56 characters, expected 48"),
+        ("k", '[[0, 0, 1], "abc"]', "k must be a base64 string, not list"),
+        ("k", '[[0, 0, 1], {"x": 0, "y": 0, "z": 1}]', "k must be a base64 string, not list"),
+        ("k", "true", "k must be a base64 string, not bool"),
+        ("k", k_with(edit=lambda t: t[:10] + "*" + t[11:]), "k is not base64"),
+        ("k", "null", "k must be a base64 string, not NoneType"),
+        ("k", k_with([0, 0, 1, 0, 0, math.inf]), "k holds a non-finite number"),
+        ("k", "[[0, 0, 1], [0, 0, 1]]", "k must be a base64 string, not list"),
+        ("k", k_with(edit=lambda t: t[:-1]), "k is not base64"),
+        ("k", k_with(edit=lambda t: t[:-4] + "AA=="), "k holds 46 bytes in 64 characters"),
+        ("k", k_with(edit=lambda t: t + "="), "k holds 48 bytes in 65 characters"),
+        ("k", k_with(edit=lambda t: t[:10] + "\u00e9" + t[11:]), "k is not base64"),
+        ("k", k_with(TWO_ROWS * 2), "k holds 96 bytes in 128 characters, expected 48"),
+        ("k", k_with(TWO_ROWS[:1]), "k holds 24 bytes in 32 characters, expected 48"),
+        ("k", k_with([0, 0, 1, 0, 0, 1, 0]), "k holds 56 bytes in 76 characters, expected 48"),
+        ("k", k_with([0, 0, 1, 0, 0, math.nan]), "k holds a non-finite number"),
+        ("k", k_with([0, 0, 1, 0, 0, -math.inf]), "k holds a non-finite number"),
+        # time is the end of the rebuilt grid, not a key of a frame
+        ("t", "1e400", r"frame has unknown keys \['t'\]"),
         ("n", "1" + "0" * 400, "n must be numeric and in range"),
-        ("t", "1" + "0" * 400, "t must be numeric and in range"),
-        ("t", '"late"', "t must be numeric"),
-        ("k", "5", r"k has shape \(\), expected \(2, 3\)"),
-        ("k", "[0, 0, 1, 0, 0, 1]", r"k has shape \(6,\), expected \(2, 3\)"),
+        ("t", "1" + "0" * 400, r"frame has unknown keys \['t'\]"),
+        ("t", '"late"', r"frame has unknown keys \['t'\]"),
+        ("k", "5", "k must be a base64 string, not int"),
+        ("k", "[0, 0, 1, 0, 0, 1]", "k must be a base64 string, not list"),
         ("solver_sweeps", "-5", "solver_sweeps must be >= 0, got -5"),
         # what the frame reader decodes -9223372036854775809 to: the float -2^63
         ("solver_sweeps", "-9.223372036854776e18", "solver_sweeps must be >= 0"),
@@ -233,6 +253,16 @@ def two_node_frame():
         "text_in_k",
         "null_in_k",
         "overflow_in_k",
+        "k_is_a_table",
+        "k_bad_padding",
+        "k_padded_short",
+        "k_padding_past_the_end",
+        "k_not_ascii",
+        "k_a_row_too_many",
+        "k_a_row_too_few",
+        "k_eight_bytes_over",
+        "nan_bits_in_k",
+        "minus_infinity_bits_in_k",
         "overflow_t",
         "huge_int_n",
         "huge_int_t",
@@ -258,6 +288,29 @@ def test_malformed_frame_is_a_parse_error(key, text, message):
 def test_two_node_frame_round_trips():
     lines = written_lines([two_node_frame()])
     assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0]), DS))]) == lines
+
+
+def strided(k):
+    """k as a view that is not C-contiguous."""
+    wide = np.zeros((k.shape[0], 2 * k.shape[1]))
+    wide[:, ::2] = k
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize(
+    "layout", [lambda k: k.astype(">f8"), strided], ids=["big_endian", "non_contiguous"]
+)
+def test_k_is_written_as_its_values_whatever_its_layout(layout):
+    # the writer encodes k's values, not its memory: byte order and strides
+    # never reach the file, and the reader gives back every bit
+    frame = frame_from_dict(two_node_frame(), DS)
+    k = np.array(EDGE_FLOATS[:6]).reshape(2, 3)
+    other = layout(k)
+    assert other.dtype.str == ">f8" or not other.flags.c_contiguous
+    (native,) = written_lines([frame_to_dict(replace(frame, k=k))])
+    assert written_lines([frame_to_dict(replace(frame, k=other))]) == [native]
+    back = frame_from_dict(json.loads(native), DS).k
+    assert np.array_equal(back.view(np.uint64), k.view(np.uint64))
 
 
 def value_paths(node, prefix=()):
