@@ -209,11 +209,9 @@ def _cmd_oracle_check(args) -> int:
         if fr.contacts.size > args.max_contacts:
             skipped += 1
             continue
-        system = ConstraintSystem(
-            fr.contacts, fr.gamma, fr.s, fr.k, config.dt, config.law.beta, fr.b
-        )
+        system = ConstraintSystem(fr.contacts, fr.gamma, fr.s, fr.k, config.dt, config.law.beta)
         try:
-            oracle = oracle_solve_reaction(system, max_contacts=args.max_contacts)
+            oracle = oracle_solve_reaction(system, fr.b, max_contacts=args.max_contacts)
         except (TooManyContacts, NoCandidateFeasible) as exc:
             print(f"oracle-check: frame {idx}: {exc}")
             mismatched += 1
@@ -224,7 +222,9 @@ def _cmd_oracle_check(args) -> int:
         # the density is unique even where the multipliers are not, so a
         # degenerate frame is compared too
         checked += 1
-        degenerate += oracle.degenerate
+        if oracle.degenerate:
+            degenerate += 1
+            print(f"oracle-check: frame {idx}: degenerate ({oracle.degenerate})")
         if diff > args.tol * scale:
             mismatched += 1
             print(

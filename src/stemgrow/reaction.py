@@ -91,13 +91,11 @@ class ConstraintSystem:
 
     Row j acts on the density through the arm field a_j(sigma_i) =
     (gamma_j - gamma_i) x n_j, supported on nodes below the contact. The
-    right-hand side b folds in the growth-law drive, the tip elongation term,
-    and the penetration pushback. The energy weights are
-    ds * exp(beta (t - sigma_i)); the Gram matrix lives in the inverse metric.
-    gamma, s and k cover the grown nodes only, so the current time is s[-1]
-    and the tip tangent is k[-1]. The decay, the arms and the Gram matrix
-    depend on the geometry alone, so each is computed once per system; the
-    correction loop changes only b.
+    energy weights are ds * exp(beta (t - sigma_i)); the Gram matrix lives in
+    the inverse metric. gamma, s and k cover the grown nodes only, so the
+    current time is s[-1] and the tip tangent is k[-1]. The system is
+    geometry only: the decay, the arms and the Gram matrix are computed once
+    per system, and the right-hand side b is the caller's.
     """
 
     contacts: ContactSet
@@ -106,7 +104,6 @@ class ConstraintSystem:
     k: np.ndarray
     ds: float
     beta: float
-    b: np.ndarray
 
     @property
     def t(self) -> float:
@@ -187,24 +184,20 @@ def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def linear_rates(
-    system: ConstraintSystem, density: np.ndarray, profile: np.ndarray | None = None
-) -> np.ndarray:
+def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
     """Per-row first-order normal velocity produced by a rotation density.
 
     Quadrature is the stepper's cumulative-rotation rule, left-endpoint
     rectangles from angular_displacement_profile; the tip row adds the
-    elongation term. A caller that has already built that profile of density
-    passes it as profile, so that it is not built twice.
+    elongation term. The Gram matrix sums the same cells, so the rate of the
+    reaction density omega(mu), less that term, is G mu.
     """
     nodes = system.contacts.nodes
     nrm = system.contacts.normals
     gam = system.gamma
     ds = system.ds
 
-    if profile is None:
-        profile = angular_displacement_profile(density, ds)
-    p1 = profile[nodes]
+    p1 = angular_displacement_profile(density, ds)[nodes]
     vx = angular_displacement_profile(cross(density, gam), ds)[nodes]
     swirl = cross(p1, gam[nodes]) - vx
     vals = np.einsum("jd,jd->j", swirl, nrm)
@@ -219,33 +212,14 @@ def pushback_rates(phi: np.ndarray, kappa: float, dt: float) -> np.ndarray:
 
 
 def assemble_constraints(
-    stem: "StemState",
-    contacts: ContactSet,
-    psi: np.ndarray,
-    beta: float,
-    kappa: float,
-    dt: float,
+    stem: "StemState", contacts: ContactSet, beta: float
 ) -> ConstraintSystem:
-    """Build the constraint system for the current state.
-
-    psi is the growth-law density on the grown nodes and beta its decay rate.
-    b_j = pushback - (drive rate), so the constraint (A omega)_j >= b_j says
-    the reaction must cancel whatever inward velocity the growth law alone
-    would produce, plus expel any existing penetration at the pushback rate.
-    """
+    """The constraint system of contacts on the current state, beta the decay rate."""
     if contacts.size == 0:
         raise EmptyContactSet("assemble_constraints needs at least one contact")
-    system = ConstraintSystem(
-        contacts=contacts,
-        gamma=stem.gamma,
-        s=stem.s,
-        k=stem.k,
-        ds=stem.ds,
-        beta=beta,
-        b=np.zeros(contacts.size),
+    return ConstraintSystem(
+        contacts=contacts, gamma=stem.gamma, s=stem.s, k=stem.k, ds=stem.ds, beta=beta
     )
-    system.b = pushback_rates(contacts.phi, kappa, dt) - linear_rates(system, psi)
-    return system
 
 
 @dataclass
@@ -304,9 +278,9 @@ def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, flo
 
 
 def solve_reaction(
-    system: ConstraintSystem, warm_start: np.ndarray | None
+    system: ConstraintSystem, b: np.ndarray, warm_start: np.ndarray | None
 ) -> ReactionSolution:
-    """Minimize the weighted reaction energy subject to the contact constraints.
+    """Minimize the weighted reaction energy subject to linear rates of at least b.
 
     Solves the nonnegative dual exactly by a Lawson-Hanson active-set method
     on the Gram matrix. The face is the set of rows with positive
@@ -322,7 +296,6 @@ def solve_reaction(
     if m == 0:
         raise EmptyContactSet("solve_reaction needs at least one contact")
     g = system.gram
-    b = system.b
     diag = g.diagonal()
     bscale = 1.0 + float(np.abs(b).max())
     dead = diag <= 1e-20 * max(1.0, float(diag.max()))
@@ -400,14 +373,14 @@ def solve_reaction(
     )
 
 
-def check_kkt(system: ConstraintSystem, sol: ReactionSolution) -> dict:
-    """Complementarity and stationarity residuals of an accepted solve.
+def check_kkt(system: ConstraintSystem, b: np.ndarray, sol: ReactionSolution) -> dict:
+    """Complementarity and stationarity residuals of an accepted solve against b.
 
     Stationarity is re-verified from materialized rows for small systems
     (independent of the suffix-sum evaluation path).
     """
     g = system.gram
-    slack = g @ sol.mu - system.b
+    slack = g @ sol.mu - b
     comp = float(np.max(np.abs(sol.mu * slack))) if sol.mu.size else 0.0
     out = {"complementarity": comp, "stationarity": 0.0}
     if system.contacts.size <= 64:
@@ -421,20 +394,22 @@ def check_kkt(system: ConstraintSystem, sol: ReactionSolution) -> dict:
 class OracleSolution:
     mu: np.ndarray
     omega: np.ndarray
-    degenerate: bool
+    # why the system is degenerate, or "" when it is not
+    degenerate: str
     n_candidates: int
 
 
 def oracle_solve_reaction(
-    system: ConstraintSystem, max_contacts: int
+    system: ConstraintSystem, b: np.ndarray, max_contacts: int
 ) -> OracleSolution:
-    """Exhaustive active-set enumeration solve, for cross-checking.
+    """Exhaustive active-set enumeration solve against b, for cross-checking.
 
     Tries every subset of contacts as the active set, solves the equality
     system on it, and keeps the candidates that are primal and dual feasible.
-    Convexity makes every survivor a global minimizer; disagreement between
-    survivors (or a near-singular active block, or a vanishing active
-    multiplier) marks the system as degenerate.
+    Convexity makes every survivor a global minimizer. The system is
+    degenerate when an active block is near-singular or ill-conditioned,
+    when the survivors have several supports or disagree in density, or when
+    the chosen multipliers include a vanishing one; degenerate names each.
     """
     m = system.contacts.size
     if m == 0:
@@ -447,11 +422,10 @@ def oracle_solve_reaction(
     flat = rows.reshape(m, -1)
     g = (rows * w[None, :, None]).reshape(m, -1) @ flat.T
     g = 0.5 * (g + g.T)
-    b = system.b
     feas_tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
 
     candidates = []
-    degenerate = False
+    singular = False
     for mask in range(1 << m):
         act = [j for j in range(m) if mask >> j & 1]
         mu = np.zeros(m)
@@ -463,12 +437,12 @@ def oracle_solve_reaction(
                 mu_a, *_ = np.linalg.lstsq(sub, b[act], rcond=None)
                 if np.max(np.abs(sub @ mu_a - b[act])) > feas_tol:
                     continue
-                degenerate = True
+                singular = True
             if np.min(mu_a) < -1e-10 * (1.0 + float(np.max(np.abs(mu_a)))):
                 continue
             mu[act] = np.maximum(mu_a, 0.0)
             if np.linalg.cond(sub) > 1e10:
-                degenerate = True
+                singular = True
         if np.min(g @ mu - b) < -feas_tol:
             continue
         candidates.append(mu)
@@ -478,24 +452,20 @@ def oracle_solve_reaction(
     omegas = [
         system.decay[:, None] * np.einsum("j,jid->id", mu, rows) for mu in candidates
     ]
-    spread = 0.0
-    for om in omegas[1:]:
-        spread = max(spread, float(np.max(np.abs(om - omegas[0]))))
-    if len(candidates) > 1:
-        supports = {tuple(np.nonzero(mu > 0)[0]) for mu in candidates}
-        if len(supports) > 1:
-            degenerate = True
-    if spread > 1e-7 * (1.0 + float(np.max(np.abs(omegas[0])))):
-        degenerate = True
-
+    spread = max((float(np.max(np.abs(om - omegas[0]))) for om in omegas[1:]), default=0.0)
     best = int(np.argmin([float(mu @ mu) for mu in candidates]))
     mu = candidates[best]
-    if mu.size and np.any(mu > 0):
-        if float(np.min(mu[mu > 0])) < 1e-8 * (1.0 + float(np.max(mu))):
-            degenerate = True
+    positive = mu[mu > 0.0]
+    tiny = positive.size > 0 and positive.min() < 1e-8 * (1.0 + positive.max())
+    reasons = {
+        "near-singular or ill-conditioned face": singular,
+        "several supports": len({tuple(np.nonzero(c > 0)[0]) for c in candidates}) > 1,
+        "candidate densities disagree": spread > 1e-7 * (1.0 + np.max(np.abs(omegas[0]))),
+        "tiny multiplier": tiny,
+    }
     return OracleSolution(
         mu=mu,
         omega=omegas[best],
-        degenerate=degenerate,
+        degenerate=", ".join(reason for reason, hit in reasons.items() if hit),
         n_candidates=len(candidates),
     )

@@ -153,14 +153,14 @@ def detect_breakdown(
 
 
 def _advance_fields(
-    state: StemState, omega_cap: np.ndarray, dt: float
+    state: StemState, density: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
 
-    omega_cap is the density's angular_displacement_profile. The new tip node
-    continues the rotated tip tangent: its row is a bitwise copy of the row
-    below it.
+    The new tip node continues the rotated tip tangent: its row is a bitwise
+    copy of the row below it.
     """
+    omega_cap = angular_displacement_profile(density, state.ds)
     rotated = rotate_vectors(dt * omega_cap, state.k)
     k_new = np.concatenate([rotated, rotated[-1:]])
     return k_new, integrate_tangents(k_new, state.ds)
@@ -175,24 +175,24 @@ def step(
 ) -> tuple[StemState, StepInfo]:
     """Advance one dt against the state's contacts; returns the new state and what it did.
 
-    With contacts, seed is the defect guessed for each contact row, and the
-    first solve is made on b0 - seed; a step without contacts reads neither
+    With contacts, the linear rates must reach b0 = pushback - drive: the
+    reaction must cancel whatever inward velocity the growth law alone would
+    produce (the drive), plus expel any existing penetration at the pushback
+    rate. seed is the defect guessed for each contact row, and the first
+    solve is made on b0 - seed; a step without contacts reads neither
     warm_start nor seed.
     """
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
-        k_new, gamma_new = _advance_fields(
-            state, angular_displacement_profile(psi, state.ds), config.dt
-        )
+        k_new, gamma_new = _advance_fields(state, psi, config.dt)
         info = StepInfo.without_reaction(contacts)
     else:
-        system = assemble_constraints(
-            state, contacts, psi, config.law.beta, config.kappa, config.dt
-        )
-        b0 = system.b
+        system = assemble_constraints(state, contacts, config.law.beta)
         pushback = pushback_rates(contacts.phi, config.kappa, config.dt)
-        system.b = b0 - seed
-        sol = solve_reaction(system, warm_start)
+        drive = linear_rates(system, psi)
+        b0 = pushback - drive
+        b = b0 - seed
+        sol = solve_reaction(system, b, warm_start)
         # The solve is exact for the linearized rates; the actual update
         # rotates nodes along circular arcs, so the realized normal rates at
         # the contacts lag the linear prediction by O(dt). Feeding that defect
@@ -202,11 +202,10 @@ def step(
         # defect extrapolated from the last contact steps, so a good seed
         # saves sweeps; a bad one costs sweeps, since only the realized rates
         # decide acceptance. Running out of sweeps first is a failure, never
-        # a silently accepted step.
+        # a silently accepted step. The linear rates of psi + omega are
+        # drive + G mu, since the Gram matrix sums the cells linear_rates does.
         for sweep in range(config.correction_sweeps):
-            density = psi + sol.omega
-            profile = angular_displacement_profile(density, state.ds)
-            k_new, gamma_new = _advance_fields(state, profile, config.dt)
+            k_new, gamma_new = _advance_fields(state, psi + sol.omega, config.dt)
             realized = step_normal_rates(
                 state.gamma,
                 gamma_new,
@@ -215,7 +214,7 @@ def step(
                 contacts.tip,
                 config.dt,
             )
-            defect = realized - linear_rates(system, density, profile)
+            defect = realized - drive - system.gram @ sol.mu
             active = sol.mu > 0.0
             gap = np.abs(realized[active] - pushback[active])
             realized_residual = float(np.max(gap, initial=0.0))
@@ -228,13 +227,13 @@ def step(
                     config.correction_tol,
                     config.correction_sweeps,
                 )
-            system.b = b0 - defect
-            sol = solve_reaction(system, sol.mu)
+            b = b0 - defect
+            sol = solve_reaction(system, b, sol.mu)
         info = StepInfo(
             contacts=contacts,
             solution=sol,
-            b_effective=system.b,
-            kkt=check_kkt(system, sol),
+            b_effective=b,
+            kkt=check_kkt(system, b, sol),
             realized_residual=realized_residual,
             defect=defect,
         )

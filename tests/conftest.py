@@ -33,7 +33,7 @@ def stemgrow_env(extra=None):
 
 
 def random_constraint_system(rng, tip_allowed=True):
-    """A smooth random curve with 1-5 contacts at random nodes.
+    """A smooth random curve with 1-5 contacts at random nodes, and a right-hand side.
 
     Node count spans 20-100 cells; normals are uniform on the sphere and the
     right-hand side is centered Gaussian, so both signs of demanded rate
@@ -61,7 +61,7 @@ def random_constraint_system(rng, tip_allowed=True):
     b = rng.normal(scale=0.5, size=m)
     tip = bool(tip_allowed and nodes[-1] == n and rng.random() < 0.5)
     contacts = ContactSet(nodes=nodes, normals=normals, phi=np.zeros(m), tip=tip)
-    return ConstraintSystem(contacts=contacts, gamma=gamma, s=s, k=k, ds=ds, beta=beta, b=b)
+    return ConstraintSystem(contacts=contacts, gamma=gamma, s=s, k=k, ds=ds, beta=beta), b
 
 
 def k_text(rows):

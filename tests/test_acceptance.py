@@ -41,10 +41,10 @@ def qp_battery():
     solves = []
     start = time.monotonic()
     for _ in range(500):
-        system = random_constraint_system(rng)
-        sol = solve_reaction(system, warm_start=None)
-        oracle = oracle_solve_reaction(system, max_contacts=5)
-        solves.append((system, sol, oracle))
+        system, b = random_constraint_system(rng)
+        sol = solve_reaction(system, b, warm_start=None)
+        oracle = oracle_solve_reaction(system, b, max_contacts=5)
+        solves.append((system, b, sol, oracle))
     return solves, time.monotonic() - start
 
 
@@ -91,7 +91,7 @@ def test_criterion_01_solver_matches_enumeration_oracle(qp_battery):
     solves, elapsed = qp_battery
     worst = 0.0
     mismatched = degenerate = 0
-    for system, sol, oracle in solves:
+    for system, b, sol, oracle in solves:
         scale = 1.0 + float(np.linalg.norm(oracle.omega))
         worst = max(worst, float(np.linalg.norm(sol.omega - oracle.omega)) / scale)
         if oracle.degenerate:
@@ -112,13 +112,13 @@ def test_criterion_02_kkt_certificates(qp_battery):
     solves, _ = qp_battery
     worst_stat = worst_comp = 0.0
     min_mu = 0.0
-    for system, sol, _ in solves:
-        kkt = check_kkt(system, sol)
+    for system, b, sol, _ in solves:
+        kkt = check_kkt(system, b, sol)
         omega_norm = float(np.linalg.norm(sol.omega))
         stat_bound = 1e-9 * omega_norm
         worst_stat = max(worst_stat, kkt["stationarity"] - stat_bound)
         min_mu = min(min_mu, float(np.min(sol.mu)))
-        comp_bound = 1e-8 * (1.0 + float(np.max(np.abs(system.b))))
+        comp_bound = 1e-8 * (1.0 + float(np.max(np.abs(b))))
         worst_comp = max(worst_comp, kkt["complementarity"] / comp_bound)
     ok = worst_stat <= 0.0 and min_mu >= 0.0 and worst_comp <= 1.0
     report(
@@ -293,9 +293,8 @@ def test_criterion_08_continuous_dependence_twins():
 def test_criterion_09_zero_reaction_purity(ceiling):
     # a solve whose demands are all slack returns literal zeros
     rng = np.random.default_rng(7)
-    system = random_constraint_system(rng)
-    system.b = -np.abs(system.b) - 0.1
-    sol = solve_reaction(system, warm_start=None)
+    system, b = random_constraint_system(rng)
+    sol = solve_reaction(system, -np.abs(b) - 0.1, warm_start=None)
     direct_ok = (
         sol.energy == 0.0
         and bool(np.all(sol.omega == 0.0))

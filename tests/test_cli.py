@@ -416,20 +416,22 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     )
     frame = frame_from_dict(record, config.dt)
     system = ConstraintSystem(
-        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta, frame.b
+        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta
     )
-    system.b = 1e-10 * system.gram[0]
-    oracle = oracle_solve_reaction(system, max_contacts=12)
-    assert oracle.degenerate
+    b = 1e-10 * system.gram[0]
+    oracle = oracle_solve_reaction(system, b, max_contacts=12)
+    assert oracle.degenerate == "several supports"
     unit = float(np.max(np.abs(density_from_multipliers(system, np.ones(1)))))
     scale = 1.0 + float(np.max(np.abs(oracle.omega)))
-    contact["b"] = float(system.b[0])
+    contact["b"] = float(b[0])
     contact["mu"] = float(oracle.mu[0]) + 10.0 * tol * scale / unit
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(bare_frame(**{**record, "contacts": [contact]}))
     proc = invoke("oracle-check", str(frames), "--manifest", manifest, f"--tol={tol}")
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == (
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "oracle-check: frame 0: degenerate (several supports)"
+    assert lines[-1] == (
         "oracle-check: 1 checked, 0 skipped (too many contacts), 1 degenerate, 1 mismatched"
     )
 

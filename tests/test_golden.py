@@ -35,30 +35,30 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "a3ee597487880371fcefffcdf1af398101388af424810741701d6070e96cb08f"
+        "7be109abda8a186f4908c227a96e2c58aa14a7bda8031ea33faa769ec54b44ef"
     ),
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "8feeac42359b896b00829b3273de39be9d42cf8a4c8cc6fd61a66e6a0c6db884",
+    "ceiling/frames.jsonl": "1bddc9b3d7f98fcf3a049b94564c879d9676ac39da67b4c55a8286f72ce5688b",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "52ce84d39be03ea9836a34512a43d8180a5d74bd99c5b2c58f3c88623ca4b8d0"
+        "fd5f1b7b747552bd46b6cc26945e26bf6e0f77f5505ae6fd4f465c2742d86ed9"
     ),
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "7c2efd1e435f815a7e6494f67a7d0dcf6699ea2c985b0a8d6c51acff2811266b",
+    "twin/base/frames.jsonl": "63b9d40909df96a4f0078821e3d3486ae7a28c7e8211a895c1f7ef5a2af4c4fd",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "15ee6c41a4e8e3a4e79efb0687763b7f05a2c0ccd4fcec0b775a79c864ca077b"
+        "0fa573cf067c232ce98b1da1301c332d38179064d419a5390224050806786a62"
     ),
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
     ),
-    "twin/distances.jsonl": "f25cf1976df1ab602242eefdd50518385e7727bda74ebdc6d5c72a7e4a23b656",
+    "twin/distances.jsonl": "7019d8050ef836896bf2e182e453c5d81a374c583525497cdb95e607f4eccd2a",
     "twin/certificate.json": "018ca5c74cb141864173a16ac47aa3d7aba09f6649af76333e5598335a72ba36",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
@@ -69,7 +69,7 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "4512fc491243884aaabe9f4bd68ce87eef1a07db35aa493e1d35caead579d474"
+        "1f0d3239ac1878a5cff04ba46748615c10fa34ec69e4eca6c73f7a420605a63f"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"

@@ -24,9 +24,12 @@ from stemgrow.reaction import (
     detect_contacts,
     linear_rates,
     oracle_solve_reaction,
+    pushback_rates,
     solve_reaction,
 )
-from stemgrow.stepper import init_state, simulate
+from stemgrow import stepper
+from stemgrow.diagnostics import step_normal_rates
+from stemgrow.stepper import init_state, simulate, step
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -57,7 +60,7 @@ def contact_at(nodes, normals, phi, tip=False):
     )
 
 
-def single_contact_system(v=6, n=8, ds=0.25, beta=0.8, b_val=0.3, normal=E3):
+def single_contact_system(v=6, n=8, ds=0.25, beta=0.8, normal=E3):
     """Straight stem along e1 with one contact row; closed form is summable."""
     s = np.arange(n + 1) * ds
     gamma = np.stack([s, np.zeros(n + 1), np.zeros(n + 1)], axis=1)
@@ -69,7 +72,6 @@ def single_contact_system(v=6, n=8, ds=0.25, beta=0.8, b_val=0.3, normal=E3):
         k=np.tile(E1, (n + 1, 1)),
         ds=ds,
         beta=beta,
-        b=np.array([b_val]),
     )
 
 
@@ -87,14 +89,14 @@ def rate_system(state, nodes, normals):
         k=state.k,
         ds=state.ds,
         beta=0.0,
-        b=np.zeros(len(nodes)),
     )
 
 
 def assemble(state, contacts, law, kappa, dt):
-    """assemble_constraints fed the growth density the stepper would pass."""
+    """assemble_constraints and the right-hand side pushback - drive the stepper solves on."""
+    system = assemble_constraints(state, contacts, law.beta)
     psi = psi_field(law, state.t, state.s, state.k)
-    return assemble_constraints(state, contacts, psi, law.beta, kappa, dt)
+    return system, pushback_rates(contacts.phi, kappa, dt) - linear_rates(system, psi)
 
 
 def test_straight_stem_far_from_sphere_has_no_contacts():
@@ -136,7 +138,7 @@ def test_assemble_right_hand_side_hand_quadrature():
     law = GrowthLaw(variant="gravitropic", beta=beta, gain=1.0)
     phi = -0.01
     contacts = contact_at([2], [E3], [phi], tip=True)
-    system = assemble(state, contacts, law, kappa, dt)
+    _, b = assemble(state, contacts, law, kappa, dt)
 
     # drive: sum over cells i < 2 of ds * <psi_i x (gamma_2 - gamma_i), e3>
     # with psi_i = -e^{-(t - s_i)} e2 and gamma along e1; the tip row adds
@@ -146,7 +148,7 @@ def test_assemble_right_hand_side_hand_quadrature():
         ds * np.exp(-(t - i * ds)) * (1.0 - 0.5 * i) for i in range(2)
     )
     pushback = kappa * 0.01 / dt
-    assert system.b[0] == pytest.approx(pushback - drive, abs=1e-14)
+    assert b[0] == pytest.approx(pushback - drive, abs=1e-14)
 
 
 def test_assemble_tip_row_carries_elongation_term():
@@ -159,8 +161,8 @@ def test_assemble_tip_row_carries_elongation_term():
     n_vec = np.array([np.sin(theta), 0.0, np.cos(theta)])
     as_tip = contact_at([2], [n_vec], [0.0], tip=True)
     as_interior = contact_at([2], [n_vec], [0.0], tip=False)
-    b_tip = assemble(state, as_tip, law, kappa, dt).b[0]
-    b_interior = assemble(state, as_interior, law, kappa, dt).b[0]
+    b_tip = assemble(state, as_tip, law, kappa, dt)[1][0]
+    b_interior = assemble(state, as_interior, law, kappa, dt)[1][0]
     assert b_interior - b_tip == pytest.approx(np.sin(theta), abs=1e-14)
 
 
@@ -186,7 +188,7 @@ def test_single_contact_closed_form():
     for i in range(v):
         arm = np.cross(system.gamma[v] - system.gamma[i], E3)
         g11 += ds * np.exp(-beta * (t - i * ds)) * float(arm @ arm)
-    sol = solve_reaction(system, warm_start=None)
+    sol = solve_reaction(system, np.array([0.3]), warm_start=None)
     assert sol.mu[0] == pytest.approx(0.3 / g11, rel=1e-12)
     # density: decayed multiplier times the arm field, zero at and above v
     for i in range(v):
@@ -212,18 +214,17 @@ def test_single_contact_multiplier_is_one_divide():
     rng = np.random.default_rng(1102)
     for _ in range(200):
         system = single_contact_system(
-            v=int(rng.integers(1, 9)),
-            beta=float(rng.uniform(0.0, 3.0)),
-            b_val=float(10.0 ** rng.uniform(-8.0, 3.0)),
+            v=int(rng.integers(1, 9)), beta=float(rng.uniform(0.0, 3.0))
         )
-        mu = solve_reaction(system, warm_start=None).mu
-        want = system.b / system.gram[0, 0]
+        b = np.array([10.0 ** rng.uniform(-8.0, 3.0)])
+        mu = solve_reaction(system, b, warm_start=None).mu
+        want = b / system.gram[0, 0]
         assert mu.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_single_contact_negative_demand_is_inactive():
-    system = single_contact_system(b_val=-0.4)
-    sol = solve_reaction(system, warm_start=None)
+    system = single_contact_system()
+    sol = solve_reaction(system, np.array([-0.4]), warm_start=None)
     assert np.array_equal(sol.mu, np.zeros(1))
     assert np.array_equal(sol.omega, np.zeros((system.s.size, 3)))
     assert sol.energy == 0.0
@@ -232,9 +233,9 @@ def test_single_contact_negative_demand_is_inactive():
 def test_solver_matches_oracle_on_random_fixtures():
     rng = np.random.default_rng(41)
     for _ in range(80):
-        system = random_constraint_system(rng)
-        sol = solve_reaction(system, warm_start=None)
-        ora = oracle_solve_reaction(system, max_contacts=12)
+        system, b = random_constraint_system(rng)
+        sol = solve_reaction(system, b, warm_start=None)
+        ora = oracle_solve_reaction(system, b, max_contacts=12)
         scale = 1.0 + float(np.max(np.abs(ora.omega)))
         assert np.max(np.abs(sol.omega - ora.omega)) <= 1e-8 * scale
         if not ora.degenerate:
@@ -247,8 +248,8 @@ def test_solution_is_energy_minimal_among_feasible_densities():
     rng = np.random.default_rng(42)
     tried = 0
     for _ in range(40):
-        system = random_constraint_system(rng, tip_allowed=False)
-        sol = solve_reaction(system, warm_start=None)
+        system, b = random_constraint_system(rng, tip_allowed=False)
+        sol = solve_reaction(system, b, warm_start=None)
         weights = energy_weights(system)
         energy = 0.5 * float(np.sum(weights[:, None] * sol.omega**2))
         assert energy == pytest.approx(sol.energy, rel=1e-9, abs=1e-12)
@@ -256,7 +257,7 @@ def test_solution_is_energy_minimal_among_feasible_densities():
             d_omega = rng.normal(scale=0.3 * (1.0 + np.abs(sol.omega)), size=sol.omega.shape)
             trial = sol.omega + d_omega
             rates = linear_rates(system, trial)
-            if np.min(rates - system.b) < 0.0:
+            if np.min(rates - b) < 0.0:
                 continue
             tried += 1
             trial_energy = 0.5 * float(np.sum(weights[:, None] * trial**2))
@@ -267,13 +268,13 @@ def test_solution_is_energy_minimal_among_feasible_densities():
 def test_kkt_certificates_on_random_fixtures():
     rng = np.random.default_rng(43)
     for _ in range(60):
-        system = random_constraint_system(rng)
-        sol = solve_reaction(system, warm_start=None)
-        kk = check_kkt(system, sol)
-        bscale = 1.0 + float(np.max(np.abs(system.b)))
+        system, b = random_constraint_system(rng)
+        sol = solve_reaction(system, b, warm_start=None)
+        kk = check_kkt(system, b, sol)
+        bscale = 1.0 + float(np.max(np.abs(b)))
         omega_scale = 1.0 + float(np.max(np.abs(sol.omega)))
         assert np.min(sol.mu) >= 0.0
-        assert np.min(system.gram @ sol.mu - system.b) >= -1e-9 * bscale
+        assert np.min(system.gram @ sol.mu - b) >= -1e-9 * bscale
         assert kk["complementarity"] <= 1e-8 * bscale * (1.0 + float(np.max(sol.mu)))
         assert kk["stationarity"] <= 1e-9 * omega_scale
 
@@ -281,17 +282,17 @@ def test_kkt_certificates_on_random_fixtures():
 def test_density_supported_strictly_below_contacts():
     rng = np.random.default_rng(44)
     for _ in range(20):
-        system = random_constraint_system(rng)
-        sol = solve_reaction(system, warm_start=None)
+        system, b = random_constraint_system(rng)
+        sol = solve_reaction(system, b, warm_start=None)
         top = int(np.max(system.contacts.nodes[sol.mu > 0], initial=0))
         assert np.array_equal(sol.omega[top:], np.zeros_like(sol.omega[top:]))
 
 
 def test_warm_start_reproduces_solution_quickly():
     rng = np.random.default_rng(45)
-    system = random_constraint_system(rng)
-    cold = solve_reaction(system, warm_start=None)
-    warm = solve_reaction(system, warm_start=cold.mu)
+    system, b = random_constraint_system(rng)
+    cold = solve_reaction(system, b, warm_start=None)
+    warm = solve_reaction(system, b, warm_start=cold.mu)
     assert np.max(np.abs(warm.mu - cold.mu)) <= 1e-9 * (1.0 + np.max(cold.mu))
     assert warm.sweeps <= cold.sweeps
 
@@ -299,7 +300,7 @@ def test_warm_start_reproduces_solution_quickly():
 def test_gram_assembly_matches_direct_summation():
     rng = np.random.default_rng(46)
     for _ in range(20):
-        system = random_constraint_system(rng)
+        system, _ = random_constraint_system(rng)
         rows = system.rows()
         w = system.metric_weights
         direct = (rows * w[None, :, None]).reshape(rows.shape[0], -1) @ rows.reshape(
@@ -323,11 +324,11 @@ def gram_identity_gap(system, mu):
 
 def test_gram_and_linear_rates_share_one_quadrature():
     # the dual is built so that the linear rate of the density omega(mu) is
-    # G mu: the Gram matrix and linear_rates must sum the same cells, so the
-    # defect could be taken through G without moving a bit past round-off
+    # G mu: the Gram matrix and linear_rates must sum the same cells, or the
+    # correction loop's defect, taken through G, would drift past round-off
     rng = np.random.default_rng(52)
     for _ in range(100):
-        system = random_constraint_system(rng)
+        system, _ = random_constraint_system(rng)
         mu = rng.uniform(0.0, 2.0, size=system.contacts.size)
         assert gram_identity_gap(system, mu) <= 1e-12
 
@@ -342,9 +343,41 @@ def test_gram_identity_holds_on_a_sliding_ceiling_step():
     )
     assert frame.mu[-1] > 0.0
     system = ConstraintSystem(
-        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta, frame.b
+        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta
     )
     assert gram_identity_gap(system, frame.mu) <= 1e-12
+
+
+def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
+    # the correction loop takes its defect as realized - drive - G mu; on
+    # every contact step of the sliding ceiling it must be what it stands
+    # for, the realized rates less the linear rates of psi + omega
+    taken = []
+
+    def recorded(state, config, contacts, warm_start, seed):
+        new_state, info = step(state, config, contacts, warm_start, seed)
+        taken.append((state, new_state, info))
+        return new_state, info
+
+    monkeypatch.setattr(stepper, "step", recorded)
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    for _ in simulate(config):
+        pass
+    checked = 0
+    for state, new_state, info in taken:
+        if info.solution is None:
+            continue
+        c = info.contacts
+        system = assemble_constraints(state, c, config.law.beta)
+        psi = psi_field(config.law, state.t, state.s, state.k)
+        realized = step_normal_rates(
+            state.gamma, new_state.gamma, c.nodes, c.normals, c.tip, config.dt
+        )
+        want = realized - linear_rates(system, psi + info.solution.omega)
+        scale = float(np.max(np.abs(system.gram @ info.solution.mu)))
+        assert np.max(np.abs(info.defect - want)) <= 1e-12 * scale
+        checked += 1
+    assert checked == 911
 
 
 def test_contact_with_no_leverage_and_positive_demand_is_infeasible():
@@ -359,10 +392,9 @@ def test_contact_with_no_leverage_and_positive_demand_is_infeasible():
         k=np.tile(E1, (4, 1)),
         ds=0.5,
         beta=0.0,
-        b=np.array([0.7]),
     )
     with pytest.raises(InfeasibleReaction):
-        solve_reaction(system, warm_start=None)
+        solve_reaction(system, np.array([0.7]), warm_start=None)
 
 
 @pytest.mark.parametrize("demand", [0.5, 1e-3])
@@ -371,9 +403,8 @@ def test_opposed_contacts_at_one_node_are_infeasible(demand):
     # row depends on the first, and no density moves the node both ways
     state, _ = vertical_state()
     system = rate_system(state, [6, 6], [E1, -E1])
-    system.b = np.array([demand, demand])
     with pytest.raises(InfeasibleReaction):
-        solve_reaction(system, warm_start=None)
+        solve_reaction(system, np.array([demand, demand]), warm_start=None)
 
 
 def test_nearly_opposed_contacts_are_infeasible():
@@ -383,9 +414,8 @@ def test_nearly_opposed_contacts_are_infeasible():
     state, _ = vertical_state()
     tilted = -E1 + 1e-5 * E2
     system = rate_system(state, [6, 6], [E1, tilted / np.linalg.norm(tilted)])
-    system.b = np.array([0.5, 0.5])
     with pytest.raises(InfeasibleReaction, match="too close to dependent"):
-        solve_reaction(system, warm_start=None)
+        solve_reaction(system, np.array([0.5, 0.5]), warm_start=None)
 
 
 def test_empty_contact_set_is_rejected():
@@ -400,11 +430,22 @@ def test_empty_contact_set_is_rejected():
         assemble(state, empty, config.law, config.kappa, config.dt)
 
 
+def test_oracle_names_why_a_system_is_degenerate():
+    # two copies of one row: every face holding both is singular, and each
+    # copy alone meets both demands, so the supports differ as well
+    state, _ = vertical_state()
+    system = rate_system(state, [6, 6], [E1, E1])
+    ora = oracle_solve_reaction(system, np.array([0.5, 0.5]), max_contacts=12)
+    assert ora.degenerate == "near-singular or ill-conditioned face, several supports"
+    single = single_contact_system()
+    assert oracle_solve_reaction(single, np.array([0.3]), max_contacts=12).degenerate == ""
+
+
 def test_oracle_rejects_large_contact_counts():
     rng = np.random.default_rng(47)
-    system = random_constraint_system(rng)
+    system, b = random_constraint_system(rng)
     with pytest.raises(TooManyContacts):
-        oracle_solve_reaction(system, max_contacts=0)
+        oracle_solve_reaction(system, b, max_contacts=0)
 
 
 def test_zero_density_moves_nothing():
@@ -443,14 +484,14 @@ def test_reaction_velocity_matches_direct_quadrature():
 def test_solved_rates_meet_demands_on_active_rows():
     rng = np.random.default_rng(50)
     for _ in range(30):
-        system = random_constraint_system(rng, tip_allowed=False)
-        sol = solve_reaction(system, warm_start=None)
+        system, b = random_constraint_system(rng, tip_allowed=False)
+        sol = solve_reaction(system, b, warm_start=None)
         rates = linear_rates(system, sol.omega)
-        bscale = 1.0 + float(np.max(np.abs(system.b)))
+        bscale = 1.0 + float(np.max(np.abs(b)))
         # feasibility everywhere, equality where the multiplier is positive
-        assert np.min(rates - system.b) >= -1e-8 * bscale
+        assert np.min(rates - b) >= -1e-8 * bscale
         active = sol.mu > 1e-8 * (1.0 + np.max(sol.mu))
         if np.any(active):
-            gap = np.abs(rates[active] - system.b[active])
+            gap = np.abs(rates[active] - b[active])
             mu_scale = 1.0 + float(np.max(sol.mu))
             assert np.max(gap) <= 1e-7 * bscale * mu_scale

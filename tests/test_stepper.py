@@ -287,7 +287,7 @@ def test_advance_matches_rotation_of_every_row(stepped):
         omega_cap[n + 1 :] = omega_cap[n]
         k_want = rotate_vectors(config.dt * omega_cap, k_pad)
         gamma_want = integrate_tangents(k_want, state.ds)
-        k_got, gamma_got = _advance_fields(state, omega_cap[: n + 1], config.dt)
+        k_got, gamma_got = _advance_fields(state, density, config.dt)
         assert np.array_equal(k_got, k_want[: n + 2])
         assert np.array_equal(gamma_got, gamma_want[: n + 2])
 
@@ -332,11 +332,10 @@ def test_contact_step_agrees_with_enumeration_solver():
     )
     assert 0 < contacts.size <= 12
     psi = psi_field(config.law, state.t, state.s, state.k)
-    system = assemble_constraints(
-        state, contacts, psi, config.law.beta, config.kappa, config.dt
-    )
-    sol = solve_reaction(system, warm_start=None)
-    ora = oracle_solve_reaction(system, max_contacts=12)
+    system = assemble_constraints(state, contacts, config.law.beta)
+    b = pushback_rates(contacts.phi, config.kappa, config.dt) - linear_rates(system, psi)
+    sol = solve_reaction(system, b, warm_start=None)
+    ora = oracle_solve_reaction(system, b, max_contacts=12)
     scale = 1.0 + float(np.max(np.abs(ora.omega)))
     assert np.max(np.abs(sol.omega - ora.omega)) <= 1e-8 * scale
 
@@ -365,9 +364,7 @@ def test_defect_correction_cancels_realized_normal_rates():
             # pushback
             assert info.realized_residual <= config.correction_tol
             psi = psi_field(config.law, state.t, state.s, state.k)
-            system = assemble_constraints(
-                state, contacts, psi, config.law.beta, config.kappa, config.dt
-            )
+            system = assemble_constraints(state, contacts, config.law.beta)
             predicted = linear_rates(system, psi + info.solution.omega)
             realized = step_normal_rates(
                 state.gamma,
@@ -468,29 +465,44 @@ def test_seed_changes_only_the_iteration_count():
         assert np.max(np.abs(mu - ref_mu)) <= 1e-6 * (1.0 + np.max(np.abs(ref_mu)))
 
 
-def test_ceiling_carries_each_contact_across_steps(monkeypatch):
+@pytest.mark.parametrize(
+    "scenario, min_steps, solves_per_step",
+    [
+        ("gravitropic_ceiling", 901, 2.0),
+        # measured before the defect went through the Gram matrix: 125 solves
+        # over 43 contact steps, and 45 over 15
+        ("sphere_oblique", 43, 125 / 43),
+        ("twin_tilt", 15, 45 / 15),
+    ],
+    ids=["gravitropic_ceiling", "sphere_oblique", "twin_tilt"],
+)
+def test_ceiling_carries_each_contact_across_steps(
+    monkeypatch, scenario, min_steps, solves_per_step
+):
     # the carried defect and the tip-keyed warm start hold the sliding
     # ceiling to under two dual solves per contact step and leave the warm
     # face right at almost every solve; a cold first solve per step, or a tip
     # whose memory is lost each step, costs about 3.2 solves and one
-    # active-set iteration per step
+    # active-set iteration per step. The realized residual sits near the
+    # correction tolerance, so a round-off change can move these counts on
+    # every contact scenario.
     solve = stepper.solve_reaction
     sweeps = []  # active-set iterations, one entry per solve
 
-    def counted(system, warm_start):
-        sol = solve(system, warm_start)
+    def counted(system, b, warm_start):
+        sol = solve(system, b, warm_start)
         sweeps.append(sol.sweeps)
         return sol
 
     monkeypatch.setattr(stepper, "solve_reaction", counted)
-    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    config = load_config(str(SCENARIOS / f"{scenario}.json"))
     contact_steps = 0
     for frame, _ in simulate(config):
         if frame.mu is not None:
             contact_steps += 1
             assert frame.realized_residual <= config.correction_tol
-    assert contact_steps > 900
-    assert len(sweeps) / contact_steps <= 2.0
+    assert contact_steps >= min_steps
+    assert len(sweeps) / contact_steps <= solves_per_step
     assert sum(sweeps) <= 10
 
 

@@ -1,9 +1,10 @@
 """The benchmark's layer tracer still reaches the layers a run and a twin go through.
 
 `bench/tracing.py` wraps each layer function at the import sites the CLI
-uses (`cli.run_scenario`, `cli.twin_run`, `cli.write_frames`, ...). A
-refactor that stops calling one of them would make a traced benchmark run
-record nothing for that layer; this test catches it in Tier-1.
+and the stepper use (`cli.run_scenario`, `cli.twin_run`, `cli.write_frames`,
+`stepper.solve_reaction`, ...). A refactor that stops calling one of them
+would make a traced benchmark run record nothing for that layer; these tests
+catch it in Tier-1.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ from stemgrow import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 STRAIGHT = str(ROOT / "scenarios" / "straight.json")
+OBLIQUE = str(ROOT / "scenarios" / "sphere_oblique.json")
 
 
 def _load_tracing():
@@ -37,3 +39,27 @@ def test_tracer_records_run_twin_step_and_write(tmp_path):
     # one frames file for the run and one for each side of the twin
     assert layers["trajectory.write_frames"]["calls"] == 3
     assert tracer.counts["frames_written"] == 30
+
+
+def test_tracer_records_the_contact_layers(tmp_path):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", OBLIQUE, "--out", str(tmp_path)]) == 0
+        assert cli.main(["oracle-check", str(tmp_path / "frames.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary()["layers"]
+    for name in (
+        "reaction.assemble_constraints",
+        "reaction.linear_rates",
+        "reaction.solve_reaction",
+        "reaction.check_kkt",
+        "reaction.density_from_multipliers",
+        "reaction.oracle_solve_reaction",
+    ):
+        assert layers[name]["calls"] > 0, name
+    # one quadrature per contact step: the correction loop takes its defect
+    # through the Gram matrix
+    assert tracer.counts["contact_steps"] == 43
+    assert layers["reaction.linear_rates"]["calls"] == 43
