@@ -13,13 +13,7 @@ import numpy as np
 from . import __version__
 from .config import SimConfig, config_to_dict, load_config
 from .diagnostics import audit_arrays, step_normal_rates
-from .errors import (
-    NoCandidateFeasible,
-    ParseError,
-    SimulationError,
-    TooManyContacts,
-    ValidationError,
-)
+from .errors import NoCandidateFeasible, ParseError, SimulationError, ValidationError
 from .obstacles import _unit
 from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
 from .reaction import pushback_rates
@@ -212,7 +206,7 @@ def _cmd_oracle_check(args) -> int:
         system = ConstraintSystem(fr.contacts, fr.gamma, fr.s, fr.k, config.dt, config.law.beta)
         try:
             oracle = oracle_solve_reaction(system, fr.b, max_contacts=args.max_contacts)
-        except (TooManyContacts, NoCandidateFeasible) as exc:
+        except NoCandidateFeasible as exc:
             print(f"oracle-check: frame {idx}: {exc}")
             mismatched += 1
             continue

@@ -10,6 +10,10 @@ bound-constrained quadratic program
 
     minimize  0.5 mu^T G mu - b^T mu   subject to  mu >= 0
 
+in the Gram matrix G of the rows' arm fields. One map writes each arm field,
+a_j(sigma_i) = M_j h_i with h_i = [1, gamma_i]: the Gram matrix and the
+linear rates read the same moments sum_{i < node_j} x_i h_i^T, and the
+reaction density sums mu_j M_j over the rows above each node. The problem is
 solved exactly by a Lawson-Hanson active-set method: with one to a few
 contacts, each face of the active set costs one small linear solve. An
 exhaustive enumeration of all 2^m active sets serves as an independent
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import angular_displacement_profile, cross
+from .curves import cross
 from .errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -90,12 +94,14 @@ class ConstraintSystem:
     """Discrete contact constraints at one instant.
 
     Row j acts on the density through the arm field a_j(sigma_i) =
-    (gamma_j - gamma_i) x n_j, supported on nodes below the contact. The
-    energy weights are ds * exp(beta (t - sigma_i)); the Gram matrix lives in
-    the inverse metric. gamma, s and k cover the grown nodes only, so the
-    current time is s[-1] and the tip tangent is k[-1]. The system is
-    geometry only: the decay, the arms and the Gram matrix are computed once
-    per system, and the right-hand side b is the caller's.
+    (gamma_j - gamma_i) x n_j = M_j h_i, supported on nodes below the
+    contact: h_i = [1, gamma_i] is the node's basis vector and M_j the row's
+    3x4 arm map. The energy weights are ds * exp(beta (t - sigma_i)); the
+    Gram matrix lives in the inverse metric. gamma, s and k cover the grown
+    nodes only, so the current time is s[-1] and the tip tangent is k[-1].
+    The system is geometry only: the decay, the basis, the arm maps and the
+    Gram matrix are computed once per system, and the right-hand side b is
+    the caller's.
     """
 
     contacts: ContactSet
@@ -125,9 +131,16 @@ class ConstraintSystem:
         return self.ds * self.decay
 
     @cached_property
-    def arms(self) -> np.ndarray:
-        """gamma_j x n_j for every contact row j: a_j(sigma_i) = arms_j - gamma_i x n_j."""
-        return cross(self.gamma[self.contacts.nodes], self.contacts.normals)
+    def basis(self) -> np.ndarray:
+        """h_i = [1, gamma_i] at every node."""
+        return np.concatenate([np.ones((self.s.size, 1)), self.gamma], axis=1)
+
+    @cached_property
+    def arm_maps(self) -> np.ndarray:
+        """M_j = [gamma_j x n_j | n_j x e_0 | n_j x e_1 | n_j x e_2] for every contact row j."""
+        nrm = self.contacts.normals
+        lever = cross(self.gamma[self.contacts.nodes], nrm)[:, :, None]
+        return np.concatenate([lever, cross(nrm[:, None], np.eye(3)).transpose(0, 2, 1)], axis=2)
 
     def row(self, j: int) -> np.ndarray:
         """Materialize a_j(sigma_i) for every node i."""
@@ -141,7 +154,16 @@ class ConstraintSystem:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _gram_matrix(self)
+        """G_jl = sum_i w_i <a_j(sigma_i), a_l(sigma_i)> = <M_j S_j, M_l> for node_j <= node_l.
+
+        S_j = sum_{i < node_j} w_i h_i h_i^T, w_i = ds e^{-beta(t-s_i)}, so
+        assembly is O(n + m^2). The upper triangle is mirrored, which makes G
+        exactly symmetric.
+        """
+        arm = self.arm_maps
+        moments = _cut_moments(self.metric_weights[:, None] * self.basis, self)
+        g = np.einsum("jab,lab->jl", arm @ moments, arm)
+        return np.triu(g) + np.triu(g, 1).T
 
     @cached_property
     def rows_above(self) -> np.ndarray:
@@ -149,60 +171,31 @@ class ConstraintSystem:
         return np.searchsorted(self.contacts.nodes, np.arange(self.s.size), side="right")
 
 
-def _gram_matrix(system: ConstraintSystem) -> np.ndarray:
-    """G_jl = sum_i w_i <a_j(sigma_i), a_l(sigma_i)>, w_i = ds e^{-beta(t-s_i)}.
+def _cut_moments(x: np.ndarray, system: ConstraintSystem) -> np.ndarray:
+    """sum_{i < node_j} x_i h_i^T at every contact row j, shape (m, d, 4).
 
-    Expanding the arms around the node positions turns the sum into prefix
-    sums cut off at min(node_j, node_l), which keeps assembly O(n + m^2)
-    instead of O(m^2 n).
+    One product per gap between consecutive (sorted) contact nodes, then a
+    cumulative sum over the gaps.
     """
-    nodes = system.contacts.nodes
-    nrm = system.contacts.normals
-    gam = system.gamma
-    w = system.metric_weights
-
-    u = system.arms
-    s0 = np.concatenate([[0.0], np.cumsum(w)])
-    s1 = np.concatenate([np.zeros((1, 3)), np.cumsum(w[:, None] * gam, axis=0)])
-    sq = np.concatenate([[0.0], np.cumsum(w * np.einsum("id,id->i", gam, gam))])
-    s2 = np.concatenate(
-        [
-            np.zeros((1, 3, 3)),
-            np.cumsum(np.einsum("i,ia,ib->iab", w, gam, gam), axis=0),
-        ]
-    )
-
-    cut = np.minimum.outer(nodes, nodes)
-    term1 = s0[cut] * (u @ u.T)
-    # <u_j, S1_c x n_l> written as <S1_c, n_l x u_j>
-    x = cross(nrm[None, :, :], u[:, None, :])
-    term2 = np.einsum("jld,jld->jl", s1[cut], x)
-    term4 = sq[cut] * (nrm @ nrm.T) - np.einsum(
-        "jlab,ja,lb->jl", s2[cut], nrm, nrm
-    )
-    g = term1 - term2 - term2.T + term4
-    return 0.5 * (g + g.T)
+    h = system.basis
+    cuts = [0, *system.contacts.nodes.tolist()]
+    gaps = [x[a:b].T @ h[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return np.cumsum(gaps, axis=0)
 
 
 def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
     """Per-row first-order normal velocity produced by a rotation density.
 
-    Quadrature is the stepper's cumulative-rotation rule, left-endpoint
-    rectangles from angular_displacement_profile; the tip row adds the
-    elongation term. The Gram matrix sums the same cells, so the rate of the
-    reaction density omega(mu), less that term, is G mu.
+    Row j reads ds sum_{i < node_j} <density_i, M_j h_i>, the stepper's
+    left-endpoint rectangles; the tip row adds the elongation term. The Gram
+    matrix reads the same cut moments, so the rate of the reaction density
+    omega(mu), less that term, is G mu.
     """
-    nodes = system.contacts.nodes
-    nrm = system.contacts.normals
-    gam = system.gamma
-    ds = system.ds
-
-    p1 = angular_displacement_profile(density, ds)[nodes]
-    vx = angular_displacement_profile(cross(density, gam), ds)[nodes]
-    swirl = cross(p1, gam[nodes]) - vx
-    vals = np.einsum("jd,jd->j", swirl, nrm)
-    if system.tip_row is not None:
-        vals[system.tip_row] += float(system.k[-1] @ nrm[system.tip_row])
+    moments = _cut_moments(system.ds * density, system)
+    vals = np.einsum("jab,jab->j", system.arm_maps, moments)
+    tip = system.tip_row
+    if tip is not None:
+        vals[tip] += float(system.k[-1] @ system.contacts.normals[tip])
     return vals
 
 
@@ -231,25 +224,15 @@ class ReactionSolution:
 
 
 def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.ndarray:
-    """Reaction density omega_i = e^{-beta(t-s_i)} sum_j mu_j a_j(sigma_i).
+    """Reaction density omega_i = e^{-beta(t-s_i)} sum_j mu_j M_j h_i over rows above node i.
 
-    Evaluated with suffix sums over contacts above each node.
+    Evaluated with suffix sums of mu_j M_j over the contact rows.
     """
-    nrm = system.contacts.normals
-    m = nrm.shape[0]
-    u = system.arms
-
-    suf_u = np.zeros((m + 1, 3))
-    suf_n = np.zeros((m + 1, 3))
-    np.cumsum((mu[:, None] * u)[::-1], axis=0, out=suf_u[1:])
-    np.cumsum((mu[:, None] * nrm)[::-1], axis=0, out=suf_n[1:])
-    suf_u = suf_u[::-1]
-    suf_n = suf_n[::-1]
-
-    # take gathers the same rows as suf[idx], without fancy indexing's overhead
-    idx = system.rows_above
-    rho = suf_u.take(idx, axis=0) - cross(system.gamma, suf_n.take(idx, axis=0))
-    return system.decay[:, None] * rho
+    suffix = np.zeros((mu.size + 1, 3, 4))
+    np.cumsum((mu[:, None, None] * system.arm_maps)[::-1], axis=0, out=suffix[1:])
+    # take gathers the same rows as suffix[idx], without fancy indexing's overhead
+    maps = suffix[::-1].take(system.rows_above, axis=0)
+    return system.decay[:, None] * np.einsum("iab,ib->ia", maps, system.basis)
 
 
 def _solve_face(g: np.ndarray, face: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -376,13 +359,13 @@ def solve_reaction(
 def check_kkt(system: ConstraintSystem, b: np.ndarray, sol: ReactionSolution) -> dict:
     """Complementarity and stationarity residuals of an accepted solve against b.
 
-    Stationarity is re-verified from materialized rows for small systems
-    (independent of the suffix-sum evaluation path).
+    Stationarity is re-verified from materialized rows, independent of the
+    arm maps, for at most 64 contacts; past that it is None (unchecked).
     """
     g = system.gram
     slack = g @ sol.mu - b
     comp = float(np.max(np.abs(sol.mu * slack))) if sol.mu.size else 0.0
-    out = {"complementarity": comp, "stationarity": 0.0}
+    out = {"complementarity": comp, "stationarity": None}
     if system.contacts.size <= 64:
         rows = system.rows()
         rebuilt = system.decay[:, None] * np.einsum("j,jid->id", sol.mu, rows)

@@ -436,6 +436,24 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     )
 
 
+def test_oracle_check_reports_an_infeasible_frame(tmp_path):
+    # a contact at the base node has no leverage, so its demand of 0.5 is met
+    # by no active set: a mismatch, and not a checked frame
+    manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
+    n = 5
+    contact = {"node": 0, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.5, "mu": 0.0}
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(
+        bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
+    )
+    proc = invoke("oracle-check", str(frames), "--manifest", manifest)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "oracle-check: frame 0: no active set among 2^1 is feasible",
+        "oracle-check: 0 checked, 0 skipped (too many contacts), 0 degenerate, 1 mismatched",
+    ]
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

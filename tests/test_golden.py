@@ -35,31 +35,31 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "7be109abda8a186f4908c227a96e2c58aa14a7bda8031ea33faa769ec54b44ef"
+        "2b1a3f54a7aa0ca087c216858351a4afeddd20c1aa0c0a9835a64da69ccf8e5d"
     ),
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "1bddc9b3d7f98fcf3a049b94564c879d9676ac39da67b4c55a8286f72ce5688b",
+    "ceiling/frames.jsonl": "ff3d033f371f9cf0a66c940b123c1226fd0d4c20344bb72f89efe72061cdbe85",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "fd5f1b7b747552bd46b6cc26945e26bf6e0f77f5505ae6fd4f465c2742d86ed9"
+        "f1ee1f00bdbfe95a4f3a7e4844520fc217b99ef0e1582f8fc3fa6ca47ba4ef7d"
     ),
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "63b9d40909df96a4f0078821e3d3486ae7a28c7e8211a895c1f7ef5a2af4c4fd",
+    "twin/base/frames.jsonl": "d30190b8056869554d4908bf0f0f573ce3763643eac3629d17f27024d239fd3b",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "0fa573cf067c232ce98b1da1301c332d38179064d419a5390224050806786a62"
+        "7c14c12a5e4a284fe248dc2fc636f81393bb75b06c893cc1792d7d633f7c2af6"
     ),
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
     ),
-    "twin/distances.jsonl": "7019d8050ef836896bf2e182e453c5d81a374c583525497cdb95e607f4eccd2a",
-    "twin/certificate.json": "018ca5c74cb141864173a16ac47aa3d7aba09f6649af76333e5598335a72ba36",
+    "twin/distances.jsonl": "92cbfba481372fc1c48757fb075be292cab11dc956cd9df912216a4e43a7aefa",
+    "twin/certificate.json": "fbdff2d42031c83d421d1cbcb13f46798da09e362b5d5288412f8340556544d5",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
@@ -69,7 +69,7 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "1f0d3239ac1878a5cff04ba46748615c10fa34ec69e4eca6c73f7a420605a63f"
+        "484142808f949388877b4c3c7a4aa7e5db72388c0e403b7d1682bf0b53666b68"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"

@@ -279,6 +279,24 @@ def test_kkt_certificates_on_random_fixtures():
         assert kk["stationarity"] <= 1e-9 * omega_scale
 
 
+@pytest.mark.parametrize("m, checked", [(64, True), (65, False)])
+def test_kkt_leaves_stationarity_unchecked_past_64_contacts(m, checked):
+    # rows are materialized for at most 64 contacts; past that the frame
+    # records stationarity as unchecked (null), never as a verified zero
+    state, _ = vertical_state(dt=0.01)
+    normals = np.tile(E1, (m, 1))
+    system = rate_system(state, np.arange(10, 10 + m), normals)
+    b = np.full(m, -1.0)
+    b[m // 2] = 0.5
+    sol = solve_reaction(system, b, warm_start=None)
+    assert sol.mu[m // 2] > 0.0
+    stationarity = check_kkt(system, b, sol)["stationarity"]
+    if checked:
+        assert 0.0 <= stationarity <= 1e-12
+    else:
+        assert stationarity is None
+
+
 def test_density_supported_strictly_below_contacts():
     rng = np.random.default_rng(44)
     for _ in range(20):
@@ -297,19 +315,43 @@ def test_warm_start_reproduces_solution_quickly():
     assert warm.sweeps <= cold.sweeps
 
 
+def gap_edge_systems():
+    """Contact layouts the random fixture never draws, on one of its curves: a
+    contact at node 0 (an empty first gap), adjacent nodes, two contacts at
+    one node, a tip contact, and 12 contacts."""
+    base, _ = random_constraint_system(np.random.default_rng(53))
+    n = base.s.size - 1
+    rng = np.random.default_rng(54)
+    layouts = [
+        ([0, 5], False),
+        ([3, 4, 5], False),
+        ([7, 7, 9], False),
+        ([4, n], True),
+        (np.sort(rng.choice(np.arange(1, n), size=12, replace=False)), False),
+    ]
+    for nodes, tip in layouts:
+        normals = rng.normal(size=(len(nodes), 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        contacts = contact_at(nodes, normals, np.zeros(len(nodes)), tip=tip)
+        yield ConstraintSystem(contacts, base.gamma, base.s, base.k, base.ds, base.beta)
+
+
 def test_gram_assembly_matches_direct_summation():
     rng = np.random.default_rng(46)
-    for _ in range(20):
-        system, _ = random_constraint_system(rng)
+    systems = [random_constraint_system(rng)[0] for _ in range(20)]
+    for system in [*systems, *gap_edge_systems()]:
         rows = system.rows()
+        m = rows.shape[0]
         w = system.metric_weights
-        direct = (rows * w[None, :, None]).reshape(rows.shape[0], -1) @ rows.reshape(
-            rows.shape[0], -1
-        ).T
+        direct = (rows * w[None, :, None]).reshape(m, -1) @ rows.reshape(m, -1).T
         direct = 0.5 * (direct + direct.T)
         got = system.gram
-        scale = 1.0 + float(np.max(np.abs(direct)))
-        assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+        mu = rng.uniform(0.0, 2.0, size=m)
+        want = system.decay[:, None] * np.einsum("j,jid->id", mu, rows)
+        omega = density_from_multipliers(system, mu)
+        assert np.max(np.abs(omega - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def gram_identity_gap(system, mu):
