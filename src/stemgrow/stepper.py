@@ -19,7 +19,8 @@ follows the tip as the tip moves up one node per step.
 
 simulate is the only stepping loop: it yields each frame as it is made. run
 and twin_run keep only the frames a run writes, so a run holds every
-stride-th frame rather than all of them.
+stride-th frame rather than all of them, and of each frame its tangents, not
+its positions.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ log = logging.getLogger("stemgrow.stepper")
 class StemState:
     """Geometry of the grown stem: arclength, positions and tangents at nodes 0..n_grown.
 
-    Its arrays are never written after the state is made, so frames share them.
+    Its arrays are never written after the state is made, so frames share only k.
     """
 
     ds: float
@@ -291,10 +292,8 @@ def _make_frame(state: StemState, info: StepInfo, min_phi: float | None) -> Traj
     sol = info.solution
     kkt = info.kkt or {}
     return TrajectoryFrame(
-        t=state.t,
         n_grown=state.n_grown,
-        s=state.s,
-        gamma=state.gamma,
+        ds=state.ds,
         k=state.k,
         contacts=info.contacts,
         b=info.b_effective,

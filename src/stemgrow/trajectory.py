@@ -5,11 +5,12 @@ shortest text that reads back to the same double, so a rerun of the same
 manifest reproduces the files byte for byte. This module is the only one
 that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
-A frame record holds the node count n and the tangents k, not what they
-imply: the reader rebuilds the grid s, the time t = s[-1] and the positions
-gamma from n, k and dt as the stepper builds them, bit for bit. A record with
-a key outside its format, such as an older file's t, s or gamma, is a parse
-error.
+A frame, in memory as in its record, holds the node count n and the
+tangents k, not what they imply: TrajectoryFrame derives the grid s, the time
+t = s[-1] and the positions gamma from n, k and the grid spacing as the
+stepper builds them, bit for bit, and integrates gamma only when it is first
+read. A record with a key outside its format, such as an older file's t, s or
+gamma, is a parse error.
 k, the only field whose size grows with n, is one base64 string of the
 little-endian float64 bytes of its rows (three values each, in order), so
 its bits pass through the file unchanged on any host and a reader decodes it
@@ -32,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -47,13 +49,13 @@ class TrajectoryFrame:
     """One recorded step: the grown stem, its contacts and the reaction solved there.
 
     b and mu hold one entry per contact (the effective right-hand side and
-    the multipliers); they are None when no reaction was solved.
+    the multipliers); they are None when no reaction was solved. s, t and
+    gamma are derived from n_grown, ds and k as init_state and step derive
+    them; s and gamma are computed on first use and then kept.
     """
 
-    t: float
     n_grown: int
-    s: np.ndarray
-    gamma: np.ndarray
+    ds: float
     k: np.ndarray
     contacts: ContactSet
     b: np.ndarray | None
@@ -64,6 +66,18 @@ class TrajectoryFrame:
     kkt_stationarity: float | None
     realized_residual: float | None
     solver_sweeps: int | None
+
+    @property
+    def t(self) -> float:
+        return self.ds * self.n_grown
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return self.ds * np.arange(self.n_grown + 1, dtype=float)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return integrate_tangents(self.k, self.ds)
 
 
 @dataclass
@@ -198,8 +212,7 @@ def _tangents(value, n: int) -> np.ndarray:
 def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
     """Inverse of frame_to_dict for a run on a grid of spacing ds.
 
-    s, t and gamma are rebuilt as init_state and step build them. ParseError
-    names the missing, unknown or malformed key.
+    ParseError names the missing, unknown or malformed key.
     """
     n, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
     n = _scalar(n, "n", int)
@@ -213,14 +226,10 @@ def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
     nodes = _array(node, "contacts[].node", (m,), dtype=int)
     if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
-    k = _tangents(k, n)
-    s = ds * np.arange(n + 1, dtype=float)
     frame = TrajectoryFrame(
-        t=float(s[-1]),
         n_grown=n,
-        s=s,
-        gamma=integrate_tangents(k, ds),
-        k=k,
+        ds=ds,
+        k=_tangents(k, n),
         contacts=ContactSet(
             nodes=nodes,
             normals=_array(normal, "contacts[].normal", (m, 3)),

@@ -418,6 +418,56 @@ def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit
         assert kept.events == full.events
 
 
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "scenario, stride",
+    [("straight", 1), ("sphere_oblique", 1), ("twin_tilt", 1), ("gravitropic_ceiling", 20)],
+)
+def test_frames_derive_s_t_and_gamma_as_the_state_holds_them(monkeypatch, scenario, stride):
+    # a frame holds only k: its s, t and gamma are derived again, and must be
+    # the state's own, bit for bit, on every frame made
+    make_frame = stepper._make_frame
+    made = []
+
+    def checked(state, info, min_phi):
+        frame = make_frame(state, info, min_phi)
+        assert type(frame.t) is float
+        for name in ("s", "t", "gamma"):
+            assert np.array_equal(bits(getattr(frame, name)), bits(getattr(state, name))), name
+        made.append(frame.n_grown)
+        return frame
+
+    monkeypatch.setattr(stepper, "_make_frame", checked)
+    config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
+    total = run(config).frames_total
+    assert len(made) == total
+
+
+def held_bytes(obj):
+    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
+
+
+def test_kept_frames_hold_only_their_tangents_and_reaction():
+    ceiling_run = run(replace(load_config(str(SCENARIOS / "gravitropic_ceiling.json")), stride=20))
+    twin = twin_run(load_config(str(SCENARIOS / "twin_tilt.json")), 0.05, np.array([0.0, 1.0, 0.0]))
+    frames = ceiling_run.frames + twin.base.frames + twin.perturbed.frames
+    assert any(fr.mu is not None for fr in frames)
+    for fr in frames:
+        assert "s" not in vars(fr) and "gamma" not in vars(fr)
+        reaction = [a for a in (fr.b, fr.mu) if a is not None]
+        assert fr.k.shape == (fr.n_grown + 1, 3)
+        assert all(a.shape == (fr.contacts.size,) for a in reaction)
+        assert held_bytes(fr) == fr.k.nbytes + sum(a.nbytes for a in reaction)
+    # positions follow the tangents a frame holds, also after a replace
+    frame = ceiling_run.frames[-1]
+    other = rotate_vectors(np.tile([0.0, 0.3, 0.0], (frame.n_grown + 1, 1)), frame.k)
+    assert not np.array_equal(frame.gamma, integrate_tangents(other, frame.ds))
+    moved = replace(frame, k=other)
+    assert np.array_equal(bits(moved.gamma), bits(integrate_tangents(other, frame.ds)))
+
 
 def test_seed_changes_only_the_iteration_count():
     # one sliding ceiling step, with the tip in contact, taken from the seed

@@ -78,7 +78,7 @@ def test_read_frames_parses_lazily(tmp_path):
     path = tmp_path / "frames.jsonl"
     path.write_bytes(bare_frame(n=25, k=k_text([[0.0, 0.0, 1.0]] * 26)) + b"{garbage\n")
     frames = iter(read_frames(str(path), DS))
-    # t is not stored: it is the end of the rebuilt grid, DS * n
+    # t is not stored: the frame derives it as DS * n
     assert next(frames).t == DS * 25
     with pytest.raises(ParseError, match="frames.jsonl:2: bad record"):
         next(frames)
@@ -123,8 +123,9 @@ def test_contact_frames_round_trip_through_the_reader(tmp_path):
 
 
 def frame_values(frame):
-    """Every field of a frame, its contacts' fields included; floats as their bits."""
-    out = {}
+    """Every field of a frame and what it derives, its contacts' fields included;
+    floats as their bits."""
+    out = {name: getattr(frame, name) for name in ("s", "t", "gamma")}
     for field in fields(frame):
         value = getattr(frame, field.name)
         if field.name == "contacts":
@@ -142,8 +143,9 @@ def frame_values(frame):
     [("straight", 1), ("sphere_oblique", 1), ("twin_tilt", 1), ("gravitropic_ceiling", 20)],
 )
 def test_read_frames_gives_back_the_frames_run_made(tmp_path, scenario, stride):
-    # a record holds no s or gamma: the reader rebuilds them from n, k and dt,
-    # and must give back the arrays the stepper made, bit for bit
+    # a record holds no s, t or gamma: the read frame derives them from n, k
+    # and dt as the made frame does, whose derived values test_stepper pins to
+    # the state's
     config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
     made = run(config).frames
     path = str(tmp_path / "frames.jsonl")
