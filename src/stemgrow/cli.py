@@ -15,7 +15,7 @@ from .config import SimConfig, config_to_dict, load_config
 from .diagnostics import audit_arrays, step_normal_rates
 from .errors import NoCandidateFeasible, ParseError, SimulationError, ValidationError
 from .obstacles import _unit
-from .reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
+from .reaction import assemble_constraints, density_from_multipliers, oracle_solve_reaction
 from .reaction import pushback_rates
 from .stepper import run as run_scenario
 from .stepper import twin_run
@@ -174,17 +174,19 @@ def _cmd_audit(args) -> int:
 
 
 def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None:
-    """The message for a too-large contact normal-rate residual from prev to nxt, if any."""
+    """The message for a too-large contact normal-rate residual from prev to nxt, if any.
+
+    An active contact must move at its pushback rate, and an inactive one no
+    slower than it, as the correction loop accepts a step.
+    """
     c = prev.contacts
     if nxt.n_grown - prev.n_grown != 1 or prev.mu is None or not c.size:
         return None
     rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
     target = pushback_rates(c.phi, config.kappa, config.dt)
     active = prev.mu > 0.0
-    if not np.any(active):
-        return None
-    resid = float(np.max(np.abs(rates[active] - target[active])))
-    speed = float(np.max(np.abs(rates[active])))
+    resid = float(np.max(np.where(active, np.abs(rates - target), target - rates), initial=0.0))
+    speed = float(np.max(np.abs(rates[active]), initial=0.0))
     if resid > rate_tol * (1.0 + speed):
         return f"frame t={prev.t:.6g}: contact normal rate residual {resid:.3e}"
     return None
@@ -203,7 +205,7 @@ def _cmd_oracle_check(args) -> int:
         if fr.contacts.size > args.max_contacts:
             skipped += 1
             continue
-        system = ConstraintSystem(fr.contacts, fr.gamma, fr.s, fr.k, config.dt, config.law.beta)
+        system = assemble_constraints(fr, fr.contacts, config.law.beta)
         try:
             oracle = oracle_solve_reaction(system, fr.b, max_contacts=args.max_contacts)
         except NoCandidateFeasible as exc:

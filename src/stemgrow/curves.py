@@ -1,12 +1,17 @@
-"""Tangent integration, cumulative rotation, and the rotation kernel.
+"""The stem's geometry, tangent integration, cumulative rotation, and the rotation kernel.
 
 The stem is represented by its unit tangent field on a uniform arclength grid;
-positions are recovered by quadrature from the base point. Rotations are applied
-through the exponential map of a rotation vector (axis times angle), evaluated
-in closed form with a series branch near zero angle.
+positions are recovered by quadrature from the base point. Stem holds the
+grid spacing and the tangents and is the one place that derives the rest:
+the node count, the time, the arclength grid and the positions. Rotations are
+applied through the exponential map of a rotation vector (axis times angle),
+evaluated in closed form with a series branch near zero angle.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,3 +76,32 @@ def angular_displacement_profile(omega: np.ndarray, ds: float) -> np.ndarray:
     if omega.shape[0] > 1:
         np.cumsum(ds * omega[:-1], axis=0, out=prof[1:])
     return prof
+
+
+@dataclass
+class Stem:
+    """The grown stem: unit tangents k at nodes 0..n_grown on a grid of spacing ds.
+
+    One cell grows per step of length ds, so the time is t = ds * n_grown.
+    The arclength grid s and the positions gamma are derived from ds and k on
+    first use and then kept; k is never written after the stem is made.
+    """
+
+    ds: float
+    k: np.ndarray
+    n_grown: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.n_grown = len(self.k) - 1
+
+    @property
+    def t(self) -> float:
+        return self.ds * self.n_grown
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return self.ds * np.arange(self.n_grown + 1, dtype=float)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return integrate_tangents(self.k, self.ds)

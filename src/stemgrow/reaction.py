@@ -18,17 +18,20 @@ solved exactly by a Lawson-Hanson active-set method: with one to a few
 contacts, each face of the active set costs one small linear solve. An
 exhaustive enumeration of all 2^m active sets serves as an independent
 cross-check for small contact counts.
+
+A system is built on a curves.Stem, the stepper's state or a frame read back,
+and only by assemble_constraints, so the step and oracle-check solve on the
+same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import cross
+from .curves import Stem, cross
 from .errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -38,9 +41,6 @@ from .errors import (
     TooManyContacts,
 )
 from .obstacles import Scene, outer_normal, signed_distances
-
-if TYPE_CHECKING:
-    from .stepper import StemState
 
 
 @dataclass
@@ -58,7 +58,7 @@ class ContactSet:
 
 
 def detect_contacts(
-    stem: "StemState",
+    stem: Stem,
     scene: Scene,
     eps_contact: float,
     eps_penetration: float,
@@ -97,23 +97,16 @@ class ConstraintSystem:
     (gamma_j - gamma_i) x n_j = M_j h_i, supported on nodes below the
     contact: h_i = [1, gamma_i] is the node's basis vector and M_j the row's
     3x4 arm map. The energy weights are ds * exp(beta (t - sigma_i)); the
-    Gram matrix lives in the inverse metric. gamma, s and k cover the grown
-    nodes only, so the current time is s[-1] and the tip tangent is k[-1].
-    The system is geometry only: the decay, the basis, the arm maps and the
-    Gram matrix are computed once per system, and the right-hand side b is
-    the caller's.
+    Gram matrix lives in the inverse metric. The stem covers the grown nodes
+    only, so its tip tangent is k[-1]. The system is geometry only: the
+    decay, the basis, the arm maps and the Gram matrix are computed once per
+    system, and the right-hand side b is the caller's. assemble_constraints
+    builds it.
     """
 
+    stem: Stem
     contacts: ContactSet
-    gamma: np.ndarray
-    s: np.ndarray
-    k: np.ndarray
-    ds: float
     beta: float
-
-    @property
-    def t(self) -> float:
-        return self.s[-1]
 
     @property
     def tip_row(self) -> int | None:
@@ -123,34 +116,34 @@ class ConstraintSystem:
     @cached_property
     def decay(self) -> np.ndarray:
         """Decay exp(-beta (t - sigma_i)) at every node."""
-        return np.exp(-self.beta * (self.t - self.s))
+        stem = self.stem
+        return np.exp(-self.beta * (stem.t - stem.s))
 
     @property
     def metric_weights(self) -> np.ndarray:
         """Quadrature-times-decay weights ds * exp(-beta (t - sigma_i))."""
-        return self.ds * self.decay
+        return self.stem.ds * self.decay
 
     @cached_property
     def basis(self) -> np.ndarray:
         """h_i = [1, gamma_i] at every node."""
-        return np.concatenate([np.ones((self.s.size, 1)), self.gamma], axis=1)
+        gamma = self.stem.gamma
+        return np.concatenate([np.ones((len(gamma), 1)), gamma], axis=1)
 
     @cached_property
     def arm_maps(self) -> np.ndarray:
         """M_j = [gamma_j x n_j | n_j x e_0 | n_j x e_1 | n_j x e_2] for every contact row j."""
         nrm = self.contacts.normals
-        lever = cross(self.gamma[self.contacts.nodes], nrm)[:, :, None]
+        lever = cross(self.stem.gamma[self.contacts.nodes], nrm)[:, :, None]
         return np.concatenate([lever, cross(nrm[:, None], np.eye(3)).transpose(0, 2, 1)], axis=2)
 
-    def row(self, j: int) -> np.ndarray:
-        """Materialize a_j(sigma_i) for every node i."""
-        v = int(self.contacts.nodes[j])
-        out = np.zeros((self.s.size, 3))
-        out[:v] = cross(self.gamma[v] - self.gamma[:v], self.contacts.normals[j])
-        return out
-
     def rows(self) -> np.ndarray:
-        return np.stack([self.row(j) for j in range(self.contacts.size)])
+        """Materialize a_j(sigma_i) for every contact row j and node i."""
+        gamma = self.stem.gamma
+        out = np.zeros((self.contacts.size, len(gamma), 3))
+        for j, (v, nrm) in enumerate(zip(self.contacts.nodes.tolist(), self.contacts.normals)):
+            out[j, :v] = cross(gamma[v] - gamma[:v], nrm)
+        return out
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -168,7 +161,7 @@ class ConstraintSystem:
     @cached_property
     def rows_above(self) -> np.ndarray:
         """For every node i, the first contact row whose node lies above i."""
-        return np.searchsorted(self.contacts.nodes, np.arange(self.s.size), side="right")
+        return np.searchsorted(self.contacts.nodes, np.arange(self.stem.n_grown + 1), side="right")
 
 
 def _cut_moments(x: np.ndarray, system: ConstraintSystem) -> np.ndarray:
@@ -191,11 +184,11 @@ def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
     matrix reads the same cut moments, so the rate of the reaction density
     omega(mu), less that term, is G mu.
     """
-    moments = _cut_moments(system.ds * density, system)
+    moments = _cut_moments(system.stem.ds * density, system)
     vals = np.einsum("jab,jab->j", system.arm_maps, moments)
     tip = system.tip_row
     if tip is not None:
-        vals[tip] += float(system.k[-1] @ system.contacts.normals[tip])
+        vals[tip] += float(system.stem.k[-1] @ system.contacts.normals[tip])
     return vals
 
 
@@ -204,15 +197,11 @@ def pushback_rates(phi: np.ndarray, kappa: float, dt: float) -> np.ndarray:
     return kappa * np.maximum(0.0, -phi) / dt
 
 
-def assemble_constraints(
-    stem: "StemState", contacts: ContactSet, beta: float
-) -> ConstraintSystem:
-    """The constraint system of contacts on the current state, beta the decay rate."""
+def assemble_constraints(stem: Stem, contacts: ContactSet, beta: float) -> ConstraintSystem:
+    """The constraint system of contacts on a stem, beta the decay rate."""
     if contacts.size == 0:
         raise EmptyContactSet("assemble_constraints needs at least one contact")
-    return ConstraintSystem(
-        contacts=contacts, gamma=stem.gamma, s=stem.s, k=stem.k, ds=stem.ds, beta=beta
-    )
+    return ConstraintSystem(stem, contacts, beta)
 
 
 @dataclass

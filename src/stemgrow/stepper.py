@@ -1,18 +1,20 @@
 """Time stepping: elongate, react against obstacles, rotate, reconstruct.
 
-The state holds the grown stem only: nodes 0..n on a uniform grid whose
-spacing equals dt. One step advances the clock by dt: evaluate the growth
-density, detect contacts, solve for the reaction, rotate every tangent by the
-cumulative rotation below it, append the new tip node as a copy of the
-rotated tip tangent, and rebuild positions from the base. So one grid cell
+The state is a curves.Stem, the grown stem only: tangents at nodes 0..n on a
+uniform grid whose spacing equals dt. One step advances the clock by dt:
+evaluate the growth density, detect contacts, solve for the reaction, rotate
+every tangent by the cumulative rotation below it, append the new tip node as
+a copy of the rotated tip tangent, and rebuild positions from the base. So one grid cell
 grows per step, and the new cell continues the tip straight.
 
 When contacts are present the constraint right-hand side is refined a few
 times against the velocity the geometric update actually realizes, so that
 complementarity holds for the realized per-step displacement, not just the
-first-order model. The reaction and that defect change smoothly from step to
-step, so each active contact carries its multiplier and its last two defects
-to the next contact step: the multiplier warm-starts the dual solve, and the
+first-order model. A step is accepted only if each active contact moves at
+its pushback rate and every other contact at least at it, so no accepted step
+drives a contact inward. The reaction and that defect change smoothly from
+step to step, so each active contact carries its multiplier and its last two
+defects to the next contact step: the multiplier warm-starts the dual solve, and the
 defect extrapolated from the last two seeds the first solve. A contact is
 keyed by its material node, and the tip contact by "tip", so that its memory
 follows the tip as the tip moves up one node per step.
@@ -20,7 +22,7 @@ follows the tip as the tip moves up one node per step.
 simulate is the only stepping loop: it yields each frame as it is made. run
 and twin_run keep only the frames a run writes, so a run holds every
 stride-th frame rather than all of them, and of each frame its tangents, not
-its positions.
+its positions: a frame is a Stem too, and derives them as the state does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .config import SimConfig
-from .curves import angular_displacement_profile, integrate_tangents, rotate_vectors
+from .curves import Stem, angular_displacement_profile, rotate_vectors
 from .diagnostics import (
     gronwall_certificate,
     rotation_field,
@@ -59,27 +61,6 @@ log = logging.getLogger("stemgrow.stepper")
 
 
 @dataclass
-class StemState:
-    """Geometry of the grown stem: arclength, positions and tangents at nodes 0..n_grown.
-
-    Its arrays are never written after the state is made, so frames share only k.
-    """
-
-    ds: float
-    s: np.ndarray
-    gamma: np.ndarray
-    k: np.ndarray
-
-    @property
-    def n_grown(self) -> int:
-        return self.s.size - 1
-
-    @property
-    def t(self) -> float:
-        return float(self.s[-1])
-
-
-@dataclass
 class StepInfo:
     contacts: ContactSet
     solution: ReactionSolution | None
@@ -95,7 +76,7 @@ class StepInfo:
         return cls(contacts, None, None, None, None, None)
 
 
-def init_state(config: SimConfig) -> StemState:
+def init_state(config: SimConfig) -> Stem:
     """Seed the state: tangents from the seed curve, positions from the origin base.
 
     Rejects seeds that dip into an obstacle or start on a surface. A seed
@@ -104,9 +85,8 @@ def init_state(config: SimConfig) -> StemState:
     """
     n0 = config.n_seed_cells
     s = config.dt * np.arange(n0 + 1, dtype=float)
-    k = config.seed.tangents(s)
-    gamma = integrate_tangents(k, config.dt)
-    state = StemState(ds=config.dt, s=s, gamma=gamma, k=k)
+    state = Stem(config.dt, config.seed.tangents(s))
+    gamma = state.gamma
 
     if config.scene.obstacles:
         base_phi = float(signed_distances(config.scene, gamma[0][None, :])[0])
@@ -130,7 +110,7 @@ def init_state(config: SimConfig) -> StemState:
 
 
 def detect_breakdown(
-    state: StemState, contacts: ContactSet, config: SimConfig
+    state: Stem, contacts: ContactSet, config: SimConfig
 ) -> tuple[bool, dict]:
     """Rigid-jam test: tip pressed head-on into a surface while the free part is straight."""
     if not contacts.tip:
@@ -153,9 +133,7 @@ def detect_breakdown(
     return max_free_curv <= config.breakdown_curvature_tol, diag
 
 
-def _advance_fields(
-    state: StemState, density: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
     """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
 
     The new tip node continues the rotated tip tangent: its row is a bitwise
@@ -163,17 +141,20 @@ def _advance_fields(
     """
     omega_cap = angular_displacement_profile(density, state.ds)
     rotated = rotate_vectors(dt * omega_cap, state.k)
-    k_new = np.concatenate([rotated, rotated[-1:]])
-    return k_new, integrate_tangents(k_new, state.ds)
+    new = Stem(state.ds, np.concatenate([rotated, rotated[-1:]]))
+    # Integrated here, not at the next detection that reads it: made among the
+    # step's temporaries, the positions leave a long run's heap smaller.
+    new.gamma
+    return new
 
 
 def step(
-    state: StemState,
+    state: Stem,
     config: SimConfig,
     contacts: ContactSet,
     warm_start: np.ndarray | None,
     seed: np.ndarray | None,
-) -> tuple[StemState, StepInfo]:
+) -> tuple[Stem, StepInfo]:
     """Advance one dt against the state's contacts; returns the new state and what it did.
 
     With contacts, the linear rates must reach b0 = pushback - drive: the
@@ -185,7 +166,7 @@ def step(
     """
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
-        k_new, gamma_new = _advance_fields(state, psi, config.dt)
+        new = _advance_fields(state, psi, config.dt)
         info = StepInfo.without_reaction(contacts)
     else:
         system = assemble_constraints(state, contacts, config.law.beta)
@@ -199,25 +180,26 @@ def step(
         # the contacts lag the linear prediction by O(dt). Feeding that defect
         # back into b and re-solving (warm-started) contracts the lag
         # geometrically; iterate until the active contacts move at the
-        # demanded pushback rate. The first solve starts from the seed, the
-        # defect extrapolated from the last contact steps, so a good seed
-        # saves sweeps; a bad one costs sweeps, since only the realized rates
-        # decide acceptance. Running out of sweeps first is a failure, never
-        # a silently accepted step. The linear rates of psi + omega are
-        # drive + G mu, since the Gram matrix sums the cells linear_rates does.
+        # demanded pushback rate and no inactive contact moves slower than
+        # it, which would drive that contact inward. The first solve starts
+        # from the seed, the defect extrapolated from the last contact steps,
+        # so a good seed saves sweeps; a bad one costs sweeps, since only the
+        # realized rates decide acceptance. Running out of sweeps first is a
+        # failure, never a silently accepted step. The linear rates of
+        # psi + omega are drive + G mu, since the Gram matrix sums the cells
+        # linear_rates does.
         for sweep in range(config.correction_sweeps):
-            k_new, gamma_new = _advance_fields(state, psi + sol.omega, config.dt)
+            new = _advance_fields(state, psi + sol.omega, config.dt)
             realized = step_normal_rates(
                 state.gamma,
-                gamma_new,
+                new.gamma,
                 contacts.nodes,
                 contacts.normals,
                 contacts.tip,
                 config.dt,
             )
             defect = realized - drive - system.gram @ sol.mu
-            active = sol.mu > 0.0
-            gap = np.abs(realized[active] - pushback[active])
+            gap = np.where(sol.mu > 0.0, np.abs(realized - pushback), pushback - realized)
             realized_residual = float(np.max(gap, initial=0.0))
             if realized_residual <= config.correction_tol:
                 break
@@ -239,8 +221,7 @@ def step(
             defect=defect,
         )
 
-    s_new = state.ds * np.arange(state.n_grown + 2, dtype=float)
-    return StemState(ds=state.ds, s=s_new, gamma=gamma_new, k=k_new), info
+    return new, info
 
 
 class _ContactMemory:
@@ -288,11 +269,10 @@ class _ContactMemory:
         }
 
 
-def _make_frame(state: StemState, info: StepInfo, min_phi: float | None) -> TrajectoryFrame:
+def _make_frame(state: Stem, info: StepInfo, min_phi: float | None) -> TrajectoryFrame:
     sol = info.solution
     kkt = info.kkt or {}
     return TrajectoryFrame(
-        n_grown=state.n_grown,
         ds=state.ds,
         k=state.k,
         contacts=info.contacts,
@@ -393,13 +373,9 @@ def _record(config: SimConfig, traj: Trajectory) -> Iterator[TrajectoryFrame]:
     traj.exit_kind = traj.events[-1].kind
 
 
-def _empty_trajectory() -> Trajectory:
-    return Trajectory(frames=[], events=[], exit_kind="", frames_total=0)
-
-
 def run(config: SimConfig) -> Trajectory:
     """Run a scenario, keeping only the frames its stride writes."""
-    traj = _empty_trajectory()
+    traj = Trajectory()
     for _ in _record(config, traj):
         pass
     return traj
@@ -430,7 +406,7 @@ def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:
         seed=config.seed.tilted(angle, axis),
         label=config.label + "+tilt" if config.label else "tilt",
     )
-    base, pert = _empty_trajectory(), _empty_trajectory()
+    base, pert = Trajectory(), Trajectory()
     base_frames = _record(config, base)
     pert_frames = _record(tilted, pert)
     times, dists = [], []

@@ -5,12 +5,12 @@ shortest text that reads back to the same double, so a rerun of the same
 manifest reproduces the files byte for byte. This module is the only one
 that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
-A frame, in memory as in its record, holds the node count n and the
-tangents k, not what they imply: TrajectoryFrame derives the grid s, the time
-t = s[-1] and the positions gamma from n, k and the grid spacing as the
-stepper builds them, bit for bit, and integrates gamma only when it is first
-read. A record with a key outside its format, such as an older file's t, s or
-gamma, is a parse error.
+A frame, in memory as in its record, holds the tangents k, not what they
+imply: TrajectoryFrame is a curves.Stem, the stepper's own state, so its node
+count, time t, grid s and positions gamma come from k and the grid spacing by
+the same expressions, bit for bit, and gamma is integrated only when it is
+first read. A record with a key outside its format, such as an older file's
+t, s or gamma, is a parse error.
 k, the only field whose size grows with n, is one base64 string of the
 little-endian float64 bytes of its rows (three values each, in order), so
 its bits pass through the file unchanged on any host and a reader decodes it
@@ -31,13 +31,12 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 
 import numpy as np
 
-from .curves import integrate_tangents
+from .curves import Stem
 from .errors import ParseError
 from .reaction import ContactSet
 
@@ -45,18 +44,13 @@ TOOL_NAME = "stemgrow"
 
 
 @dataclass
-class TrajectoryFrame:
+class TrajectoryFrame(Stem):
     """One recorded step: the grown stem, its contacts and the reaction solved there.
 
     b and mu hold one entry per contact (the effective right-hand side and
-    the multipliers); they are None when no reaction was solved. s, t and
-    gamma are derived from n_grown, ds and k as init_state and step derive
-    them; s and gamma are computed on first use and then kept.
+    the multipliers); they are None when no reaction was solved.
     """
 
-    n_grown: int
-    ds: float
-    k: np.ndarray
     contacts: ContactSet
     b: np.ndarray | None
     mu: np.ndarray | None
@@ -66,18 +60,6 @@ class TrajectoryFrame:
     kkt_stationarity: float | None
     realized_residual: float | None
     solver_sweeps: int | None
-
-    @property
-    def t(self) -> float:
-        return self.ds * self.n_grown
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return self.ds * np.arange(self.n_grown + 1, dtype=float)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        return integrate_tangents(self.k, self.ds)
 
 
 @dataclass
@@ -91,10 +73,10 @@ class Event:
 class Trajectory:
     """A run's kept frames and all its events; frames_total counts every frame made."""
 
-    frames: list
-    events: list
-    exit_kind: str
-    frames_total: int
+    frames: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    exit_kind: str = ""
+    frames_total: int = 0
 
 
 _CONTACT_KEYS = ("node", "phi", "normal", "b", "mu")
@@ -227,7 +209,6 @@ def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
     if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
     frame = TrajectoryFrame(
-        n_grown=n,
         ds=ds,
         k=_tangents(k, n),
         contacts=ContactSet(

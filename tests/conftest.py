@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import stemgrow
-from stemgrow.curves import rotate_vectors
-from stemgrow.reaction import ConstraintSystem, ContactSet
+from stemgrow.curves import Stem, rotate_vectors
+from stemgrow.reaction import ContactSet, assemble_constraints
 from stemgrow.trajectory import write_jsonl
 
 # The command line as a child process; the same as the installed ``stemgrow``.
@@ -41,7 +41,6 @@ def random_constraint_system(rng, tip_allowed=True):
     """
     n = int(rng.integers(20, 101))
     ds = float(rng.uniform(0.005, 0.05))
-    s = np.arange(n + 1) * ds
     k0 = rng.normal(size=3)
     k0 /= np.linalg.norm(k0)
     density = rng.normal(scale=2.0, size=(n + 1, 3))
@@ -49,9 +48,6 @@ def random_constraint_system(rng, tip_allowed=True):
         density[1:-1] = (density[:-2] + density[1:-1] + density[2:]) / 3.0
     ang = np.cumsum(density, axis=0) * ds
     k = rotate_vectors(ang, np.tile(k0, (n + 1, 1)))
-    steps = 0.5 * ds * (k[:-1] + k[1:])
-    gamma = np.zeros((n + 1, 3))
-    gamma[1:] = np.cumsum(steps, axis=0)
 
     m = int(rng.integers(1, 6))
     nodes = np.sort(rng.choice(np.arange(2, n + 1), size=m, replace=False))
@@ -61,7 +57,7 @@ def random_constraint_system(rng, tip_allowed=True):
     b = rng.normal(scale=0.5, size=m)
     tip = bool(tip_allowed and nodes[-1] == n and rng.random() < 0.5)
     contacts = ContactSet(nodes=nodes, normals=normals, phi=np.zeros(m), tip=tip)
-    return ConstraintSystem(contacts=contacts, gamma=gamma, s=s, k=k, ds=ds, beta=beta), b
+    return assemble_constraints(Stem(ds, k), contacts, beta), b
 
 
 def k_text(rows):

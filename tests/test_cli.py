@@ -14,7 +14,7 @@ import pytest
 from conftest import STEMGROW, bare_frame, k_text, stemgrow_env
 
 from stemgrow.config import load_config
-from stemgrow.reaction import ConstraintSystem, density_from_multipliers, oracle_solve_reaction
+from stemgrow.reaction import assemble_constraints, density_from_multipliers, oracle_solve_reaction
 from stemgrow.trajectory import frame_from_dict, read_frames
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -392,6 +392,26 @@ def test_audit_rejects_tampered_frames(oblique_run, tmp_path):
     assert "violation" in proc.stdout
 
 
+def test_audit_rejects_an_inactive_contact_driven_inward(tmp_path):
+    # a straight stem grows on into a plane whose contact at the tip carries
+    # no multiplier: the step moves the tip inward at full growth speed, and
+    # audit reports it although no row is active
+    manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
+    n = 5
+    contact = {"node": n, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.0, "mu": 0.0}
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(
+        bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
+        + bare_frame(n=n + 1, k=k_text([[0.0, 0.0, 1.0]] * (n + 2)))
+    )
+    proc = invoke("audit", str(frames), "--manifest", manifest)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "audit: frame t=0.5: contact normal rate residual 1.000e+00",
+        "audit: 2 frames, 1 violation(s)",
+    ]
+
+
 def test_oracle_check_confirms_stored_reactions(oblique_run):
     proc = invoke("oracle-check", str(oblique_run / "frames.jsonl"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -415,9 +435,7 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
         bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
     )
     frame = frame_from_dict(record, config.dt)
-    system = ConstraintSystem(
-        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta
-    )
+    system = assemble_constraints(frame, frame.contacts, config.law.beta)
     b = 1e-10 * system.gram[0]
     oracle = oracle_solve_reaction(system, b, max_contacts=12)
     assert oracle.degenerate == "several supports"

@@ -97,6 +97,34 @@ def test_command_line_does_not_load_orjson():
     assert proc.returncode == 0, proc.stderr
 
 
+def _callers(name):
+    """Module:Class.function of each place the package's sources call name."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append(f"{module}:{scope}")
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "stemgrow").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return found
+
+
+def test_positions_and_constraint_systems_are_each_made_in_one_place():
+    # positions are integrated from tangents in one place, and a constraint
+    # system is built in one place, so that the stepper, its frames and the
+    # command line read the same bits
+    assert _callers("integrate_tangents") == ["curves:Stem.gamma"]
+    assert _callers("ConstraintSystem") == ["reaction:assemble_constraints"]
+
+
 def _public_definitions(tree):
     return [
         node

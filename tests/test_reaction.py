@@ -1,5 +1,6 @@
 """Contact detection, constraint assembly, and the reaction minimizer."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from conftest import random_constraint_system
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
+from stemgrow.curves import Stem
 from stemgrow.errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -16,7 +18,6 @@ from stemgrow.errors import (
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
-    ConstraintSystem,
     ContactSet,
     assemble_constraints,
     check_kkt,
@@ -29,7 +30,8 @@ from stemgrow.reaction import (
 )
 from stemgrow import stepper
 from stemgrow.diagnostics import step_normal_rates
-from stemgrow.stepper import init_state, simulate, step
+from stemgrow.stepper import init_state, run, simulate, step
+from stemgrow.trajectory import read_frames, write_frames
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -62,34 +64,19 @@ def contact_at(nodes, normals, phi, tip=False):
 
 def single_contact_system(v=6, n=8, ds=0.25, beta=0.8, normal=E3):
     """Straight stem along e1 with one contact row; closed form is summable."""
-    s = np.arange(n + 1) * ds
-    gamma = np.stack([s, np.zeros(n + 1), np.zeros(n + 1)], axis=1)
     contacts = contact_at([v], [normal], [0.0])
-    return ConstraintSystem(
-        contacts=contacts,
-        gamma=gamma,
-        s=s,
-        k=np.tile(E1, (n + 1, 1)),
-        ds=ds,
-        beta=beta,
-    )
+    return assemble_constraints(Stem(ds, np.tile(E1, (n + 1, 1))), contacts, beta)
 
 
 def energy_weights(system):
     """Elastic energy weights ds * exp(beta (t - sigma_i))."""
-    return system.ds * np.exp(system.beta * (system.t - system.s))
+    stem = system.stem
+    return stem.ds * np.exp(system.beta * (stem.t - stem.s))
 
 
 def rate_system(state, nodes, normals):
     """Non-tip constraint rows at the given grown nodes of a state."""
-    return ConstraintSystem(
-        contacts=contact_at(nodes, normals, np.zeros(len(nodes))),
-        gamma=state.gamma,
-        s=state.s,
-        k=state.k,
-        ds=state.ds,
-        beta=0.0,
-    )
+    return assemble_constraints(state, contact_at(nodes, normals, np.zeros(len(nodes))), 0.0)
 
 
 def assemble(state, contacts, law, kappa, dt):
@@ -183,19 +170,19 @@ def test_single_contact_closed_form():
     # one row: G11 = sum_{i<v} ds e^{-beta(t-s_i)} |(gamma_v - gamma_i) x n|^2
     # and the minimizer is mu = b / G11 for b > 0
     system = single_contact_system()
-    v, ds, beta, t = 6, 0.25, 0.8, system.t
+    v, ds, beta, t = 6, 0.25, 0.8, system.stem.t
     g11 = 0.0
     for i in range(v):
-        arm = np.cross(system.gamma[v] - system.gamma[i], E3)
+        arm = np.cross(system.stem.gamma[v] - system.stem.gamma[i], E3)
         g11 += ds * np.exp(-beta * (t - i * ds)) * float(arm @ arm)
     sol = solve_reaction(system, np.array([0.3]), warm_start=None)
     assert sol.mu[0] == pytest.approx(0.3 / g11, rel=1e-12)
     # density: decayed multiplier times the arm field, zero at and above v
     for i in range(v):
-        arm = np.cross(system.gamma[v] - system.gamma[i], E3)
+        arm = np.cross(system.stem.gamma[v] - system.stem.gamma[i], E3)
         want = np.exp(-beta * (t - i * ds)) * sol.mu[0] * arm
         assert np.max(np.abs(sol.omega[i] - want)) < 1e-14
-    assert np.array_equal(sol.omega[v:], np.zeros((system.s.size - v, 3)))
+    assert np.array_equal(sol.omega[v:], np.zeros((system.stem.n_grown + 1 - v, 3)))
 
 
 def test_one_by_one_divide_matches_lapack_bit_for_bit():
@@ -226,7 +213,7 @@ def test_single_contact_negative_demand_is_inactive():
     system = single_contact_system()
     sol = solve_reaction(system, np.array([-0.4]), warm_start=None)
     assert np.array_equal(sol.mu, np.zeros(1))
-    assert np.array_equal(sol.omega, np.zeros((system.s.size, 3)))
+    assert np.array_equal(sol.omega, np.zeros((system.stem.n_grown + 1, 3)))
     assert sol.energy == 0.0
 
 
@@ -320,7 +307,7 @@ def gap_edge_systems():
     contact at node 0 (an empty first gap), adjacent nodes, two contacts at
     one node, a tip contact, and 12 contacts."""
     base, _ = random_constraint_system(np.random.default_rng(53))
-    n = base.s.size - 1
+    n = base.stem.n_grown
     rng = np.random.default_rng(54)
     layouts = [
         ([0, 5], False),
@@ -333,7 +320,7 @@ def gap_edge_systems():
         normals = rng.normal(size=(len(nodes), 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         contacts = contact_at(nodes, normals, np.zeros(len(nodes)), tip=tip)
-        yield ConstraintSystem(contacts, base.gamma, base.s, base.k, base.ds, base.beta)
+        yield assemble_constraints(base.stem, contacts, base.beta)
 
 
 def test_gram_assembly_matches_direct_summation():
@@ -359,7 +346,7 @@ def gram_identity_gap(system, mu):
     elongation term, relative to the largest entry of G mu."""
     rates = linear_rates(system, density_from_multipliers(system, mu))
     if system.tip_row is not None:
-        rates[system.tip_row] -= system.k[-1] @ system.contacts.normals[system.tip_row]
+        rates[system.tip_row] -= system.stem.k[-1] @ system.contacts.normals[system.tip_row]
     want = system.gram @ mu
     return float(np.max(np.abs(rates - want)) / np.max(np.abs(want)))
 
@@ -384,10 +371,36 @@ def test_gram_identity_holds_on_a_sliding_ceiling_step():
         fr for fr, _ in simulate(config) if fr.contacts.tip and fr.contacts.size > 1
     )
     assert frame.mu[-1] > 0.0
-    system = ConstraintSystem(
-        frame.contacts, frame.gamma, frame.s, frame.k, config.dt, config.law.beta
-    )
+    system = assemble_constraints(frame, frame.contacts, config.law.beta)
     assert gram_identity_gap(system, frame.mu) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "scenario, horizon", [("sphere_oblique", 2.0), ("gravitropic_ceiling", 1.5)]
+)
+def test_frames_read_back_rebuild_the_system_each_step_solved_on(
+    monkeypatch, tmp_path, scenario, horizon
+):
+    # assemble_constraints is the one maker of a constraint system: on each
+    # contact frame read back from its file it gives the Gram matrix and the
+    # decay of the system the step solved on, bit for bit
+    built = []
+
+    def recorded(stem, contacts, beta):
+        system = assemble_constraints(stem, contacts, beta)
+        built.append(system)
+        return system
+
+    monkeypatch.setattr(stepper, "assemble_constraints", recorded)
+    config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), horizon=horizon)
+    path = str(tmp_path / "frames.jsonl")
+    write_frames(path, run(config).frames)
+    frames = [fr for fr in read_frames(path, config.dt) if fr.mu is not None]
+    assert len(frames) == len(built) > 10
+    for fr, system in zip(frames, built):
+        rebuilt = assemble_constraints(fr, fr.contacts, config.law.beta)
+        assert np.array_equal(rebuilt.gram.view(np.uint64), system.gram.view(np.uint64))
+        assert np.array_equal(rebuilt.decay.view(np.uint64), system.decay.view(np.uint64))
 
 
 def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
@@ -424,17 +437,8 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
 
 def test_contact_with_no_leverage_and_positive_demand_is_infeasible():
     # a contact at the base node has an empty support: no density can move it
-    s = np.arange(4) * 0.5
-    gamma = np.stack([s, np.zeros(4), np.zeros(4)], axis=1)
     contacts = contact_at([0], [E3], [0.0])
-    system = ConstraintSystem(
-        contacts=contacts,
-        gamma=gamma,
-        s=s,
-        k=np.tile(E1, (4, 1)),
-        ds=0.5,
-        beta=0.0,
-    )
+    system = assemble_constraints(Stem(0.5, np.tile(E1, (4, 1))), contacts, 0.0)
     with pytest.raises(InfeasibleReaction):
         solve_reaction(system, np.array([0.7]), warm_start=None)
 

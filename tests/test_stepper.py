@@ -15,6 +15,7 @@ from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere, signed_distances
 from stemgrow.reaction import (
     assemble_constraints,
+    density_from_multipliers,
     detect_contacts,
     linear_rates,
     oracle_solve_reaction,
@@ -180,6 +181,44 @@ def test_head_on_plane_contact_breaks_down():
     assert last.data["max_free_curvature"] <= config.breakdown_curvature_tol
 
 
+@pytest.mark.parametrize("variant", ["zero", "gravitropic"])
+def test_near_head_on_plane_impacts_never_accept_an_inward_step(variant):
+    # a stem tilted theta from the ceiling's normal meets it almost head on.
+    # The correction loop accepts a step only if every contact, active or
+    # not, moves out at least at its pushback rate, so a step it cannot hold
+    # ends the run at that step. When only the active rows were read, an
+    # inactive tip moved into the plane at full growth speed and theta =
+    # 0.02-0.1 ended one step later, with "node 51 penetrates" at t = 0.51.
+    for theta in (0.02, 0.03, 0.05, 0.1, 0.2, 0.3, 0.5):
+        config = make_config(
+            scene=ceiling(0.5),
+            law=GrowthLaw(variant=variant),
+            seed=SeedCurve(
+                kind="segment",
+                direction=np.array([np.sin(theta), 0.0, np.cos(theta)]),
+                length=0.3,
+            ),
+            dt=0.01,
+            t0=0.3,
+            horizon=1.5,
+        )
+        traj = run(config)
+        last = traj.events[-1]
+        if last.kind == "IntegrityFailure":
+            assert last.data["error"].startswith("correction loop"), (theta, last.data)
+        else:
+            assert last.kind in ("HorizonReached", "Breakdown")
+        for prev, nxt in zip(traj.frames, traj.frames[1:]):
+            if prev.mu is None:
+                continue
+            c = prev.contacts
+            realized = step_normal_rates(
+                prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt
+            )
+            pushback = pushback_rates(c.phi, config.kappa, config.dt)
+            assert np.all(realized >= pushback - config.correction_tol), (theta, prev.t)
+
+
 def test_initial_jam_is_rejected_at_seeding():
     # the seed's tip already presses head-on into the ceiling: the run ends
     # in Breakdown before its first step
@@ -287,9 +326,9 @@ def test_advance_matches_rotation_of_every_row(stepped):
         omega_cap[n + 1 :] = omega_cap[n]
         k_want = rotate_vectors(config.dt * omega_cap, k_pad)
         gamma_want = integrate_tangents(k_want, state.ds)
-        k_got, gamma_got = _advance_fields(state, density, config.dt)
-        assert np.array_equal(k_got, k_want[: n + 2])
-        assert np.array_equal(gamma_got, gamma_want[: n + 2])
+        new = _advance_fields(state, density, config.dt)
+        assert np.array_equal(new.k, k_want[: n + 2])
+        assert np.array_equal(new.gamma, gamma_want[: n + 2])
 
 
 def test_far_obstacle_run_is_bitwise_identical_to_empty_scene():
@@ -561,25 +600,51 @@ def test_final_shape_converges_at_first_order_in_dt(obstacles):
     # the ceiling run, contact included, on a short horizon at dt, dt/2 and
     # dt/4 with eps_contact = dt: at first order each halving of dt halves
     # the difference of the final shapes on the coarse grid (measured ratios
-    # 2.01 and 2.02); an O(1) error would hold it near 1
+    # 2.01 and 2.02); an O(1) error would hold it near 1. The reaction, the
+    # paper's constrained minimizer, converges too: its impulse dt * sum_i
+    # omega_i, with omega rebuilt from each kept frame's multipliers at
+    # t = 1.2, 1.3 and 1.4, halves its differences likewise (measured 1.960,
+    # 1.975 and 1.982), and the contact starts at t = 1.09 at every dt. The
+    # bounds were fixed before the first run.
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     if obstacles == "none":
         config = replace(config, scene=Scene([]))
-    finals = []
+    beta = config.law.beta
+    finals, impulses, onsets = [], [], []
     for refine in (1, 2, 4):
         dt = 0.01 / refine
         traj = run(
             replace(
-                config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt, horizon=1.5
+                config,
+                dt=dt,
+                eps_contact=dt,
+                eps_penetration=0.05 * dt,
+                horizon=1.5,
+                stride=10 * refine,  # a frame every 0.1 in t
             )
         )
         assert traj.exit_kind == "HorizonReached"
         assert any(f.mu is not None for f in traj.frames) == (obstacles == "ceiling")
         finals.append(traj.frames[-1].gamma[::refine])
+        if obstacles == "ceiling":
+            kept = {round(fr.t, 9): fr for fr in traj.frames}
+            omegas = (
+                density_from_multipliers(assemble_constraints(fr, fr.contacts, beta), fr.mu)
+                for fr in (kept[1.2], kept[1.3], kept[1.4])
+            )
+            impulses.append([dt * omega.sum(axis=0) for omega in omegas])
+            onsets.append(next(ev.t for ev in traj.events if ev.kind == "ContactOnset"))
     coarse = np.max(np.abs(finals[0] - finals[1]))
     fine = np.max(np.abs(finals[1] - finals[2]))
     assert fine > 0.0
     assert coarse / fine >= 1.8
+    if obstacles == "ceiling":
+        impulses = np.array(impulses)  # (dt, time, axis)
+        coarse = np.max(np.abs(impulses[0] - impulses[1]), axis=1)
+        fine = np.max(np.abs(impulses[1] - impulses[2]), axis=1)
+        assert np.all(fine > 0.0)
+        assert np.all(coarse / fine >= 1.8), coarse / fine
+        assert max(onsets) - min(onsets) <= 0.01
 
 
 @pytest.mark.parametrize(
