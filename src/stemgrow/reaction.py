@@ -158,11 +158,6 @@ class ConstraintSystem:
         g = np.einsum("jab,lab->jl", arm @ moments, arm)
         return np.triu(g) + np.triu(g, 1).T
 
-    @cached_property
-    def rows_above(self) -> np.ndarray:
-        """For every node i, the first contact row whose node lies above i."""
-        return np.searchsorted(self.contacts.nodes, np.arange(self.stem.n_grown + 1), side="right")
-
 
 def _cut_moments(x: np.ndarray, system: ConstraintSystem) -> np.ndarray:
     """sum_{i < node_j} x_i h_i^T at every contact row j, shape (m, d, 4).
@@ -215,13 +210,18 @@ class ReactionSolution:
 def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.ndarray:
     """Reaction density omega_i = e^{-beta(t-s_i)} sum_j mu_j M_j h_i over rows above node i.
 
-    Evaluated with suffix sums of mu_j M_j over the contact rows.
+    The nodes of the gap below row g, between the cuts _cut_moments walks,
+    lie below rows g and later only, so the density there is one product of
+    their basis with the suffix sum of mu_j M_j from row g; above the last
+    contact it is zero.
     """
-    suffix = np.zeros((mu.size + 1, 3, 4))
-    np.cumsum((mu[:, None, None] * system.arm_maps)[::-1], axis=0, out=suffix[1:])
-    # take gathers the same rows as suffix[idx], without fancy indexing's overhead
-    maps = suffix[::-1].take(system.rows_above, axis=0)
-    return system.decay[:, None] * np.einsum("iab,ib->ia", maps, system.basis)
+    h = system.basis
+    suffix = np.cumsum((mu[:, None, None] * system.arm_maps)[::-1], axis=0)[::-1]
+    rho = np.zeros((len(h), 3))
+    cuts = [0, *system.contacts.nodes.tolist()]
+    for g, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        rho[a:b] = h[a:b] @ suffix[g].T
+    return system.decay[:, None] * rho
 
 
 def _solve_face(g: np.ndarray, face: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -13,24 +13,27 @@ complementarity holds for the realized per-step displacement, not just the
 first-order model. A step is accepted only if each active contact moves at
 its pushback rate and every other contact at least at it, so no accepted step
 drives a contact inward. The reaction and that defect change smoothly from
-step to step, so each active contact carries its multiplier and its last two
-defects to the next contact step: the multiplier warm-starts the dual solve, and the
-defect extrapolated from the last two seeds the first solve. A contact is
-keyed by its material node, and the tip contact by "tip", so that its memory
-follows the tip as the tip moves up one node per step.
+step to step, so each active contact carries its multiplier and its last
+four defects to the next contact step: the multiplier warm-starts the dual
+solve, and the defect extrapolated from them, at cubic order, seeds the
+first solve. A contact is keyed by its material node, and the tip contact by
+"tip", so that its memory follows the tip as the tip moves up one node per
+step.
 
 simulate is the only stepping loop: it yields each frame as it is made. run
 and twin_run keep only the frames a run writes, so a run holds every
 stride-th frame rather than all of them, and of each frame its tangents, not
 its positions: a frame is a Stem too, and derives them as the state does.
+A step computes the KKT residuals of its solve only when its frame is
+written, so an unwritten contact step skips the O(m n) stationarity check.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -154,6 +157,7 @@ def step(
     contacts: ContactSet,
     warm_start: np.ndarray | None,
     seed: np.ndarray | None,
+    certify: bool,
 ) -> tuple[Stem, StepInfo]:
     """Advance one dt against the state's contacts; returns the new state and what it did.
 
@@ -162,7 +166,9 @@ def step(
     produce (the drive), plus expel any existing penetration at the pushback
     rate. seed is the defect guessed for each contact row, and the first
     solve is made on b0 - seed; a step without contacts reads neither
-    warm_start nor seed.
+    warm_start nor seed. certify says whether the step's frame is written:
+    only then are the KKT residuals of the accepted solve computed, while
+    the step's constraint system is still at hand.
     """
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
@@ -216,7 +222,7 @@ def step(
             contacts=contacts,
             solution=sol,
             b_effective=b,
-            kkt=check_kkt(system, b, sol),
+            kkt=check_kkt(system, b, sol) if certify else None,
             realized_residual=realized_residual,
             defect=defect,
         )
@@ -224,19 +230,25 @@ def step(
     return new, info
 
 
+# Weights that extrapolate the next defect from the last ones, newest first,
+# by how many a contact carries: the polynomial through them, of degree one
+# less, read one step on.
+_EXTRAPOLATION = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+
+
 class _ContactMemory:
     """What each active contact carries from one contact step to the next.
 
     Keys are material nodes, and "tip" for the tip contact, so that the tip's
-    memory follows the tip. Each key holds the last multiplier and the last
-    two defects, newest first. Only the active contacts of the last contact
+    memory follows the tip. Each key holds the last multiplier and up to four
+    last defects, newest first. Only the active contacts of the last contact
     step are kept: an inactive contact's multiplier is 0, and its defect never
     enters the acceptance test, so carried on it would only demand a spurious
     rate of round-off size from a contact that the next step leaves at rest.
     """
 
     def __init__(self) -> None:
-        self._last: dict[int | str, tuple[float, float, float | None]] = {}
+        self._last: dict[int | str, tuple[float, tuple[float, ...]]] = {}
 
     @staticmethod
     def _keys(contacts: ContactSet) -> list[int | str]:
@@ -248,20 +260,21 @@ class _ContactMemory:
     def start(self, contacts: ContactSet) -> tuple[np.ndarray, np.ndarray]:
         """Warm start and seed for a step on contacts.
 
-        The seed is 2 d1 - d2 where a contact has two defects, d1 where it has
-        one, and 0 for a contact that carries nothing.
+        The seed is 4 d1 - 6 d2 + 4 d3 - d4 where a contact has four defects,
+        3 d1 - 3 d2 + d3 where it has three, 2 d1 - d2 where it has two, d1
+        where it has one, and 0 for a contact that carries nothing.
         """
         warm, seed = [], []
         for key in self._keys(contacts):
-            mu, d1, d2 = self._last.get(key, (0.0, 0.0, None))
+            mu, defects = self._last.get(key, (0.0, ()))
             warm.append(mu)
-            seed.append(d1 if d2 is None else 2.0 * d1 - d2)
+            seed.append(sum(w * d for w, d in zip(_EXTRAPOLATION[len(defects)], defects)))
         return np.array(warm), np.array(seed)
 
     def remember(self, contacts: ContactSet, info: StepInfo) -> None:
         last = self._last
         self._last = {
-            key: (mu, d, last[key][1] if key in last else None)
+            key: (mu, (d, *last[key][1][:3]) if key in last else (d,))
             for key, mu, d in zip(
                 self._keys(contacts), info.solution.mu.tolist(), info.defect.tolist()
             )
@@ -287,12 +300,16 @@ def _make_frame(state: Stem, info: StepInfo, min_phi: float | None) -> Trajector
     )
 
 
-def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
+def simulate(
+    config: SimConfig, written: Callable[[int], bool]
+) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
     """Step a scenario to the horizon, a rigid jam, or an integrity failure.
 
     Yields each frame as it is made, with the events first seen at it. The
     last item is the terminal frame, whose events end with the run's exit
-    event (HorizonReached, Breakdown or IntegrityFailure).
+    event (HorizonReached, Breakdown or IntegrityFailure). written(i) says
+    whether frame i is written; a frame that is not carries no KKT
+    residuals.
     """
     state = init_state(config)
     n_total = config.n_total_cells
@@ -307,7 +324,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
 
     # Every iteration either steps or ends the run; the terminal outcome is
     # yielded once below, as the final frame plus its event.
-    while True:
+    for i in count():
         t = state.t
         contacts, min_phi = no_contacts, None
         events: list[Event] = []
@@ -337,7 +354,7 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event]]]
             warm_start = seed = None
             if contacts.size:
                 warm_start, seed = memory.start(contacts)
-            new_state, info = step(state, config, contacts, warm_start, seed)
+            new_state, info = step(state, config, contacts, warm_start, seed, written(i))
         except SimulationError as exc:
             log.warning("integrity failure at t=%.6g: %s", t, exc)
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
@@ -360,10 +377,15 @@ def _record(config: SimConfig, traj: Trajectory) -> Iterator[TrajectoryFrame]:
 
     traj keeps every event, each frame whose index is a multiple of the
     config's stride, and the terminal frame; frames_total counts every frame
-    made. This is the one place that decides which frames a run writes.
+    made. This is the one place that decides which frames a run writes, and
+    simulate certifies those frames alone.
     """
-    for i, (frame, events) in enumerate(simulate(config)):
-        if i % config.stride == 0:
+
+    def written(i: int) -> bool:
+        return i % config.stride == 0
+
+    for i, (frame, events) in enumerate(simulate(config, written)):
+        if written(i):
             traj.frames.append(frame)
         traj.events.extend(events)
         yield frame

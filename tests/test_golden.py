@@ -35,31 +35,31 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "2b1a3f54a7aa0ca087c216858351a4afeddd20c1aa0c0a9835a64da69ccf8e5d"
+        "b0053a64fba53d4fecf1fc94a928571a3b036669484cb7b9d1917901933d7d2c"
     ),
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "ff3d033f371f9cf0a66c940b123c1226fd0d4c20344bb72f89efe72061cdbe85",
+    "ceiling/frames.jsonl": "31bb9987df9924f436757bc3ad6b66c339de1d867fa4fac3c841def5d81c9fd1",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "f1ee1f00bdbfe95a4f3a7e4844520fc217b99ef0e1582f8fc3fa6ca47ba4ef7d"
+        "e389a4771340bd1da58bf2ea0e8b2ecf7e6acef9fde9c427d6c6847b3c4b243b"
     ),
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "d30190b8056869554d4908bf0f0f573ce3763643eac3629d17f27024d239fd3b",
+    "twin/base/frames.jsonl": "56d99d548bad8effc36f302dda4f06ff48d6a7767f95deac2a00318ad6522227",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "7c14c12a5e4a284fe248dc2fc636f81393bb75b06c893cc1792d7d633f7c2af6"
+        "d5391fe0098aa2db6541c0c93857e8e201b52019fc45cf728bb776de7a6d8ae3"
     ),
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
     ),
-    "twin/distances.jsonl": "92cbfba481372fc1c48757fb075be292cab11dc956cd9df912216a4e43a7aefa",
-    "twin/certificate.json": "fbdff2d42031c83d421d1cbcb13f46798da09e362b5d5288412f8340556544d5",
+    "twin/distances.jsonl": "2ec11f1dcc94bf311b92e97505e1eccc3ba22ac45f3b5774fc5f09c29f413659",
+    "twin/certificate.json": "b9b0aea1551b287be229f0f626454caae75cf4a534b1351492cf435c73974680",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
@@ -69,7 +69,7 @@ GOLDEN = {
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "484142808f949388877b4c3c7a4aa7e5db72388c0e403b7d1682bf0b53666b68"
+        "0da6d012936d50260398bac6ece5886d5589206952d7960c9b9be6cb40fcad04"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"

@@ -368,7 +368,9 @@ def test_gram_identity_holds_on_a_sliding_ceiling_step():
     # the row below it reads the rate the tip's reaction gives it
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     frame = next(
-        fr for fr, _ in simulate(config) if fr.contacts.tip and fr.contacts.size > 1
+        fr
+        for fr, _ in simulate(config, lambda i: True)
+        if fr.contacts.tip and fr.contacts.size > 1
     )
     assert frame.mu[-1] > 0.0
     system = assemble_constraints(frame, frame.contacts, config.law.beta)
@@ -409,14 +411,14 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
     # for, the realized rates less the linear rates of psi + omega
     taken = []
 
-    def recorded(state, config, contacts, warm_start, seed):
-        new_state, info = step(state, config, contacts, warm_start, seed)
+    def recorded(state, config, contacts, warm_start, seed, certify):
+        new_state, info = step(state, config, contacts, warm_start, seed, certify)
         taken.append((state, new_state, info))
         return new_state, info
 
     monkeypatch.setattr(stepper, "step", recorded)
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
-    for _ in simulate(config):
+    for _ in simulate(config, lambda i: True):
         pass
     checked = 0
     for state, new_state, info in taken:

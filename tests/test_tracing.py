@@ -72,3 +72,20 @@ def test_tracer_records_the_contact_layers(tmp_path):
     # through the Gram matrix
     assert tracer.counts["contact_steps"] == 43
     assert layers["reaction.linear_rates"]["calls"] == 43
+
+
+def test_tracer_records_one_kkt_check_per_written_contact_frame(tmp_path):
+    # a step certifies its solve only when its frame is written; the traced
+    # benchmark still needs check_kkt busy on its strided runs
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", OBLIQUE, "--stride", "5", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary()["layers"]
+    dt = load_config(str(tmp_path / "manifest.json")).dt
+    written = [fr for fr in read_frames(str(tmp_path / "frames.jsonl"), dt) if fr.mu is not None]
+    assert len(written) > 0
+    assert layers["reaction.check_kkt"]["calls"] == len(written)
+    assert tracer.counts["contact_steps"] == 43
