@@ -7,6 +7,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -43,17 +44,31 @@ def _setup_logging() -> None:
     )
 
 
+def _make_dirs(*paths: str) -> None:
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_frames(outdir: str, frames) -> int:
+    """Make outdir, then write each frame to its frames.jsonl as it is drawn."""
+    _make_dirs(outdir)
+    return write_frames(os.path.join(outdir, "frames.jsonl"), frames)
+
+
 def _write_run(outdir: str, traj, config: SimConfig, argv: list[str]) -> dict:
-    os.makedirs(outdir, exist_ok=True)
-    frames_path = os.path.join(outdir, "frames.jsonl")
-    events_path = os.path.join(outdir, "events.jsonl")
-    n_written = write_frames(frames_path, traj.frames)
-    write_events(events_path, traj.events)
+    """Write a run's events and then its manifest; its frames are already written.
+
+    A directory without a manifest is a run that did not finish.
+    """
+    write_events(os.path.join(outdir, "events.jsonl"), traj.events)
     outputs = {
         "frames": "frames.jsonl",
         "events": "events.jsonl",
         "exit_kind": traj.exit_kind,
-        "frames_written": n_written,
+        "frames_written": traj.frames_written,
         "frames_total": traj.frames_total,
     }
     return write_manifest(
@@ -69,7 +84,7 @@ def _cmd_run(args, argv) -> int:
     config = load_config(args.config)
     if args.stride is not None:
         config = replace(config, stride=args.stride)  # validates the override
-    traj = run_scenario(config)
+    traj = run_scenario(config, partial(_write_frames, args.out))
     _write_run(args.out, traj, config, argv)
     final = traj.frames[-1]
     print(
@@ -115,13 +130,13 @@ def _cmd_twin(args, argv) -> int:
     if args.stride is not None:
         config = replace(config, stride=args.stride)  # validates the override
     angle, axis = _parse_perturbation(args.perturb)
-    result = twin_run(config, angle, axis)
-
-    os.makedirs(args.out, exist_ok=True)
-    _write_run(os.path.join(args.out, "base"), result.base, config, argv)
-    _write_run(
-        os.path.join(args.out, "perturbed"), result.perturbed, result.perturbed_config, argv
-    )
+    sides = [os.path.join(args.out, side) for side in ("base", "perturbed")]
+    result = twin_run(config, angle, axis, partial(_make_dirs, args.out, *sides))
+    for outdir, traj, side_config in zip(
+        sides, (result.base, result.perturbed), (config, result.perturbed_config)
+    ):
+        _write_frames(outdir, traj.frames)
+        _write_run(outdir, traj, side_config, argv)
     write_jsonl(
         os.path.join(args.out, "distances.jsonl"),
         ({"t": float(t), "distance": float(d)} for t, d in zip(result.times, result.distances)),

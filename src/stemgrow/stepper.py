@@ -20,10 +20,13 @@ first solve. A contact is keyed by its material node, and the tip contact by
 "tip", so that its memory follows the tip as the tip moves up one node per
 step.
 
-simulate is the only stepping loop: it yields each frame as it is made. run
-and twin_run keep only the frames a run writes, so a run holds every
-stride-th frame rather than all of them, and of each frame its tangents, not
-its positions: a frame is a Stem too, and derives them as the state does.
+simulate is the only stepping loop: it seeds the state when called, and its
+iterator makes each frame as it is drawn. _record is the one place that
+decides which frames a run writes. run hands them to a sink as they are
+made, so a sink that writes each one out leaves the run holding one step's
+working set and the terminal frame, not a frame list; twin_run keeps each
+run's written frames, and of each frame its tangents, not its positions: a
+frame is a Stem too, and derives them as the state does.
 A step computes the KKT residuals of its solve only when its frame is
 written, so an unwritten contact step skips the O(m n) stationarity check.
 """
@@ -305,13 +308,19 @@ def simulate(
 ) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
     """Step a scenario to the horizon, a rigid jam, or an integrity failure.
 
-    Yields each frame as it is made, with the events first seen at it. The
-    last item is the terminal frame, whose events end with the run's exit
-    event (HorizonReached, Breakdown or IntegrityFailure). written(i) says
-    whether frame i is written; a frame that is not carries no KKT
-    residuals.
+    Returns an iterator over each frame as it is made, with the events first
+    seen at it. The last item is the terminal frame, whose events end with
+    the run's exit event (HorizonReached, Breakdown or IntegrityFailure).
+    written(i) says whether frame i is written; a frame that is not carries
+    no KKT residuals. The seed is set and checked at the call, so a seed
+    error raises here; the steps run only as the frames are drawn.
     """
-    state = init_state(config)
+    return _steps(init_state(config), config, written)
+
+
+def _steps(
+    state: Stem, config: SimConfig, written: Callable[[int], bool]
+) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
     n_total = config.n_total_cells
     prev_nodes: set[int] = set()
     no_contacts = ContactSet(
@@ -372,35 +381,61 @@ def simulate(
     yield _make_frame(state, StepInfo.without_reaction(contacts), min_phi), events
 
 
-def _record(config: SimConfig, traj: Trajectory) -> Iterator[TrajectoryFrame]:
-    """Pass on each frame of simulate(config), filling traj as it goes.
+def _record(config: SimConfig, traj: Trajectory) -> Iterator[tuple[TrajectoryFrame, bool]]:
+    """Pass on each frame of simulate(config) with whether the run writes it.
 
-    traj keeps every event, each frame whose index is a multiple of the
-    config's stride, and the terminal frame; frames_total counts every frame
-    made. This is the one place that decides which frames a run writes, and
-    simulate certifies those frames alone.
+    A run writes each frame whose index is a multiple of the config's stride,
+    and the terminal frame, which is known only as the last one simulate
+    makes, so each frame is passed on once the next one is made. traj gets
+    every event, the counts of frames made and written, the exit kind, and
+    the terminal frame as its frames. This is the one place that decides
+    which frames a run writes, and simulate certifies those frames alone. The
+    seed is set at the call; the steps run as the frames are drawn.
     """
 
     def written(i: int) -> bool:
         return i % config.stride == 0
 
-    for i, (frame, events) in enumerate(simulate(config, written)):
-        if written(i):
-            traj.frames.append(frame)
-        traj.events.extend(events)
-        yield frame
-    if traj.frames[-1] is not frame:
-        traj.frames.append(frame)
-    traj.frames_total = i + 1
-    traj.exit_kind = traj.events[-1].kind
+    def passed_on(made: Iterator[tuple[TrajectoryFrame, list[Event]]]):
+        for i, (frame, events) in enumerate(made):
+            if i:
+                traj.frames_written += kept
+                yield last, kept
+            last, kept = frame, written(i)
+            traj.events.extend(events)
+        traj.frames_total = i + 1
+        traj.frames_written += 1
+        traj.exit_kind = traj.events[-1].kind
+        traj.frames = [last]
+        yield last, True
+
+    return passed_on(simulate(config, written))
 
 
-def run(config: SimConfig) -> Trajectory:
-    """Run a scenario, keeping only the frames its stride writes."""
+def run(config: SimConfig, sink: Callable[[Iterator[TrajectoryFrame]], object]) -> Trajectory:
+    """Run a scenario, handing the frames its stride writes to sink as they are made.
+
+    sink is called once, after the seed is set and before the first step,
+    with an iterator over those frames in order, and must draw it to its end.
+    When it returns a list, as sink=list does, that list is the trajectory's
+    frames; a sink that writes each frame out as it comes, and returns
+    anything else, leaves only the terminal frame in memory.
+    """
     traj = Trajectory()
-    for _ in _record(config, traj):
-        pass
+    kept = sink(frame for frame, written in _record(config, traj) if written)
+    if isinstance(kept, list):
+        traj.frames = kept
     return traj
+
+
+def _keeping(
+    frames: Iterator[tuple[TrajectoryFrame, bool]], kept: list
+) -> Iterator[TrajectoryFrame]:
+    """Each frame of a _record stream, appending the written ones to kept first."""
+    for frame, written in frames:
+        if written:
+            kept.append(frame)
+        yield frame
 
 
 @dataclass
@@ -414,14 +449,17 @@ class TwinResult:
     details: dict
 
 
-def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:
+def twin_run(
+    config: SimConfig, angle: float, axis: np.ndarray, ready: Callable[[], object]
+) -> TwinResult:
     """Run a scenario and a seed-tilted twin in lockstep; track their weighted distance.
 
-    The distance at each shared frame is the exponentially weighted norm of
-    the node-wise minimal rotation field between the two tangent fields,
-    taken as the two frames are made; the certificate is the smallest
-    exponential rate bounding its growth from the first frame. Each run keeps
-    only the frames its stride writes.
+    ready is called once both seeds are set, before the first step. The
+    distance at each shared frame is the exponentially weighted norm of the
+    node-wise minimal rotation field between the two tangent fields, taken as
+    the two frames are made; the certificate is the smallest exponential rate
+    bounding its growth from the first frame. Each run keeps only the frames
+    its stride writes.
     """
     tilted = replace(
         config,
@@ -429,8 +467,10 @@ def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:
         label=config.label + "+tilt" if config.label else "tilt",
     )
     base, pert = Trajectory(), Trajectory()
-    base_frames = _record(config, base)
-    pert_frames = _record(tilted, pert)
+    base_kept, pert_kept = [], []
+    base_frames = _keeping(_record(config, base), base_kept)
+    pert_frames = _keeping(_record(tilted, pert), pert_kept)
+    ready()
     times, dists = [], []
     for fa, fb in zip(base_frames, pert_frames):
         times.append(fa.t)
@@ -438,6 +478,7 @@ def twin_run(config: SimConfig, angle: float, axis: np.ndarray) -> TwinResult:
     # the run that outlasts the other goes on alone to its own end
     for _ in chain(base_frames, pert_frames):
         pass
+    base.frames, pert.frames = base_kept, pert_kept
 
     times, dists = np.array(times), np.array(dists)
     c, details = gronwall_certificate(times, dists)

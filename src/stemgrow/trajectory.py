@@ -16,7 +16,8 @@ little-endian float64 bytes of its rows (three values each, in order), so
 its bits pass through the file unchanged on any host and a reader decodes it
 in one call. Every other number is JSON text.
 The readers parse a file one record at a time, so a reader holds one frame,
-not the file.
+not the file, and the writers serialize each record as it is drawn, so
+frames made as they are drawn reach the file one at a time.
 orjson writes NaN and +-inf as null. No record holds one: a NaN residual
 fails the correction loop and the twin's distances are checked to be
 positive. The reader rejects a null inside every array and a non-finite k.
@@ -71,12 +72,16 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """A run's kept frames and all its events; frames_total counts every frame made."""
+    """A run's frames kept in memory and all its events.
+
+    frames_total counts every frame made, frames_written those the run writes.
+    """
 
     frames: list = field(default_factory=list)
     events: list = field(default_factory=list)
     exit_kind: str = ""
     frames_total: int = 0
+    frames_written: int = 0
 
 
 _CONTACT_KEYS = ("node", "phi", "normal", "b", "mu")
@@ -251,20 +256,28 @@ def _as_list(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_jsonl(path: str, records) -> None:
-    """One record per line, written by orjson, which is imported only when a file is written."""
+def write_jsonl(path: str, records) -> int:
+    """One record per line, written by orjson as each is drawn; returns how many.
+
+    orjson is imported only when a file is written.
+    """
     import orjson
 
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    count = 0
     with open(path, "wb") as fh:
-        for rec in records:
+        for count, rec in enumerate(records, 1):
             fh.write(orjson.dumps(rec, option=option, default=_as_list))
+    return count
 
 
-def write_frames(path: str, frames: list) -> int:
-    """Write every frame given; returns how many."""
-    write_jsonl(path, (frame_to_dict(fr) for fr in frames))
-    return len(frames)
+def write_frames(path: str, frames) -> int:
+    """Write each frame of an iterable as it is drawn; returns how many.
+
+    A frame is serialized before the next one is drawn, so frames made as
+    they are drawn, as a run's are, pass through one at a time.
+    """
+    return write_jsonl(path, (frame_to_dict(fr) for fr in frames))
 
 
 def write_events(path: str, events: list) -> None:

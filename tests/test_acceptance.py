@@ -54,7 +54,7 @@ def ceiling():
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     assert config.dt == 1e-2
     assert config.n_total_cells - config.n_seed_cells == 1000
-    return config, run(config)
+    return config, run(config, list)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,7 @@ def test_criterion_06_free_growth_convergence_order():
             t0=0.04,
             horizon=1.0,
         )
-        traj = run(config)
+        traj = run(config, list)
         assert traj.exit_kind == "HorizonReached"
         final = traj.frames[-1]
         return final.gamma[final.n_grown]
@@ -263,7 +263,7 @@ def test_criterion_08_continuous_dependence_twins():
         ("free", Scene([])),
         ("sphere", Scene([Sphere(center=np.array([0.7875, 0.0, 0.5822]), radius=0.3)])),
     ):
-        result = twin_run(config(scene), delta, np.array([0.0, 1.0, 0.0]))
+        result = twin_run(config(scene), delta, np.array([0.0, 1.0, 0.0]), lambda: None)
         touched = any(e.kind == "ContactOnset" for e in result.base.events) and any(
             e.kind == "ContactOnset" for e in result.perturbed.events
         )
@@ -321,8 +321,8 @@ def test_criterion_09_zero_reaction_purity(ceiling):
         )
 
     far = Scene([Sphere(center=np.array([50.0, 0.0, 0.0]), radius=1.0)])
-    traj_a = run(straight(Scene([])))
-    traj_b = run(straight(far))
+    traj_a = run(straight(Scene([])), list)
+    traj_b = run(straight(far), list)
     bitwise_ok = len(traj_a.frames) == len(traj_b.frames) and all(
         fa.t == fb.t
         and np.array_equal(fa.gamma, fb.gamma)

@@ -7,15 +7,18 @@ import re
 import runpy
 import shutil
 import subprocess
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import STEMGROW, bare_frame, k_text, stemgrow_env
 
+from stemgrow import cli, stepper
 from stemgrow.config import load_config
 from stemgrow.reaction import assemble_constraints, density_from_multipliers, oracle_solve_reaction
-from stemgrow.trajectory import frame_from_dict, read_frames
+from stemgrow.trajectory import frame_from_dict, read_frames, write_events, write_frames
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCENARIOS = PYPROJECT.parent / "scenarios"
@@ -365,6 +368,90 @@ def test_log_level_env_controls_verbosity(tmp_path):
         "run", config_path, "--out", str(tmp_path / "b"), env_extra={"STEMGROW_LOG": "ERROR"}
     )
     assert "breakdown" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
+@pytest.mark.parametrize("command", ["run", "twin"])
+def test_out_that_cannot_be_made_exits_two_before_any_step(
+    tmp_path, monkeypatch, capsys, command, where
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    outdir = blocker if where == "existing_file" else blocker / "out"
+    steps = []
+    step = stepper.step
+    monkeypatch.setattr(stepper, "step", lambda *args: steps.append(args) or step(*args))
+    perturb = ["--perturb", "tilt:0.05"] if command == "twin" else []
+    argv = [command, str(SCENARIOS / "straight.json"), *perturb, "--out", str(outdir)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {outdir}: "), captured.err
+    assert captured.out == ""
+    assert steps == []
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["run", "twin"])
+def test_seed_in_an_obstacle_exits_two_before_the_output_directory(tmp_path, command):
+    # the seed is checked before the output directory is made, and frames are
+    # streamed into it only after that
+    doc = straight_doc()
+    doc["scene"]["obstacles"] = [
+        {"type": "half_space", "point": [0.0, 0.0, 0.2], "outward_normal": [0.0, 0.0, -1.0]}
+    ]
+    doc["seed_curve"]["length"] = 0.3
+    doc["numerics"] = {"dt": 0.05, "t0": 0.3, "horizon": 0.5}
+    config_path = write_scenario(tmp_path / "dips.json", doc)
+    outdir = tmp_path / "out"
+    perturb = ["--perturb", "tilt:0.05"] if command == "twin" else []
+    proc = invoke(command, config_path, *perturb, "--out", str(outdir))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed curve dips"), proc.stderr
+    assert not outdir.exists()
+
+
+def test_run_memory_is_flat_in_the_step_count(tmp_path, capsys):
+    # the ceiling at N = 250, 500 and 1000 steps (dt = 2.5 / N to t = 2.7), every
+    # frame written: a run that kept its frames would hold about 12 MiB more
+    # tangents at N = 1000 than at N = 250; a run that streams them holds a
+    # step's working set, which grows only with the stem
+    doc = json.loads((SCENARIOS / "gravitropic_ceiling.json").read_text())
+    peaks = {}
+    for n_steps in (250, 500, 1000):
+        dt = 2.5 / n_steps
+        doc["numerics"].update(dt=dt, horizon=2.7, eps_contact=dt, eps_penetration=0.05 * dt)
+        config_path = write_scenario(tmp_path / f"ceiling_{n_steps}.json", doc)
+        argv = ["run", config_path, "--stride", "1", "--out", str(tmp_path / str(n_steps))]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    for n_steps in (500, 1000):
+        assert peaks[n_steps] <= peaks[250] + 4 * 2**20, peaks
+
+
+@pytest.mark.parametrize("stride", [1, 3, 186])
+def test_streamed_frames_equal_the_frames_a_run_keeps(tmp_path, capsys, stride):
+    # the CLI streams each frame as it is made; run(config, list) keeps the
+    # same frames in memory through the same path, and writes the same bytes
+    config_path = str(SCENARIOS / "sphere_oblique.json")
+    outdir = tmp_path / "out"
+    assert cli.main(["run", config_path, "--stride", str(stride), "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    traj = stepper.run(replace(load_config(config_path), stride=stride), list)
+    kept = tmp_path / "kept.jsonl"
+    assert write_frames(str(kept), traj.frames) == traj.frames_written == len(traj.frames)
+    assert (outdir / "frames.jsonl").read_bytes() == kept.read_bytes()
+    write_events(str(tmp_path / "events.jsonl"), traj.events)
+    assert (outdir / "events.jsonl").read_bytes() == (tmp_path / "events.jsonl").read_bytes()
+    outputs = json.loads((outdir / "manifest.json").read_text())["outputs"]
+    assert outputs["frames_written"] == traj.frames_written
+    assert outputs["frames_total"] == traj.frames_total
 
 
 # ---------------------------------------------------------------------------

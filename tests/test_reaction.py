@@ -396,7 +396,7 @@ def test_frames_read_back_rebuild_the_system_each_step_solved_on(
     monkeypatch.setattr(stepper, "assemble_constraints", recorded)
     config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), horizon=horizon)
     path = str(tmp_path / "frames.jsonl")
-    write_frames(path, run(config).frames)
+    write_frames(path, run(config, list).frames)
     frames = [fr for fr in read_frames(path, config.dt) if fr.mu is not None]
     assert len(frames) == len(built) > 10
     for fr, system in zip(frames, built):

@@ -85,7 +85,7 @@ def test_seed_fills_grid_with_vertical_tangents():
 
 
 def test_free_growth_straight_run():
-    traj = run(make_config())
+    traj = run(make_config(), list)
     assert traj.exit_kind == "HorizonReached"
     final = traj.frames[-1]
     assert final.n_grown == 10
@@ -106,7 +106,7 @@ def test_gravitropic_growth_bends_upward():
         t0=0.2,
         horizon=0.5,
     )
-    traj = run(config)
+    traj = run(config, list)
     assert traj.exit_kind == "HorizonReached"
     final = traj.frames[-1]
     assert final.gamma[-1][2] > 0.02  # tip lifted off the horizontal
@@ -128,7 +128,7 @@ def test_oblique_plane_contact_slides_to_horizon():
         horizon=0.75,
         eps_contact=0.01,
     )
-    traj = run(config)
+    traj = run(config, list)
     assert traj.exit_kind == "HorizonReached"
     kinds = [e.kind for e in traj.events]
     assert "ContactOnset" in kinds
@@ -145,7 +145,7 @@ def test_frames_keep_the_distance_detection_measured(scenario):
     # a frame's min_phi is the least distance detection measured on its state,
     # not a second measurement of the same positions
     config = load_config(str(SCENARIOS / f"{scenario}.json"))
-    for fr in run(config).frames:
+    for fr in run(config, list).frames:
         if config.scene.obstacles:
             assert fr.min_phi == float(np.min(signed_distances(config.scene, fr.gamma)))
         else:
@@ -162,7 +162,7 @@ def test_penetrated_terminal_frame_measures_its_distance():
         t0=0.2,
         eps_contact=1e-3 * 0.2,
     )
-    traj = run(config)
+    traj = run(config, list)
     assert traj.exit_kind == "IntegrityFailure"
     final = traj.frames[-1]
     assert final.min_phi == float(np.min(signed_distances(config.scene, final.gamma))) < 0.0
@@ -175,7 +175,7 @@ def test_head_on_plane_contact_breaks_down():
         t0=0.3,
         eps_contact=1e-3 * 0.1,
     )
-    traj = run(config)
+    traj = run(config, list)
     assert traj.exit_kind == "Breakdown"
     assert traj.frames[-1].t <= 0.5 + 1e-12
     last = traj.events[-1]
@@ -205,7 +205,7 @@ def test_near_head_on_plane_impacts_never_accept_an_inward_step(variant):
             t0=0.3,
             horizon=1.5,
         )
-        traj = run(config)
+        traj = run(config, list)
         last = traj.events[-1]
         if last.kind == "IntegrityFailure":
             assert last.data["error"].startswith("correction loop"), (theta, last.data)
@@ -231,7 +231,7 @@ def test_initial_jam_is_rejected_at_seeding():
         t0=0.5,
         eps_contact=1e-3 * 0.1,
     )
-    traj = run(config)
+    traj = run(config, list)
     assert traj.exit_kind == "Breakdown"
     assert [f.t for f in traj.frames] == [config.t0]
     assert [e.kind for e in traj.events] == ["ContactOnset", "Breakdown"]
@@ -347,8 +347,8 @@ def test_far_obstacle_run_is_bitwise_identical_to_empty_scene():
         scene=Scene([Sphere(center=np.array([50.0, 0.0, 0.0]), radius=1.0)]),
         eps_contact=1e-3 * 0.05,
     )
-    t_empty = run(near_nothing)
-    t_far = run(far_sphere)
+    t_empty = run(near_nothing, list)
+    t_far = run(far_sphere, list)
     assert len(t_empty.frames) == len(t_far.frames)
     for fa, fb in zip(t_empty.frames, t_far.frames):
         assert np.array_equal(fa.gamma, fb.gamma)
@@ -447,15 +447,16 @@ def _frame_lines(frames):
 )
 def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit_kind, total):
     config = replace(load_config(str(SCENARIOS / f"{name}.json")), **overrides)
-    full = run(config)
+    full = run(config, list)
     assert full.exit_kind == exit_kind
     assert full.events[-1].kind == exit_kind
     assert full.frames_total == len(full.frames) == total
     every = _frame_lines(full.frames)
     for k in (3, 7, total + 5):
-        kept = run(replace(config, stride=k))
+        kept = run(replace(config, stride=k), list)
         assert kept.exit_kind == exit_kind
         assert kept.frames_total == total
+        assert kept.frames_written == len(kept.frames)
         assert _frame_lines(kept.frames) == [
             every[i] for i in _kept_indices(total, k)
         ]
@@ -503,7 +504,7 @@ def test_frames_derive_s_t_and_gamma_as_the_state_holds_them(monkeypatch, scenar
 
     monkeypatch.setattr(stepper, "_make_frame", checked)
     config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
-    total = run(config).frames_total
+    total = run(config, list).frames_total
     assert len(made) == total
 
 
@@ -512,8 +513,10 @@ def held_bytes(obj):
 
 
 def test_kept_frames_hold_only_their_tangents_and_reaction():
-    ceiling_run = run(replace(load_config(str(SCENARIOS / "gravitropic_ceiling.json")), stride=20))
-    twin = twin_run(load_config(str(SCENARIOS / "twin_tilt.json")), 0.05, np.array([0.0, 1.0, 0.0]))
+    ceiling = replace(load_config(str(SCENARIOS / "gravitropic_ceiling.json")), stride=20)
+    ceiling_run = run(ceiling, list)
+    twin_config = load_config(str(SCENARIOS / "twin_tilt.json"))
+    twin = twin_run(twin_config, 0.05, np.array([0.0, 1.0, 0.0]), lambda: None)
     frames = ceiling_run.frames + twin.base.frames + twin.perturbed.frames
     assert any(fr.mu is not None for fr in frames)
     for fr in frames:
@@ -706,7 +709,8 @@ def test_final_shape_converges_at_first_order_in_dt(obstacles):
                 eps_penetration=0.05 * dt,
                 horizon=1.5,
                 stride=10 * refine,  # a frame every 0.1 in t
-            )
+            ),
+            list,
         )
         assert traj.exit_kind == "HorizonReached"
         assert any(f.mu is not None for f in traj.frames) == (obstacles == "ceiling")
@@ -751,7 +755,7 @@ def test_twin_distance_depends_continuously_on_the_tilt(scenario, horizon):
 
     def twin(tilt, dt):
         refined = replace(config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt)
-        result = twin_run(refined, tilt, axis)
+        result = twin_run(refined, tilt, axis, lambda: None)
         assert result.base.exit_kind == result.perturbed.exit_kind == "HorizonReached"
         assert "ContactOnset" in [e.kind for e in result.base.events]
         return result.growth_constant, result.details["terminal_distance"]

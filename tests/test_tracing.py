@@ -41,12 +41,13 @@ def test_tracer_records_run_twin_step_and_write(tmp_path):
     # one frames file for the run and one for each side of the twin
     assert layers["trajectory.write_frames"]["calls"] == 3
     assert tracer.counts["frames_written"] == 30
-    # stepper.run is traced through cli.run_scenario, and its kept frames hold
-    # their tangents and reaction arrays, not the positions they imply
+    # stepper.run is traced through cli.run_scenario. The run streams its
+    # frames to disk, so it returns only the terminal frame, which holds its
+    # tangents and reaction arrays, not the positions they imply
     dt = load_config(str(tmp_path / "run" / "manifest.json")).dt
-    kept = read_frames(str(tmp_path / "run" / "frames.jsonl"), dt)
+    *_, final = read_frames(str(tmp_path / "run" / "frames.jsonl"), dt)
     assert tracer.counts["trajectory_bytes"] == sum(
-        a.nbytes for fr in kept for a in (fr.k, fr.b, fr.mu) if a is not None
+        a.nbytes for a in (final.k, final.b, final.mu) if a is not None
     )
 
 
