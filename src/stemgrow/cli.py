@@ -25,6 +25,7 @@ from .trajectory import (
     parse_records,
     read_frames,
     read_jsonl,
+    tangents_path,
     write_events,
     write_frames,
     write_jsonl,
@@ -66,6 +67,7 @@ def _write_run(outdir: str, traj, config: SimConfig, argv: list[str]) -> dict:
     write_events(os.path.join(outdir, "events.jsonl"), traj.events)
     outputs = {
         "frames": "frames.jsonl",
+        "tangents": tangents_path("frames.jsonl"),
         "events": "events.jsonl",
         "exit_kind": traj.exit_kind,
         "frames_written": traj.frames_written,
@@ -213,8 +215,9 @@ def _cmd_oracle_check(args) -> int:
         raise ValidationError(f"--max-contacts must be at least 1, got {args.max_contacts}")
     manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
     config = load_config(manifest)
-    checked = skipped = degenerate = mismatched = 0
+    checked = skipped = degenerate = mismatched = n_frames = 0
     for idx, fr in enumerate(read_frames(args.frames, config.dt)):
+        n_frames += 1
         if fr.mu is None or fr.b is None or not fr.contacts.size:
             continue
         if fr.contacts.size > args.max_contacts:
@@ -242,6 +245,9 @@ def _cmd_oracle_check(args) -> int:
                 f"oracle-check: frame {idx} t={fr.t:.6g}: density differs by "
                 f"{diff:.3e} (tol {args.tol * scale:.3e})"
             )
+    if not n_frames:
+        print("oracle-check: no frames")
+        return 1
     print(
         f"oracle-check: {checked} checked, {skipped} skipped (too many contacts), "
         f"{degenerate} degenerate, {mismatched} mismatched"

@@ -5,22 +5,26 @@ shortest text that reads back to the same double, so a rerun of the same
 manifest reproduces the files byte for byte. This module is the only one
 that knows the frames.jsonl keys: frame_to_dict writes them and
 frame_from_dict reads them back, checking every array's shape against n.
-A frame, in memory as in its record, holds the tangents k, not what they
-imply: TrajectoryFrame is a curves.Stem, the stepper's own state, so its node
+A frame, in memory as on disk, holds the tangents k, not what they imply:
+TrajectoryFrame is a curves.Stem, the stepper's own state, so its node
 count, time t, grid s and positions gamma come from k and the grid spacing by
 the same expressions, bit for bit, and gamma is integrated only when it is
 first read. A record with a key outside its format, such as an older file's
-t, s or gamma, is a parse error.
-k, the only field whose size grows with n, is one base64 string of the
-little-endian float64 bytes of its rows (three values each, in order), so
-its bits pass through the file unchanged on any host and a reader decodes it
-in one call. Every other number is JSON text.
+t, s, gamma or k, is a parse error.
+k, the only field whose size grows with n, is not in the record: its n + 1
+rows go to a sidecar, frames.k next to frames.jsonl (tangents_path), as raw
+little-endian float64 values, three a row. Frame i's rows are the
+24 (n_i + 1) bytes that follow frame i - 1's, so the sidecar stores no
+offsets, and its bits pass through unchanged on any host. Every other number
+is JSON text.
 The readers parse a file one record at a time, so a reader holds one frame,
 not the file, and the writers serialize each record as it is drawn, so
-frames made as they are drawn reach the file one at a time.
+frames made as they are drawn reach the files one at a time.
 orjson writes NaN and +-inf as null. No record holds one: a NaN residual
 fails the correction loop and the twin's distances are checked to be
-positive. The reader rejects a null inside every array and a non-finite k.
+positive. The reader rejects a null inside every array, a non-finite k, a
+sidecar that is missing or ends short of a record's rows, and bytes past the
+last record's rows.
 Lines decode with orjson under strict RFC 8259 rules, which give every
 written token its double back; they reject what json.loads would let
 through: NaN and Infinity, a number that overflows to infinity, and a lone
@@ -29,9 +33,9 @@ surrogate escape in a string.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -94,10 +98,11 @@ _SCALARS = {
     "realized_residual": float,
     "solver_sweeps": int,
 }
-_FRAME_KEYS = ("n", "k", "contacts", *_SCALARS)
+_FRAME_KEYS = ("n", "contacts", *_SCALARS)
 
 
 def frame_to_dict(fr: TrajectoryFrame) -> dict:
+    """fr's record, less its tangents k, which write_frames puts in the sidecar."""
     c = fr.contacts
     contacts = [
         {
@@ -109,8 +114,7 @@ def frame_to_dict(fr: TrajectoryFrame) -> dict:
         }
         for j in range(c.size)
     ]
-    k = base64.b64encode(np.ascontiguousarray(fr.k, dtype="<f8").tobytes()).decode("ascii")
-    record = dict(n=fr.n_grown, k=k, contacts=contacts)
+    record = dict(n=fr.n_grown, contacts=contacts)
     record.update((key, getattr(fr, key)) for key in _SCALARS)
     return record
 
@@ -173,38 +177,17 @@ def _scalar(value, what: str, kind=float):
     return kind(_array(value, what, (), dtype=kind))
 
 
-def _tangents(value, n: int) -> np.ndarray:
-    """k decoded: base64 of the little-endian float64 bytes of n + 1 rows of three.
-
-    24 bytes a row is a whole number of base64 groups, so the one encoding of
-    k has 32 characters a row and no padding; any other is rejected.
-    """
-    if type(value) is not str:
-        raise ParseError(f"k must be a base64 string, not {type(value).__name__}")
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise ParseError(f"k is not base64: {exc}") from None
-    if len(raw) != 24 * (n + 1) or len(value) != 32 * (n + 1):
-        raise ParseError(
-            f"k holds {len(raw)} bytes in {len(value)} characters, "
-            f"expected {24 * (n + 1)} bytes in {32 * (n + 1)} for n = {n}"
-        )
-    k = np.frombuffer(raw, "<f8").reshape(n + 1, 3)
-    if not np.isfinite(k).all():
-        raise ParseError("k holds a non-finite number")
-    return k
-
-
-def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
+def frame_from_dict(rec, ds: float, tangents) -> TrajectoryFrame:
     """Inverse of frame_to_dict for a run on a grid of spacing ds.
 
+    tangents(n) gives the frame's k, n + 1 rows of three, once n is checked.
     ParseError names the missing, unknown or malformed key.
     """
-    n, k, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
+    n, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
     n = _scalar(n, "n", int)
     if n < 0:
         raise ParseError(f"n must be >= 0, got {n}")
+    k = tangents(n)
     if not isinstance(entries, list):
         raise ParseError("contacts is not a list")
     m = len(entries)
@@ -215,7 +198,7 @@ def frame_from_dict(rec, ds: float) -> TrajectoryFrame:
         raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
     frame = TrajectoryFrame(
         ds=ds,
-        k=_tangents(k, n),
+        k=k,
         contacts=ContactSet(
             nodes=nodes,
             normals=_array(normal, "contacts[].normal", (m, 3)),
@@ -271,13 +254,25 @@ def write_jsonl(path: str, records) -> int:
     return count
 
 
+def tangents_path(path: str) -> str:
+    """The sidecar that holds the tangents of the frames at path: frames.jsonl -> frames.k."""
+    return os.path.splitext(path)[0] + ".k"
+
+
 def write_frames(path: str, frames) -> int:
-    """Write each frame of an iterable as it is drawn; returns how many.
+    """Write each frame of an iterable as it is drawn, k to the sidecar; returns how many.
 
     A frame is serialized before the next one is drawn, so frames made as
     they are drawn, as a run's are, pass through one at a time.
     """
-    return write_jsonl(path, (frame_to_dict(fr) for fr in frames))
+    with open(tangents_path(path), "wb") as fh:
+
+        def records():
+            for fr in frames:
+                fh.write(np.ascontiguousarray(fr.k, dtype="<f8"))
+                yield frame_to_dict(fr)
+
+        return write_jsonl(path, records())
 
 
 def write_events(path: str, events: list) -> None:
@@ -326,8 +321,41 @@ def parse_records(path: str, records, parse):
 
 
 def read_frames(path: str, ds: float):
-    """The frames of a frames.jsonl file on a grid of spacing ds, read and parsed one at a time."""
-    return parse_records(path, _records(path), lambda rec: frame_from_dict(rec, ds))
+    """The frames of a frames.jsonl file and its sidecar on a grid of spacing ds, one at a time.
+
+    Each record's k is the next 24 (n + 1) bytes of the sidecar, read into a
+    read-only array. A missing sidecar, one that ends short of a record's
+    rows or holds bytes past the last record's, and a non-finite k are each a
+    ParseError.
+    """
+    k_path = tangents_path(path)
+    try:
+        fh = open(k_path, "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot read {k_path}: {exc}") from None
+    with fh:
+        left = os.fstat(fh.fileno()).st_size
+
+        def tangents(n: int) -> np.ndarray:
+            nonlocal left
+            size = 24 * (n + 1)
+            # the size is checked first, so a huge n allocates nothing
+            k = np.empty((n + 1, 3), "<f8") if size <= left else None
+            if k is None or fh.readinto(k) != size:
+                raise ParseError(
+                    f"{k_path} ends short of k: n = {n} needs {size} bytes, {left} left"
+                )
+            left -= size
+            if not np.isfinite(k).all():
+                raise ParseError(f"k in {k_path} holds a non-finite number")
+            k.flags.writeable = False
+            return k
+
+        yield from parse_records(
+            path, _records(path), lambda rec: frame_from_dict(rec, ds, tangents)
+        )
+        if left:
+            raise ParseError(f"{k_path} runs {left} byte(s) past the last frame's k")
 
 
 def write_manifest(

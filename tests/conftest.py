@@ -1,7 +1,6 @@
-"""Shared helpers: random constraint systems, a bare frame record, the lines the
-writer writes and the command-line runner."""
+"""Shared helpers: random constraint systems, a bare frame record and its
+tangents, the lines the writer writes and the command-line runner."""
 
-import base64
 import json
 import os
 import sys
@@ -13,7 +12,7 @@ import numpy as np
 import stemgrow
 from stemgrow.curves import Stem, rotate_vectors
 from stemgrow.reaction import ContactSet, assemble_constraints
-from stemgrow.trajectory import write_jsonl
+from stemgrow.trajectory import tangents_path, write_jsonl
 
 # The command line as a child process; the same as the installed ``stemgrow``.
 STEMGROW = [sys.executable, "-m", "stemgrow"]
@@ -60,16 +59,26 @@ def random_constraint_system(rng, tip_allowed=True):
     return assemble_constraints(Stem(ds, k), contacts, beta), b
 
 
-def k_text(rows):
-    """rows as a frame record's k: base64 of their little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+def upright(n):
+    """The tangents of a straight upright stem of n cells: n + 1 rows of (0, 0, 1)."""
+    return [[0.0, 0.0, 1.0]] * (n + 1)
+
+
+def k_bytes(rows):
+    """rows as the frames.k sidecar holds them: their little-endian float64 bytes."""
+    return np.asarray(rows, dtype="<f8").tobytes()
+
+
+def sidecar(path):
+    """The frames.k sidecar of the frames file at path."""
+    return Path(tangents_path(str(path)))
 
 
 def bare_frame(**fields):
-    """A one-frame record at t = 0: the seed node only, no contacts."""
+    """A one-frame record at t = 0: the seed node only, no contacts. Its
+    tangents, upright(n), go in the sidecar."""
     frame = {
         "n": 0,
-        "k": k_text([[0.0, 0.0, 1.0]]),
         "contacts": [],
         "energy": None,
         "min_phi": None,

@@ -1,6 +1,5 @@
 """End-to-end tests of the stemgrow command line: run, twin, audit, oracle-check."""
 
-import base64
 import json
 import math
 import re
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import STEMGROW, bare_frame, k_text, stemgrow_env
+from conftest import STEMGROW, bare_frame, k_bytes, sidecar, stemgrow_env, upright
 
 from stemgrow import cli, stepper
 from stemgrow.config import load_config
@@ -447,6 +446,7 @@ def test_streamed_frames_equal_the_frames_a_run_keeps(tmp_path, capsys, stride):
     kept = tmp_path / "kept.jsonl"
     assert write_frames(str(kept), traj.frames) == traj.frames_written == len(traj.frames)
     assert (outdir / "frames.jsonl").read_bytes() == kept.read_bytes()
+    assert (outdir / "frames.k").read_bytes() == sidecar(kept).read_bytes()
     write_events(str(tmp_path / "events.jsonl"), traj.events)
     assert (outdir / "events.jsonl").read_bytes() == (tmp_path / "events.jsonl").read_bytes()
     outputs = json.loads((outdir / "manifest.json").read_text())["outputs"]
@@ -469,11 +469,11 @@ def test_audit_rejects_tampered_frames(oblique_run, tmp_path):
     outdir = tmp_path / "tampered"
     shutil.copytree(oblique_run, outdir)
     frames_path = outdir / "frames.jsonl"
-    rows = [json.loads(line) for line in frames_path.read_text().splitlines()]
-    k = np.frombuffer(base64.b64decode(rows[-1]["k"]), "<f8").copy()
-    k[2] *= 1.1  # stretch one tangent
-    rows[-1]["k"] = k_text(k)
-    frames_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    ns = [json.loads(line)["n"] for line in frames_path.read_text().splitlines()]
+    k = np.frombuffer(sidecar(frames_path).read_bytes(), "<f8").reshape(-1, 3).copy()
+    assert len(k) == sum(n + 1 for n in ns)
+    k[len(k) - (ns[-1] + 1) + 2] *= 1.1  # stretch one tangent of the last frame
+    sidecar(frames_path).write_bytes(k_bytes(k))
     proc = invoke("audit", str(frames_path))
     assert proc.returncode == 1
     assert "violation" in proc.stdout
@@ -487,10 +487,8 @@ def test_audit_rejects_an_inactive_contact_driven_inward(tmp_path):
     n = 5
     contact = {"node": n, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.0, "mu": 0.0}
     frames = tmp_path / "frames.jsonl"
-    frames.write_bytes(
-        bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
-        + bare_frame(n=n + 1, k=k_text([[0.0, 0.0, 1.0]] * (n + 2)))
-    )
+    frames.write_bytes(bare_frame(n=n, contacts=[contact]) + bare_frame(n=n + 1))
+    sidecar(frames).write_bytes(k_bytes(upright(n) + upright(n + 1)))
     proc = invoke("audit", str(frames), "--manifest", manifest)
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == [
@@ -518,10 +516,8 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     config = load_config(manifest)
     n, tol = 5, 1e-8
     contact = {"node": n, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.0, "mu": 0.0}
-    record = json.loads(
-        bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
-    )
-    frame = frame_from_dict(record, config.dt)
+    record = json.loads(bare_frame(n=n, contacts=[contact]))
+    frame = frame_from_dict(record, config.dt, lambda n: np.array(upright(n)))
     system = assemble_constraints(frame, frame.contacts, config.law.beta)
     b = 1e-10 * system.gram[0]
     oracle = oracle_solve_reaction(system, b, max_contacts=12)
@@ -532,6 +528,7 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     contact["mu"] = float(oracle.mu[0]) + 10.0 * tol * scale / unit
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(bare_frame(**{**record, "contacts": [contact]}))
+    sidecar(frames).write_bytes(k_bytes(upright(n)))
     proc = invoke("oracle-check", str(frames), "--manifest", manifest, f"--tol={tol}")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
@@ -548,9 +545,8 @@ def test_oracle_check_reports_an_infeasible_frame(tmp_path):
     n = 5
     contact = {"node": 0, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.5, "mu": 0.0}
     frames = tmp_path / "frames.jsonl"
-    frames.write_bytes(
-        bare_frame(n=n, k=k_text([[0.0, 0.0, 1.0]] * (n + 1)), contacts=[contact])
-    )
+    frames.write_bytes(bare_frame(n=n, contacts=[contact]))
+    sidecar(frames).write_bytes(k_bytes(upright(n)))
     proc = invoke("oracle-check", str(frames), "--manifest", manifest)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
@@ -584,6 +580,10 @@ def test_bad_check_tolerance_exits_two(oblique_run, command, flag, value):
 
 
 CONTACT_PAST_TIP = {"node": 5, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.1, "mu": 0.0}
+# the tangents of bare_frame(): its one upright row
+K0 = k_bytes(upright(0))
+# what the base64 format wrote for K0
+K0_TEXT = "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/"
 
 
 def old_format_frame():
@@ -595,44 +595,56 @@ def old_format_frame():
 
 @pytest.mark.parametrize("command", ["audit", "oracle-check"])
 @pytest.mark.parametrize(
-    "content, message",
+    "content, k, message",
     [
-        (b'{"t":0}\n', "frames.jsonl:1: frame has no key 'n'"),
-        (b"[1,2]\n", "frames.jsonl:1: frame is not an object"),
+        (b'{"t":0}\n', K0, "frames.jsonl:1: frame has no key 'n'"),
+        (b"[1,2]\n", K0, "frames.jsonl:1: frame is not an object"),
         (
-            bare_frame(k=k_text([0.0, 0.0])),
-            "frames.jsonl:1: k holds 16 bytes in 24 characters, expected 24 bytes in 32 for n = 0",
+            bare_frame(),
+            k_bytes([0.0, 0.0]),
+            "frames.k ends short of k: n = 0 needs 24 bytes, 16 left",
         ),
-        (bare_frame(contacts=[CONTACT_PAST_TIP]), "contacts[].node must increase within 0..0"),
-        (b"\xff\xfe\x7b", "frames.jsonl is not UTF-8 text"),
-        (bare_frame(t="0.0"), "frames.jsonl:1: frame has unknown keys ['t']"),
-        (bare_frame(k=[["0", 0, 1]]), "frames.jsonl:1: k must be a base64 string, not list"),
+        (bare_frame(contacts=[CONTACT_PAST_TIP]), K0, "contacts[].node must increase within 0..0"),
+        (b"\xff\xfe\x7b", K0, "frames.jsonl is not UTF-8 text"),
+        (bare_frame(t="0.0"), K0, "frames.jsonl:1: frame has unknown keys ['t']"),
+        # a record that still holds k, whatever it holds, is of an older format
+        (bare_frame(k=[["0", 0, 1]]), K0, "frames.jsonl:1: frame has unknown keys ['k']"),
         # positions and the arclength grid are rebuilt, not read, whatever a
         # record holds under their old keys
-        (bare_frame(gamma=[[0, 0]]), "frames.jsonl:1: frame has unknown keys ['gamma']"),
-        (bare_frame(s=["0"]), "frames.jsonl:1: frame has unknown keys ['s']"),
-        (old_format_frame(), "frames.jsonl:1: frame has unknown keys ['t', 's', 'gamma']"),
-        # each encoding fault names k
-        (bare_frame(k=[0.0, 0.0, 1.0]), "frames.jsonl:1: k must be a base64 string, not list"),
-        (bare_frame(k=1.0), "frames.jsonl:1: k must be a base64 string, not float"),
-        (bare_frame(k=None), "frames.jsonl:1: k must be a base64 string, not NoneType"),
-        (bare_frame(k="*" + k_text([0.0, 0.0, 1.0])[1:]), "frames.jsonl:1: k is not base64"),
-        (bare_frame(k=k_text([0.0, 0.0, 1.0])[:-1]), "frames.jsonl:1: k is not base64"),
-        (bare_frame(k=k_text([0.0, 0.0, 1.0]) + "="), "frames.jsonl:1: k holds 24 bytes in 33"),
-        (bare_frame(k=k_text([0.0] * 4)), "frames.jsonl:1: k holds 32 bytes in 44 characters"),
-        (bare_frame(k=k_text([0.0] * 6)), "frames.jsonl:1: k holds 48 bytes in 64 characters"),
-        (bare_frame(k=k_text([0.0, 0.0, math.nan])), "frames.jsonl:1: k holds a non-finite number"),
-        (bare_frame(k=k_text([0.0, 0.0, math.inf])), "frames.jsonl:1: k holds a non-finite number"),
-        (bare_frame(k=k_text([0.0, 0.0, -math.inf])), "frames.jsonl:1: k holds a non-finite number"),
+        (bare_frame(gamma=[[0, 0]]), K0, "frames.jsonl:1: frame has unknown keys ['gamma']"),
+        (bare_frame(s=["0"]), K0, "frames.jsonl:1: frame has unknown keys ['s']"),
+        (
+            old_format_frame(),
+            K0,
+            "frames.jsonl:1: frame has unknown keys ['t', 's', 'gamma', 'k']",
+        ),
+        (bare_frame(k=[0.0, 0.0, 1.0]), K0, "frames.jsonl:1: frame has unknown keys ['k']"),
+        (bare_frame(k=1.0), K0, "frames.jsonl:1: frame has unknown keys ['k']"),
+        (bare_frame(k=None), K0, "frames.jsonl:1: frame has unknown keys ['k']"),
+        (bare_frame(k=K0_TEXT), K0, "frames.jsonl:1: frame has unknown keys ['k']"),
+        # each fault of the sidecar names it
+        (bare_frame(), K0[:-1], "frames.k ends short of k: n = 0 needs 24 bytes, 23 left"),
+        (bare_frame(), K0 + b"\0", "frames.k runs 1 byte(s) past the last frame's k"),
+        (bare_frame(), K0 + K0[:8], "frames.k runs 8 byte(s) past the last frame's k"),
+        (bare_frame(), K0 * 2, "frames.k runs 24 byte(s) past the last frame's k"),
+        (bare_frame(), k_bytes([0.0, 0.0, math.nan]), "frames.k holds a non-finite number"),
+        (bare_frame(), k_bytes([0.0, 0.0, math.inf]), "frames.k holds a non-finite number"),
+        (bare_frame(), k_bytes([0.0, 0.0, -math.inf]), "frames.k holds a non-finite number"),
         (
             bare_frame(solver_sweeps=True),
+            K0,
             "frames.jsonl:1: solver_sweeps must hold numbers, not text or true/false",
         ),
-        (bare_frame(n=0.7), "frames.jsonl:1: n must hold whole numbers"),
-        (bare_frame(solver_sweeps=2.9), "frames.jsonl:1: solver_sweeps must hold whole numbers"),
+        (bare_frame(n=0.7), K0, "frames.jsonl:1: n must hold whole numbers"),
+        (
+            bare_frame(solver_sweeps=2.9),
+            K0,
+            "frames.jsonl:1: solver_sweeps must hold whole numbers",
+        ),
         # decoded as the float -2^63, a whole number in the int64 range
         (
             bare_frame(solver_sweeps=-9223372036854775809),
+            K0,
             "frames.jsonl:1: solver_sweeps must be >= 0, got -9223372036854775808",
         ),
     ],
@@ -664,10 +676,11 @@ def old_format_frame():
         "sweeps_below_int64",
     ],
 )
-def test_malformed_frames_exit_two_without_traceback(tmp_path, command, content, message):
+def test_malformed_frames_exit_two_without_traceback(tmp_path, command, content, k, message):
     manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(content)
+    sidecar(frames).write_bytes(k)
     proc = invoke(command, str(frames), "--manifest", manifest)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
@@ -733,18 +746,12 @@ def test_malformed_third_frame_stops_the_stream(straight_run, tmp_path, command)
 
 TOO_BIG_FOR_UINT64 = "18446744073709551616"
 # Each turns the third frame of a clean run into text that is not a valid
-# frame: a non-JSON token, a number that overflows, broken syntax, or the bits
-# of a non-finite number in k.
-# The first row of k is its first 32 characters.
-FIRST_ROW = r'"k":"[^"]{32}'
+# frame: a non-JSON token, a number that overflows or broken syntax.
 TEXT_FAULTS = {
-    "nan_in_k": (FIRST_ROW, '"k":"' + k_text([math.nan, 0.0, 1.0])),
-    "infinity_in_k": (FIRST_ROW, '"k":"' + k_text([math.inf, 0.0, 1.0])),
-    "minus_infinity_in_k": (FIRST_ROW, '"k":"' + k_text([-math.inf, 0.0, 1.0])),
-    # the same tokens in the positions an older record held before k
-    "nan_in_gamma": (r'"k":', '"gamma":[[NaN,0.0,0.0]],"k":'),
-    "infinity_in_gamma": (r'"k":', '"gamma":[[Infinity,0.0,0.0]],"k":'),
-    "minus_infinity_in_gamma": (r'"k":', '"gamma":[[-Infinity,0.0,0.0]],"k":'),
+    # non-finite tokens where an older record held its positions
+    "nan_in_gamma": (r'"contacts":', '"gamma":[[NaN,0.0,0.0]],"contacts":'),
+    "infinity_in_gamma": (r'"contacts":', '"gamma":[[Infinity,0.0,0.0]],"contacts":'),
+    "minus_infinity_in_gamma": (r'"contacts":', '"gamma":[[-Infinity,0.0,0.0]],"contacts":'),
     # where the older format held t
     "overflow_t": (r"^\{", '{"t":1e400,'),
     "n_past_uint64": (r'"n":\d+', f'"n":{TOO_BIG_FOR_UINT64}'),
@@ -758,24 +765,121 @@ TEXT_FAULTS = {
 }
 
 
+# Or each writes the bits of a non-finite number into the third frame's k, in
+# the sidecar.
+ROW_FAULTS = {"nan_in_k": math.nan, "infinity_in_k": math.inf, "minus_infinity_in_k": -math.inf}
+
+
+def write_into_k(frames, value):
+    """Write value over a coordinate of the third frame's first row of k."""
+    rows_before = sum(json.loads(line)["n"] + 1 for line in frames.read_text().splitlines()[:2])
+    with open(sidecar(frames), "r+b") as fh:
+        fh.seek(24 * rows_before + 8)
+        fh.write(k_bytes([value]))
+
+
 @pytest.mark.parametrize("command", ["audit", "oracle-check"])
-@pytest.mark.parametrize("fault", sorted(TEXT_FAULTS))
+@pytest.mark.parametrize("fault", sorted(TEXT_FAULTS | ROW_FAULTS))
 def test_text_fault_in_third_frame_exits_two(straight_run, tmp_path, command, fault):
     # only the record prefix is asserted: a field check and the JSON decoder
     # word these faults differently, and either may catch them
-    pattern, replacement = TEXT_FAULTS[fault]
     outdir = tmp_path / "out"
     shutil.copytree(straight_run, outdir)
     frames = outdir / "frames.jsonl"
-    lines = frames.read_text().splitlines()
-    bad = re.sub(pattern, replacement, lines[2], count=1)
-    assert bad != lines[2]
-    frames.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n")
+    if fault in ROW_FAULTS:
+        write_into_k(frames, ROW_FAULTS[fault])
+    else:
+        pattern, replacement = TEXT_FAULTS[fault]
+        lines = frames.read_text().splitlines()
+        bad = re.sub(pattern, replacement, lines[2], count=1)
+        assert bad != lines[2]
+        frames.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n")
     proc = invoke(command, str(frames))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "frames.jsonl:3: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _drop_sidecar(frames):
+    sidecar(frames).unlink()
+    return r"error: cannot read \S*/frames\.k: "
+
+
+def _cut_last_byte(frames):
+    k = sidecar(frames).read_bytes()
+    sidecar(frames).write_bytes(k[:-1])
+    lines = frames.read_text().splitlines()
+    size = 24 * (json.loads(lines[-1])["n"] + 1)
+    return (
+        rf"error: \S*/frames\.jsonl:{len(lines)}: \S*/frames\.k ends short of k: "
+        rf"n = \d+ needs {size} bytes, {size - 1} left$"
+    )
+
+
+def _add_a_row(frames):
+    with open(sidecar(frames), "ab") as fh:
+        fh.write(k_bytes(upright(0)))
+    return r"error: \S*/frames\.k runs 24 byte\(s\) past the last frame's k$"
+
+
+def _non_finite_k(value):
+    def fault(frames):
+        write_into_k(frames, value)
+        return r"error: \S*/frames\.jsonl:3: k in \S*/frames\.k holds a non-finite number$"
+
+    return fault
+
+
+def _keep_k_in_a_record(frames):
+    lines = frames.read_text().splitlines()
+    lines[2] = lines[2].replace('"contacts":', f'"k":"{K0_TEXT}","contacts":', 1)
+    frames.write_text("\n".join(lines) + "\n")
+    return r"error: \S*/frames\.jsonl:3: frame has unknown keys \['k'\]$"
+
+
+SIDECAR_FAULTS = {
+    "missing": _drop_sidecar,
+    "one_byte_short": _cut_last_byte,
+    "one_row_over": _add_a_row,
+    "nan": _non_finite_k(math.nan),
+    "infinity": _non_finite_k(math.inf),
+    "record_holds_k": _keep_k_in_a_record,
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "oracle-check"])
+@pytest.mark.parametrize("fault", sorted(SIDECAR_FAULTS))
+def test_malformed_sidecar_exits_two(straight_run, tmp_path, command, fault):
+    # one error line that names the file at fault, and path:N where a record is
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    pattern = SIDECAR_FAULTS[fault](outdir / "frames.jsonl")
+    proc = invoke(command, str(outdir / "frames.jsonl"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert re.match(pattern, proc.stderr.rstrip("\n")), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["audit", "oracle-check"])
+def test_empty_frames_file_exits_one(straight_run, tmp_path, command):
+    # no frames is nothing checked, not a pass
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    (outdir / "frames.jsonl").write_bytes(b"")
+    (outdir / "frames.k").write_bytes(b"")
+    proc = invoke(command, str(outdir / "frames.jsonl"))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == f"{command}: no frames\n"
+
+
+def test_oracle_check_passes_frames_without_contacts(straight_run):
+    proc = invoke("oracle-check", str(straight_run / "frames.jsonl"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == (
+        "oracle-check: 0 checked, 0 skipped (too many contacts), 0 degenerate, 0 mismatched\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +925,13 @@ def test_twin_manifests_replay_each_run_byte_identically(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     base, perturbed = outdir / "base", outdir / "perturbed"
-    assert (base / "frames.jsonl").read_bytes() != (perturbed / "frames.jsonl").read_bytes()
+    # without contacts the two records agree: the tilt is in the tangents
+    assert (base / "frames.k").read_bytes() != (perturbed / "frames.k").read_bytes()
     for run_dir in (base, perturbed):
         replay = tmp_path / "replay" / run_dir.name
         proc = invoke("run", str(run_dir / "manifest.json"), "--out", str(replay))
         assert proc.returncode == 0, proc.stderr
-        for name in ("frames.jsonl", "events.jsonl"):
+        for name in ("frames.jsonl", "frames.k", "events.jsonl"):
             assert (replay / name).read_bytes() == (run_dir / name).read_bytes(), name
         outputs = [
             json.loads((d / "manifest.json").read_text())["outputs"] for d in (replay, run_dir)

@@ -5,12 +5,12 @@ the ceiling's sustained sliding contact at strides 20 and 1, of the tilted twin 
 `twin_tilt`, and of a strided twin of `sphere_perpendicular` whose two runs
 end at different frames. A refactor that changes any bit of a frame or event
 fails here. The pinned text is orjson's (3.8.3): each float is the shortest
-text that reads back to the same double, except a frame's tangents, which are
-one base64 string of their little-endian float64 bytes. A frame holds the
-node count and the tangents, not the time, positions or arclength grid they
-imply. The same frames must also survive
-a parse and a rewrite through `frame_from_dict`/`frame_to_dict` and
-`write_jsonl` unchanged, byte for byte.
+text that reads back to the same double. A frame's tangents are not text:
+they are the raw little-endian float64 rows of the frames.k sidecar, pinned
+next to each frames.jsonl. A frame holds the node count and the tangents,
+not the time, positions or arclength grid they imply. The same frames must
+also survive a read and a rewrite through `read_frames`/`write_frames`
+unchanged, byte for byte, in both files.
 """
 
 import hashlib
@@ -19,42 +19,51 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import STEMGROW, stemgrow_env, written_lines
+from conftest import STEMGROW, sidecar, stemgrow_env
 
-from stemgrow.trajectory import frame_from_dict, frame_to_dict
+from stemgrow.trajectory import read_frames, write_frames
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    "straight/frames.jsonl": "1063d6a916f263b4ff41af9a5c6efa260b27a84c90a36061a710e21f6f482b2b",
+    "straight/frames.jsonl": "b8e9895b669d6978a2505de577672aeb8241bea20a5ee85cb78695a79ba1b052",
+    "straight/frames.k": "ca5802f6f9bfefcf6729acfd097e316dfefae68824ca41f4506d30bde29a1d7e",
     "straight/events.jsonl": "a4114731c418110aab24cb3ff3a9ab818e28e3ea8390655426a1dfa5275d5c3a",
     "sphere_perpendicular/frames.jsonl": (
-        "d99b0d34938438ce2c4562d960a152379715dc4048c69735c0b09f604d87630a"
+        "1cc1c8eee576c5441567456fc51379385e8194c2f9f2a87aef55e0e01149ec4a"
+    ),
+    "sphere_perpendicular/frames.k": (
+        "59edad3eb7976928a543f97fdc848ef9a3cc81710bd884cd9acba7b882e720e9"
     ),
     "sphere_perpendicular/events.jsonl": (
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "sphere_oblique/frames.jsonl": (
-        "b0053a64fba53d4fecf1fc94a928571a3b036669484cb7b9d1917901933d7d2c"
+        "39f391afbc301b157690367bf93862e180106a815b319aaf2fdfea0c0a13caa1"
     ),
+    "sphere_oblique/frames.k": "59b1c822756aa9e3c8deeb5f3db119869d704a082658f74a5226e39e3f20e5f7",
     "sphere_oblique/events.jsonl": (
         "131bbf6de0f7888aa24e49cea1f1dfdf03a184fe66955f291b13deacccd56754"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "31bb9987df9924f436757bc3ad6b66c339de1d867fa4fac3c841def5d81c9fd1",
+    "ceiling/frames.jsonl": "08db559ead639991466a45a3bde27dd46efc10bccc065bf30c809b6f2d88697b",
+    "ceiling/frames.k": "8e488ab888761e956bc4f46ee0da8f24fe43484f1741f7e69eebd8f6a8a48999",
     "ceiling/events.jsonl": "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "e389a4771340bd1da58bf2ea0e8b2ecf7e6acef9fde9c427d6c6847b3c4b243b"
+        "11dfd0960ad2667502aa49bb44cb4d482c025ba177a3cb878cec49f5332b6f19"
     ),
+    "ceiling_stride1/frames.k": "74c18d9b08aee8e6b7c4cffb9204410996188dd619a91a3afaf76e2c94ad14ff",
     "ceiling_stride1/events.jsonl": (
         "6f9275930c01a9ae3246cd04321a2b0c8e13d7354bc440d24444d03007c2a0a3"
     ),
-    "twin/base/frames.jsonl": "56d99d548bad8effc36f302dda4f06ff48d6a7767f95deac2a00318ad6522227",
+    "twin/base/frames.jsonl": "9187197260cd26a6a04da29aeb301d1a45c55df9ef8bf168b79d71c6eacf3dc0",
+    "twin/base/frames.k": "f550f77133754050856e031b42bf6057f9a75c3e7be3a1af9c6f468df6270f83",
     "twin/base/events.jsonl": "f919d677e28f0283e5a8c05af5a8c02ccfe9e56d01b2892a14d059d25b03ed97",
     "twin/perturbed/frames.jsonl": (
-        "d5391fe0098aa2db6541c0c93857e8e201b52019fc45cf728bb776de7a6d8ae3"
+        "e6ae1ea3e29c090281d6c8c55f13777611c761c8f33a3c88d220a3f1bc3f6852"
     ),
+    "twin/perturbed/frames.k": "6e350e7027b0d492dc5e046adc3e6de6e517254ff9b7cfdca97f72ce3d39f199",
     "twin/perturbed/events.jsonl": (
         "64ad79278126699549c4beb7d8faff2a4109bc9b1603987021f67bffe69b2db2"
     ),
@@ -63,13 +72,19 @@ GOLDEN = {
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
-        "281ba9bc0a8f8a80caac2caa7c1c8cb4421c01d37077e4700df1e8d78dfed994"
+        "6f3793893c25de831aee734ec4e845514c4032a43298a294c1bea60b610f6393"
+    ),
+    "twin_perpendicular/base/frames.k": (
+        "4f97d2f3b7f84c4db8d18d3edd0e6796e22247d12d7b7211fcc28a4374e20468"
     ),
     "twin_perpendicular/base/events.jsonl": (
         "32b9922878f0a0b91704e70d5a3578634b607e8bb86a7d289e66f69bc71baab5"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "0da6d012936d50260398bac6ece5886d5589206952d7960c9b9be6cb40fcad04"
+        "6024fae7dc764ab2482fce9279d8c06252c1610823174aafe1dba59fe7f35b67"
+    ),
+    "twin_perpendicular/perturbed/frames.k": (
+        "0d7c593adbc69810c8a6b483323309cbaa427da1c805ae18e64408417eca1ec1"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "9af3d4e060b9dd08ee820e8c997a2f64c407456b2135e944eba3ae075dd94aab"
@@ -113,11 +128,10 @@ def test_outputs_match_golden_hashes(outputs):
 
 
 @pytest.mark.parametrize("scenario", ["straight", "sphere_oblique", "ceiling_stride1"])
-def test_frames_round_trip_byte_for_byte(outputs, scenario):
-    lines = (outputs / scenario / "frames.jsonl").read_bytes().splitlines()
-    assert lines
+def test_frames_round_trip_byte_for_byte(outputs, scenario, tmp_path):
+    frames = outputs / scenario / "frames.jsonl"
     dt = json.loads((outputs / scenario / "manifest.json").read_text())["config"]["numerics"]["dt"]
-    rewritten = written_lines(
-        frame_to_dict(frame_from_dict(json.loads(line), dt)) for line in lines
-    )
-    assert rewritten == lines
+    copy = tmp_path / "frames.jsonl"
+    assert write_frames(str(copy), read_frames(str(frames), dt)) > 0
+    assert copy.read_bytes() == frames.read_bytes()
+    assert sidecar(copy).read_bytes() == sidecar(frames).read_bytes()

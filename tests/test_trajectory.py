@@ -1,4 +1,5 @@
-"""Tests of the run-artifact layer: the JSON Lines writer and the lazy readers."""
+"""Tests of the run-artifact layer: the JSON Lines writer, the tangents sidecar
+and the lazy readers."""
 
 import copy
 import json
@@ -10,13 +11,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import STEMGROW, bare_frame, k_text, stemgrow_env, written_lines
+from conftest import (
+    STEMGROW,
+    bare_frame,
+    k_bytes,
+    sidecar,
+    stemgrow_env,
+    upright,
+    written_lines,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stemgrow.config import load_config
 from stemgrow.errors import ParseError
+from stemgrow import trajectory
 from stemgrow.stepper import run
 from stemgrow.trajectory import (
     Event,
@@ -76,7 +86,8 @@ def test_integer_array_keeps_the_integer_path():
 
 def test_read_frames_parses_lazily(tmp_path):
     path = tmp_path / "frames.jsonl"
-    path.write_bytes(bare_frame(n=25, k=k_text([[0.0, 0.0, 1.0]] * 26)) + b"{garbage\n")
+    path.write_bytes(bare_frame(n=25) + b"{garbage\n")
+    sidecar(path).write_bytes(k_bytes(upright(25)))
     frames = iter(read_frames(str(path), DS))
     # t is not stored: the frame derives it as DS * n
     assert next(frames).t == DS * 25
@@ -105,7 +116,8 @@ def test_decoder_keeps_the_writers_bits(tmp_path):
 
 
 def test_contact_frames_round_trip_through_the_reader(tmp_path):
-    # the reader, not json.loads, decodes here: each line must come back
+    # the reader, not json.loads, decodes here: each line and each row of the
+    # sidecar must come back
     outdir = tmp_path / "out"
     proc = subprocess.run(
         [*STEMGROW, "run", str(SCENARIOS / "sphere_oblique.json"), "--out", str(outdir)],
@@ -119,7 +131,10 @@ def test_contact_frames_round_trip_through_the_reader(tmp_path):
     dt = json.loads((outdir / "manifest.json").read_text())["config"]["numerics"]["dt"]
     frames = list(read_frames(str(path), dt))
     assert any(fr.contacts.size for fr in frames)
-    assert written_lines(frame_to_dict(fr) for fr in frames) == path.read_bytes().splitlines()
+    copy = tmp_path / "copy.jsonl"
+    assert write_frames(str(copy), frames) == len(frames)
+    assert copy.read_bytes() == path.read_bytes()
+    assert sidecar(copy).read_bytes() == sidecar(path).read_bytes()
 
 
 def frame_values(frame):
@@ -185,14 +200,19 @@ def test_malformed_event_is_a_parse_error(record, message):
         event_from_dict(record)
 
 
-TWO_ROWS = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+TWO_ROWS = upright(1)
+
+
+def rows_of(n):
+    """tangents for frame_from_dict: upright(n) as an array."""
+    return np.array(upright(n))
 
 
 def two_node_frame():
-    """A frame record at n = 1 with one tip contact, as json.loads gives it."""
+    """A frame record at n = 1 with one tip contact, as json.loads gives it;
+    its tangents are TWO_ROWS."""
     return {
         "n": 1,
-        "k": k_text(TWO_ROWS),
         "contacts": [{"node": 1, "phi": 0.0, "normal": [0.0, 0.0, -1.0], "b": 0.5, "mu": 2.0}],
         "energy": 1.0,
         "min_phi": 0.0,
@@ -203,49 +223,62 @@ def two_node_frame():
     }
 
 
-def k_with(rows=TWO_ROWS, edit=lambda text: text):
-    """A k value as JSON text: the values encoded, then edited as a string."""
-    return json.dumps(edit(k_text(rows)))
+def read_one(tmp_path, monkeypatch, record, k):
+    """read_frames over one record, as given rather than as its text, with k as
+    the sidecar's bytes (no sidecar if None)."""
+    path = tmp_path / "frames.jsonl"
+    if k is not None:
+        sidecar(path).write_bytes(k)
+    monkeypatch.setattr(trajectory, "_records", lambda _: iter([record]))
+    return list(read_frames(str(path), DS))
+
+
+K2 = k_bytes(TWO_ROWS)
+# a record that still holds k, in any form, is of an older format
+OLD_K = r"frame has unknown keys \['k'\]"
 
 
 @pytest.mark.parametrize(
-    "key, text, message",
+    "key, text, k, message",
     [
-        # k is one base64 string of exactly n + 1 rows of three float64s
-        ("k", k_with([0, 0, 1, 0, 0]), "k holds 40 bytes in 56 characters, expected 48"),
-        ("k", '[[0, 0, 1], "abc"]', "k must be a base64 string, not list"),
-        ("k", '[[0, 0, 1], {"x": 0, "y": 0, "z": 1}]', "k must be a base64 string, not list"),
-        ("k", "true", "k must be a base64 string, not bool"),
-        ("k", k_with(edit=lambda t: t[:10] + "*" + t[11:]), "k is not base64"),
-        ("k", "null", "k must be a base64 string, not NoneType"),
-        ("k", k_with([0, 0, 1, 0, 0, math.inf]), "k holds a non-finite number"),
-        ("k", "[[0, 0, 1], [0, 0, 1]]", "k must be a base64 string, not list"),
-        ("k", k_with(edit=lambda t: t[:-1]), "k is not base64"),
-        ("k", k_with(edit=lambda t: t[:-4] + "AA=="), "k holds 46 bytes in 64 characters"),
-        ("k", k_with(edit=lambda t: t + "="), "k holds 48 bytes in 65 characters"),
-        ("k", k_with(edit=lambda t: t[:10] + "\u00e9" + t[11:]), "k is not base64"),
-        ("k", k_with(TWO_ROWS * 2), "k holds 96 bytes in 128 characters, expected 48"),
-        ("k", k_with(TWO_ROWS[:1]), "k holds 24 bytes in 32 characters, expected 48"),
-        ("k", k_with([0, 0, 1, 0, 0, 1, 0]), "k holds 56 bytes in 76 characters, expected 48"),
-        ("k", k_with([0, 0, 1, 0, 0, math.nan]), "k holds a non-finite number"),
-        ("k", k_with([0, 0, 1, 0, 0, -math.inf]), "k holds a non-finite number"),
+        # the sidecar holds exactly n + 1 rows of three float64s a frame
+        (None, None, k_bytes([0, 0, 1, 0, 0]), "ends short of k: n = 1 needs 48 bytes, 40 left"),
+        ("k", '[[0, 0, 1], "abc"]', K2, OLD_K),
+        ("k", '[[0, 0, 1], {"x": 0, "y": 0, "z": 1}]', K2, OLD_K),
+        ("k", "true", K2, OLD_K),
+        ("k", '"AAAAAAAAAAAAAAAA*AAAAAAAAAAAAAAA"', K2, OLD_K),
+        ("k", "null", K2, OLD_K),
+        (None, None, k_bytes([0, 0, 1, 0, 0, math.inf]), "holds a non-finite number"),
+        ("k", "[[0, 0, 1], [0, 0, 1]]", K2, OLD_K),
+        (None, None, K2[:-1], "ends short of k: n = 1 needs 48 bytes, 47 left"),
+        (None, None, K2[:-2], "ends short of k: n = 1 needs 48 bytes, 46 left"),
+        (None, None, K2 + b"\0", r"runs 1 byte\(s\) past the last frame's k"),
+        ("k", '"AAAAAAAAAAAAAAAAAAAAAAAAAAAA\u00e9AAA"', K2, OLD_K),
+        (None, None, K2 * 2, r"runs 48 byte\(s\) past the last frame's k"),
+        (None, None, K2[:24], "ends short of k: n = 1 needs 48 bytes, 24 left"),
+        (None, None, k_bytes([0, 0, 1, 0, 0, 1, 0]), r"runs 8 byte\(s\) past the last frame's k"),
+        (None, None, k_bytes([0, 0, 1, 0, 0, math.nan]), "holds a non-finite number"),
+        (None, None, k_bytes([0, 0, 1, 0, 0, -math.inf]), "holds a non-finite number"),
+        (None, None, None, r"cannot read .*frames\.k"),
         # time is the end of the rebuilt grid, not a key of a frame
-        ("t", "1e400", r"frame has unknown keys \['t'\]"),
-        ("n", "1" + "0" * 400, "n must be numeric and in range"),
-        ("t", "1" + "0" * 400, r"frame has unknown keys \['t'\]"),
-        ("t", '"late"', r"frame has unknown keys \['t'\]"),
-        ("k", "5", "k must be a base64 string, not int"),
-        ("k", "[0, 0, 1, 0, 0, 1]", "k must be a base64 string, not list"),
-        ("solver_sweeps", "-5", "solver_sweeps must be >= 0, got -5"),
+        ("t", "1e400", K2, r"frame has unknown keys \['t'\]"),
+        ("n", "1" + "0" * 400, K2, "n must be numeric and in range"),
+        ("t", "1" + "0" * 400, K2, r"frame has unknown keys \['t'\]"),
+        ("t", '"late"', K2, r"frame has unknown keys \['t'\]"),
+        ("k", "5", K2, OLD_K),
+        ("k", "[0, 0, 1, 0, 0, 1]", K2, OLD_K),
+        # a huge n must not size an array: the sidecar's length bounds it
+        ("n", str(2**62), K2, f"n = {2**62} needs {24 * (2**62 + 1)} bytes, 48 left"),
+        ("solver_sweeps", "-5", K2, "solver_sweeps must be >= 0, got -5"),
         # what the frame reader decodes -9223372036854775809 to: the float -2^63
-        ("solver_sweeps", "-9.223372036854776e18", "solver_sweeps must be >= 0"),
+        ("solver_sweeps", "-9.223372036854776e18", K2, "solver_sweeps must be >= 0"),
         # the arclength grid and the positions of the older format are not
         # keys of a frame, whatever they hold
-        ("gamma", "[[0, true, 0], [0, 0, 1]]", r"frame has unknown keys \['gamma'\]"),
-        ("gamma", '[[0, "0", 0], [0, 0, 1]]', r"frame has unknown keys \['gamma'\]"),
-        ("gamma", "[[0, 0, 0], [0, 0, 1e400]]", r"frame has unknown keys \['gamma'\]"),
-        ("gamma", "5", r"frame has unknown keys \['gamma'\]"),
-        ("s", "[[0.0], [0.01]]", r"frame has unknown keys \['s'\]"),
+        ("gamma", "[[0, true, 0], [0, 0, 1]]", K2, r"frame has unknown keys \['gamma'\]"),
+        ("gamma", '[[0, "0", 0], [0, 0, 1]]', K2, r"frame has unknown keys \['gamma'\]"),
+        ("gamma", "[[0, 0, 0], [0, 0, 1e400]]", K2, r"frame has unknown keys \['gamma'\]"),
+        ("gamma", "5", K2, r"frame has unknown keys \['gamma'\]"),
+        ("s", "[[0.0], [0.01]]", K2, r"frame has unknown keys \['s'\]"),
     ],
     ids=[
         "ragged_row",
@@ -265,12 +298,14 @@ def k_with(rows=TWO_ROWS, edit=lambda text: text):
         "k_eight_bytes_over",
         "nan_bits_in_k",
         "minus_infinity_bits_in_k",
+        "no_sidecar",
         "overflow_t",
         "huge_int_n",
         "huge_int_t",
         "t_is_text",
         "k_is_scalar",
         "k_is_flat",
+        "n_past_the_sidecar",
         "negative_sweeps",
         "sweeps_below_int64",
         "true_in_gamma",
@@ -280,16 +315,25 @@ def k_with(rows=TWO_ROWS, edit=lambda text: text):
         "s_is_a_column",
     ],
 )
-def test_malformed_frame_is_a_parse_error(key, text, message):
+def test_malformed_frame_is_a_parse_error(tmp_path, monkeypatch, key, text, k, message):
     record = two_node_frame()
-    record[key] = json.loads(text)
+    if key is not None:
+        record[key] = json.loads(text)
     with pytest.raises(ParseError, match=message):
-        frame_from_dict(record, DS)
+        read_one(tmp_path, monkeypatch, record, k)
+
+
+def test_read_tangents_are_read_only(tmp_path, monkeypatch):
+    # as np.frombuffer left them: a frame read back cannot be edited in place
+    (frame,) = read_one(tmp_path, monkeypatch, two_node_frame(), K2)
+    assert frame.k.dtype == np.dtype("<f8") and not frame.k.flags.writeable
+    assert np.array_equal(frame.k, TWO_ROWS)
 
 
 def test_two_node_frame_round_trips():
     lines = written_lines([two_node_frame()])
-    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0]), DS))]) == lines
+    frame = frame_from_dict(json.loads(lines[0]), DS, rows_of)
+    assert written_lines([frame_to_dict(frame)]) == lines
 
 
 def strided(k):
@@ -302,17 +346,20 @@ def strided(k):
 @pytest.mark.parametrize(
     "layout", [lambda k: k.astype(">f8"), strided], ids=["big_endian", "non_contiguous"]
 )
-def test_k_is_written_as_its_values_whatever_its_layout(layout):
-    # the writer encodes k's values, not its memory: byte order and strides
-    # never reach the file, and the reader gives back every bit
-    frame = frame_from_dict(two_node_frame(), DS)
+def test_k_is_written_as_its_values_whatever_its_layout(tmp_path, layout):
+    # the writer writes k's values, not its memory: byte order and strides
+    # never reach the sidecar, and the reader gives back every bit
+    frame = frame_from_dict(two_node_frame(), DS, rows_of)
     k = np.array(EDGE_FLOATS[:6]).reshape(2, 3)
     other = layout(k)
     assert other.dtype.str == ">f8" or not other.flags.c_contiguous
-    (native,) = written_lines([frame_to_dict(replace(frame, k=k))])
-    assert written_lines([frame_to_dict(replace(frame, k=other))]) == [native]
-    back = frame_from_dict(json.loads(native), DS).k
-    assert np.array_equal(back.view(np.uint64), k.view(np.uint64))
+    native, laid_out = tmp_path / "native.jsonl", tmp_path / "laid_out.jsonl"
+    write_frames(str(native), [replace(frame, k=k)])
+    write_frames(str(laid_out), [replace(frame, k=other)])
+    assert sidecar(native).read_bytes() == sidecar(laid_out).read_bytes() == k_bytes(k)
+    assert laid_out.read_bytes() == native.read_bytes()
+    (back,) = read_frames(str(laid_out), DS)
+    assert np.array_equal(back.k.view(np.uint64), k.view(np.uint64))
 
 
 def value_paths(node, prefix=()):
@@ -359,8 +406,9 @@ def test_mutated_frames_are_accepted_or_rejected(data):
         elif how == "delete":
             del parent[key]
     try:
-        frame = frame_from_dict(record, DS)
+        frame = frame_from_dict(record, DS, rows_of)
     except ParseError:
         return
     lines = written_lines([frame_to_dict(frame)])
-    assert written_lines([frame_to_dict(frame_from_dict(json.loads(lines[0]), DS))]) == lines
+    back = frame_from_dict(json.loads(lines[0]), DS, rows_of)
+    assert written_lines([frame_to_dict(back)]) == lines
