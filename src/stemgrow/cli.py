@@ -17,7 +17,7 @@ from .diagnostics import audit_arrays, step_normal_rates
 from .errors import NoCandidateFeasible, ParseError, SimulationError, ValidationError
 from .obstacles import _unit
 from .reaction import assemble_constraints, density_from_multipliers, oracle_solve_reaction
-from .reaction import pushback_rates
+from .reaction import pushback_rates, rate_gaps
 from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (
@@ -149,10 +149,10 @@ def _cmd_twin(args, argv) -> int:
         **result.details,
     }
     write_jsonl(os.path.join(args.out, "certificate.json"), [cert])
+    c = result.growth_constant
     print(
-        f"twin: C={result.growth_constant:.6g} "
-        f"D0={result.details['initial_distance']:.6g} "
-        f"DT={result.details['terminal_distance']:.6g} "
+        f"twin: C={'none' if c is None else format(c, '.6g')} "
+        f"D0={result.distances[0]:.6g} DT={result.distances[-1]:.6g} "
         f"({result.base.exit_kind}/{result.perturbed.exit_kind}) -> {args.out}"
     )
     return max(EXIT_CODES[result.base.exit_kind], EXIT_CODES[result.perturbed.exit_kind])
@@ -201,9 +201,8 @@ def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None
         return None
     rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
     target = pushback_rates(c.phi, config.kappa, config.dt)
-    active = prev.mu > 0.0
-    resid = float(np.max(np.where(active, np.abs(rates - target), target - rates), initial=0.0))
-    speed = float(np.max(np.abs(rates[active]), initial=0.0))
+    resid = float(np.max(rate_gaps(rates, target, prev.mu), initial=0.0))
+    speed = float(np.max(np.abs(rates[prev.mu > 0.0]), initial=0.0))
     if resid > rate_tol * (1.0 + speed):
         return f"frame t={prev.t:.6g}: contact normal rate residual {resid:.3e}"
     return None

@@ -192,6 +192,15 @@ def pushback_rates(phi: np.ndarray, kappa: float, dt: float) -> np.ndarray:
     return kappa * np.maximum(0.0, -phi) / dt
 
 
+def rate_gaps(realized: np.ndarray, pushback: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """How far each contact row's realized normal rate misses the rule a step is accepted by.
+
+    An active row (mu > 0) must move at its pushback rate, its gap |realized - pushback|;
+    any other row no slower, its gap pushback - realized, negative when it moves faster.
+    """
+    return np.where(mu > 0.0, np.abs(realized - pushback), pushback - realized)
+
+
 def assemble_constraints(stem: Stem, contacts: ContactSet, beta: float) -> ConstraintSystem:
     """The constraint system of contacts on a stem, beta the decay rate."""
     if contacts.size == 0:

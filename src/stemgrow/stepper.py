@@ -20,15 +20,17 @@ first solve. A contact is keyed by its material node, and the tip contact by
 "tip", so that its memory follows the tip as the tip moves up one node per
 step.
 
-simulate is the only stepping loop: it seeds the state when called, and its
-iterator makes each frame as it is drawn. _record is the one place that
-decides which frames a run writes. run hands them to a sink as they are
-made, so a sink that writes each one out leaves the run holding one step's
-working set and the terminal frame, not a frame list; twin_run keeps each
-run's written frames, and of each frame its tangents, not its positions: a
-frame is a Stem too, and derives them as the state does.
-A step computes the KKT residuals of its solve only when its frame is
-written, so an unwritten contact step skips the O(m n) stationarity check.
+A step makes the frame of the state it advances from: its contacts, the
+reaction solved there and the step's scalars. It computes the KKT residuals
+of its solve only when that frame is written, so an unwritten contact step
+skips the O(m n) stationarity check. simulate is the only stepping loop: it
+seeds the state when called, and its iterator makes each frame as it is
+drawn, flagged with whether the run writes it, which the loop alone decides.
+run hands the written frames to a sink as they are made, so a sink that
+writes each one out leaves the run holding one step's working set and the
+terminal frame, not a frame list; twin_run keeps each run's written frames,
+and of each frame its tangents, not its positions: a frame is a Stem too,
+and derives them as the state does.
 """
 
 from __future__ import annotations
@@ -53,33 +55,17 @@ from .growth import psi_field
 from .obstacles import signed_distances
 from .reaction import (
     ContactSet,
-    ReactionSolution,
     assemble_constraints,
     check_kkt,
     detect_contacts,
     linear_rates,
     pushback_rates,
+    rate_gaps,
     solve_reaction,
 )
 from .trajectory import Event, Trajectory, TrajectoryFrame
 
 log = logging.getLogger("stemgrow.stepper")
-
-
-@dataclass
-class StepInfo:
-    contacts: ContactSet
-    solution: ReactionSolution | None
-    b_effective: np.ndarray | None
-    kkt: dict | None
-    realized_residual: float | None
-    # realized minus linear normal rates per contact row, as the accepted
-    # density moves the stem
-    defect: np.ndarray | None
-
-    @classmethod
-    def without_reaction(cls, contacts: ContactSet) -> "StepInfo":
-        return cls(contacts, None, None, None, None, None)
 
 
 def init_state(config: SimConfig) -> Stem:
@@ -158,79 +144,82 @@ def step(
     state: Stem,
     config: SimConfig,
     contacts: ContactSet,
+    min_phi: float | None,
     warm_start: np.ndarray | None,
     seed: np.ndarray | None,
     certify: bool,
-) -> tuple[Stem, StepInfo]:
-    """Advance one dt against the state's contacts; returns the new state and what it did.
+) -> tuple[Stem, TrajectoryFrame, np.ndarray | None]:
+    """Advance one dt against the state's contacts: the new state, state's frame, the defect.
 
-    With contacts, the linear rates must reach b0 = pushback - drive: the
-    reaction must cancel whatever inward velocity the growth law alone would
-    produce (the drive), plus expel any existing penetration at the pushback
-    rate. seed is the defect guessed for each contact row, and the first
-    solve is made on b0 - seed; a step without contacts reads neither
-    warm_start nor seed. certify says whether the step's frame is written:
-    only then are the KKT residuals of the accepted solve computed, while
-    the step's constraint system is still at hand.
+    The frame holds the contacts, min_phi and the reaction solved there. The
+    defect is each contact row's realized less its linear normal rate as the
+    accepted density moves the stem, None without contacts. With contacts, the
+    linear rates must reach b0 = pushback - drive: the reaction must cancel
+    whatever inward velocity the growth law alone would produce (the drive),
+    plus expel any existing penetration at the pushback rate. seed is the defect
+    guessed for each contact row, and the first solve is made on b0 - seed; a
+    step without contacts reads neither warm_start nor seed. certify says
+    whether the step's frame is written: only then are the KKT residuals of the
+    accepted solve computed, while the step's constraint system is still at
+    hand.
     """
     psi = psi_field(config.law, state.t, state.s, state.k)
     if contacts.size == 0:
-        new = _advance_fields(state, psi, config.dt)
-        info = StepInfo.without_reaction(contacts)
-    else:
-        system = assemble_constraints(state, contacts, config.law.beta)
-        pushback = pushback_rates(contacts.phi, config.kappa, config.dt)
-        drive = linear_rates(system, psi)
-        b0 = pushback - drive
-        b = b0 - seed
-        sol = solve_reaction(system, b, warm_start)
-        # The solve is exact for the linearized rates; the actual update
-        # rotates nodes along circular arcs, so the realized normal rates at
-        # the contacts lag the linear prediction by O(dt). Feeding that defect
-        # back into b and re-solving (warm-started) contracts the lag
-        # geometrically; iterate until the active contacts move at the
-        # demanded pushback rate and no inactive contact moves slower than
-        # it, which would drive that contact inward. The first solve starts
-        # from the seed, the defect extrapolated from the last contact steps,
-        # so a good seed saves sweeps; a bad one costs sweeps, since only the
-        # realized rates decide acceptance. Running out of sweeps first is a
-        # failure, never a silently accepted step. The linear rates of
-        # psi + omega are drive + G mu, since the Gram matrix sums the cells
-        # linear_rates does.
-        for sweep in range(config.correction_sweeps):
-            new = _advance_fields(state, psi + sol.omega, config.dt)
-            realized = step_normal_rates(
-                state.gamma,
-                new.gamma,
-                contacts.nodes,
-                contacts.normals,
-                contacts.tip,
-                config.dt,
-            )
-            defect = realized - drive - system.gram @ sol.mu
-            gap = np.where(sol.mu > 0.0, np.abs(realized - pushback), pushback - realized)
-            realized_residual = float(np.max(gap, initial=0.0))
-            if realized_residual <= config.correction_tol:
-                break
-            if sweep == config.correction_sweeps - 1:
-                raise MaxIterationsExceeded(
-                    "correction loop",
-                    realized_residual,
-                    config.correction_tol,
-                    config.correction_sweeps,
-                )
-            b = b0 - defect
-            sol = solve_reaction(system, b, sol.mu)
-        info = StepInfo(
-            contacts=contacts,
-            solution=sol,
-            b_effective=b,
-            kkt=check_kkt(system, b, sol) if certify else None,
-            realized_residual=realized_residual,
-            defect=defect,
+        frame = TrajectoryFrame(state.ds, state.k, contacts, min_phi=min_phi)
+        return _advance_fields(state, psi, config.dt), frame, None
+    system = assemble_constraints(state, contacts, config.law.beta)
+    pushback = pushback_rates(contacts.phi, config.kappa, config.dt)
+    drive = linear_rates(system, psi)
+    b0 = pushback - drive
+    b = b0 - seed
+    sol = solve_reaction(system, b, warm_start)
+    # The solve is exact for the linearized rates; the actual update rotates
+    # nodes along circular arcs, so the realized normal rates at the contacts
+    # lag the linear prediction by O(dt). Feeding that defect back into b and
+    # re-solving (warm-started) contracts the lag geometrically; iterate until
+    # the active contacts move at the demanded pushback rate and no inactive
+    # contact moves slower than it, which would drive that contact inward. The
+    # first solve starts from the seed, the defect extrapolated from the last
+    # contact steps, so a good seed saves sweeps; a bad one costs sweeps, since
+    # only the realized rates decide acceptance. Running out of sweeps first is
+    # a failure, never a silently accepted step. The linear rates of psi + omega
+    # are drive + G mu, since the Gram matrix sums the cells linear_rates does.
+    for sweep in range(config.correction_sweeps):
+        new = _advance_fields(state, psi + sol.omega, config.dt)
+        realized = step_normal_rates(
+            state.gamma,
+            new.gamma,
+            contacts.nodes,
+            contacts.normals,
+            contacts.tip,
+            config.dt,
         )
-
-    return new, info
+        defect = realized - drive - system.gram @ sol.mu
+        realized_residual = float(np.max(rate_gaps(realized, pushback, sol.mu), initial=0.0))
+        if realized_residual <= config.correction_tol:
+            break
+        if sweep == config.correction_sweeps - 1:
+            raise MaxIterationsExceeded(
+                "correction loop",
+                realized_residual,
+                config.correction_tol,
+                config.correction_sweeps,
+            )
+        b = b0 - defect
+        sol = solve_reaction(system, b, sol.mu)
+    kkt = check_kkt(system, b, sol) if certify else {}
+    frame = TrajectoryFrame(
+        state.ds, state.k, contacts,
+        b=b,
+        mu=sol.mu,
+        energy=sol.energy,
+        min_phi=min_phi,
+        kkt_complementarity=kkt.get("complementarity"),
+        kkt_stationarity=kkt.get("stationarity"),
+        realized_residual=realized_residual,
+        solver_sweeps=sol.sweeps,
+    )
+    return new, frame, defect
 
 
 # Weights that extrapolate the next defect from the last ones, newest first,
@@ -274,53 +263,31 @@ class _ContactMemory:
             seed.append(sum(w * d for w, d in zip(_EXTRAPOLATION[len(defects)], defects)))
         return np.array(warm), np.array(seed)
 
-    def remember(self, contacts: ContactSet, info: StepInfo) -> None:
+    def remember(self, frame: TrajectoryFrame, defect: np.ndarray) -> None:
+        """Keep the multipliers of frame, a contact step's, and the step's defects."""
         last = self._last
         self._last = {
             key: (mu, (d, *last[key][1][:3]) if key in last else (d,))
-            for key, mu, d in zip(
-                self._keys(contacts), info.solution.mu.tolist(), info.defect.tolist()
-            )
+            for key, mu, d in zip(self._keys(frame.contacts), frame.mu.tolist(), defect.tolist())
             if mu > 0.0
         }
 
 
-def _make_frame(state: Stem, info: StepInfo, min_phi: float | None) -> TrajectoryFrame:
-    sol = info.solution
-    kkt = info.kkt or {}
-    return TrajectoryFrame(
-        ds=state.ds,
-        k=state.k,
-        contacts=info.contacts,
-        b=info.b_effective,
-        mu=sol.mu if sol is not None else None,
-        energy=sol.energy if sol is not None else None,
-        min_phi=min_phi,
-        kkt_complementarity=kkt.get("complementarity"),
-        kkt_stationarity=kkt.get("stationarity"),
-        realized_residual=info.realized_residual,
-        solver_sweeps=sol.sweeps if sol is not None else None,
-    )
-
-
-def simulate(
-    config: SimConfig, written: Callable[[int], bool]
-) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
+def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], bool]]:
     """Step a scenario to the horizon, a rigid jam, or an integrity failure.
 
     Returns an iterator over each frame as it is made, with the events first
-    seen at it. The last item is the terminal frame, whose events end with
-    the run's exit event (HorizonReached, Breakdown or IntegrityFailure).
-    written(i) says whether frame i is written; a frame that is not carries
-    no KKT residuals. The seed is set and checked at the call, so a seed
-    error raises here; the steps run only as the frames are drawn.
+    seen at it and whether the run writes it: frame i is written when the
+    config's stride divides i, and so is the terminal frame, the last item,
+    whose events end with the run's exit event (HorizonReached, Breakdown or
+    IntegrityFailure). Only written frames carry KKT residuals. The seed is
+    set and checked at the call, so a seed error raises here; the steps run
+    only as the frames are drawn.
     """
-    return _steps(init_state(config), config, written)
+    return _steps(init_state(config), config)
 
 
-def _steps(
-    state: Stem, config: SimConfig, written: Callable[[int], bool]
-) -> Iterator[tuple[TrajectoryFrame, list[Event]]]:
+def _steps(state: Stem, config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], bool]]:
     n_total = config.n_total_cells
     prev_nodes: set[int] = set()
     no_contacts = ContactSet(
@@ -337,6 +304,7 @@ def _steps(
         t = state.t
         contacts, min_phi = no_contacts, None
         events: list[Event] = []
+        written = i % config.stride == 0
         try:
             contacts, min_phi = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
@@ -363,53 +331,41 @@ def _steps(
             warm_start = seed = None
             if contacts.size:
                 warm_start, seed = memory.start(contacts)
-            new_state, info = step(state, config, contacts, warm_start, seed, written(i))
+            new_state, frame, defect = step(
+                state, config, contacts, min_phi, warm_start, seed, written
+            )
         except SimulationError as exc:
             log.warning("integrity failure at t=%.6g: %s", t, exc)
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 
-        yield _make_frame(state, info, min_phi), events
-        if info.solution is not None:
-            memory.remember(contacts, info)
+        yield frame, events, written
+        if defect is not None:
+            memory.remember(frame, defect)
         state = new_state
 
     events.append(Event(t=state.t, kind=exit_kind, data=data))
     if min_phi is None and config.scene.obstacles:
         # detection failed on this state before it measured it
         min_phi = float(np.min(signed_distances(config.scene, state.gamma)))
-    yield _make_frame(state, StepInfo.without_reaction(contacts), min_phi), events
+    yield TrajectoryFrame(state.ds, state.k, contacts, min_phi=min_phi), events, True
 
 
-def _record(config: SimConfig, traj: Trajectory) -> Iterator[tuple[TrajectoryFrame, bool]]:
-    """Pass on each frame of simulate(config) with whether the run writes it.
+def _record(
+    made: Iterator[tuple[TrajectoryFrame, list[Event], bool]], traj: Trajectory
+) -> Iterator[tuple[TrajectoryFrame, bool]]:
+    """Pass on each frame of a simulate iterator with whether the run writes it.
 
-    A run writes each frame whose index is a multiple of the config's stride,
-    and the terminal frame, which is known only as the last one simulate
-    makes, so each frame is passed on once the next one is made. traj gets
-    every event, the counts of frames made and written, the exit kind, and
-    the terminal frame as its frames. This is the one place that decides
-    which frames a run writes, and simulate certifies those frames alone. The
-    seed is set at the call; the steps run as the frames are drawn.
+    traj gets every event, the counts of frames made and written, the exit
+    kind, and the terminal frame as its frames.
     """
-
-    def written(i: int) -> bool:
-        return i % config.stride == 0
-
-    def passed_on(made: Iterator[tuple[TrajectoryFrame, list[Event]]]):
-        for i, (frame, events) in enumerate(made):
-            if i:
-                traj.frames_written += kept
-                yield last, kept
-            last, kept = frame, written(i)
-            traj.events.extend(events)
-        traj.frames_total = i + 1
-        traj.frames_written += 1
-        traj.exit_kind = traj.events[-1].kind
-        traj.frames = [last]
-        yield last, True
-
-    return passed_on(simulate(config, written))
+    for frame, events, written in made:
+        traj.events.extend(events)
+        traj.frames_total += 1
+        traj.frames_written += written
+        yield frame, written
+    traj.exit_kind = traj.events[-1].kind
+    traj.frames = [frame]
 
 
 def run(config: SimConfig, sink: Callable[[Iterator[TrajectoryFrame]], object]) -> Trajectory:
@@ -422,7 +378,7 @@ def run(config: SimConfig, sink: Callable[[Iterator[TrajectoryFrame]], object]) 
     anything else, leaves only the terminal frame in memory.
     """
     traj = Trajectory()
-    kept = sink(frame for frame, written in _record(config, traj) if written)
+    kept = sink(frame for frame, written in _record(simulate(config), traj) if written)
     if isinstance(kept, list):
         traj.frames = kept
     return traj
@@ -445,7 +401,7 @@ class TwinResult:
     perturbed_config: SimConfig
     times: np.ndarray
     distances: np.ndarray
-    growth_constant: float
+    growth_constant: float | None
     details: dict
 
 
@@ -458,8 +414,8 @@ def twin_run(
     distance at each shared frame is the exponentially weighted norm of the
     node-wise minimal rotation field between the two tangent fields, taken as
     the two frames are made; the certificate is the smallest exponential rate
-    bounding its growth from the first frame. Each run keeps only the frames
-    its stride writes.
+    bounding its growth from the first frame, None when a run ends at its
+    first frame. Each run keeps only the frames its stride writes.
     """
     tilted = replace(
         config,
@@ -468,8 +424,8 @@ def twin_run(
     )
     base, pert = Trajectory(), Trajectory()
     base_kept, pert_kept = [], []
-    base_frames = _keeping(_record(config, base), base_kept)
-    pert_frames = _keeping(_record(tilted, pert), pert_kept)
+    base_frames = _keeping(_record(simulate(config), base), base_kept)
+    pert_frames = _keeping(_record(simulate(tilted), pert), pert_kept)
     ready()
     times, dists = [], []
     for fa, fb in zip(base_frames, pert_frames):
@@ -481,7 +437,7 @@ def twin_run(
     base.frames, pert.frames = base_kept, pert_kept
 
     times, dists = np.array(times), np.array(dists)
-    c, details = gronwall_certificate(times, dists)
+    c, details = gronwall_certificate(times, dists) if times.size > 1 else (None, {})
     details["shared_frames"] = times.size
     details["base_exit"] = base.exit_kind
     details["perturbed_exit"] = pert.exit_kind

@@ -53,18 +53,20 @@ class TrajectoryFrame(Stem):
     """One recorded step: the grown stem, its contacts and the reaction solved there.
 
     b and mu hold one entry per contact (the effective right-hand side and
-    the multipliers); they are None when no reaction was solved.
+    the multipliers). They and the solve's energy, residuals and sweep count
+    are None when no reaction was solved, and the KKT residuals also on a
+    frame that is not written.
     """
 
     contacts: ContactSet
-    b: np.ndarray | None
-    mu: np.ndarray | None
-    energy: float | None
-    min_phi: float | None
-    kkt_complementarity: float | None
-    kkt_stationarity: float | None
-    realized_residual: float | None
-    solver_sweeps: int | None
+    b: np.ndarray | None = None
+    mu: np.ndarray | None = None
+    energy: float | None = None
+    min_phi: float | None = None
+    kkt_complementarity: float | None = None
+    kkt_stationarity: float | None = None
+    realized_residual: float | None = None
+    solver_sweeps: int | None = None
 
 
 @dataclass

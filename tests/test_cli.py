@@ -913,6 +913,29 @@ def test_twin_writes_certificate_and_distances(tmp_path):
     assert (outdir / "perturbed" / "frames.jsonl").exists()
 
 
+def test_twin_whose_seed_starts_jammed_fits_no_rate(tmp_path):
+    # the seed tip sits in the contact band of a ceiling it points at head on,
+    # so both runs break down at their first frame: one shared frame, no rate
+    doc = breakdown_doc()
+    doc["scene"]["obstacles"][0]["point"] = [0.0, 0.0, 0.305]
+    doc["numerics"] = {"dt": 0.01, "t0": 0.3, "horizon": 0.6}
+    config_path = write_scenario(tmp_path / "jammed.json", doc)
+    assert invoke("run", config_path, "--out", str(tmp_path / "run")).returncode == 10
+    outdir = tmp_path / "out"
+    proc = invoke("twin", config_path, "--perturb", "tilt:0.001", "--out", str(outdir))
+    assert proc.returncode == 10, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("twin: C=none D0=")
+    cert = json.loads((outdir / "certificate.json").read_text())
+    assert cert["growth_constant"] is None
+    assert cert["shared_frames"] == 1
+    assert cert["base_exit"] == cert["perturbed_exit"] == "Breakdown"
+    assert len((outdir / "distances.jsonl").read_text().splitlines()) == 1
+    for side in ("base", "perturbed"):
+        manifest = json.loads((outdir / side / "manifest.json").read_text())
+        assert manifest["outputs"]["frames_written"] == 1
+
+
 def test_twin_manifests_replay_each_run_byte_identically(tmp_path):
     # the perturbed manifest holds the tilted seed, so replaying it gives the
     # perturbed run, not the base run again

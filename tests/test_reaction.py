@@ -26,6 +26,7 @@ from stemgrow.reaction import (
     linear_rates,
     oracle_solve_reaction,
     pushback_rates,
+    rate_gaps,
     solve_reaction,
 )
 from stemgrow import stepper
@@ -369,7 +370,7 @@ def test_gram_identity_holds_on_a_sliding_ceiling_step():
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     frame = next(
         fr
-        for fr, _ in simulate(config, lambda i: True)
+        for fr, _, _ in simulate(config)
         if fr.contacts.tip and fr.contacts.size > 1
     )
     assert frame.mu[-1] > 0.0
@@ -411,30 +412,48 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
     # for, the realized rates less the linear rates of psi + omega
     taken = []
 
-    def recorded(state, config, contacts, warm_start, seed, certify):
-        new_state, info = step(state, config, contacts, warm_start, seed, certify)
-        taken.append((state, new_state, info))
-        return new_state, info
+    def recorded(state, config, contacts, min_phi, warm_start, seed, certify):
+        out = step(state, config, contacts, min_phi, warm_start, seed, certify)
+        taken.append((state, *out))
+        return out
 
     monkeypatch.setattr(stepper, "step", recorded)
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
-    for _ in simulate(config, lambda i: True):
+    for _ in simulate(config):
         pass
     checked = 0
-    for state, new_state, info in taken:
-        if info.solution is None:
+    for state, new_state, frame, defect in taken:
+        if defect is None:
             continue
-        c = info.contacts
+        c = frame.contacts
         system = assemble_constraints(state, c, config.law.beta)
         psi = psi_field(config.law, state.t, state.s, state.k)
         realized = step_normal_rates(
             state.gamma, new_state.gamma, c.nodes, c.normals, c.tip, config.dt
         )
-        want = realized - linear_rates(system, psi + info.solution.omega)
-        scale = float(np.max(np.abs(system.gram @ info.solution.mu)))
-        assert np.max(np.abs(info.defect - want)) <= 1e-12 * scale
+        want = realized - linear_rates(system, psi + density_from_multipliers(system, frame.mu))
+        scale = float(np.max(np.abs(system.gram @ frame.mu)))
+        assert np.max(np.abs(defect - want)) <= 1e-12 * scale
         checked += 1
     assert checked == 911
+
+
+@pytest.mark.parametrize(
+    "realized, pushback, mu, gap",
+    [
+        # an active row must move at its pushback rate, from either side
+        (0.25, 0.5, 1.0, 0.25),
+        (0.75, 0.5, 1.0, 0.25),
+        # an inactive row must move no slower: short of it is a positive gap,
+        # and faster outward a negative one, which no acceptance test rejects
+        (0.25, 0.5, 0.0, 0.25),
+        (0.75, 0.5, 0.0, -0.25),
+        (0.0, 0.0, 0.0, 0.0),
+    ],
+)
+def test_rate_gaps_read_the_acceptance_rule_per_row(realized, pushback, mu, gap):
+    got = rate_gaps(np.array([realized]), np.array([pushback]), np.array([mu]))
+    assert got.tolist() == [gap]
 
 
 def test_contact_with_no_leverage_and_positive_demand_is_infeasible():

@@ -15,7 +15,6 @@ from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere, signed_distances
 from stemgrow.reaction import (
     ContactSet,
-    ReactionSolution,
     assemble_constraints,
     density_from_multipliers,
     detect_contacts,
@@ -26,7 +25,6 @@ from stemgrow.reaction import (
 )
 from stemgrow import stepper
 from stemgrow.stepper import (
-    StepInfo,
     _advance_fields,
     _ContactMemory,
     detect_breakdown,
@@ -36,7 +34,7 @@ from stemgrow.stepper import (
     step,
     twin_run,
 )
-from stemgrow.trajectory import frame_to_dict
+from stemgrow.trajectory import TrajectoryFrame, frame_to_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -61,13 +59,14 @@ def ceiling(z):
     return Scene([HalfSpace(point=np.array([0.0, 0.0, z]), outward_normal=-E3)])
 
 
-def contacts_of(state, config):
-    return detect_contacts(state, config.scene, config.eps_contact, config.eps_penetration)[0]
+def detected(state, config):
+    """The state's contacts and its least signed distance, as a run detects them."""
+    return detect_contacts(state, config.scene, config.eps_contact, config.eps_penetration)
 
 
-def cold_step(state, config, contacts):
+def cold_step(state, config, contacts, min_phi):
     """One step with no warm multipliers and a zero seed, its KKT residuals computed."""
-    return step(state, config, contacts, None, np.zeros(contacts.size), True)
+    return step(state, config, contacts, min_phi, None, np.zeros(contacts.size), True)
 
 
 def test_seed_fills_grid_with_vertical_tangents():
@@ -288,7 +287,7 @@ def test_extension_stays_bitwise_straight_through_contact():
     )
     state = init_state(config)
     for _ in range(12):
-        state, info = cold_step(state, config, contacts_of(state, config))
+        state, _, _ = cold_step(state, config, *detected(state, config))
         # the new tip node continues the rotated tip tangent exactly
         assert np.array_equal(state.k[-1], state.k[-2])
         norms = np.linalg.norm(state.k, axis=1)
@@ -301,7 +300,7 @@ def stepped(request):
     config = load_config(str(SCENARIOS / f"{request.param}.json"))
     states = [init_state(config)]
     while states[-1].n_grown < config.n_total_cells:
-        states.append(cold_step(states[-1], config, contacts_of(states[-1], config))[0])
+        states.append(cold_step(states[-1], config, *detected(states[-1], config))[0])
     return config, states
 
 
@@ -396,18 +395,18 @@ def test_defect_correction_cancels_realized_normal_rates():
     state = init_state(config)
     saw_contact = False
     for _ in range(15):
-        contacts = contacts_of(state, config)
-        new_state, info = cold_step(state, config, contacts)
-        if info.solution is not None and np.any(info.solution.mu > 0):
+        contacts, min_phi = detected(state, config)
+        new_state, frame, _ = cold_step(state, config, contacts, min_phi)
+        if frame.mu is not None and np.any(frame.mu > 0):
             saw_contact = True
             # the correction compensates the linearization defect (realized
             # minus predicted rates) rather than removing it, so the defect
             # stays finite while the realized rates land on the demanded
             # pushback
-            assert info.realized_residual <= config.correction_tol
+            assert frame.realized_residual <= config.correction_tol
             psi = psi_field(config.law, state.t, state.s, state.k)
             system = assemble_constraints(state, contacts, config.law.beta)
-            predicted = linear_rates(system, psi + info.solution.omega)
+            predicted = linear_rates(system, psi + density_from_multipliers(system, frame.mu))
             realized = step_normal_rates(
                 state.gamma,
                 new_state.gamma,
@@ -462,6 +461,8 @@ def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit
             every[i] for i in _kept_indices(total, k)
         ]
         assert kept.events == full.events
+        flags = [written for _, _, written in simulate(replace(config, stride=k))]
+        assert [i for i, written in enumerate(flags) if written] == _kept_indices(total, k)
         for fr in kept.frames:
             assert (fr.kkt_complementarity is None) == (fr.mu is None)
             assert (fr.kkt_stationarity is None) == (fr.mu is None)
@@ -470,9 +471,9 @@ def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit
 def test_only_the_frames_written_carry_kkt_residuals():
     # a step certifies its solve only when its frame is written, and a frame
     # that is not written carries no KKT residuals
-    config = load_config(str(SCENARIOS / "sphere_oblique.json"))
+    config = replace(load_config(str(SCENARIOS / "sphere_oblique.json")), stride=3)
     certified = []
-    for i, (frame, _) in enumerate(simulate(config, lambda i: i % 3 == 0)):
+    for i, (frame, _, _) in enumerate(simulate(config)):
         if frame.mu is not None:
             certified.append((i % 3 == 0, frame.kkt_complementarity is not None))
             assert (frame.kkt_stationarity is not None) == certified[-1][1]
@@ -491,22 +492,30 @@ def bits(value):
 )
 def test_frames_derive_s_t_and_gamma_as_the_state_holds_them(monkeypatch, scenario, stride):
     # a frame holds only k: its s, t and gamma are derived again, and must be
-    # the state's own, bit for bit, on every frame made
-    make_frame = stepper._make_frame
-    made = []
+    # the state's own, bit for bit, on every frame made: each step's frame is
+    # that of the state it advanced from, and the terminal frame that of the
+    # last state a step returned
+    config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
+    original = stepper.step
+    states = [init_state(config)]
 
-    def checked(state, info, min_phi):
-        frame = make_frame(state, info, min_phi)
+    def same_stem(frame, state):
         assert type(frame.t) is float
+        assert np.array_equal(bits(frame.k), bits(state.k))
         for name in ("s", "t", "gamma"):
             assert np.array_equal(bits(getattr(frame, name)), bits(getattr(state, name))), name
-        made.append(frame.n_grown)
-        return frame
 
-    monkeypatch.setattr(stepper, "_make_frame", checked)
-    config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
-    total = run(config, list).frames_total
-    assert len(made) == total
+    def checked(state, *args):
+        assert len(states) == 1 or state is states[-1]
+        new_state, frame, defect = original(state, *args)
+        same_stem(frame, state)
+        states.append(new_state)
+        return new_state, frame, defect
+
+    monkeypatch.setattr(stepper, "step", checked)
+    traj = run(config, list)
+    assert len(states) == traj.frames_total
+    same_stem(traj.frames[-1], states[-1])
 
 
 def held_bytes(obj):
@@ -542,14 +551,14 @@ def test_seed_changes_only_the_iteration_count():
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     state, memory = init_state(config), _ContactMemory()
     for _ in range(300):
-        contacts = contacts_of(state, config)
+        contacts, min_phi = detected(state, config)
         warm = seed = None
         if contacts.size:
             warm, seed = memory.start(contacts)
-        state, info = step(state, config, contacts, warm, seed, False)
-        if info.solution is not None:
-            memory.remember(contacts, info)
-    contacts = contacts_of(state, config)
+        state, frame, defect = step(state, config, contacts, min_phi, warm, seed, False)
+        if defect is not None:
+            memory.remember(frame, defect)
+    contacts, min_phi = detected(state, config)
     assert contacts.tip
     warm, carried = memory.start(contacts)
     assert carried[-1] != 0.0
@@ -562,16 +571,16 @@ def test_seed_changes_only_the_iteration_count():
         ("flipped", -carried),
     ]:
         try:
-            new_state, info = step(state, config, contacts, warm, seed, False)
+            new_state, frame, _ = step(state, config, contacts, min_phi, warm, seed, False)
         except MaxIterationsExceeded:
             continue
-        assert info.realized_residual <= config.correction_tol
+        assert frame.realized_residual <= config.correction_tol
         realized = step_normal_rates(
             state.gamma, new_state.gamma, contacts.nodes, contacts.normals, True, config.dt
         )
-        active = info.solution.mu > 0.0
+        active = frame.mu > 0.0
         assert np.all(np.abs(realized[active] - pushback[active]) <= config.correction_tol)
-        accepted[name] = (new_state, info.solution.mu)
+        accepted[name] = (new_state, frame.mu)
     assert {"carried", "zero"} <= accepted.keys()
     ref_state, ref_mu = accepted["carried"]
     for new_state, mu in accepted.values():
@@ -589,9 +598,9 @@ def touching(nodes, tip=False):
 
 
 def accepted(contacts, mu, defect):
-    """What an accepted contact step leaves for the memory: its multipliers and defects."""
-    sol = ReactionSolution(mu=np.array(mu), omega=None, energy=0.0, sweeps=0)
-    return StepInfo(contacts, sol, None, None, 0.0, np.array(defect))
+    """What an accepted contact step leaves for the memory: its frame and defects."""
+    k = np.tile(E3, (int(contacts.nodes[-1]) + 1, 1))
+    return TrajectoryFrame(0.1, k, contacts, mu=np.array(mu)), np.array(defect)
 
 
 def test_contact_memory_seeds_with_the_extrapolation_its_history_allows():
@@ -611,7 +620,7 @@ def test_contact_memory_seeds_with_the_extrapolation_its_history_allows():
         memory = _ContactMemory()
         # the oldest defect is remembered first
         for defect in d[:carried][::-1]:
-            memory.remember(contacts, accepted(contacts, [0.5], [defect]))
+            memory.remember(*accepted(contacts, [0.5], [defect]))
         warm, seed = memory.start(contacts)
         assert warm.tolist() == [0.5 if carried else 0.0]
         assert seed.view(np.uint64).tolist() == np.array([want[carried]]).view(np.uint64).tolist()
@@ -622,15 +631,15 @@ def test_contact_memory_follows_the_tip_and_drops_released_contacts():
     memory = _ContactMemory()
     # node 3 and the tip at node 10 press; node 5 is in the band but inactive
     before = touching([3, 5, 10], tip=True)
-    memory.remember(before, accepted(before, [0.25, 0.0, 0.5], [1e-3, 2e-3, 3e-3]))
-    memory.remember(before, accepted(before, [0.25, 0.0, 0.5], [4e-3, 5e-3, 6e-3]))
+    memory.remember(*accepted(before, [0.25, 0.0, 0.5], [1e-3, 2e-3, 3e-3]))
+    memory.remember(*accepted(before, [0.25, 0.0, 0.5], [4e-3, 5e-3, 6e-3]))
     # the tip has moved up to node 11; node 10 is a material node now
     after = touching([3, 5, 10, 11], tip=True)
     warm, seed = memory.start(after)
     assert warm.tolist() == [0.25, 0.0, 0.0, 0.5]
     assert seed.tolist() == [2.0 * 4e-3 - 1e-3, 0.0, 0.0, 2.0 * 6e-3 - 3e-3]
     # released with mu = 0, node 3 drops its whole history
-    memory.remember(after, accepted(after, [0.0, 0.0, 0.0, 0.5], [7e-3, 8e-3, 9e-3, 1e-2]))
+    memory.remember(*accepted(after, [0.0, 0.0, 0.0, 0.5], [7e-3, 8e-3, 9e-3, 1e-2]))
     warm, seed = memory.start(after)
     assert warm.tolist() == [0.0, 0.0, 0.0, 0.5]
     assert seed.tolist() == [0.0, 0.0, 0.0, 3.0 * 1e-2 - 3.0 * 6e-3 + 3e-3]
@@ -675,7 +684,7 @@ def test_ceiling_carries_each_contact_across_steps(
     if dt is not None:
         config = replace(config, dt=dt)
     contact_steps = 0
-    for frame, _ in simulate(config, lambda i: True):
+    for frame, _, _ in simulate(config):
         if frame.mu is not None:
             contact_steps += 1
             assert frame.realized_residual <= config.correction_tol
