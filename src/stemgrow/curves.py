@@ -6,6 +6,13 @@ grid spacing and the tangents and is the one place that derives the rest:
 the node count, the time, the arclength grid and the positions. Rotations are
 applied through the exponential map of a rotation vector (axis times angle),
 evaluated in closed form with a series branch near zero angle.
+
+The per-node kernels work on component columns, one (n,) array per axis,
+rather than broadcasting over (n, 3) rows, whose inner loops run three
+elements at a time. Lengths and cross products of components come from the
+helpers here, in numpy's own order of operations, so a kernel written on
+columns gives the bits of its row form: the cross product's order lives in
+_cross_columns alone, which cross uses too.
 """
 
 from __future__ import annotations
@@ -16,13 +23,39 @@ from functools import cached_property
 import numpy as np
 
 
-def _rot_coeffs(theta):
-    """Return (sin t / t, (1 - cos t) / t^2), series-expanded below 1e-6."""
-    t2 = theta * theta
-    small = theta < 1e-6
-    safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - t2 / 6.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+def _columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three components of x, views of its last axis."""
+    return x[..., 0], x[..., 1], x[..., 2]
+
+
+def _norm_columns(x):
+    """Euclidean length from components, bitwise equal to numpy.linalg.norm over the last axis."""
+    x0, x1, x2 = x
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def _cross_columns(a, b):
+    """Components of a x b from the components of a and of b, in numpy.cross's order."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (sin t / t, (1 - cos t) / t^2), series-expanded below 1e-6.
+
+    The closed forms are taken over the whole array and then replaced at the
+    few small angles, such as the zero rotation at the base node, where they
+    read 0 / 0.
+    """
+    with np.errstate(invalid="ignore"):
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+    small = np.flatnonzero(theta < 1e-6)
+    if small.size:
+        t2 = theta[small] * theta[small]
+        a[small] = 1.0 - t2 / 6.0
+        b[small] = 0.5 - t2 / 24.0
     return a, b
 
 
@@ -33,26 +66,35 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits match numpy.cross; skipping its axis handling makes it about twice as
     fast on the small arrays the stepper passes.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return np.stack(_cross_columns(_columns(a), _columns(b)), axis=-1)
 
 
-def rotate_vectors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the rotation exp([w_i]) to v_i for every row i; one w may rotate every row.
 
+    w and v are each one vector, shape (3,), or n rows, shape (n, 3); a single
+    w rotates every row of v and a single v is rotated by every row of w. The
+    result has the broadcast shape and is written to out when one is given.
     exp([w]) solves v' = w x v over unit time. Uses Rodrigues' formula
     R v = v + a (w x v) + b (w x (w x v)) with t = |w|, a = sin t / t and
-    b = (1 - cos t) / t^2, so zero rotation vectors need no branch. Rows
-    with identical (w, v) produce bitwise identical output.
+    b = (1 - cos t) / t^2, so zero rotation vectors need no branch. The
+    formula is evaluated one component column at a time, in the order of
+    operations of its row form, so that rows with identical (w, v) produce
+    bitwise identical output whatever their neighbours.
     """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(w, axis=-1, keepdims=True)
-    a, b = _rot_coeffs(theta)
-    wxv = cross(w, v)
-    wxwxv = cross(w, wxv)
-    return v + a * wxv + b * wxwxv
+    if out is None:
+        out = np.empty(np.broadcast_shapes(w.shape, v.shape))
+    wc = _columns(w.reshape(-1, 3))
+    vc = _columns(v.reshape(-1, 3))
+    a, b = _rot_coeffs(_norm_columns(wc))
+    wxv = _cross_columns(wc, vc)
+    wxwxv = _cross_columns(wc, wxv)
+    rows = out if out.ndim == 2 else out[None]
+    for i in range(3):
+        np.add(vc[i] + a * wxv[i], b * wxwxv[i], out=rows[:, i])
+    return out
 
 
 def integrate_tangents(k: np.ndarray, ds: float) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import cross
+from .curves import _columns, _cross_columns, _norm_columns
 from .errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
 from .obstacles import Scene, signed_distances
 
@@ -20,16 +20,18 @@ def rotation_field(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     k2 = np.asarray(k2, dtype=float)
     if k1.shape != k2.shape:
         raise GridMismatch(f"tangent fields have shapes {k1.shape} and {k2.shape}")
-    normal = cross(k1, k2)
+    normal = _cross_columns(_columns(k1), _columns(k2))
     dot = np.einsum("id,id->i", k1, k2)
     if np.any(dot <= -1.0 + 1e-9):
         raise AntipodalAmbiguity("fields contain an antipodal tangent pair")
-    sin = np.linalg.norm(normal, axis=1)
+    sin = _norm_columns(normal)
     angle = np.arctan2(sin, dot)
-    safe = np.where(sin < 1e-15, 1.0, sin)
-    axis = normal / safe[:, None]
-    w = angle[:, None] * axis
-    w[sin < 1e-15] = 0.0
+    aligned = sin < 1e-15
+    safe = np.where(aligned, 1.0, sin)
+    w = np.empty(k1.shape)
+    for i, col in enumerate(normal):
+        np.multiply(angle, col / safe, out=w[:, i])
+    w[aligned] = 0.0
     return w
 
 
@@ -90,7 +92,7 @@ def audit_arrays(
     gamma is integrated from k, so its base and its chord lengths need no check.
     """
     bad: list[str] = []
-    norms = np.linalg.norm(k, axis=1)
+    norms = _norm_columns(_columns(k))
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > UNIT_TOL:
         bad.append(f"tangent norms drift from 1 by {worst:.3e} (tol {UNIT_TOL:.1e})")

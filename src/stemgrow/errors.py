@@ -47,6 +47,10 @@ class PenetrationExceeded(SimulationError):
         )
 
 
+class NonFiniteState(SimulationError):
+    """A step produced a tangent or position that is NaN or infinite."""
+
+
 class EmptyContactSet(SimulationError):
     """Constraint assembly or solve invoked with no contacts."""
 

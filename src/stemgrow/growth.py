@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import cross
+from .curves import _columns, _cross_columns
 from .errors import AgeNegative, ValidationError
 from .obstacles import _unit
 
@@ -70,4 +70,7 @@ def psi_field(law: GrowthLaw, t: float, s: np.ndarray, k: np.ndarray) -> np.ndar
         raise AgeNegative(f"queried s > t by {-worst:.3e}")
     age = np.maximum(age, 0.0)
     coeff = law._coeff(age)
-    return coeff[:, None] * cross(k, law.unit_up)
+    psi = np.empty(k.shape)
+    for i, col in enumerate(_cross_columns(_columns(k), law.unit_up)):
+        np.multiply(coeff, col, out=psi[:, i])
+    return psi

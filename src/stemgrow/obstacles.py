@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import cross
+from .curves import _columns, _norm_columns, cross
 from .errors import DegenerateGradient, NoNearbyBoundary, ValidationError
 
 
@@ -38,7 +38,9 @@ class Sphere:
             raise ValidationError(f"sphere radius must be positive, got {self.radius}")
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x - self.center, axis=-1) - self.radius
+        c0, c1, c2 = self.center
+        x0, x1, x2 = _columns(x)
+        return _norm_columns((x0 - c0, x1 - c1, x2 - c2)) - self.radius
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
@@ -89,15 +91,19 @@ class Cylinder:
         if self.radius <= 0.0:
             raise ValidationError(f"cylinder radius must be positive, got {self.radius}")
 
-    def _radial(self, x: np.ndarray) -> np.ndarray:
+    def _radial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Components of each point's offset from the axis, perpendicular to it."""
         d = x - self.axis_point
-        return d - np.multiply.outer(d @ self.unit_axis, self.unit_axis)
+        along = d @ self.unit_axis
+        d0, d1, d2 = _columns(d)
+        u0, u1, u2 = self.unit_axis
+        return d0 - along * u0, d1 - along * u1, d2 - along * u2
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self._radial(x), axis=-1) - self.radius
+        return _norm_columns(self._radial(x)) - self.radius
 
     def normal(self, x: np.ndarray) -> np.ndarray:
-        r = self._radial(x)
+        r = np.stack(self._radial(x), axis=-1)
         n = float(np.linalg.norm(r))
         if n < 1e-12:
             raise DegenerateGradient("normal query on cylinder axis")

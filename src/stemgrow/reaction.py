@@ -154,9 +154,17 @@ class ConstraintSystem:
         exactly symmetric.
         """
         arm = self.arm_maps
-        moments = _cut_moments(self.metric_weights[:, None] * self.basis, self)
+        moments = _cut_moments(_scale_rows(self.metric_weights, self.basis), self)
         g = np.einsum("jab,lab->jl", arm @ moments, arm)
         return np.triu(g) + np.triu(g, 1).T
+
+
+def _scale_rows(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """weights_i * x_i for every row i of x, taken one column at a time."""
+    out = np.empty(x.shape)
+    for i in range(x.shape[1]):
+        np.multiply(weights, x[:, i], out=out[:, i])
+    return out
 
 
 def _cut_moments(x: np.ndarray, system: ConstraintSystem) -> np.ndarray:
@@ -230,7 +238,7 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     cuts = [0, *system.contacts.nodes.tolist()]
     for g, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         rho[a:b] = h[a:b] @ suffix[g].T
-    return system.decay[:, None] * rho
+    return _scale_rows(system.decay, rho)
 
 
 def _solve_face(g: np.ndarray, face: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -366,7 +374,7 @@ def check_kkt(system: ConstraintSystem, b: np.ndarray, sol: ReactionSolution) ->
     out = {"complementarity": comp, "stationarity": None}
     if system.contacts.size <= 64:
         rows = system.rows()
-        rebuilt = system.decay[:, None] * np.einsum("j,jid->id", sol.mu, rows)
+        rebuilt = _scale_rows(system.decay, np.einsum("j,jid->id", sol.mu, rows))
         out["stationarity"] = float(np.max(np.abs(rebuilt - sol.omega)))
     return out
 
@@ -431,7 +439,7 @@ def oracle_solve_reaction(
         raise NoCandidateFeasible(f"no active set among 2^{m} is feasible")
 
     omegas = [
-        system.decay[:, None] * np.einsum("j,jid->id", mu, rows) for mu in candidates
+        _scale_rows(system.decay, np.einsum("j,jid->id", mu, rows)) for mu in candidates
     ]
     spread = max((float(np.max(np.abs(om - omegas[0]))) for om in omegas[1:]), default=0.0)
     best = int(np.argmin([float(mu @ mu) for mu in candidates]))

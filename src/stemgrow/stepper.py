@@ -50,7 +50,7 @@ from .diagnostics import (
     step_normal_rates,
     weighted_norm,
 )
-from .errors import InitialPenetration, MaxIterationsExceeded, SimulationError
+from .errors import InitialPenetration, MaxIterationsExceeded, NonFiniteState, SimulationError
 from .growth import psi_field
 from .obstacles import signed_distances
 from .reaction import (
@@ -129,14 +129,18 @@ def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
     """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
 
     The new tip node continues the rotated tip tangent: its row is a bitwise
-    copy of the row below it.
+    copy of the row below it. A state that is not finite raises: the tip
+    position sums every cell, so it alone tells.
     """
     omega_cap = angular_displacement_profile(density, state.ds)
-    rotated = rotate_vectors(dt * omega_cap, state.k)
-    new = Stem(state.ds, np.concatenate([rotated, rotated[-1:]]))
+    k = np.empty((state.n_grown + 2, 3))
+    rotate_vectors(dt * omega_cap, state.k, out=k[:-1])
+    k[-1] = k[-2]
+    new = Stem(state.ds, k)
     # Integrated here, not at the next detection that reads it: made among the
     # step's temporaries, the positions leave a long run's heap smaller.
-    new.gamma
+    if not np.isfinite(new.gamma[-1]).all():
+        raise NonFiniteState(f"the step from t={state.t:.6g} left a non-finite tangent")
     return new
 
 

@@ -303,6 +303,25 @@ def test_correction_cap_exits_twenty(tmp_path):
     assert "after 1 sweeps" in events[-1]["data"]["error"]
 
 
+def test_non_finite_step_exits_twenty_with_finite_frames(tmp_path):
+    # a gain this large overflows the first step's rotation angles, so its
+    # tangents come out NaN; the step must fail, not be written as a frame
+    doc = json.loads((SCENARIOS / "gravitropic_ceiling.json").read_text())
+    doc["scene"]["obstacles"] = []
+    doc["law"]["gain"] = 1e200
+    doc["numerics"]["horizon"] = 1.0
+    config_path = write_scenario(tmp_path / "overflow.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 20, proc.stderr
+    assert proc.stdout.startswith("IntegrityFailure:")
+    events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
+    assert events[-1]["kind"] == "IntegrityFailure"
+    assert "non-finite" in events[-1]["data"]["error"]
+    audit = invoke("audit", str(outdir / "frames.jsonl"))
+    assert audit.returncode == 0, audit.stderr
+
+
 def test_default_contact_band_carries_the_ceiling(tmp_path):
     # the band defaults to one cell, as every bundled obstacle scenario sets
     # it: a node moves about |v| dt per step, so a band a thousandth of a cell

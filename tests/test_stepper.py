@@ -313,6 +313,22 @@ def test_extension_rows_copy_the_row_above_the_tip(stepped):
         assert np.array_equal(state.k[-1], state.k[-2])
 
 
+def test_advance_makes_k_in_the_layout_frames_k_is_written_from(stepped):
+    # write_frames writes each frame's k to the sidecar through
+    # np.ascontiguousarray(k, dtype="<f8"), which copies nothing only for a
+    # C-contiguous float64 array: a transposed k would cost a copy per frame
+    config, states = stepped
+    rng = np.random.default_rng(17)
+    for state in (states[0], states[len(states) // 2], states[-2]):
+        density = rng.normal(scale=0.5, size=(state.n_grown + 1, 3))
+        k = _advance_fields(state, density, config.dt).k
+        assert k.dtype == np.float64
+        assert k.flags.c_contiguous
+        assert k.shape == (state.n_grown + 2, 3)
+        assert np.shares_memory(np.ascontiguousarray(k, dtype="<f8"), k)
+        assert np.array_equal(k[-1].view(np.uint64), k[-2].view(np.uint64))
+
+
 def test_advance_matches_rotation_of_every_row(stepped):
     # reference: the stem padded to the horizon with copies of its tip, every
     # row rotated, the padding reusing the tip's cumulative rotation
