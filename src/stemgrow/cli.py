@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
 
@@ -22,6 +23,7 @@ from .stepper import run as run_scenario
 from .stepper import twin_run
 from .trajectory import (
     event_from_dict,
+    frame_writer,
     parse_records,
     read_frames,
     read_jsonl,
@@ -133,12 +135,14 @@ def _cmd_twin(args, argv) -> int:
         config = replace(config, stride=args.stride)  # validates the override
     angle, axis = _parse_perturbation(args.perturb)
     sides = [os.path.join(args.out, side) for side in ("base", "perturbed")]
-    result = twin_run(config, angle, axis, partial(_make_dirs, args.out, *sides))
-    for outdir, traj, side_config in zip(
-        sides, (result.base, result.perturbed), (config, result.perturbed_config)
-    ):
-        _write_frames(outdir, traj.frames)
-        _write_run(outdir, traj, side_config, argv)
+    with ExitStack() as stack:
+
+        def ready():
+            _make_dirs(args.out, *sides)
+            paths = (os.path.join(side, "frames.jsonl") for side in sides)
+            return tuple(stack.enter_context(frame_writer(path)) for path in paths)
+
+        result = twin_run(config, angle, axis, ready)
     write_jsonl(
         os.path.join(args.out, "distances.jsonl"),
         ({"t": float(t), "distance": float(d)} for t, d in zip(result.times, result.distances)),
@@ -149,6 +153,11 @@ def _cmd_twin(args, argv) -> int:
         **result.details,
     }
     write_jsonl(os.path.join(args.out, "certificate.json"), [cert])
+    # a side's manifest, written last, marks a finished twin
+    for outdir, traj, side_config in zip(
+        sides, (result.base, result.perturbed), (config, result.perturbed_config)
+    ):
+        _write_run(outdir, traj, side_config, argv)
     c = result.growth_constant
     print(
         f"twin: C={'none' if c is None else format(c, '.6g')} "

@@ -26,11 +26,11 @@ of its solve only when that frame is written, so an unwritten contact step
 skips the O(m n) stationarity check. simulate is the only stepping loop: it
 seeds the state when called, and its iterator makes each frame as it is
 drawn, flagged with whether the run writes it, which the loop alone decides.
-run hands the written frames to a sink as they are made, so a sink that
-writes each one out leaves the run holding one step's working set and the
-terminal frame, not a frame list; twin_run keeps each run's written frames,
-and of each frame its tangents, not its positions: a frame is a Stem too,
-and derives them as the state does.
+run hands the written frames to a sink as they are made, and twin_run hands
+each run's to a write function as they are made, so a caller that writes
+each one out leaves a run holding one step's working set and the terminal
+frame, not a frame list. A frame holds its tangents, not its positions: a
+frame is a Stem too, and derives them as the state does.
 """
 
 from __future__ import annotations
@@ -129,18 +129,19 @@ def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
     """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
 
     The new tip node continues the rotated tip tangent: its row is a bitwise
-    copy of the row below it. A state that is not finite raises: the tip
-    position sums every cell, so it alone tells.
+    copy of the row below it. A state that is not finite raises, with no
+    overflow warning first: the tip position sums every cell, so it alone tells.
     """
     omega_cap = angular_displacement_profile(density, state.ds)
     k = np.empty((state.n_grown + 2, 3))
-    rotate_vectors(dt * omega_cap, state.k, out=k[:-1])
-    k[-1] = k[-2]
-    new = Stem(state.ds, k)
-    # Integrated here, not at the next detection that reads it: made among the
-    # step's temporaries, the positions leave a long run's heap smaller.
-    if not np.isfinite(new.gamma[-1]).all():
-        raise NonFiniteState(f"the step from t={state.t:.6g} left a non-finite tangent")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotate_vectors(dt * omega_cap, state.k, out=k[:-1])
+        k[-1] = k[-2]
+        new = Stem(state.ds, k)
+        # Integrated here, not at the next detection that reads it: made among
+        # the step's temporaries, the positions leave a long run's heap smaller.
+        if not np.isfinite(new.gamma[-1]).all():
+            raise NonFiniteState(f"the step from t={state.t:.6g} left a non-finite tangent")
     return new
 
 
@@ -388,13 +389,11 @@ def run(config: SimConfig, sink: Callable[[Iterator[TrajectoryFrame]], object]) 
     return traj
 
 
-def _keeping(
-    frames: Iterator[tuple[TrajectoryFrame, bool]], kept: list
-) -> Iterator[TrajectoryFrame]:
-    """Each frame of a _record stream, appending the written ones to kept first."""
+def _writing(frames: Iterator[tuple[TrajectoryFrame, bool]], write: Callable) -> Iterator:
+    """Each frame of a _record stream, handing the written ones to write first."""
     for frame, written in frames:
         if written:
-            kept.append(frame)
+            write(frame)
         yield frame
 
 
@@ -410,16 +409,19 @@ class TwinResult:
 
 
 def twin_run(
-    config: SimConfig, angle: float, axis: np.ndarray, ready: Callable[[], object]
+    config: SimConfig, angle: float, axis: np.ndarray, ready: Callable[[], tuple]
 ) -> TwinResult:
     """Run a scenario and a seed-tilted twin in lockstep; track their weighted distance.
 
-    ready is called once both seeds are set, before the first step. The
+    ready is called once both seeds are set, before the first step, and
+    returns the base and the tilted run's write functions; each is handed its
+    run's written frames as they are made, so lambda: (a.append, b.append)
+    keeps them in lists a and b. The
     distance at each shared frame is the exponentially weighted norm of the
     node-wise minimal rotation field between the two tangent fields, taken as
     the two frames are made; the certificate is the smallest exponential rate
     bounding its growth from the first frame, None when a run ends at its
-    first frame. Each run keeps only the frames its stride writes.
+    first frame. Each run's trajectory holds only its terminal frame.
     """
     tilted = replace(
         config,
@@ -427,10 +429,10 @@ def twin_run(
         label=config.label + "+tilt" if config.label else "tilt",
     )
     base, pert = Trajectory(), Trajectory()
-    base_kept, pert_kept = [], []
-    base_frames = _keeping(_record(simulate(config), base), base_kept)
-    pert_frames = _keeping(_record(simulate(tilted), pert), pert_kept)
-    ready()
+    base_made, pert_made = simulate(config), simulate(tilted)
+    write_base, write_pert = ready()
+    base_frames = _writing(_record(base_made, base), write_base)
+    pert_frames = _writing(_record(pert_made, pert), write_pert)
     times, dists = [], []
     for fa, fb in zip(base_frames, pert_frames):
         times.append(fa.t)
@@ -438,7 +440,6 @@ def twin_run(
     # the run that outlasts the other goes on alone to its own end
     for _ in chain(base_frames, pert_frames):
         pass
-    base.frames, pert.frames = base_kept, pert_kept
 
     times, dists = np.array(times), np.array(dists)
     c, details = gronwall_certificate(times, dists) if times.size > 1 else (None, {})

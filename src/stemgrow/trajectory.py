@@ -18,8 +18,8 @@ little-endian float64 values, three a row. Frame i's rows are the
 offsets, and its bits pass through unchanged on any host. Every other number
 is JSON text.
 The readers parse a file one record at a time, so a reader holds one frame,
-not the file, and the writers serialize each record as it is drawn, so
-frames made as they are drawn reach the files one at a time.
+not the file, and frames reach a file only through frame_writer, which
+serializes each frame as it is handed over.
 orjson writes NaN and +-inf as null. No record holds one: a NaN residual
 fails the correction loop and the twin's distances are checked to be
 positive. The reader rejects a null inside every array, a non-finite k, a
@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -78,7 +79,7 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """A run's frames kept in memory and all its events.
+    """A run's events and its terminal frame, or every written frame when the run keeps them.
 
     frames_total counts every frame made, frames_written those the run writes.
     """
@@ -104,7 +105,7 @@ _FRAME_KEYS = ("n", "contacts", *_SCALARS)
 
 
 def frame_to_dict(fr: TrajectoryFrame) -> dict:
-    """fr's record, less its tangents k, which write_frames puts in the sidecar."""
+    """fr's record, less its tangents k, which frame_writer puts in the sidecar."""
     c = fr.contacts
     contacts = [
         {
@@ -241,19 +242,18 @@ def _as_list(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_jsonl(path: str, records) -> int:
-    """One record per line, written by orjson as each is drawn; returns how many.
-
-    orjson is imported only when a file is written.
-    """
+def _line(record) -> bytes:
+    """record as one line of JSON text, written by orjson, imported only when a file is written."""
     import orjson
 
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    count = 0
+    return orjson.dumps(record, option=option, default=_as_list)
+
+
+def write_jsonl(path: str, records) -> None:
+    """One record per line, each serialized as it is drawn."""
     with open(path, "wb") as fh:
-        for count, rec in enumerate(records, 1):
-            fh.write(orjson.dumps(rec, option=option, default=_as_list))
-    return count
+        fh.writelines(map(_line, records))
 
 
 def tangents_path(path: str) -> str:
@@ -261,20 +261,30 @@ def tangents_path(path: str) -> str:
     return os.path.splitext(path)[0] + ".k"
 
 
-def write_frames(path: str, frames) -> int:
-    """Write each frame of an iterable as it is drawn, k to the sidecar; returns how many.
+@contextmanager
+def frame_writer(path: str):
+    """Open the frames file at path and its sidecar; yield write(frame), which appends a frame.
 
-    A frame is serialized before the next one is drawn, so frames made as
-    they are drawn, as a run's are, pass through one at a time.
+    write serializes the frame it is handed at once, its k to the sidecar and
+    its record to path, so a caller that hands over each frame as it is made
+    holds none of them.
     """
-    with open(tangents_path(path), "wb") as fh:
+    with open(tangents_path(path), "wb") as k_fh, open(path, "wb") as fh:
 
-        def records():
-            for fr in frames:
-                fh.write(np.ascontiguousarray(fr.k, dtype="<f8"))
-                yield frame_to_dict(fr)
+        def write(fr: TrajectoryFrame) -> None:
+            k_fh.write(np.ascontiguousarray(fr.k, dtype="<f8"))
+            fh.write(_line(frame_to_dict(fr)))
 
-        return write_jsonl(path, records())
+        yield write
+
+
+def write_frames(path: str, frames) -> int:
+    """Write each frame of an iterable through frame_writer as it is drawn; returns how many."""
+    count = 0
+    with frame_writer(path) as write:
+        for count, fr in enumerate(frames, 1):
+            write(fr)
+    return count
 
 
 def write_events(path: str, events: list) -> None:

@@ -1,5 +1,6 @@
 """Shared helpers: random constraint systems, a bare frame record and its
-tangents, the lines the writer writes and the command-line runner."""
+tangents, a twin that writes nothing, the lines the writer writes and the
+command-line runner."""
 
 import json
 import os
@@ -89,6 +90,11 @@ def bare_frame(**fields):
     }
     frame.update(fields)
     return (json.dumps(frame) + "\n").encode()
+
+
+def unwritten():
+    """A twin_run ready that drops the frames each run writes."""
+    return (lambda frame: None,) * 2
 
 
 def written_lines(records):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import STEMGROW, random_constraint_system, stemgrow_env
+from conftest import STEMGROW, random_constraint_system, stemgrow_env, unwritten
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.growth import GrowthLaw
@@ -263,7 +263,7 @@ def test_criterion_08_continuous_dependence_twins():
         ("free", Scene([])),
         ("sphere", Scene([Sphere(center=np.array([0.7875, 0.0, 0.5822]), radius=0.3)])),
     ):
-        result = twin_run(config(scene), delta, np.array([0.0, 1.0, 0.0]), lambda: None)
+        result = twin_run(config(scene), delta, np.array([0.0, 1.0, 0.0]), unwritten)
         touched = any(e.kind == "ContactOnset" for e in result.base.events) and any(
             e.kind == "ContactOnset" for e in result.perturbed.events
         )

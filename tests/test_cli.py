@@ -318,6 +318,8 @@ def test_non_finite_step_exits_twenty_with_finite_frames(tmp_path):
     events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
     assert events[-1]["kind"] == "IntegrityFailure"
     assert "non-finite" in events[-1]["data"]["error"]
+    # the overflow is reported by the IntegrityFailure alone, not by numpy
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     audit = invoke("audit", str(outdir / "frames.jsonl"))
     assert audit.returncode == 0, audit.stderr
 
@@ -430,18 +432,21 @@ def test_seed_in_an_obstacle_exits_two_before_the_output_directory(tmp_path, com
     assert not outdir.exists()
 
 
-def test_run_memory_is_flat_in_the_step_count(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "twin"])
+def test_run_memory_is_flat_in_the_step_count(tmp_path, capsys, command):
     # the ceiling at N = 250, 500 and 1000 steps (dt = 2.5 / N to t = 2.7), every
     # frame written: a run that kept its frames would hold about 12 MiB more
-    # tangents at N = 1000 than at N = 250; a run that streams them holds a
-    # step's working set, which grows only with the stem
+    # tangents at N = 1000 than at N = 250, and a twin twice that; one that
+    # streams them holds a step's working set, which grows only with the stem
     doc = json.loads((SCENARIOS / "gravitropic_ceiling.json").read_text())
+    perturb = ["--perturb", "tilt:0.01"] if command == "twin" else []
     peaks = {}
     for n_steps in (250, 500, 1000):
         dt = 2.5 / n_steps
         doc["numerics"].update(dt=dt, horizon=2.7, eps_contact=dt, eps_penetration=0.05 * dt)
         config_path = write_scenario(tmp_path / f"ceiling_{n_steps}.json", doc)
-        argv = ["run", config_path, "--stride", "1", "--out", str(tmp_path / str(n_steps))]
+        outdir = str(tmp_path / str(n_steps))
+        argv = [command, config_path, *perturb, "--stride", "1", "--out", outdir]
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0
@@ -953,6 +958,29 @@ def test_twin_whose_seed_starts_jammed_fits_no_rate(tmp_path):
     for side in ("base", "perturbed"):
         manifest = json.loads((outdir / side / "manifest.json").read_text())
         assert manifest["outputs"]["frames_written"] == 1
+
+
+def test_twin_writes_every_other_output_before_a_manifest(tmp_path, monkeypatch, capsys):
+    # a side's manifest marks a finished twin: both frames files and their
+    # sidecars, the distances and the certificate are on disk before it
+    config_path = write_scenario(tmp_path / "twin.json", straight_doc())
+    outdir = tmp_path / "out"
+    present = []
+    write_manifest = cli.write_manifest
+
+    def recording(path, *args):
+        present.append(sorted(str(p.relative_to(outdir)) for p in outdir.rglob("*.*")))
+        return write_manifest(path, *args)
+
+    monkeypatch.setattr(cli, "write_manifest", recording)
+    assert cli.main(["twin", config_path, "--perturb", "tilt:0.05", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    assert len(present) == 2
+    outputs = ["certificate.json", "distances.jsonl"]
+    for side in ("base", "perturbed"):
+        outputs += [f"{side}/frames.jsonl", f"{side}/frames.k"]
+    for files in present:
+        assert set(outputs) <= set(files), files
 
 
 def test_twin_manifests_replay_each_run_byte_identically(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import written_lines
+from conftest import unwritten, written_lines
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
@@ -542,8 +542,15 @@ def test_kept_frames_hold_only_their_tangents_and_reaction():
     ceiling = replace(load_config(str(SCENARIOS / "gravitropic_ceiling.json")), stride=20)
     ceiling_run = run(ceiling, list)
     twin_config = load_config(str(SCENARIOS / "twin_tilt.json"))
-    twin = twin_run(twin_config, 0.05, np.array([0.0, 1.0, 0.0]), lambda: None)
-    frames = ceiling_run.frames + twin.base.frames + twin.perturbed.frames
+    base, perturbed = [], []
+    twin = twin_run(
+        twin_config, 0.05, np.array([0.0, 1.0, 0.0]), lambda: (base.append, perturbed.append)
+    )
+    # the twin hands its written frames out and keeps only the terminal one
+    assert len(twin.base.frames) == len(twin.perturbed.frames) == 1
+    assert twin.base.frames[0] is base[-1] and twin.perturbed.frames[0] is perturbed[-1]
+    assert len(base) == twin.base.frames_written and len(perturbed) == twin.perturbed.frames_written
+    frames = ceiling_run.frames + base + perturbed
     assert any(fr.mu is not None for fr in frames)
     for fr in frames:
         assert "s" not in vars(fr) and "gamma" not in vars(fr)
@@ -781,7 +788,7 @@ def test_twin_distance_depends_continuously_on_the_tilt(scenario, horizon):
 
     def twin(tilt, dt):
         refined = replace(config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt)
-        result = twin_run(refined, tilt, axis, lambda: None)
+        result = twin_run(refined, tilt, axis, unwritten)
         assert result.base.exit_kind == result.perturbed.exit_kind == "HorizonReached"
         assert "ContactOnset" in [e.kind for e in result.base.events]
         return result.growth_constant, result.details["terminal_distance"]
