@@ -162,8 +162,12 @@ def signed_distances(scene: Scene, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if not scene.obstacles:
         return np.full(points.shape[:-1], np.inf)
-    per = np.stack([ob.distances(points) for ob in scene.obstacles], axis=0)
-    return np.min(per, axis=0)
+    first, *rest = scene.obstacles
+    phi = first.distances(points)
+    # the pairwise minimum in obstacle order, as the minimum over stacked distances takes it
+    for ob in rest:
+        phi = np.minimum(phi, ob.distances(points))
+    return phi
 
 
 def outer_normal(scene: Scene, x: np.ndarray, band_width: float) -> np.ndarray:
@@ -175,7 +179,7 @@ def outer_normal(scene: Scene, x: np.ndarray, band_width: float) -> np.ndarray:
     if not scene.obstacles:
         raise NoNearbyBoundary("scene has no obstacles")
     dists = [float(ob.distances(x[None, :])[0]) for ob in scene.obstacles]
-    best = int(np.argmin(dists))
+    best = min(range(len(dists)), key=dists.__getitem__)
     if abs(dists[best]) > band_width:
         raise NoNearbyBoundary(
             f"nearest surface is {dists[best]:.3e} away, band is {band_width:.3e}"

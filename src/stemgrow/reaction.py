@@ -22,6 +22,13 @@ cross-check for small contact counts.
 A system is built on a curves.Stem, the stepper's state or a frame read back,
 and only by assemble_constraints, so the step and oracle-check solve on the
 same bits.
+
+The contact kernels are written, as the per-node ones in curves are, on
+component columns and into preallocated outputs, in the order of operations
+of their row forms. einsum and matmul sum in the memory order of their
+operands, so an operand's memory layout is part of its bits: the arm maps,
+and the suffix sums the density is made from, are the transposed view of a
+C-ordered (m, 4, 3) array, the layout the bundled runs' frames were made with.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import Stem, cross
+from .curves import Stem, _columns, _cross_columns
 from .errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -41,6 +48,8 @@ from .errors import (
     TooManyContacts,
 )
 from .obstacles import Scene, outer_normal, signed_distances
+
+_IDENTITY = np.eye(3)
 
 
 @dataclass
@@ -71,15 +80,14 @@ def detect_contacts(
     """
     gamma = stem.gamma
     phi = signed_distances(scene, gamma)
-    worst = int(np.argmin(phi)) if phi.size else 0
+    worst = int(phi.argmin()) if phi.size else 0
     if phi.size and phi[worst] < -eps_penetration:
         raise PenetrationExceeded(worst, float(-phi[worst]), eps_penetration)
-    mask = phi <= eps_contact
-    nodes = np.nonzero(mask)[0]
+    nodes = (phi <= eps_contact).nonzero()[0]
     band = max(10.0 * eps_contact, 2.0 * eps_penetration)
-    normals = np.array(
-        [outer_normal(scene, gamma[v], band_width=band) for v in nodes]
-    ).reshape(nodes.size, 3)
+    normals = np.empty((nodes.size, 3))
+    for i, v in enumerate(nodes.tolist()):
+        normals[i] = outer_normal(scene, gamma[v], band_width=band)
     contacts = ContactSet(
         nodes=nodes,
         normals=normals,
@@ -128,21 +136,43 @@ class ConstraintSystem:
     def basis(self) -> np.ndarray:
         """h_i = [1, gamma_i] at every node."""
         gamma = self.stem.gamma
-        return np.concatenate([np.ones((len(gamma), 1)), gamma], axis=1)
+        h = np.empty((len(gamma), 4))
+        h[:, 0] = 1.0
+        for i, col in enumerate(_columns(gamma), 1):
+            h[:, i] = col
+        return h
 
     @cached_property
     def arm_maps(self) -> np.ndarray:
-        """M_j = [gamma_j x n_j | n_j x e_0 | n_j x e_1 | n_j x e_2] for every contact row j."""
-        nrm = self.contacts.normals
-        lever = cross(self.stem.gamma[self.contacts.nodes], nrm)[:, :, None]
-        return np.concatenate([lever, cross(nrm[:, None], np.eye(3)).transpose(0, 2, 1)], axis=2)
+        """M_j = [gamma_j x n_j | n_j x e_0 | n_j x e_1 | n_j x e_2] for every contact row j.
+
+        Column c of M_j is row c of a C-ordered (m, 4, 3) array, the layout
+        einsum and matmul read the maps in (see the module docstring).
+        """
+        nrm = _columns(self.contacts.normals)
+        cols = np.empty((self.contacts.size, 4, 3))
+        lever, skew = cols[:, 0], cols[:, 1:]
+        _cross_columns(_columns(self.stem.gamma[self.contacts.nodes]), nrm, out=_columns(lever))
+        # n_j x e_c for every column c: the components of n_j against those of the identity's rows
+        _cross_columns([x[:, None] for x in nrm], _columns(_IDENTITY), out=_columns(skew))
+        return cols.transpose(0, 2, 1)
 
     def rows(self) -> np.ndarray:
-        """Materialize a_j(sigma_i) for every contact row j and node i."""
+        """Materialize a_j(sigma_i) for every contact row j and node i.
+
+        Each row's arm fields are taken up to the highest contact node and
+        then cut to zero at and above its own.
+        """
         gamma = self.stem.gamma
-        out = np.zeros((self.contacts.size, len(gamma), 3))
-        for j, (v, nrm) in enumerate(zip(self.contacts.nodes.tolist(), self.contacts.normals)):
-            out[j, :v] = cross(gamma[v] - gamma[:v], nrm)
+        nodes = self.contacts.nodes.tolist()
+        top = max(nodes, default=0)
+        out = np.empty((len(nodes), len(gamma), 3))
+        out[:, top:] = 0.0
+        offsets = [p[:, None] - q for p, q in zip(_columns(gamma[nodes]), _columns(gamma[:top]))]
+        nrm = _columns(self.contacts.normals[:, None])
+        _cross_columns(offsets, nrm, out=_columns(out[:, :top]))
+        for j, v in enumerate(nodes):
+            out[j, v:top] = 0.0
         return out
 
     @cached_property
@@ -151,17 +181,21 @@ class ConstraintSystem:
 
         S_j = sum_{i < node_j} w_i h_i h_i^T, w_i = ds e^{-beta(t-s_i)}, so
         assembly is O(n + m^2). The upper triangle is mirrored, which makes G
-        exactly symmetric.
+        exactly symmetric, and 0.0 is added to every entry, as a sum of the
+        two triangles adds it: a -0.0 entry comes out +0.0.
         """
         arm = self.arm_maps
         moments = _cut_moments(_scale_rows(self.metric_weights, self.basis), self)
         g = np.einsum("jab,lab->jl", arm @ moments, arm)
-        return np.triu(g) + np.triu(g, 1).T
+        for j in range(1, len(g)):
+            g[j, :j] = g[:j, j]
+        return np.add(g, 0.0, out=g)
 
 
-def _scale_rows(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """weights_i * x_i for every row i of x, taken one column at a time."""
-    out = np.empty(x.shape)
+def _scale_rows(weights: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """weights_i * x_i for every row i of x, taken one column at a time, into out if given."""
+    if out is None:
+        out = np.empty(x.shape)
     for i in range(x.shape[1]):
         np.multiply(weights, x[:, i], out=out[:, i])
     return out
@@ -170,13 +204,18 @@ def _scale_rows(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _cut_moments(x: np.ndarray, system: ConstraintSystem) -> np.ndarray:
     """sum_{i < node_j} x_i h_i^T at every contact row j, shape (m, d, 4).
 
-    One product per gap between consecutive (sorted) contact nodes, then a
-    cumulative sum over the gaps.
+    One product per gap between consecutive (sorted) contact nodes, each
+    added to the sum below it in place.
     """
     h = system.basis
-    cuts = [0, *system.contacts.nodes.tolist()]
-    gaps = [x[a:b].T @ h[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    return np.cumsum(gaps, axis=0)
+    out = np.empty((system.contacts.size, x.shape[1], 4))
+    a = 0
+    for g, b in enumerate(system.contacts.nodes.tolist()):
+        np.matmul(x[a:b].T, h[a:b], out=out[g])
+        if g:
+            np.add(out[g - 1], out[g], out=out[g])
+        a = b
+    return out
 
 
 def linear_rates(system: ConstraintSystem, density: np.ndarray) -> np.ndarray:
@@ -233,36 +272,43 @@ def density_from_multipliers(system: ConstraintSystem, mu: np.ndarray) -> np.nda
     contact it is zero.
     """
     h = system.basis
-    suffix = np.cumsum((mu[:, None, None] * system.arm_maps)[::-1], axis=0)[::-1]
-    rho = np.zeros((len(h), 3))
-    cuts = [0, *system.contacts.nodes.tolist()]
-    for g, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        rho[a:b] = h[a:b] @ suffix[g].T
-    return _scale_rows(system.decay, rho)
+    arm = system.arm_maps
+    # laid out as the arm maps, so that each suffix[g].T is C-ordered
+    suffix = np.empty_like(arm)
+    np.multiply(mu[:, None, None], arm, out=suffix)
+    for g in range(len(suffix) - 2, -1, -1):
+        np.add(suffix[g + 1], suffix[g], out=suffix[g])
+    rho = np.empty((len(h), 3))
+    a = 0
+    for g, b in enumerate(system.contacts.nodes.tolist()):
+        np.matmul(h[a:b], suffix[g].T, out=rho[a:b])
+        a = b
+    rho[a:] = 0.0
+    return _scale_rows(system.decay, rho, out=rho)
 
 
-def _solve_face(g: np.ndarray, face: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """G_FF^{-1} rhs for a face F given as one or more row indices.
+def _solve_face(g: np.ndarray, face: list[int], rhs: np.ndarray) -> np.ndarray:
+    """G_FF^{-1} rhs for a face F given as one or more ascending row indices.
 
     A one-row face is a single divide: its row is never dead, so the diagonal
     is positive, and the quotient equals LAPACK's bit for bit.
     """
-    if face.size == 1:
+    if len(face) == 1:
         return rhs / g[face[0], face[0]]
-    return np.linalg.solve(g[face[:, None], face], rhs)
+    idx = np.array(face)
+    return np.linalg.solve(g[idx[:, None], idx], rhs)
 
 
-def _face_step(g: np.ndarray, face: np.ndarray, j: int) -> tuple[np.ndarray, float]:
+def _face_step(g: np.ndarray, face: list[int], j: int) -> tuple[np.ndarray, float]:
     """Direction d with d_j = 1 that keeps G d zero on the face, and d^T G d.
 
     d_F = -G_FF^{-1} G_Fj. The curvature d^T G d is the Schur complement of
     the face in the face plus row j: zero exactly when row j depends on it.
     """
-    d = np.zeros(g.shape[0])
+    d = np.zeros(len(g))
     d[j] = 1.0
-    idx = face.nonzero()[0]
-    if idx.size:
-        d[idx] = -_solve_face(g, idx, g[idx, j])
+    if face:
+        d[face] = -_solve_face(g, face, g[face, j])
     return d, float(g[j] @ d)
 
 
@@ -280,6 +326,10 @@ def solve_reaction(
     positive velocity, when a row that depends on the face makes the dual
     unbounded (no reaction meets the constraints), or when round-off leaves
     the face rows unsolved; MaxIterationsExceeded past the iteration bound.
+
+    The arithmetic on multipliers and slacks is numpy's; the face is a list
+    of ascending rows, and the choices between rows are made on Python
+    floats, which compare as numpy's do.
     """
     m = system.contacts.size
     if m == 0:
@@ -287,21 +337,22 @@ def solve_reaction(
     g = system.gram
     diag = g.diagonal()
     bscale = 1.0 + float(np.abs(b).max())
-    dead = diag <= 1e-20 * max(1.0, float(diag.max()))
-    if (dead & (b > 1e-12 * bscale)).any():
-        j = int((dead & (b > 1e-12 * bscale)).nonzero()[0][0])
-        raise InfeasibleReaction(
-            f"contact row {j} (node {int(system.contacts.nodes[j])}) has no "
-            f"leverage but demands rate {b[j]:.3e}"
-        )
+    dead = (diag <= 1e-20 * max(1.0, float(diag.max()))).tolist()
+    diag = diag.tolist()
+    for j, (is_dead, demand) in enumerate(zip(dead, b.tolist())):
+        if is_dead and demand > 1e-12 * bscale:
+            raise InfeasibleReaction(
+                f"contact row {j} (node {int(system.contacts.nodes[j])}) has no "
+                f"leverage but demands rate {demand:.3e}"
+            )
 
     mu = np.zeros(m)
-    face = np.zeros(m, dtype=bool)
+    face: list[int] = []
     if warm_start is not None and warm_start.shape == (m,):
-        for j in ((warm_start > 0.0) & ~dead).nonzero()[0]:
-            if _face_step(g, face, j)[1] > 1e-12 * diag[j]:
-                face[j] = True
-                mu[j] = warm_start[j]
+        for j, warm in enumerate(warm_start.tolist()):
+            if warm > 0.0 and not dead[j] and _face_step(g, face, j)[1] > 1e-12 * diag[j]:
+                face.append(j)
+                mu[j] = warm
     tol = 1e-10 * bscale
     # Every add lowers the energy, so no face repeats. Lawson and Hanson bound
     # NNLS at 3m iterations; the warm face may cost up to m drops more.
@@ -309,26 +360,28 @@ def solve_reaction(
     steps = 0
     while True:
         z = np.zeros(m)
-        idx = face.nonzero()[0]
-        if idx.size:
-            z[idx] = _solve_face(g, idx, b[idx])
+        if face:
+            z[face] = _solve_face(g, face, b[face])
         p = None
-        if not (z[idx] > 0.0).all():
+        if not all(z[j] > 0.0 for j in face):
             p = z - mu
         else:
             mu = z
-            slack = g @ mu - b
-            open_rows = ~face & ~dead & (slack < -tol)
-            if not open_rows.any():
+            rates = g @ mu
+            slack = (rates - b).tolist()
+            open_rows = [
+                j for j in range(m) if slack[j] < -tol and not dead[j] and j not in face
+            ]
+            if not open_rows:
                 break
-            j = int(np.argmin(np.where(open_rows, slack, np.inf)))
+            j = min(open_rows, key=slack.__getitem__)
             d, curvature = _face_step(g, face, j)
-            face[j] = True
+            face = sorted([*face, j])
             if curvature <= 1e-12 * diag[j]:
                 # Row j depends on the face: the energy falls linearly along d.
                 # Weights below round-off, relative to row j, count as zero.
                 d[np.abs(d) * np.sqrt(diag) <= 1e-6 * np.sqrt(diag[j])] = 0.0
-                if not np.any(face & (d < 0.0)):
+                if not (d[face] < 0.0).any():
                     raise InfeasibleReaction(
                         f"contact row {j} (node {int(system.contacts.nodes[j])}) "
                         "depends on the active rows, and no reaction meets them all"
@@ -341,15 +394,16 @@ def solve_reaction(
         if p is not None:
             # Move along p, towards the face minimizer or along d, until a
             # face multiplier reaches zero, and drop its row.
-            shrink = face & (p < 0.0)
-            ratios = mu[shrink] / -p[shrink]
-            mu = mu + float(ratios.min()) * p
-            mu[np.nonzero(shrink)[0][np.argmin(ratios)]] = 0.0
-            face &= mu > 0.0
-            mu[~face] = 0.0
+            shrink = [i for i in face if p[i] < 0.0]
+            ratios = (mu[shrink] / -p[shrink]).tolist()
+            length = min(ratios)
+            mu = mu + length * p
+            mu[shrink[ratios.index(length)]] = 0.0
+            face = [i for i in face if mu[i] > 0.0]
+            mu[[i for i in range(m) if i not in face]] = 0.0
 
     # Round-off on a face too close to dependent leaves its rows unsolved.
-    resid = float(np.abs(slack[face]).max(initial=0.0))
+    resid = max([abs(slack[i]) for i in face], default=0.0)
     if resid > tol:
         raise InfeasibleReaction(
             f"active contact rows are too close to dependent: face residual {resid:.3e}"
@@ -357,7 +411,7 @@ def solve_reaction(
     return ReactionSolution(
         mu=mu,
         omega=density_from_multipliers(system, mu),
-        energy=0.5 * float(mu @ (g @ mu)),
+        energy=0.5 * float(mu @ rates),
         sweeps=steps,
     )
 
@@ -407,49 +461,53 @@ def oracle_solve_reaction(
         raise TooManyContacts(f"{m} contacts exceed the enumeration limit {max_contacts}")
 
     rows = system.rows()
+    weighted = np.empty(rows.shape)
     w = system.metric_weights
-    flat = rows.reshape(m, -1)
-    g = (rows * w[None, :, None]).reshape(m, -1) @ flat.T
+    for i, col in enumerate(_columns(rows)):
+        np.multiply(col, w, out=weighted[..., i])
+    g = weighted.reshape(m, -1) @ rows.reshape(m, -1).T
     g = 0.5 * (g + g.T)
-    feas_tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
+    feas_tol = 1e-8 * (1.0 + float(np.abs(b).max()))
 
     candidates = []
     singular = False
     for mask in range(1 << m):
-        act = [j for j in range(m) if mask >> j & 1]
         mu = np.zeros(m)
-        if act:
-            sub = g[np.ix_(act, act)]
+        if mask:
+            act = np.array([j for j in range(m) if mask >> j & 1])
+            sub = g[act[:, None], act]
+            rhs = b[act]
             try:
-                mu_a = np.linalg.solve(sub, b[act])
+                mu_a = np.linalg.solve(sub, rhs)
             except np.linalg.LinAlgError:
-                mu_a, *_ = np.linalg.lstsq(sub, b[act], rcond=None)
-                if np.max(np.abs(sub @ mu_a - b[act])) > feas_tol:
+                mu_a, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+                if np.abs(sub @ mu_a - rhs).max() > feas_tol:
                     continue
                 singular = True
-            if np.min(mu_a) < -1e-10 * (1.0 + float(np.max(np.abs(mu_a)))):
+            if mu_a.min() < -1e-10 * (1.0 + float(np.abs(mu_a).max())):
                 continue
             mu[act] = np.maximum(mu_a, 0.0)
             if np.linalg.cond(sub) > 1e10:
                 singular = True
-        if np.min(g @ mu - b) < -feas_tol:
+        if (g @ mu - b).min() < -feas_tol:
             continue
         candidates.append(mu)
     if not candidates:
         raise NoCandidateFeasible(f"no active set among 2^{m} is feasible")
 
-    omegas = [
-        _scale_rows(system.decay, np.einsum("j,jid->id", mu, rows)) for mu in candidates
-    ]
-    spread = max((float(np.max(np.abs(om - omegas[0]))) for om in omegas[1:]), default=0.0)
+    omegas = []
+    for mu in candidates:
+        omega = np.einsum("j,jid->id", mu, rows)
+        omegas.append(_scale_rows(system.decay, omega, out=omega))
+    spread = max((float(np.abs(om - omegas[0]).max()) for om in omegas[1:]), default=0.0)
     best = int(np.argmin([float(mu @ mu) for mu in candidates]))
     mu = candidates[best]
-    positive = mu[mu > 0.0]
-    tiny = positive.size > 0 and positive.min() < 1e-8 * (1.0 + positive.max())
+    positive = [x for x in mu.tolist() if x > 0.0]
+    tiny = bool(positive) and min(positive) < 1e-8 * (1.0 + max(positive))
     reasons = {
         "near-singular or ill-conditioned face": singular,
-        "several supports": len({tuple(np.nonzero(c > 0)[0]) for c in candidates}) > 1,
-        "candidate densities disagree": spread > 1e-7 * (1.0 + np.max(np.abs(omegas[0]))),
+        "several supports": len({tuple((c > 0).tolist()) for c in candidates}) > 1,
+        "candidate densities disagree": spread > 1e-7 * (1.0 + np.abs(omegas[0]).max()),
         "tiny multiplier": tiny,
     }
     return OracleSolution(

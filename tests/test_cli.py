@@ -562,6 +562,44 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     )
 
 
+@pytest.mark.parametrize("resting_mu, mismatched", [(1e-14, 0), (None, 1)])
+def test_oracle_check_compares_densities_not_multipliers(tmp_path, resting_mu, mismatched):
+    # two contacts on an upright stem, whose arm fields are orthogonal: the
+    # tip row is active and the row at node 3 rests with slack 0.5. A stored
+    # round-off multiplier of 1e-14 on the resting row moves the density by
+    # far less than --tol and passes; one that moves it by 10x --tol is a
+    # mismatch
+    manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
+    config = load_config(manifest)
+    n, tol = 5, 1e-8
+    contacts = [
+        {"node": 3, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.0, "mu": 0.0},
+        {"node": n, "phi": 0.0, "normal": [0.0, 1.0, 0.0], "b": 0.0, "mu": 1.0},
+    ]
+    record = json.loads(bare_frame(n=n, contacts=contacts))
+    frame = frame_from_dict(record, config.dt, lambda n: np.array(upright(n)))
+    system = assemble_constraints(frame, frame.contacts, config.law.beta)
+    b = system.gram @ np.array([0.0, 1.0]) - np.array([0.5, 0.0])
+    oracle = oracle_solve_reaction(system, b, max_contacts=12)
+    assert oracle.degenerate == ""
+    assert oracle.mu.tolist() == [0.0, 1.0]
+    if resting_mu is None:
+        unit = float(np.max(np.abs(density_from_multipliers(system, np.array([1.0, 0.0])))))
+        scale = 1.0 + float(np.max(np.abs(oracle.omega)))
+        resting_mu = 10.0 * tol * scale / unit
+    for contact, demand, mu in zip(contacts, b.tolist(), [resting_mu, 1.0]):
+        contact.update(b=demand, mu=mu)
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(bare_frame(**{**record, "contacts": contacts}))
+    sidecar(frames).write_bytes(k_bytes(upright(n)))
+    proc = invoke("oracle-check", str(frames), "--manifest", manifest, f"--tol={tol}")
+    assert proc.returncode == (1 if mismatched else 0), proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        f"oracle-check: 1 checked, 0 skipped (too many contacts), 0 degenerate, "
+        f"{mismatched} mismatched"
+    )
+
+
 def test_oracle_check_reports_an_infeasible_frame(tmp_path):
     # a contact at the base node has no leverage, so its demand of 0.5 is met
     # by no active set: a mismatch, and not a checked frame

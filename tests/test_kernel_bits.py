@@ -1,10 +1,13 @@
-"""The per-node kernels, written on component columns, against their row forms.
+"""The per-node and per-contact kernels, written on component columns, against their row forms.
 
-Each kernel below evaluates its formula one component column at a time
-instead of broadcasting over (n, 3) rows. That must not change a single bit
-of any frame, so each is compared bitwise, through a uint64 view that also
-tells -0.0 from 0.0, with the row-form expression written out here: numpy's
-own norm, cross product and row broadcasts, in the same order of operations.
+Each kernel below evaluates its formula one component column at a time, or
+into preallocated outputs, instead of broadcasting over (n, 3) rows or
+concatenating blocks. That must not change a single bit of any frame, so
+each is compared bitwise, through a uint64 view that also tells -0.0 from
+0.0, with the row-form expression written out here: numpy's own norm, cross
+product, row broadcasts, concatenations and cumulative sums, in the same
+order of operations. einsum and matmul sum in the memory order of their
+operands, so where an operand reaches them its layout is pinned too.
 """
 
 import numpy as np
@@ -12,13 +15,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stemgrow.curves import _columns, _norm_columns, rotate_vectors
+from stemgrow.curves import Stem, _columns, _norm_columns, rotate_vectors
 from stemgrow.diagnostics import UNIT_TOL, audit_arrays, rotation_field
 from stemgrow.growth import GrowthLaw, psi_field
-from stemgrow.obstacles import Cylinder, Scene, Sphere
-from stemgrow.reaction import _scale_rows
+from stemgrow.obstacles import Cylinder, HalfSpace, Scene, Sphere, signed_distances
+from stemgrow.reaction import (
+    ContactSet,
+    _cut_moments,
+    _scale_rows,
+    assemble_constraints,
+    density_from_multipliers,
+    linear_rates,
+)
 
 BITS = settings(derandomize=True, deadline=None, max_examples=200)
+# a contact system takes more to draw; a hundred of them still meet every layout and signed zero
+CONTACT_BITS = settings(derandomize=True, deadline=None, max_examples=100)
 
 
 def same_bits(got, want):
@@ -251,3 +263,203 @@ def test_row_scale_is_bitwise_the_broadcast(operands):
     # the decay and metric weights reaction applies to every node's row
     weights, x = operands
     assert same_bits(_scale_rows(weights, x), weights[:, None] * x)
+
+
+# -- per-contact kernels -------------------------------------------------------
+#
+# The row forms of the contact kernels: the basis and the arm maps
+# concatenated from blocks, the gap moments and the suffix sums taken by
+# np.cumsum, the Gram matrix symmetrized through np.triu, the rows and the
+# scene distance built with numpy's cross product and a stacked minimum.
+
+
+def basis_rows(gamma):
+    return np.concatenate([np.ones((len(gamma), 1)), gamma], axis=1)
+
+
+def arm_rows(gamma, nodes, normals):
+    lever = np.cross(gamma[nodes], normals)[:, :, None]
+    skew = np.cross(normals[:, None], np.eye(3)).transpose(0, 2, 1)
+    return np.concatenate([lever, skew], axis=2)
+
+
+def cut_moments_rows(x, h, nodes):
+    cuts = [0, *nodes.tolist()]
+    gaps = [x[a:b].T @ h[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return np.cumsum(gaps, axis=0)
+
+
+def gram_rows(system):
+    stem, contacts = system.stem, system.contacts
+    arm = arm_rows(stem.gamma, contacts.nodes, contacts.normals)
+    h = basis_rows(stem.gamma)
+    moments = cut_moments_rows(system.metric_weights[:, None] * h, h, contacts.nodes)
+    g = np.einsum("jab,lab->jl", arm @ moments, arm)
+    return np.triu(g) + np.triu(g, 1).T
+
+
+def linear_rates_rows(system, density):
+    stem, contacts = system.stem, system.contacts
+    arm = arm_rows(stem.gamma, contacts.nodes, contacts.normals)
+    moments = cut_moments_rows(stem.ds * density, basis_rows(stem.gamma), contacts.nodes)
+    vals = np.einsum("jab,jab->j", arm, moments)
+    if contacts.tip:
+        vals[-1] += float(stem.k[-1] @ contacts.normals[-1])
+    return vals
+
+
+def density_rows(system, mu):
+    stem, contacts = system.stem, system.contacts
+    arm = arm_rows(stem.gamma, contacts.nodes, contacts.normals)
+    h = basis_rows(stem.gamma)
+    suffix = np.cumsum((mu[:, None, None] * arm)[::-1], axis=0)[::-1]
+    rho = np.zeros((len(h), 3))
+    cuts = [0, *contacts.nodes.tolist()]
+    for g, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        rho[a:b] = h[a:b] @ suffix[g].T
+    return system.decay[:, None] * rho
+
+
+def contact_rows(system):
+    gamma = system.stem.gamma
+    out = np.zeros((system.contacts.size, len(gamma), 3))
+    for j, (v, nrm) in enumerate(zip(system.contacts.nodes.tolist(), system.contacts.normals)):
+        out[j, :v] = np.cross(gamma[v] - gamma[:v], nrm)
+    return out
+
+
+def scene_rows(scene, points):
+    return np.min(np.stack([ob.distances(points) for ob in scene.obstacles], axis=0), axis=0)
+
+
+# -- contact operands ----------------------------------------------------------
+
+# axis normals with signed zeros, the ceiling's (0, 0, -1) among them: their
+# products with zero lever components are the signed zeros a layout or an
+# operation order would flip
+_AXIS_NORMALS = [
+    (0.0, 0.0, -1.0),
+    (-0.0, 0.0, -1.0),
+    (0.0, -0.0, 1.0),
+    (-0.0, -0.0, -1.0),
+    (1.0, -0.0, 0.0),
+    (-0.0, -1.0, -0.0),
+]
+
+
+@st.composite
+def contact_normals(draw, m):
+    out = np.empty((m, 3))
+    for j in range(m):
+        if draw(st.booleans()):
+            out[j] = draw(st.sampled_from(_AXIS_NORMALS))
+        else:
+            out[j] = draw(unit_rows(1))[0]
+    return out
+
+
+@st.composite
+def contact_systems(draw):
+    """A stem of 2-40 cells, upright or bent, with 1-4 contacts at sorted nodes."""
+    n = draw(st.integers(2, 40))
+    ds = draw(st.sampled_from([0.0025, 0.01, 0.05, 0.1]))
+    if draw(st.booleans()):
+        # an upright stem: zero lateral components all along it
+        k = np.tile([0.0, 0.0, 1.0], (n + 1, 1))
+    else:
+        k = draw(unit_rows(n + 1))
+    m = draw(st.integers(1, min(4, n)))
+    nodes = np.array(sorted(draw(st.sets(st.integers(1, n), min_size=m, max_size=m))))
+    tip = bool(nodes[-1] == n and draw(st.booleans()))
+    contacts = ContactSet(
+        nodes=nodes, normals=draw(contact_normals(m)), phi=np.zeros(m), tip=tip
+    )
+    beta = draw(st.sampled_from([0.0, 0.25, 1.0, 2.0]))
+    return assemble_constraints(Stem(ds, k), contacts, beta)
+
+
+def _values(shape):
+    return arrays(np.float64, shape, elements=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+
+
+@CONTACT_BITS
+@given(contact_systems())
+def test_basis_is_bitwise_the_concatenation(system):
+    assert same_bits(system.basis, basis_rows(system.stem.gamma))
+
+
+@CONTACT_BITS
+@given(contact_systems())
+def test_arm_maps_are_bitwise_the_concatenation_in_its_layout(system):
+    contacts = system.contacts
+    want = arm_rows(system.stem.gamma, contacts.nodes, contacts.normals)
+    assert same_bits(system.arm_maps, want)
+    # einsum and matmul read the maps in memory order: (96, 8, 24) at any m
+    assert system.arm_maps.strides == want.strides == (96, 8, 24)
+
+
+@CONTACT_BITS
+@given(contact_systems())
+def test_gram_is_bitwise_the_row_form(system):
+    assert same_bits(system.gram, gram_rows(system))
+
+
+@CONTACT_BITS
+@given(contact_systems(), st.sampled_from([3, 4]), st.data())
+def test_cut_moments_are_bitwise_the_cumulative_sum(system, d, data):
+    x = data.draw(_values((len(system.stem.k), d)))
+    want = cut_moments_rows(x, basis_rows(system.stem.gamma), system.contacts.nodes)
+    got = _cut_moments(x, system)
+    assert same_bits(got, want)
+    assert got.strides == want.strides
+
+
+@CONTACT_BITS
+@given(contact_systems(), st.data())
+def test_linear_rates_are_bitwise_the_row_form(system, data):
+    density = data.draw(_values((len(system.stem.k), 3)))
+    assert same_bits(linear_rates(system, density), linear_rates_rows(system, density))
+
+
+@CONTACT_BITS
+@given(contact_systems(), st.data())
+def test_density_from_multipliers_is_bitwise_the_row_form(system, data):
+    m = system.contacts.size
+    elements = st.one_of(st.just(0.0), st.just(1e-14), st.floats(0.0, 1e3))
+    mu = data.draw(arrays(np.float64, m, elements=elements))
+    assert same_bits(density_from_multipliers(system, mu), density_rows(system, mu))
+
+
+@CONTACT_BITS
+@given(contact_systems())
+def test_rows_are_bitwise_the_row_form(system):
+    assert same_bits(system.rows(), contact_rows(system))
+
+
+@st.composite
+def scenes(draw):
+    """1-3 obstacles of every kind, in any order."""
+    obstacles = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["sphere", "half_space", "cylinder"]))
+        point = draw(arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)))
+        direction = draw(unit_rows(1))[0]
+        radius = draw(st.floats(0.1, 2.0))
+        if kind == "sphere":
+            obstacles.append(Sphere(point, radius))
+        elif kind == "half_space":
+            obstacles.append(HalfSpace(point, direction))
+        else:
+            obstacles.append(Cylinder(point, direction, radius))
+    return Scene(obstacles)
+
+
+@BITS
+@given(scenes(), _points)
+@example(Scene([HalfSpace(np.zeros(3), np.array([0.0, 0.0, -1.0]))] * 2), np.zeros((2, 3)))
+@example(
+    Scene([HalfSpace(np.zeros(3), np.array([0.0, 0.0, -1.0])), Sphere(np.zeros(3), 1.0)]),
+    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [1.0, 0.0, 0.0]]),
+)
+def test_scene_distances_are_bitwise_the_stacked_minimum(scene, points):
+    assert same_bits(signed_distances(scene, points), scene_rows(scene, points))
