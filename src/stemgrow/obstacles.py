@@ -3,7 +3,8 @@
 A scene is a finite union of convex obstacles; its signed distance is the
 minimum of the member distances (positive outside, negative inside). Normal
 queries return the gradient of the active member's distance and are only
-meaningful near a surface.
+meaningful near a surface; the caller hands over the members' distances at
+the query point, so the query measures none of them again.
 """
 
 from __future__ import annotations
@@ -170,15 +171,15 @@ def signed_distances(scene: Scene, points: np.ndarray) -> np.ndarray:
     return phi
 
 
-def outer_normal(scene: Scene, x: np.ndarray, band_width: float) -> np.ndarray:
-    """Unit normal of the nearest obstacle surface, pointing out of the obstacle.
+def outer_normal(scene: Scene, x: np.ndarray, dists, band_width: float) -> np.ndarray:
+    """Unit normal of the nearest obstacle surface at x, pointing out of the obstacle.
 
+    dists holds each obstacle's distance at x, in scene order, as measured
+    by its distances(); the nearest surface is the first with the least.
     The query errors unless the point lies within band_width of that surface.
     """
-    x = np.asarray(x, dtype=float)
     if not scene.obstacles:
         raise NoNearbyBoundary("scene has no obstacles")
-    dists = [float(ob.distances(x[None, :])[0]) for ob in scene.obstacles]
     best = min(range(len(dists)), key=dists.__getitem__)
     if abs(dists[best]) > band_width:
         raise NoNearbyBoundary(

@@ -25,14 +25,17 @@ same bits.
 
 The contact kernels are written, as the per-node ones in curves are, on
 component columns and into preallocated outputs, in the order of operations
-of their row forms. einsum and matmul sum in the memory order of their
-operands, so an operand's memory layout is part of its bits: the arm maps,
-and the suffix sums the density is made from, are the transposed view of a
-C-ordered (m, 4, 3) array, the layout the bundled runs' frames were made with.
+of their row forms. The arm maps, twelve numbers a contact, are computed on
+Python floats in numpy.cross's order instead, and put into one array. einsum
+and matmul sum in the memory order of their operands, so an operand's memory
+layout is part of its bits: the arm maps, and the suffix sums the density is
+made from, are the transposed view of a C-ordered (m, 4, 3) array, the layout
+the bundled runs' frames were made with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,8 +51,6 @@ from .errors import (
     TooManyContacts,
 )
 from .obstacles import Scene, outer_normal, signed_distances
-
-_IDENTITY = np.eye(3)
 
 
 @dataclass
@@ -76,7 +77,9 @@ def detect_contacts(
 
     Every grown node must satisfy phi >= -eps_penetration; a deeper node is a
     hard failure. Normals are queried in a band wide enough to cover both
-    tolerances. The least distance is None for an empty scene.
+    tolerances, each from the obstacles' distances at its node, which one
+    call per obstacle measures for all contact nodes. The least distance is
+    None for an empty scene.
     """
     gamma = stem.gamma
     phi = signed_distances(scene, gamma)
@@ -86,8 +89,11 @@ def detect_contacts(
     nodes = (phi <= eps_contact).nonzero()[0]
     band = max(10.0 * eps_contact, 2.0 * eps_penetration)
     normals = np.empty((nodes.size, 3))
-    for i, v in enumerate(nodes.tolist()):
-        normals[i] = outer_normal(scene, gamma[v], band_width=band)
+    if nodes.size:
+        points = gamma[nodes]
+        dists = zip(*[ob.distances(points).tolist() for ob in scene.obstacles])
+        for i, d in enumerate(dists):
+            normals[i] = outer_normal(scene, points[i], d, band_width=band)
     contacts = ContactSet(
         nodes=nodes,
         normals=normals,
@@ -147,15 +153,22 @@ class ConstraintSystem:
         """M_j = [gamma_j x n_j | n_j x e_0 | n_j x e_1 | n_j x e_2] for every contact row j.
 
         Column c of M_j is row c of a C-ordered (m, 4, 3) array, the layout
-        einsum and matmul read the maps in (see the module docstring).
+        einsum and matmul read the maps in (see the module docstring). The
+        twelve numbers of a row are Python floats, each cross product
+        component a1 b2 - a2 b1 in numpy.cross's order, with the identity's
+        0.0 and 1.0 factors multiplied out so that signed zeros come out as
+        numpy's.
         """
-        nrm = _columns(self.contacts.normals)
-        cols = np.empty((self.contacts.size, 4, 3))
-        lever, skew = cols[:, 0], cols[:, 1:]
-        _cross_columns(_columns(self.stem.gamma[self.contacts.nodes]), nrm, out=_columns(lever))
-        # n_j x e_c for every column c: the components of n_j against those of the identity's rows
-        _cross_columns([x[:, None] for x in nrm], _columns(_IDENTITY), out=_columns(skew))
-        return cols.transpose(0, 2, 1)
+        vals = []
+        points = self.stem.gamma[self.contacts.nodes].tolist()
+        for (g0, g1, g2), (n0, n1, n2) in zip(points, self.contacts.normals.tolist()):
+            vals += (
+                g1 * n2 - g2 * n1, g2 * n0 - g0 * n2, g0 * n1 - g1 * n0,
+                n1 * 0.0 - n2 * 0.0, n2 * 1.0 - n0 * 0.0, n0 * 0.0 - n1 * 1.0,
+                n1 * 0.0 - n2 * 1.0, n2 * 0.0 - n0 * 0.0, n0 * 1.0 - n1 * 0.0,
+                n1 * 1.0 - n2 * 0.0, n2 * 0.0 - n0 * 1.0, n0 * 0.0 - n1 * 0.0,
+            )
+        return np.array(vals).reshape(self.contacts.size, 4, 3).transpose(0, 2, 1)
 
     def rows(self) -> np.ndarray:
         """Materialize a_j(sigma_i) for every contact row j and node i.
@@ -487,7 +500,9 @@ def oracle_solve_reaction(
             if mu_a.min() < -1e-10 * (1.0 + float(np.abs(mu_a).max())):
                 continue
             mu[act] = np.maximum(mu_a, 0.0)
-            if np.linalg.cond(sub) > 1e10:
+            # a finite nonzero 1x1 block's condition number is exactly 1: no SVD for it
+            one = sub.size == 1 and 0.0 < abs(float(sub[0, 0])) < math.inf
+            if not one and np.linalg.cond(sub) > 1e10:
                 singular = True
         if (g @ mu - b).min() < -feas_tol:
             continue

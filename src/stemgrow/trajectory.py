@@ -180,11 +180,41 @@ def _scalar(value, what: str, kind=float):
     return kind(_array(value, what, (), dtype=kind))
 
 
+def _numbers(value: list, what: str, shape: tuple, dtype=float) -> np.ndarray:
+    """_array(value, what, shape, dtype) for a record's column of m contact entries.
+
+    Shape (m,) takes a number an entry, (m, 3) a list of three. The entries
+    are checked in Python, and their array is made with one np.array call: a
+    finite float, or for an int array an int that fits int64. A column that
+    fails the check, such as one with whole floats in an int column, goes
+    through _array, which converts it or raises the ParseError that names
+    the fault.
+    """
+    if dtype is int:
+        ok = all(type(x) is int and -(2**63) <= x < 2**63 for x in value)
+    elif len(shape) == 1:
+        ok = all(type(x) is float and math.isfinite(x) for x in value)
+    else:
+        ok = all(
+            type(row) is list
+            and len(row) == 3
+            and all(type(x) is float and math.isfinite(x) for x in row)
+            for row in value
+        )
+    if not ok:
+        return _array(value, what, shape, dtype)
+    out = np.array(value, dtype=dtype)
+    # no contacts: [] stands for the empty shape, as in _array
+    return out if value else out.reshape(shape)
+
+
 def frame_from_dict(rec, ds: float, tangents) -> TrajectoryFrame:
     """Inverse of frame_to_dict for a run on a grid of spacing ds.
 
     tangents(n) gives the frame's k, n + 1 rows of three, once n is checked.
-    ParseError names the missing, unknown or malformed key.
+    ParseError names the missing, unknown or malformed key. Every contact's
+    keys are checked first, then each column of numbers in the order node,
+    normal, phi, b, mu; _numbers reads a column in one pass.
     """
     n, entries, *scalars = _fields(rec, _FRAME_KEYS, "frame")
     n = _scalar(n, "n", int)
@@ -196,21 +226,22 @@ def frame_from_dict(rec, ds: float, tangents) -> TrajectoryFrame:
     m = len(entries)
     rows = [_fields(c, _CONTACT_KEYS, f"contacts[{j}]") for j, c in enumerate(entries)]
     node, phi, normal, b, mu = ([row[i] for row in rows] for i in range(5))
-    nodes = _array(node, "contacts[].node", (m,), dtype=int)
-    if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
-        raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
+    nodes = _numbers(node, "contacts[].node", (m,), dtype=int)
+    order = nodes.tolist()
+    if m and (order[0] < 0 or order[-1] > n or any(p >= q for p, q in zip(order, order[1:]))):
+        raise ParseError(f"contacts[].node must increase within 0..{n}, got {order}")
     frame = TrajectoryFrame(
         ds=ds,
         k=k,
         contacts=ContactSet(
             nodes=nodes,
-            normals=_array(normal, "contacts[].normal", (m, 3)),
-            phi=_array(phi, "contacts[].phi", (m,)),
-            tip=bool(m and nodes[-1] == n),
+            normals=_numbers(normal, "contacts[].normal", (m, 3)),
+            phi=_numbers(phi, "contacts[].phi", (m,)),
+            tip=bool(m and order[-1] == n),
         ),
         # b and mu are null for every contact of a step that solved no reaction
-        b=None if all(v is None for v in b) else _array(b, "contacts[].b", (m,)),
-        mu=None if all(v is None for v in mu) else _array(mu, "contacts[].mu", (m,)),
+        b=None if all(v is None for v in b) else _numbers(b, "contacts[].b", (m,)),
+        mu=None if all(v is None for v in mu) else _numbers(mu, "contacts[].mu", (m,)),
         **{
             key: None if value is None else _scalar(value, key, kind)
             for (key, kind), value in zip(_SCALARS.items(), scalars)

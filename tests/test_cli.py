@@ -201,6 +201,35 @@ def test_run_gross_penetration_exits_twenty(tmp_path):
     assert "penetrat" in events[-1]["data"]["error"]
 
 
+@pytest.mark.parametrize(
+    "obstacle, error",
+    [
+        ({"type": "sphere", "center": [0.0, 0.0, 0.15], "radius": 1e-13},
+         "normal query at sphere center"),
+        ({"type": "cylinder", "axis_point": [0.0, 0.0, 0.15], "axis": [1.0, 0.0, 0.0],
+          "radius": 1e-13}, "normal query on cylinder axis"),
+    ],
+    ids=["sphere_center", "cylinder_axis"],
+)
+def test_degenerate_normal_exits_twenty_without_traceback(tmp_path, obstacle, error):
+    # the tip grows onto the obstacle's center or axis at t = 0.15, where its
+    # distance, -1e-13, puts it in contact and its normal is undefined; a band
+    # a thousandth of a cell wide keeps the node one cell below out of contact
+    doc = straight_doc()
+    doc["scene"]["obstacles"] = [obstacle]
+    doc["numerics"] = {"dt": 0.05, "t0": 0.1, "horizon": 0.5, "eps_contact": 1e-3 * 0.05}
+    config_path = write_scenario(tmp_path / "degenerate.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 20, proc.stderr
+    assert proc.stdout.startswith("IntegrityFailure:")
+    assert "Traceback" not in proc.stderr, proc.stderr
+    events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
+    assert events[-1]["kind"] == "IntegrityFailure"
+    assert events[-1]["data"]["error"] == error
+    assert events[-1]["t"] == pytest.approx(0.15)
+
+
 def test_run_invalid_config_exits_two(tmp_path):
     doc = straight_doc()
     doc["numerics"]["dt"] = 0.0

@@ -20,6 +20,11 @@ from stemgrow.obstacles import (
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def dists(scene, x):
+    """Each obstacle's distance at the point x, the list outer_normal is handed."""
+    return [float(ob.distances(x[None])[0]) for ob in scene.obstacles]
+
+
 def unit_sphere():
     return Sphere(center=np.zeros(3), radius=1.0)
 
@@ -68,20 +73,23 @@ def test_signed_distances_batch_shape():
 
 def test_sphere_outer_normal():
     scene = Scene([unit_sphere()])
-    got = outer_normal(scene, np.array([0.0, 0.0, 1.0]), band_width=0.1)
+    x = np.array([0.0, 0.0, 1.0])
+    got = outer_normal(scene, x, dists(scene, x), band_width=0.1)
     assert np.allclose(got, E3, atol=1e-15)
 
 
 def test_half_space_outer_normal():
     # obstacle fills z < 0; the outward normal is e3 anywhere near the plane
-    floor = HalfSpace(point=np.zeros(3), outward_normal=E3)
-    got = outer_normal(Scene([floor]), np.array([0.3, -0.2, 0.001]), band_width=0.1)
+    scene = Scene([HalfSpace(point=np.zeros(3), outward_normal=E3)])
+    x = np.array([0.3, -0.2, 0.001])
+    got = outer_normal(scene, x, dists(scene, x), band_width=0.1)
     assert np.array_equal(got, E3)
 
 
 def test_cylinder_outer_normal_is_radial():
-    cyl = Cylinder(axis_point=np.zeros(3), axis=E3, radius=1.0)
-    got = outer_normal(Scene([cyl]), np.array([1.0, 0.0, 5.0]), band_width=0.1)
+    scene = Scene([Cylinder(axis_point=np.zeros(3), axis=E3, radius=1.0)])
+    x = np.array([1.0, 0.0, 5.0])
+    got = outer_normal(scene, x, dists(scene, x), band_width=0.1)
     assert np.allclose(got, [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -131,30 +139,32 @@ def test_outer_normal_points_away_from_surface():
     for _ in range(40):
         x = rng.normal(size=3)
         x *= (1.0 + rng.uniform(0.0, 0.05)) / np.linalg.norm(x)
-        n = outer_normal(scene, x, band_width=0.1)
+        n = outer_normal(scene, x, dists(scene, x), band_width=0.1)
         foot = x / np.linalg.norm(x)
         assert (x - foot) @ n >= -1e-12
 
 
 def test_outer_normal_band_rejects_far_points():
     scene = Scene([unit_sphere()])
+    x = np.array([5.0, 0.0, 0.0])
     with pytest.raises(NoNearbyBoundary):
-        outer_normal(scene, np.array([5.0, 0.0, 0.0]), band_width=0.1)
+        outer_normal(scene, x, dists(scene, x), band_width=0.1)
     with pytest.raises(NoNearbyBoundary):
-        outer_normal(Scene([]), np.zeros(3), band_width=0.1)
+        outer_normal(Scene([]), np.zeros(3), [], band_width=0.1)
 
 
 def test_normal_at_sphere_center_is_degenerate():
     scene = Scene([unit_sphere()])
     with pytest.raises(DegenerateGradient):
         # the center lies one radius deep, inside a band of two
-        outer_normal(scene, np.zeros(3), band_width=2.0)
+        outer_normal(scene, np.zeros(3), dists(scene, np.zeros(3)), band_width=2.0)
 
 
 def test_normal_on_cylinder_axis_is_degenerate():
-    cyl = Cylinder(axis_point=np.zeros(3), axis=E3, radius=1.0)
+    scene = Scene([Cylinder(axis_point=np.zeros(3), axis=E3, radius=1.0)])
+    x = np.array([0.0, 0.0, 2.0])
     with pytest.raises(DegenerateGradient):
-        outer_normal(Scene([cyl]), np.array([0.0, 0.0, 2.0]), band_width=2.0)
+        outer_normal(scene, x, dists(scene, x), band_width=2.0)
 
 
 def test_constructors_normalize_and_reject_bad_parameters():

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_constraint_system
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
-from stemgrow.curves import Stem
+from stemgrow.curves import Stem, _columns
 from stemgrow.errors import (
     EmptyContactSet,
     InfeasibleReaction,
@@ -19,6 +19,7 @@ from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
     ContactSet,
+    _scale_rows,
     assemble_constraints,
     check_kkt,
     density_from_multipliers,
@@ -116,6 +117,25 @@ def test_detect_contacts_rejects_deep_penetration():
     state, config = vertical_state()
     with pytest.raises(PenetrationExceeded):
         detect_contacts(state, scene, config.eps_contact, eps_penetration=0.05)
+
+
+def test_detect_contacts_measures_each_obstacle_twice(monkeypatch):
+    # a stem lying on a floor touches it at every node; each obstacle is
+    # measured once at every node and once more at the contact nodes, never
+    # again node by node for their normals
+    floor = HalfSpace(point=np.zeros(3), outward_normal=E3)
+    far = Sphere(center=np.array([0.0, 0.0, 10.0]), radius=1.0)
+    calls = []
+    for kind in (HalfSpace, Sphere):
+        measure = kind.distances
+        monkeypatch.setattr(
+            kind, "distances", lambda ob, x, measure=measure: calls.append(len(x)) or measure(ob, x)
+        )
+    stem = Stem(0.25, np.tile(E1, (7, 1)))
+    contacts, min_phi = detect_contacts(stem, Scene([floor, far]), 1e-3, 1e-4)
+    assert contacts.size == 7 and contacts.tip and min_phi == 0.0
+    assert np.array_equal(contacts.normals, np.tile(E3, (7, 1)))
+    assert calls == [7, 7, 7, 7]
 
 
 def test_assemble_right_hand_side_hand_quadrature():
@@ -506,6 +526,108 @@ def test_oracle_names_why_a_system_is_degenerate():
     assert ora.degenerate == "near-singular or ill-conditioned face, several supports"
     single = single_contact_system()
     assert oracle_solve_reaction(single, np.array([0.3]), max_contacts=12).degenerate == ""
+
+
+def counted_cond(monkeypatch):
+    """The shapes of the blocks the oracle takes np.linalg.cond of, as it takes them."""
+    shapes = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a, p=None: shapes.append(a.shape) or cond(a, p))
+    return shapes
+
+
+def test_oracle_tests_every_face_but_a_finite_nonzero_one_row_face(monkeypatch):
+    shapes = counted_cond(monkeypatch)
+    state, _ = vertical_state()
+    # a row at the base has no nodes below it: a zero Gram entry, which
+    # solve rejects and lstsq meets with b = 0
+    zero = oracle_solve_reaction(rate_system(state, [0], [E1]), np.array([0.0]), max_contacts=12)
+    assert zero.degenerate == "near-singular or ill-conditioned face"
+    assert shapes == [(1, 1)]
+    # two rows 1e-5 rad apart: each alone is a one-row face, the two a face
+    # of condition number about 4e10
+    shapes.clear()
+    tilted = E1 + 1e-5 * E2
+    system = rate_system(state, [6, 6], [E1, tilted / np.linalg.norm(tilted)])
+    ill = oracle_solve_reaction(system, np.array([0.5, 0.5]), max_contacts=12)
+    assert "near-singular or ill-conditioned face" in ill.degenerate
+    assert shapes == [(2, 2)]
+    shapes.clear()
+    single = oracle_solve_reaction(single_contact_system(), np.array([0.3]), max_contacts=12)
+    assert single.degenerate == "" and shapes == []
+
+
+def reference_oracle_solve_reaction(system, b):
+    """The enumeration oracle that takes the condition number of every face,
+    one-row faces included, kept here as the reference for the one that skips it
+    where it is exactly 1."""
+    m = system.contacts.size
+    rows = system.rows()
+    weighted = np.empty(rows.shape)
+    w = system.metric_weights
+    for i, col in enumerate(_columns(rows)):
+        np.multiply(col, w, out=weighted[..., i])
+    g = weighted.reshape(m, -1) @ rows.reshape(m, -1).T
+    g = 0.5 * (g + g.T)
+    feas_tol = 1e-8 * (1.0 + float(np.abs(b).max()))
+    candidates = []
+    singular = False
+    for mask in range(1 << m):
+        mu = np.zeros(m)
+        if mask:
+            act = np.array([j for j in range(m) if mask >> j & 1])
+            sub = g[act[:, None], act]
+            rhs = b[act]
+            try:
+                mu_a = np.linalg.solve(sub, rhs)
+            except np.linalg.LinAlgError:
+                mu_a, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+                if np.abs(sub @ mu_a - rhs).max() > feas_tol:
+                    continue
+                singular = True
+            if mu_a.min() < -1e-10 * (1.0 + float(np.abs(mu_a).max())):
+                continue
+            mu[act] = np.maximum(mu_a, 0.0)
+            if np.linalg.cond(sub) > 1e10:
+                singular = True
+        if (g @ mu - b).min() < -feas_tol:
+            continue
+        candidates.append(mu)
+    omegas = []
+    for mu in candidates:
+        omega = np.einsum("j,jid->id", mu, rows)
+        omegas.append(_scale_rows(system.decay, omega, out=omega))
+    spread = max((float(np.abs(om - omegas[0]).max()) for om in omegas[1:]), default=0.0)
+    best = int(np.argmin([float(mu @ mu) for mu in candidates]))
+    mu = candidates[best]
+    positive = [x for x in mu.tolist() if x > 0.0]
+    tiny = bool(positive) and min(positive) < 1e-8 * (1.0 + max(positive))
+    reasons = {
+        "near-singular or ill-conditioned face": singular,
+        "several supports": len({tuple((c > 0).tolist()) for c in candidates}) > 1,
+        "candidate densities disagree": spread > 1e-7 * (1.0 + np.abs(omegas[0]).max()),
+        "tiny multiplier": tiny,
+    }
+    degenerate = ", ".join(reason for reason, hit in reasons.items() if hit)
+    return mu, omegas[best], degenerate, len(candidates)
+
+
+def test_oracle_matches_the_reference_on_every_ceiling_frame():
+    # every written frame of the stride-1 ceiling that solved a reaction, as
+    # oracle-check takes them
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    assert config.stride == 1
+    checked = 0
+    for frame, _, written in simulate(config):
+        if not (written and frame.mu is not None and frame.contacts.size):
+            continue
+        system = assemble_constraints(frame, frame.contacts, config.law.beta)
+        got = oracle_solve_reaction(system, frame.b, max_contacts=12)
+        mu, omega, degenerate, n_candidates = reference_oracle_solve_reaction(system, frame.b)
+        assert got.mu.tobytes() == mu.tobytes() and got.omega.tobytes() == omega.tobytes()
+        assert got.degenerate == degenerate and got.n_candidates == n_candidates
+        checked += 1
+    assert checked == 911
 
 
 def test_oracle_rejects_large_contact_counts():

@@ -27,6 +27,7 @@ from hypothesis.extra.numpy import arrays
 from stemgrow.config import load_config
 from stemgrow.errors import ParseError
 from stemgrow import trajectory
+from stemgrow.reaction import ContactSet
 from stemgrow.stepper import run
 from stemgrow.trajectory import (
     Event,
@@ -412,3 +413,148 @@ def test_mutated_frames_are_accepted_or_rejected(data):
     lines = written_lines([frame_to_dict(frame)])
     back = frame_from_dict(json.loads(lines[0]), DS, rows_of)
     assert written_lines([frame_to_dict(back)]) == lines
+
+
+def reference_frame_from_dict(rec, ds, tangents):
+    """The frame decoder that converts each contact column with _array, kept
+    here as the reference for the one-pass decoder."""
+    n, entries, *scalars = trajectory._fields(rec, trajectory._FRAME_KEYS, "frame")
+    n = trajectory._scalar(n, "n", int)
+    if n < 0:
+        raise ParseError(f"n must be >= 0, got {n}")
+    k = tangents(n)
+    if not isinstance(entries, list):
+        raise ParseError("contacts is not a list")
+    m = len(entries)
+    rows = [
+        trajectory._fields(c, trajectory._CONTACT_KEYS, f"contacts[{j}]")
+        for j, c in enumerate(entries)
+    ]
+    node, phi, normal, b, mu = ([row[i] for row in rows] for i in range(5))
+    array = trajectory._array
+    nodes = array(node, "contacts[].node", (m,), dtype=int)
+    if m and (nodes[0] < 0 or nodes[-1] > n or np.any(np.diff(nodes) <= 0)):
+        raise ParseError(f"contacts[].node must increase within 0..{n}, got {nodes.tolist()}")
+    frame = trajectory.TrajectoryFrame(
+        ds=ds,
+        k=k,
+        contacts=ContactSet(
+            nodes=nodes,
+            normals=array(normal, "contacts[].normal", (m, 3)),
+            phi=array(phi, "contacts[].phi", (m,)),
+            tip=bool(m and nodes[-1] == n),
+        ),
+        b=None if all(v is None for v in b) else array(b, "contacts[].b", (m,)),
+        mu=None if all(v is None for v in mu) else array(mu, "contacts[].mu", (m,)),
+        **{
+            key: None if value is None else trajectory._scalar(value, key, kind)
+            for (key, kind), value in zip(trajectory._SCALARS.items(), scalars)
+        },
+    )
+    if frame.solver_sweeps is not None and frame.solver_sweeps < 0:
+        raise ParseError(f"solver_sweeps must be >= 0, got {frame.solver_sweeps}")
+    return frame
+
+
+def three_contact_frame():
+    """A frame record at n = 3 with contacts at every node above the base."""
+    return {
+        "n": 3,
+        "contacts": [
+            {"node": 1, "phi": 5e-3, "normal": [0.6, 0.0, -0.8], "b": -0.25, "mu": 0.0},
+            {"node": 2, "phi": -0.0, "normal": [0.0, -1.0, 0.0], "b": 1e-300, "mu": 5e-324},
+            {"node": 3, "phi": 1e-3, "normal": [0.0, 0.0, -1.0], "b": 0.5, "mu": 2.0},
+        ],
+        "energy": 1.0,
+        "min_phi": -0.0,
+        "kkt_complementarity": 0.0,
+        "kkt_stationarity": 0.0,
+        "realized_residual": 1e-9,
+        "solver_sweeps": 1,
+    }
+
+
+def no_contact_frame():
+    return {**two_node_frame(), "contacts": []}
+
+
+# what a value may be swapped for: ODD_ELEMENTS, numbers of either type or out
+# of range for int64 or float64, and containers of the wrong kind
+DECODER_ELEMENTS = ODD_ELEMENTS | st.sampled_from(
+    [0, 1, 3, -1, 1.0, 2.0, 1.5, -0.0, 5e-324, 1e308, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+     2**64, 10**400, 9.3e18, [], [0.0, 0.0, 1.0], [1, 0, 0], {}]
+)
+
+
+def few_rows_of(n):
+    """rows_of(n) for up to 8 cells; a larger n is past the end of k, as a
+    sidecar of that many rows reports it."""
+    if n > 8:
+        raise ParseError(f"ends short of k: n = {n}")
+    return rows_of(n)
+
+
+def decoded(decode, record):
+    """decode's frame of a copy of record, or the ParseError it raises."""
+    try:
+        return decode(copy.deepcopy(record), DS, few_rows_of)
+    except ParseError as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.data())
+def test_one_pass_decoder_matches_the_column_decoder(data):
+    record = data.draw(st.sampled_from([two_node_frame, three_contact_frame, no_contact_frame]))()
+    for _ in range(data.draw(st.integers(0, 3))):
+        paths = list(value_paths(record))
+        # half the mutations land inside a contact, on the columns the decoders differ in
+        inside = [path for path in paths if path[0] == "contacts" and len(path) > 2]
+        if inside and data.draw(st.booleans()):
+            paths = inside
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        value = parent[key]
+        how = data.draw(
+            st.sampled_from(["swap", "swap", "swap", "drop", "append", "nest", "unnest", "delete"])
+        )
+        if how == "swap":
+            parent[key] = copy.deepcopy(data.draw(DECODER_ELEMENTS))
+        elif how == "drop" and isinstance(value, list) and value:
+            del value[-1]
+        elif how == "append" and isinstance(value, list):
+            value.append(copy.deepcopy(value[-1] if value else data.draw(DECODER_ELEMENTS)))
+        elif how == "nest":
+            parent[key] = [value]
+        elif how == "unnest" and isinstance(value, list) and value:
+            parent[key] = value[0]
+        elif how == "delete":
+            del parent[key]
+    want = decoded(reference_frame_from_dict, record)
+    got = decoded(frame_from_dict, record)
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError) and str(got) == str(want)
+        return
+    assert not isinstance(got, ParseError), got
+    pairs = [(got.k, want.k)]
+    for name in ("nodes", "normals", "phi"):
+        pairs.append((getattr(got.contacts, name), getattr(want.contacts, name)))
+    for name in ("b", "mu"):
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None
+        else:
+            pairs.append((getattr(got, name), getattr(want, name)))
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous == b.flags.c_contiguous
+        assert a.flags.f_contiguous == b.flags.f_contiguous
+        assert a.flags.writeable == b.flags.writeable
+    assert got.contacts.tip is want.contacts.tip
+    for key in trajectory._SCALARS:
+        value = getattr(want, key)
+        assert getattr(got, key) == value and type(getattr(got, key)) is type(value), key
