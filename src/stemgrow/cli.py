@@ -190,13 +190,40 @@ def _cmd_audit(args) -> int:
     bad.extend(rate_bad)
     events_path = os.path.join(os.path.dirname(args.frames), "events.jsonl")
     records = read_jsonl(events_path) if os.path.exists(events_path) else []
-    times = [ev.t for ev in parse_records(events_path, records, event_from_dict)]
+    events = list(parse_records(events_path, records, event_from_dict))
+    times = [ev.t for ev in events]
     if any(b < a for a, b in zip(times, times[1:])):
         bad.append("events are not ordered by time")
+    bad.extend(_patch_violations(events))
     for msg in bad:
         print(f"audit: {msg}")
     print(f"audit: {n_frames} frames, {len(bad)} violation(s)")
     return 0 if not bad else 1
+
+
+def _patch_violations(events) -> list[str]:
+    """The messages for contact patch records that do not pair up.
+
+    Each ContactPatchStart opens a new id and each ContactPatchEnd closes an
+    open one; a patch still open at the exit event has no end.
+    """
+    bad, seen, open_ids = [], set(), set()
+    for idx, ev in enumerate(events, 1):
+        if ev.kind not in ("ContactPatchStart", "ContactPatchEnd"):
+            continue
+        pid = ev.data.get("patch")
+        if type(pid) is not int:
+            bad.append(f"event {idx}: {ev.kind} has no int patch id")
+        elif ev.kind == "ContactPatchStart":
+            if pid in seen:
+                bad.append(f"event {idx}: ContactPatchStart reuses patch id {pid}")
+            seen.add(pid)
+            open_ids.add(pid)
+        elif pid in open_ids:
+            open_ids.remove(pid)
+        else:
+            bad.append(f"event {idx}: ContactPatchEnd of patch {pid}, which is not open")
+    return bad
 
 
 def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None:
@@ -210,8 +237,7 @@ def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None
         return None
     rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
     target = pushback_rates(c.phi, config.kappa, config.dt)
-    resid = float(np.max(rate_gaps(rates, target, prev.mu), initial=0.0))
-    speed = float(np.max(np.abs(rates[prev.mu > 0.0]), initial=0.0))
+    resid, speed = rate_gaps(rates, target, prev.mu)
     if resid > rate_tol * (1.0 + speed):
         return f"frame t={prev.t:.6g}: contact normal rate residual {resid:.3e}"
     return None

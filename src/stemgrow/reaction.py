@@ -252,13 +252,27 @@ def pushback_rates(phi: np.ndarray, kappa: float, dt: float) -> np.ndarray:
     return kappa * np.maximum(0.0, -phi) / dt
 
 
-def rate_gaps(realized: np.ndarray, pushback: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """How far each contact row's realized normal rate misses the rule a step is accepted by.
+def rate_gaps(realized: np.ndarray, pushback: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
+    """How far the contact rows' realized normal rates miss the rule a step is accepted by.
 
     An active row (mu > 0) must move at its pushback rate, its gap |realized - pushback|;
     any other row no slower, its gap pushback - realized, negative when it moves faster.
+    Returns the worst gap, at least 0.0, and the fastest active row's |realized|, 0.0
+    without one. A step has one to three rows, so the rule runs on Python floats,
+    where numpy's per-call cost would be most of the work; the worst gap is bitwise
+    np.max(gaps, initial=0.0): a tie goes to the later value, so signed zeros
+    match, and a NaN gap, once met, is the result.
     """
-    return np.where(mu > 0.0, np.abs(realized - pushback), pushback - realized)
+    worst = speed = 0.0
+    for r, p, m in zip(realized.tolist(), pushback.tolist(), mu.tolist()):
+        if m > 0.0:
+            gap = abs(r - p)
+            speed = max(speed, abs(r))
+        else:
+            gap = p - r
+        if worst == worst and not worst > gap:
+            worst = gap
+    return worst, speed
 
 
 def assemble_constraints(stem: Stem, contacts: ContactSet, beta: float) -> ConstraintSystem:

@@ -18,7 +18,9 @@ four defects to the next contact step: the multiplier warm-starts the dual
 solve, and the defect extrapolated from them, at cubic order, seeds the
 first solve. A contact is keyed by its material node, and the tip contact by
 "tip", so that its memory follows the tip as the tip moves up one node per
-step.
+step. The run's events describe contact patches, maximal runs of
+consecutive contact nodes, as they start and end, not each node that enters
+or leaves the band.
 
 A step makes the frame of the state it advances from: its contacts, the
 reaction solved there and the step's scalars. It computes the KKT residuals
@@ -50,7 +52,13 @@ from .diagnostics import (
     step_normal_rates,
     weighted_norm,
 )
-from .errors import InitialPenetration, MaxIterationsExceeded, NonFiniteState, SimulationError
+from .errors import (
+    InitialPenetration,
+    MaxIterationsExceeded,
+    NonFiniteState,
+    SimulationError,
+    ValidationError,
+)
 from .growth import psi_field
 from .obstacles import signed_distances
 from .reaction import (
@@ -200,7 +208,7 @@ def step(
             config.dt,
         )
         defect = realized - drive - system.gram @ sol.mu
-        realized_residual = float(np.max(rate_gaps(realized, pushback, sol.mu), initial=0.0))
+        realized_residual, _ = rate_gaps(realized, pushback, sol.mu)
         if realized_residual <= config.correction_tol:
             break
         if sweep == config.correction_sweeps - 1:
@@ -278,6 +286,56 @@ class _ContactMemory:
         }
 
 
+class _ContactPatches:
+    """The contact patches open at the last state, and the events that start and end them.
+
+    A patch is a maximal run [first, last] of consecutive contact nodes, and
+    a tip patch one whose last node is the tip. A run continues a patch of the
+    state before when the two overlap or are adjacent (first <= old last + 1
+    and old first <= last + 1) and each touches only the other; the sliding
+    tip's [n] -> [n + 1] is one such. Every other change ends the old patches
+    and starts new ones, with ids counted from 0 in the order they start. An
+    end carries the range and tip of the patch's last state.
+    """
+
+    def __init__(self) -> None:
+        self.open: list[dict] = []  # each open patch's record data at the last state
+        self._ids = count()
+
+    def update(self, contacts: ContactSet, t: float) -> list[Event]:
+        """The ends and then the starts of patches at the state with contacts, at time t."""
+        runs: list[list[int]] = []
+        for node in contacts.nodes.tolist():
+            if runs and node == runs[-1][1] + 1:
+                runs[-1][1] = node
+            else:
+                runs.append([node, node])
+        touches = [
+            (i, j)
+            for i, old in enumerate(self.open)
+            for j, (first, last) in enumerate(runs)
+            if first <= old["nodes"][1] + 1 and old["nodes"][0] <= last + 1
+        ]
+        olds = [i for i, _ in touches]
+        news = [j for _, j in touches]
+        continued = {j: i for i, j in touches if olds.count(i) == news.count(j) == 1}
+        events = [
+            Event(t=t, kind="ContactPatchEnd", data=old)
+            for i, old in enumerate(self.open)
+            if i not in continued.values()
+        ]
+        opened = []
+        for j, run in enumerate(runs):
+            pid = self.open[continued[j]]["patch"] if j in continued else next(self._ids)
+            patch = {"patch": pid, "nodes": run, "tip": contacts.tip and j == len(runs) - 1}
+            if j not in continued:
+                log.info("contact patch %d starts at t=%.6g: nodes %d..%d", pid, t, *run)
+                events.append(Event(t=t, kind="ContactPatchStart", data=patch))
+            opened.append(patch)
+        self.open = opened
+        return events
+
+
 def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], bool]]:
     """Step a scenario to the horizon, a rigid jam, or an integrity failure.
 
@@ -293,8 +351,17 @@ def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], 
 
 
 def _steps(state: Stem, config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], bool]]:
+    """simulate's iterator from a seeded state: detect, track patches, test the exits, step.
+
+    A frame's events are the ends and then the starts of the contact patches
+    (_ContactPatches) first seen at its state, one ContactPatchEnd or
+    ContactPatchStart record each, not a record per node that enters or
+    leaves the band; the terminal frame's end with the exit event. A patch
+    still open at the exit gets no end. A state with no contacts and no open
+    patch does no patch work, so free growth pays nothing for them.
+    """
     n_total = config.n_total_cells
-    prev_nodes: set[int] = set()
+    patches = _ContactPatches()
     no_contacts = ContactSet(
         nodes=np.zeros(0, dtype=int),
         normals=np.zeros((0, 3)),
@@ -314,15 +381,8 @@ def _steps(state: Stem, config: SimConfig) -> Iterator[tuple[TrajectoryFrame, li
             contacts, min_phi = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
             )
-            nodes = set(contacts.nodes.tolist())
-            onset = sorted(nodes - prev_nodes)
-            release = sorted(prev_nodes - nodes)
-            if onset:
-                log.info("contact onset at t=%.6g: nodes %s", t, onset)
-                events.append(Event(t=t, kind="ContactOnset", data={"nodes": onset}))
-            if release:
-                events.append(Event(t=t, kind="ContactRelease", data={"nodes": release}))
-            prev_nodes = nodes
+            if contacts.size or patches.open:
+                events = patches.update(contacts, t)
 
             broke, diag = detect_breakdown(state, contacts, config)
             if broke:
@@ -421,15 +481,25 @@ def twin_run(
     node-wise minimal rotation field between the two tangent fields, taken as
     the two frames are made; the certificate is the smallest exponential rate
     bounding its growth from the first frame, None when a run ends at its
-    first frame. Each run's trajectory holds only its terminal frame.
+    first frame. Each run's trajectory holds only its terminal frame. A tilt
+    that leaves that distance 0 at the seed, as one that underflows or whose
+    axis lies along the seed does, fits no certificate: it raises
+    ValidationError, as a seed error does, before ready is called.
     """
     tilted = replace(
         config,
         seed=config.seed.tilted(angle, axis),
         label=config.label + "+tilt" if config.label else "tilt",
     )
+    base_seed, pert_seed = init_state(config), init_state(tilted)
+    if not weighted_norm(rotation_field(base_seed.k, pert_seed.k), config.dt, config.law.beta):
+        axis_text = ",".join(map(repr, np.asarray(axis, dtype=float).tolist()))
+        raise ValidationError(
+            f"--perturb tilt:{angle!r}:{axis_text} does not move the seed: "
+            "its distance from the base seed is 0, so no growth rate can be fitted"
+        )
     base, pert = Trajectory(), Trajectory()
-    base_made, pert_made = simulate(config), simulate(tilted)
+    base_made, pert_made = _steps(base_seed, config), _steps(pert_seed, tilted)
     write_base, write_pert = ready()
     base_frames = _writing(_record(base_made, base), write_base)
     pert_frames = _writing(_record(pert_made, pert), write_pert)

@@ -264,8 +264,8 @@ def test_criterion_08_continuous_dependence_twins():
         ("sphere", Scene([Sphere(center=np.array([0.7875, 0.0, 0.5822]), radius=0.3)])),
     ):
         result = twin_run(config(scene), delta, np.array([0.0, 1.0, 0.0]), unwritten)
-        touched = any(e.kind == "ContactOnset" for e in result.base.events) and any(
-            e.kind == "ContactOnset" for e in result.perturbed.events
+        touched = any(e.kind == "ContactPatchStart" for e in result.base.events) and any(
+            e.kind == "ContactPatchStart" for e in result.perturbed.events
         )
         outcomes.append(
             (

@@ -365,7 +365,7 @@ def test_default_contact_band_carries_the_ceiling(tmp_path):
     proc = invoke("run", write_scenario(tmp_path / "ceiling.json", doc), "--out", str(outdir))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     events = [json.loads(line) for line in (outdir / "events.jsonl").read_text().splitlines()]
-    assert "ContactOnset" in [ev["kind"] for ev in events]
+    assert "ContactPatchStart" in [ev["kind"] for ev in events]
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["config"]["numerics"]["eps_contact"] == doc["numerics"]["dt"]
 
@@ -819,6 +819,55 @@ def test_audit_malformed_events_exit_two_without_traceback(
     assert "Traceback" not in proc.stderr
 
 
+def patch_event(kind, patch):
+    return json.dumps({"t": 0.5, "kind": kind, "data": {"patch": patch, "nodes": [3, 3], "tip": False}})
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([patch_event("ContactPatchEnd", 0)], "event 1: ContactPatchEnd of patch 0, which is not open"),
+        (
+            [patch_event("ContactPatchStart", 0), patch_event("ContactPatchEnd", 0),
+             patch_event("ContactPatchEnd", 0)],
+            "event 3: ContactPatchEnd of patch 0, which is not open",
+        ),
+        (
+            [patch_event("ContactPatchStart", 0), patch_event("ContactPatchEnd", 0),
+             patch_event("ContactPatchStart", 0)],
+            "event 3: ContactPatchStart reuses patch id 0",
+        ),
+        ([patch_event("ContactPatchStart", "0")], "event 1: ContactPatchStart has no int patch id"),
+        ([patch_event("ContactPatchEnd", True)], "event 1: ContactPatchEnd has no int patch id"),
+        (
+            ['{"t": 0.5, "kind": "ContactPatchStart", "data": {"nodes": [3, 3]}}'],
+            "event 1: ContactPatchStart has no int patch id",
+        ),
+    ],
+    ids=["end_not_open", "end_twice", "start_reuses_id", "id_is_text", "id_is_bool", "no_id"],
+)
+def test_audit_flags_unpaired_contact_patches(straight_run, tmp_path, records, message):
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    exit_event = '{"t": 1.0, "kind": "HorizonReached", "data": {}}'
+    (outdir / "events.jsonl").write_text("\n".join([*records, exit_event]) + "\n")
+    proc = invoke("audit", str(outdir / "frames.jsonl"))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"audit: {message}\n" in proc.stdout
+    assert proc.stdout.endswith(" 1 violation(s)\n")
+    assert proc.stderr == ""
+
+
+def test_audit_accepts_a_patch_open_at_the_exit(straight_run, tmp_path):
+    outdir = tmp_path / "out"
+    shutil.copytree(straight_run, outdir)
+    records = [patch_event("ContactPatchStart", 0), patch_event("ContactPatchEnd", 0),
+               patch_event("ContactPatchStart", 1), '{"t": 1.0, "kind": "Breakdown", "data": {}}']
+    (outdir / "events.jsonl").write_text("\n".join(records) + "\n")
+    proc = invoke("audit", str(outdir / "frames.jsonl"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("command", ["audit", "oracle-check"])
 def test_malformed_third_frame_stops_the_stream(straight_run, tmp_path, command):
     outdir = tmp_path / "out"
@@ -1105,4 +1154,22 @@ def test_twin_non_finite_perturbation_exits_two(tmp_path, spec):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --perturb "), proc.stderr
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, spec",
+    [("gravitropic_ceiling", "tilt:1e-300"), ("straight", "tilt:0.1:0,0,1")],
+    ids=["angle_underflows", "axis_along_seed"],
+)
+def test_twin_perturbation_that_leaves_the_seed_unmoved_exits_two(tmp_path, scenario, spec):
+    # the twin's distance would be 0 at every frame, and the certificate
+    # could fit no rate: rejected before either run steps
+    outdir = tmp_path / "out"
+    config_path = str(SCENARIOS / f"{scenario}.json")
+    proc = invoke("twin", config_path, "--perturb", spec, "--out", str(outdir))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --perturb "), proc.stderr
+    assert "does not move the seed" in lines[0]
     assert not outdir.exists()

@@ -472,8 +472,37 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
     ],
 )
 def test_rate_gaps_read_the_acceptance_rule_per_row(realized, pushback, mu, gap):
-    got = rate_gaps(np.array([realized]), np.array([pushback]), np.array([mu]))
-    assert got.tolist() == [gap]
+    # the worst gap is at least 0, so a row that moves faster reads as no gap
+    worst, speed = rate_gaps(np.array([realized]), np.array([pushback]), np.array([mu]))
+    assert worst == max(gap, 0.0)
+    assert speed == (abs(realized) if mu > 0.0 else 0.0)
+
+
+def _array_rate_gaps(realized, pushback, mu):
+    """The rule on arrays, as the step and audit took it before it ran on Python floats."""
+    gaps = np.where(mu > 0.0, np.abs(realized - pushback), pushback - realized)
+    return (
+        float(np.max(gaps, initial=0.0)),
+        float(np.max(np.abs(realized[mu > 0.0]), initial=0.0)),
+    )
+
+
+def test_rate_gaps_are_bitwise_the_array_form():
+    # every row of one to three values drawn from signed zeros, ties, a NaN
+    # and ordinary rates: the worst gap keeps numpy's bits (a tie goes to the
+    # later value, and a NaN gap wins), and the speed its value
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 2.0, 1e-300, np.nan])
+    for size in (0, 1, 2, 3):
+        for _ in range(400):
+            realized, pushback = rng.choice(values, size), rng.choice(values, size)
+            mu = rng.choice([0.0, -0.0, 1.0, 3.0], size)
+            got, want = rate_gaps(realized, pushback, mu), _array_rate_gaps(realized, pushback, mu)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes() or (
+                got[0] != got[0] and want[0] != want[0]
+            ), (realized, pushback, mu)
+            if want[1] == want[1]:
+                assert got[1] == want[1], (realized, pushback, mu)
 
 
 def test_contact_with_no_leverage_and_positive_demand_is_infeasible():

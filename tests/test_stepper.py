@@ -27,6 +27,7 @@ from stemgrow import stepper
 from stemgrow.stepper import (
     _advance_fields,
     _ContactMemory,
+    _ContactPatches,
     detect_breakdown,
     init_state,
     run,
@@ -130,7 +131,7 @@ def test_oblique_plane_contact_slides_to_horizon():
     traj = run(config, list)
     assert traj.exit_kind == "HorizonReached"
     kinds = [e.kind for e in traj.events]
-    assert "ContactOnset" in kinds
+    assert "ContactPatchStart" in kinds
     assert "Breakdown" not in kinds
     assert any(f.contacts.size > 0 for f in traj.frames)
     for f in traj.frames:
@@ -233,7 +234,7 @@ def test_initial_jam_is_rejected_at_seeding():
     traj = run(config, list)
     assert traj.exit_kind == "Breakdown"
     assert [f.t for f in traj.frames] == [config.t0]
-    assert [e.kind for e in traj.events] == ["ContactOnset", "Breakdown"]
+    assert [e.kind for e in traj.events] == ["ContactPatchStart", "Breakdown"]
 
 
 def test_seed_through_obstacle_is_rejected():
@@ -669,6 +670,67 @@ def test_contact_memory_follows_the_tip_and_drops_released_contacts():
     assert set(memory._last) == {"tip"}
 
 
+def patch_records(patches, contacts):
+    return [(ev.kind, ev.data) for ev in patches.update(contacts, 0.5)]
+
+
+def test_contact_patches_split_and_merge_end_the_old_patches():
+    patches = _ContactPatches()
+    assert patch_records(patches, touching([3, 4, 5, 6])) == [
+        ("ContactPatchStart", {"patch": 0, "nodes": [3, 6], "tip": False})
+    ]
+    # a run that grows by one node on either side continues its patch
+    assert patch_records(patches, touching([2, 3, 4, 5, 6, 7])) == []
+    assert patch_records(patches, touching([3, 4, 5, 6])) == []
+    # node 5 leaves: [3..6] touches two runs, so it ends and both start
+    assert patch_records(patches, touching([3, 4, 6])) == [
+        ("ContactPatchEnd", {"patch": 0, "nodes": [3, 6], "tip": False}),
+        ("ContactPatchStart", {"patch": 1, "nodes": [3, 4], "tip": False}),
+        ("ContactPatchStart", {"patch": 2, "nodes": [6, 6], "tip": False}),
+    ]
+    # node 5 comes back: [3..6] touches two patches, so both end
+    assert patch_records(patches, touching([3, 4, 5, 6])) == [
+        ("ContactPatchEnd", {"patch": 1, "nodes": [3, 4], "tip": False}),
+        ("ContactPatchEnd", {"patch": 2, "nodes": [6, 6], "tip": False}),
+        ("ContactPatchStart", {"patch": 3, "nodes": [3, 6], "tip": False}),
+    ]
+    assert patch_records(patches, touching([])) == [
+        ("ContactPatchEnd", {"patch": 3, "nodes": [3, 6], "tip": False})
+    ]
+    assert patches.open == []
+
+
+def test_contact_patches_follow_the_sliding_tip_and_end_with_its_last_range():
+    patches = _ContactPatches()
+    assert patch_records(patches, touching([9], tip=True)) == [
+        ("ContactPatchStart", {"patch": 0, "nodes": [9, 9], "tip": True})
+    ]
+    # the tip moves up a node a step; a run two nodes off is a new patch
+    assert patch_records(patches, touching([10], tip=True)) == []
+    assert patch_records(patches, touching([11], tip=True)) == []
+    assert patch_records(patches, touching([2, 11], tip=True)) == [
+        ("ContactPatchStart", {"patch": 1, "nodes": [2, 2], "tip": False})
+    ]
+    assert patch_records(patches, touching([2, 3])) == [
+        ("ContactPatchEnd", {"patch": 0, "nodes": [11, 11], "tip": True})
+    ]
+
+
+def test_contact_events_do_not_grow_with_the_step_count():
+    # the ceiling's sliding tip contact is one patch at every dt, where a
+    # record per node that enters or leaves the band doubles as dt halves
+    config = replace(
+        load_config(str(SCENARIOS / "gravitropic_ceiling.json")), horizon=2.2, stride=10_000
+    )
+    kinds = []
+    for dt in (0.01, 0.005):
+        refined = replace(config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt)
+        traj = run(refined, list)
+        assert traj.exit_kind == "HorizonReached"
+        kinds.append([ev.kind for ev in traj.events])
+    assert kinds[0] == kinds[1] == ["ContactPatchStart", "HorizonReached"]
+
+
 @pytest.mark.parametrize(
     "scenario, dt, min_steps, solves_per_step",
     [
@@ -755,7 +817,7 @@ def test_final_shape_converges_at_first_order_in_dt(obstacles):
                 for fr in (kept[1.2], kept[1.3], kept[1.4])
             )
             impulses.append([dt * omega.sum(axis=0) for omega in omegas])
-            onsets.append(next(ev.t for ev in traj.events if ev.kind == "ContactOnset"))
+            onsets.append(next(ev.t for ev in traj.events if ev.kind == "ContactPatchStart"))
     coarse = np.max(np.abs(finals[0] - finals[1]))
     fine = np.max(np.abs(finals[1] - finals[2]))
     assert fine > 0.0
@@ -790,7 +852,7 @@ def test_twin_distance_depends_continuously_on_the_tilt(scenario, horizon):
         refined = replace(config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt)
         result = twin_run(refined, tilt, axis, unwritten)
         assert result.base.exit_kind == result.perturbed.exit_kind == "HorizonReached"
-        assert "ContactOnset" in [e.kind for e in result.base.events]
+        assert "ContactPatchStart" in [e.kind for e in result.base.events]
         return result.growth_constant, result.details["terminal_distance"]
 
     by_tilt = [twin(tilt, 0.01) for tilt in (0.05, 0.025, 0.0125)]

@@ -180,7 +180,7 @@ def test_read_frames_gives_back_the_frames_run_made(tmp_path, scenario, stride):
 
 
 def test_event_round_trips():
-    ev = Event(t=0.5, kind="ContactOnset", data={"nodes": [3, 4]})
+    ev = Event(t=0.5, kind="ContactPatchStart", data={"patch": 0, "nodes": [3, 4], "tip": False})
     (line,) = written_lines([event_to_dict(ev)])
     assert event_from_dict(json.loads(line)) == ev
 
