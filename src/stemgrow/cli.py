@@ -167,10 +167,14 @@ def _cmd_twin(args, argv) -> int:
     return max(EXIT_CODES[result.base.exit_kind], EXIT_CODES[result.perturbed.exit_kind])
 
 
+def _frames_config(args) -> SimConfig:
+    """The config that made args.frames: --manifest, else the manifest.json beside them."""
+    return load_config(args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json"))
+
+
 def _cmd_audit(args) -> int:
     _check_tolerance("--rate-tol", args.rate_tol)
-    manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
-    config = load_config(manifest)
+    config = _frames_config(args)
     bad: list[str] = []
     rate_bad: list[str] = []  # reported after every per-frame message
     n_frames = 0
@@ -247,8 +251,7 @@ def _cmd_oracle_check(args) -> int:
     _check_tolerance("--tol", args.tol)
     if args.max_contacts < 1:
         raise ValidationError(f"--max-contacts must be at least 1, got {args.max_contacts}")
-    manifest = args.manifest or os.path.join(os.path.dirname(args.frames), "manifest.json")
-    config = load_config(manifest)
+    config = _frames_config(args)
     checked = skipped = degenerate = mismatched = n_frames = 0
     for idx, fr in enumerate(read_frames(args.frames, config.dt)):
         n_frames += 1
@@ -259,7 +262,7 @@ def _cmd_oracle_check(args) -> int:
             continue
         system = assemble_constraints(fr, fr.contacts, config.law.beta)
         try:
-            oracle = oracle_solve_reaction(system, fr.b, max_contacts=args.max_contacts)
+            oracle = oracle_solve_reaction(system, fr.b)
         except NoCandidateFeasible as exc:
             print(f"oracle-check: frame {idx}: {exc}")
             mismatched += 1

@@ -15,10 +15,6 @@ from .growth import GrowthLaw
 from .obstacles import Cylinder, HalfSpace, Scene, Sphere, _unit
 
 
-# The direction vectors of each seed kind.
-_SEED_VECTORS = {"segment": ("direction",), "arc": ("initial_direction", "turn_axis"), "polyline": ()}
-
-
 @dataclass
 class SeedCurve:
     """Initial stem shape: a named primitive or a polyline resampled by arclength.
@@ -36,10 +32,11 @@ class SeedCurve:
     points: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _SEED_VECTORS:
+        if self.kind not in _SEEDS:
             raise ValidationError(f"seed_curve.type must be segment|arc|polyline, got {self.kind!r}")
         self.units = {}
-        for key in _SEED_VECTORS[self.kind]:
+        # the direction vectors are the keys that _SEEDS checks as vectors
+        for key in (key for key, check in _SEEDS[self.kind].items() if check is _vector):
             setattr(self, key, np.asarray(getattr(self, key), dtype=float))
             self.units[key] = _unit(getattr(self, key), f"seed_curve.{key}")
         if self.kind == "segment":

@@ -12,7 +12,7 @@ rather than broadcasting over (n, 3) rows, whose inner loops run three
 elements at a time. Lengths and cross products of components come from the
 helpers here, in numpy's own order of operations, so a kernel written on
 columns gives the bits of its row form: the cross product's order lives in
-_cross_columns alone, which cross uses too.
+_cross_columns alone.
 """
 
 from __future__ import annotations
@@ -67,22 +67,13 @@ def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product a x b over the last axis, broadcasting the leading axes.
-
-    Built from components in numpy's own multiply-then-subtract order, so the
-    bits match numpy.cross. Scene validation's cylinder pairs are its only
-    caller in the package; the kernels take _cross_columns on their columns.
-    """
-    return np.stack(_cross_columns(_columns(a), _columns(b)), axis=-1)
-
-
 def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the rotation exp([w_i]) to v_i for every row i; one w may rotate every row.
 
-    w and v are each one vector, shape (3,), or n rows, shape (n, 3); a single
-    w rotates every row of v and a single v is rotated by every row of w. The
-    result has the broadcast shape and is written to out when one is given.
+    w and v are float arrays, each one vector, shape (3,), or n rows, shape
+    (n, 3); a single w rotates every row of v and a single v is rotated by
+    every row of w. The result has the broadcast shape and is written to out
+    when one is given.
     exp([w]) solves v' = w x v over unit time. Uses Rodrigues' formula
     R v = v + a (w x v) + b (w x (w x v)) with t = |w|, a = sin t / t and
     b = (1 - cos t) / t^2, so zero rotation vectors need no branch. The
@@ -90,8 +81,6 @@ def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) 
     operations of its row form, so that rows with identical (w, v) produce
     bitwise identical output whatever their neighbours.
     """
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
     if out is None:
         out = np.empty(np.broadcast_shapes(w.shape, v.shape))
     wc = _columns(w.reshape(-1, 3))
@@ -123,8 +112,7 @@ def angular_displacement_profile(omega: np.ndarray, ds: float) -> np.ndarray:
     Returns P with P_i = ds * sum_{l < i} omega_l, so P_0 = 0.
     """
     prof = np.zeros_like(omega)
-    if omega.shape[0] > 1:
-        np.cumsum(ds * omega[:-1], axis=0, out=prof[1:])
+    np.cumsum(ds * omega[:-1], axis=0, out=prof[1:])
     return prof
 
 

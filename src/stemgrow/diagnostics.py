@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import _columns, _cross_columns, _norm_columns
-from .errors import AntipodalAmbiguity, GridMismatch, NonPositiveDistance
+from .errors import AntipodalAmbiguity, NonPositiveDistance
 from .obstacles import Scene, signed_distances
 
 # audit_arrays' tolerance on tangent norm drift
@@ -15,23 +15,21 @@ JITTER = 1e-9
 
 
 def rotation_field(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Node-wise minimal rotation between two tangent fields on the same grid."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    if k1.shape != k2.shape:
-        raise GridMismatch(f"tangent fields have shapes {k1.shape} and {k2.shape}")
+    """Node-wise minimal rotation between two tangent fields on the same grid.
+
+    A node is aligned, with zero rotation, only where the cross product's
+    length is exactly 0, so fields whose bits differ anywhere measure apart.
+    """
     normal = _cross_columns(_columns(k1), _columns(k2))
     dot = np.einsum("id,id->i", k1, k2)
     if np.any(dot <= -1.0 + 1e-9):
         raise AntipodalAmbiguity("fields contain an antipodal tangent pair")
     sin = _norm_columns(normal)
     angle = np.arctan2(sin, dot)
-    aligned = sin < 1e-15
-    safe = np.where(aligned, 1.0, sin)
+    safe = np.where(sin == 0.0, 1.0, sin)
     w = np.empty(k1.shape)
     for i, col in enumerate(normal):
         np.multiply(angle, col / safe, out=w[:, i])
-    w[aligned] = 0.0
     return w
 
 
@@ -41,9 +39,6 @@ def weighted_norm(w: np.ndarray, ds: float, beta: float) -> float:
     Left-endpoint cells: the last node is the upper integration limit and
     carries no weight.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] < 2:
-        return 0.0
     cells = w[:-1]
     s = ds * np.arange(cells.shape[0])
     return float(
@@ -54,15 +49,10 @@ def weighted_norm(w: np.ndarray, ds: float, beta: float) -> float:
 def gronwall_certificate(times: np.ndarray, distances: np.ndarray) -> tuple[float, dict]:
     """Smallest exponential rate C with D(t) <= D(t0) (1 + JITTER) e^{C (t - t0)}.
 
-    Fitted as the max over samples of log growth divided by elapsed time; a
-    constant series certifies at (numerically) zero.
+    times is strictly increasing, with one distance each and at least two in
+    all. Fitted as the max over samples of log growth divided by elapsed time;
+    a constant series certifies at (numerically) zero.
     """
-    times = np.asarray(times, dtype=float)
-    distances = np.asarray(distances, dtype=float)
-    if times.shape != distances.shape or times.size < 2:
-        raise ValueError("need equal-length series with at least two samples")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
     if np.any(distances <= 0.0):
         raise NonPositiveDistance(
             f"distance samples must be positive, min {float(np.min(distances)):.3e}"

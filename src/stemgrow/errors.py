@@ -19,14 +19,6 @@ class InitialPenetration(ValidationError):
     """Seed curve starts inside an obstacle."""
 
 
-class GridMismatch(SimulationError):
-    """Two fields were combined that live on different arclength grids."""
-
-
-class AgeNegative(SimulationError):
-    """Growth law queried at s > t (material younger than the current time)."""
-
-
 class NoNearbyBoundary(SimulationError):
     """Normal query at a point farther from every surface than the band width."""
 
@@ -49,14 +41,6 @@ class PenetrationExceeded(SimulationError):
 
 class NonFiniteState(SimulationError):
     """A step produced a tangent or position that is NaN or infinite."""
-
-
-class EmptyContactSet(SimulationError):
-    """Constraint assembly or solve invoked with no contacts."""
-
-
-class TooManyContacts(SimulationError):
-    """Enumeration oracle asked to handle more contacts than it enumerates."""
 
 
 class InfeasibleReaction(SimulationError):

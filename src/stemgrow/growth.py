@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _columns, _cross_columns
-from .errors import AgeNegative, ValidationError
+from .errors import ValidationError
 from .obstacles import _unit
 
 VARIANTS = ("gravitropic", "zero", "custom")
@@ -61,15 +61,10 @@ class GrowthLaw:
 def psi_field(law: GrowthLaw, t: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rotation density at every node: coeff(t - s_i) * (k_i x up).
 
-    Material younger than the clock (s > t) is an error.
+    Every node must be no younger than the clock, s_i <= t, as the stepper's
+    are: its t and s are ds times integers, so each age is +0.0 or more.
     """
-    s = np.asarray(s, dtype=float)
-    age = t - s
-    if np.any(age < -1e-9 * max(1.0, abs(t))):
-        worst = float(np.min(age))
-        raise AgeNegative(f"queried s > t by {-worst:.3e}")
-    age = np.maximum(age, 0.0)
-    coeff = law._coeff(age)
+    coeff = law._coeff(t - s)
     psi = np.empty(k.shape)
     for i, col in enumerate(_cross_columns(_columns(k), law.unit_up)):
         np.multiply(coeff, col, out=psi[:, i])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _columns, _norm_columns, cross
+from .curves import _columns, _norm_columns
 from .errors import DegenerateGradient, NoNearbyBoundary, ValidationError
 
 
@@ -145,7 +145,7 @@ def _pair_gap(a, b) -> float:
             return -np.inf
         return float(b.distances(a.axis_point)) - a.radius
     if isinstance(a, Cylinder) and isinstance(b, Cylinder):
-        cr = cross(a.unit_axis, b.unit_axis)
+        cr = np.cross(a.unit_axis, b.unit_axis)
         off = b.axis_point - a.axis_point
         if np.linalg.norm(cr) < 1e-9:
             perp = off - (off @ a.unit_axis) * a.unit_axis
@@ -159,8 +159,7 @@ def _pair_gap(a, b) -> float:
 
 
 def signed_distances(scene: Scene, points: np.ndarray) -> np.ndarray:
-    """Scene distance at each query point; +inf for an empty scene."""
-    points = np.asarray(points, dtype=float)
+    """Scene distance at each point of a float array of points; +inf for an empty scene."""
     if not scene.obstacles:
         return np.full(points.shape[:-1], np.inf)
     first, *rest = scene.obstacles
@@ -175,11 +174,10 @@ def outer_normal(scene: Scene, x: np.ndarray, dists, band_width: float) -> np.nd
     """Unit normal of the nearest obstacle surface at x, pointing out of the obstacle.
 
     dists holds each obstacle's distance at x, in scene order, as measured
-    by its distances(); the nearest surface is the first with the least.
-    The query errors unless the point lies within band_width of that surface.
+    by its distances(), for a scene with at least one obstacle; the nearest
+    surface is the first with the least. The query errors unless the point
+    lies within band_width of that surface.
     """
-    if not scene.obstacles:
-        raise NoNearbyBoundary("scene has no obstacles")
     best = min(range(len(dists)), key=dists.__getitem__)
     if abs(dists[best]) > band_width:
         raise NoNearbyBoundary(

@@ -43,12 +43,10 @@ import numpy as np
 
 from .curves import Stem, _columns, _cross_columns
 from .errors import (
-    EmptyContactSet,
     InfeasibleReaction,
     MaxIterationsExceeded,
     NoCandidateFeasible,
     PenetrationExceeded,
-    TooManyContacts,
 )
 from .obstacles import Scene, outer_normal, signed_distances
 
@@ -276,9 +274,7 @@ def rate_gaps(realized: np.ndarray, pushback: np.ndarray, mu: np.ndarray) -> tup
 
 
 def assemble_constraints(stem: Stem, contacts: ContactSet, beta: float) -> ConstraintSystem:
-    """The constraint system of contacts on a stem, beta the decay rate."""
-    if contacts.size == 0:
-        raise EmptyContactSet("assemble_constraints needs at least one contact")
+    """The constraint system of contacts, at least one, on a stem, beta the decay rate."""
     return ConstraintSystem(stem, contacts, beta)
 
 
@@ -348,19 +344,18 @@ def solve_reaction(
     on the Gram matrix. The face is the set of rows with positive
     multipliers; each iteration, counted in sweeps, either adds the row with
     the most negative slack, or moves towards the face minimizer and drops
-    the row whose multiplier reaches zero first. warm_start's support seeds
-    the face. Raises InfeasibleReaction when a row with no leverage demands
-    positive velocity, when a row that depends on the face makes the dual
-    unbounded (no reaction meets the constraints), or when round-off leaves
-    the face rows unsolved; MaxIterationsExceeded past the iteration bound.
+    the row whose multiplier reaches zero first. warm_start, None or one
+    multiplier per row, seeds the face with its support. Raises
+    InfeasibleReaction when a row with no leverage demands positive
+    velocity, when a row that depends on the face makes the dual unbounded
+    (no reaction meets the constraints), or when round-off leaves the face
+    rows unsolved; MaxIterationsExceeded past the iteration bound.
 
     The arithmetic on multipliers and slacks is numpy's; the face is a list
     of ascending rows, and the choices between rows are made on Python
     floats, which compare as numpy's do.
     """
     m = system.contacts.size
-    if m == 0:
-        raise EmptyContactSet("solve_reaction needs at least one contact")
     g = system.gram
     diag = g.diagonal()
     bscale = 1.0 + float(np.abs(b).max())
@@ -375,7 +370,7 @@ def solve_reaction(
 
     mu = np.zeros(m)
     face: list[int] = []
-    if warm_start is not None and warm_start.shape == (m,):
+    if warm_start is not None:
         for j, warm in enumerate(warm_start.tolist()):
             if warm > 0.0 and not dead[j] and _face_step(g, face, j)[1] > 1e-12 * diag[j]:
                 face.append(j)
@@ -451,7 +446,7 @@ def check_kkt(system: ConstraintSystem, b: np.ndarray, sol: ReactionSolution) ->
     """
     g = system.gram
     slack = g @ sol.mu - b
-    comp = float(np.max(np.abs(sol.mu * slack))) if sol.mu.size else 0.0
+    comp = float(np.max(np.abs(sol.mu * slack)))
     out = {"complementarity": comp, "stationarity": None}
     if system.contacts.size <= 64:
         rows = system.rows()
@@ -469,9 +464,7 @@ class OracleSolution:
     n_candidates: int
 
 
-def oracle_solve_reaction(
-    system: ConstraintSystem, b: np.ndarray, max_contacts: int
-) -> OracleSolution:
+def oracle_solve_reaction(system: ConstraintSystem, b: np.ndarray) -> OracleSolution:
     """Exhaustive active-set enumeration solve against b, for cross-checking.
 
     Tries every subset of contacts as the active set, solves the equality
@@ -480,13 +473,10 @@ def oracle_solve_reaction(
     degenerate when an active block is near-singular or ill-conditioned,
     when the survivors have several supports or disagree in density, or when
     the chosen multipliers include a vanishing one; degenerate names each.
+    The work doubles with each contact, so the caller bounds their number:
+    oracle-check skips a frame with more than --max-contacts.
     """
     m = system.contacts.size
-    if m == 0:
-        raise EmptyContactSet("oracle needs at least one contact")
-    if m > max_contacts:
-        raise TooManyContacts(f"{m} contacts exceed the enumeration limit {max_contacts}")
-
     rows = system.rows()
     weighted = np.empty(rows.shape)
     w = system.metric_weights

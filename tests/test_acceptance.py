@@ -43,7 +43,7 @@ def qp_battery():
     for _ in range(500):
         system, b = random_constraint_system(rng)
         sol = solve_reaction(system, b, warm_start=None)
-        oracle = oracle_solve_reaction(system, b, max_contacts=5)
+        oracle = oracle_solve_reaction(system, b)
         solves.append((system, b, sol, oracle))
     return solves, time.monotonic() - start
 

@@ -558,6 +558,28 @@ def test_oracle_check_confirms_stored_reactions(oblique_run):
     assert checked >= 10
 
 
+def test_oracle_check_skips_frames_over_the_contact_cap(tmp_path):
+    # the sphere's oblique pass holds up to eight contacts at once: with a cap
+    # of one, each solved frame with more is skipped, the rest are checked
+    config_path = str(SCENARIOS / "sphere_oblique.json")
+    outdir = tmp_path / "out"
+    assert invoke("run", config_path, "--out", str(outdir)).returncode == 0
+    frames = str(outdir / "frames.jsonl")
+    solved = [
+        fr.contacts.size
+        for fr in read_frames(frames, load_config(config_path).dt)
+        if fr.mu is not None and fr.contacts.size
+    ]
+    over = sum(size > 1 for size in solved)
+    assert over > 0
+    proc = invoke("oracle-check", frames, "--max-contacts", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith(
+        f"oracle-check: {len(solved) - over} checked, {over} skipped (too many contacts), "
+    )
+    assert proc.stdout.endswith(" 0 mismatched\n")
+
+
 def test_oracle_check_compares_degenerate_frames(tmp_path):
     # one tip contact whose demand b is 1e-10 of its Gram entry: a multiplier
     # of 1e-10 and none at all both meet the oracle's feasibility tolerance,
@@ -573,7 +595,7 @@ def test_oracle_check_compares_degenerate_frames(tmp_path):
     frame = frame_from_dict(record, config.dt, lambda n: np.array(upright(n)))
     system = assemble_constraints(frame, frame.contacts, config.law.beta)
     b = 1e-10 * system.gram[0]
-    oracle = oracle_solve_reaction(system, b, max_contacts=12)
+    oracle = oracle_solve_reaction(system, b)
     assert oracle.degenerate == "several supports"
     unit = float(np.max(np.abs(density_from_multipliers(system, np.ones(1)))))
     scale = 1.0 + float(np.max(np.abs(oracle.omega)))
@@ -609,7 +631,7 @@ def test_oracle_check_compares_densities_not_multipliers(tmp_path, resting_mu, m
     frame = frame_from_dict(record, config.dt, lambda n: np.array(upright(n)))
     system = assemble_constraints(frame, frame.contacts, config.law.beta)
     b = system.gram @ np.array([0.0, 1.0]) - np.array([0.5, 0.0])
-    oracle = oracle_solve_reaction(system, b, max_contacts=12)
+    oracle = oracle_solve_reaction(system, b)
     assert oracle.degenerate == ""
     assert oracle.mu.tolist() == [0.0, 1.0]
     if resting_mu is None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stemgrow.errors import AgeNegative, ValidationError
+from stemgrow.errors import ValidationError
 from stemgrow.growth import GrowthLaw, psi_field
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -98,12 +98,6 @@ def test_psi_field_matches_pointwise_evaluation():
     for i in range(n):
         want = psi_at(law, 2.0, s[i], k[i])
         assert np.max(np.abs(field[i] - want)) < 1e-15
-
-
-def test_negative_age_is_rejected():
-    law = GrowthLaw(variant="gravitropic", beta=1.0, gain=1.0)
-    with pytest.raises(AgeNegative):
-        psi_at(law, t=1.0, s=1.5, k=E1)
 
 
 def test_law_validation_rejects_bad_parameters():

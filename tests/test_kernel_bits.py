@@ -56,7 +56,7 @@ def rotate_rows(w, v):
 
 
 def psi_rows(law, t, s, k):
-    coeff = law._coeff(np.maximum(t - s, 0.0))
+    coeff = law._coeff(t - s)
     return coeff[:, None] * np.cross(k, law.unit_up)
 
 
@@ -65,11 +65,8 @@ def rotation_rows(k1, k2):
     dot = np.einsum("id,id->i", k1, k2)
     sin = np.linalg.norm(normal, axis=1)
     angle = np.arctan2(sin, dot)
-    safe = np.where(sin < 1e-15, 1.0, sin)
-    axis = normal / safe[:, None]
-    w = angle[:, None] * axis
-    w[sin < 1e-15] = 0.0
-    return w
+    safe = np.where(sin == 0.0, 1.0, sin)
+    return angle[:, None] * (normal / safe[:, None])
 
 
 def sphere_rows(sphere, x):

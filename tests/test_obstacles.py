@@ -149,8 +149,6 @@ def test_outer_normal_band_rejects_far_points():
     x = np.array([5.0, 0.0, 0.0])
     with pytest.raises(NoNearbyBoundary):
         outer_normal(scene, x, dists(scene, x), band_width=0.1)
-    with pytest.raises(NoNearbyBoundary):
-        outer_normal(Scene([]), np.zeros(3), [], band_width=0.1)
 
 
 def test_normal_at_sphere_center_is_degenerate():

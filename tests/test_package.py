@@ -153,3 +153,28 @@ def test_every_public_definition_is_used_or_exported():
         and total[node.name] == _name_counts(node)[node.name]
     ]
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that no raise statement in the package makes, and that
+    # no raised class derives from, is a check that can never fire; naming it
+    # in an except clause alone does not count
+    errors = ast.parse((ROOT / "src" / "stemgrow" / "errors.py").read_text())
+    bases = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for node in errors.body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = []
+    for path in sorted((ROOT / "src" / "stemgrow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    covered = set()
+    while raised:
+        name = raised.pop()
+        if name in bases and name not in covered:
+            covered.add(name)
+            raised.extend(bases[name])
+    assert sorted(set(bases) - covered) == []

@@ -9,12 +9,7 @@ from conftest import random_constraint_system
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import Stem, _columns
-from stemgrow.errors import (
-    EmptyContactSet,
-    InfeasibleReaction,
-    PenetrationExceeded,
-    TooManyContacts,
-)
+from stemgrow.errors import InfeasibleReaction, PenetrationExceeded
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
@@ -243,7 +238,7 @@ def test_solver_matches_oracle_on_random_fixtures():
     for _ in range(80):
         system, b = random_constraint_system(rng)
         sol = solve_reaction(system, b, warm_start=None)
-        ora = oracle_solve_reaction(system, b, max_contacts=12)
+        ora = oracle_solve_reaction(system, b)
         scale = 1.0 + float(np.max(np.abs(ora.omega)))
         assert np.max(np.abs(sol.omega - ora.omega)) <= 1e-8 * scale
         if not ora.degenerate:
@@ -534,27 +529,15 @@ def test_nearly_opposed_contacts_are_infeasible():
         solve_reaction(system, np.array([0.5, 0.5]), warm_start=None)
 
 
-def test_empty_contact_set_is_rejected():
-    state, config = vertical_state()
-    empty = ContactSet(
-        nodes=np.zeros(0, dtype=int),
-        normals=np.zeros((0, 3)),
-        phi=np.zeros(0),
-        tip=False,
-    )
-    with pytest.raises(EmptyContactSet):
-        assemble(state, empty, config.law, config.kappa, config.dt)
-
-
 def test_oracle_names_why_a_system_is_degenerate():
     # two copies of one row: every face holding both is singular, and each
     # copy alone meets both demands, so the supports differ as well
     state, _ = vertical_state()
     system = rate_system(state, [6, 6], [E1, E1])
-    ora = oracle_solve_reaction(system, np.array([0.5, 0.5]), max_contacts=12)
+    ora = oracle_solve_reaction(system, np.array([0.5, 0.5]))
     assert ora.degenerate == "near-singular or ill-conditioned face, several supports"
     single = single_contact_system()
-    assert oracle_solve_reaction(single, np.array([0.3]), max_contacts=12).degenerate == ""
+    assert oracle_solve_reaction(single, np.array([0.3])).degenerate == ""
 
 
 def counted_cond(monkeypatch):
@@ -570,7 +553,7 @@ def test_oracle_tests_every_face_but_a_finite_nonzero_one_row_face(monkeypatch):
     state, _ = vertical_state()
     # a row at the base has no nodes below it: a zero Gram entry, which
     # solve rejects and lstsq meets with b = 0
-    zero = oracle_solve_reaction(rate_system(state, [0], [E1]), np.array([0.0]), max_contacts=12)
+    zero = oracle_solve_reaction(rate_system(state, [0], [E1]), np.array([0.0]))
     assert zero.degenerate == "near-singular or ill-conditioned face"
     assert shapes == [(1, 1)]
     # two rows 1e-5 rad apart: each alone is a one-row face, the two a face
@@ -578,11 +561,11 @@ def test_oracle_tests_every_face_but_a_finite_nonzero_one_row_face(monkeypatch):
     shapes.clear()
     tilted = E1 + 1e-5 * E2
     system = rate_system(state, [6, 6], [E1, tilted / np.linalg.norm(tilted)])
-    ill = oracle_solve_reaction(system, np.array([0.5, 0.5]), max_contacts=12)
+    ill = oracle_solve_reaction(system, np.array([0.5, 0.5]))
     assert "near-singular or ill-conditioned face" in ill.degenerate
     assert shapes == [(2, 2)]
     shapes.clear()
-    single = oracle_solve_reaction(single_contact_system(), np.array([0.3]), max_contacts=12)
+    single = oracle_solve_reaction(single_contact_system(), np.array([0.3]))
     assert single.degenerate == "" and shapes == []
 
 
@@ -651,19 +634,12 @@ def test_oracle_matches_the_reference_on_every_ceiling_frame():
         if not (written and frame.mu is not None and frame.contacts.size):
             continue
         system = assemble_constraints(frame, frame.contacts, config.law.beta)
-        got = oracle_solve_reaction(system, frame.b, max_contacts=12)
+        got = oracle_solve_reaction(system, frame.b)
         mu, omega, degenerate, n_candidates = reference_oracle_solve_reaction(system, frame.b)
         assert got.mu.tobytes() == mu.tobytes() and got.omega.tobytes() == omega.tobytes()
         assert got.degenerate == degenerate and got.n_candidates == n_candidates
         checked += 1
     assert checked == 911
-
-
-def test_oracle_rejects_large_contact_counts():
-    rng = np.random.default_rng(47)
-    system, b = random_constraint_system(rng)
-    with pytest.raises(TooManyContacts):
-        oracle_solve_reaction(system, b, max_contacts=0)
 
 
 def test_zero_density_moves_nothing():

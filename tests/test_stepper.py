@@ -9,7 +9,7 @@ from conftest import unwritten, written_lines
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
-from stemgrow.diagnostics import step_normal_rates
+from stemgrow.diagnostics import rotation_field, step_normal_rates, weighted_norm
 from stemgrow.errors import InitialPenetration, MaxIterationsExceeded
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere, signed_distances
@@ -393,7 +393,7 @@ def test_contact_step_agrees_with_enumeration_solver():
     system = assemble_constraints(state, contacts, config.law.beta)
     b = pushback_rates(contacts.phi, config.kappa, config.dt) - linear_rates(system, psi)
     sol = solve_reaction(system, b, warm_start=None)
-    ora = oracle_solve_reaction(system, b, max_contacts=12)
+    ora = oracle_solve_reaction(system, b)
     scale = 1.0 + float(np.max(np.abs(ora.omega)))
     assert np.max(np.abs(sol.omega - ora.omega)) <= 1e-8 * scale
 
@@ -866,3 +866,18 @@ def test_twin_distance_depends_continuously_on_the_tilt(scenario, horizon):
     coarse, fine = by_dt[1] - by_dt[0], by_dt[2] - by_dt[1]
     assert fine != 0.0
     assert coarse / fine >= 1.6
+
+
+def test_a_tilt_of_1e_16_rad_moves_the_seed():
+    # a node's rotation is zero only where the two tangents' cross product is
+    # exactly zero, so a tilt of 1e-16 rad, which changes the seed's bits,
+    # measures a positive distance, and the twin runs and fits a rate
+    config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
+    axis = np.array([0.0, 1.0, 0.0])
+    base = init_state(config)
+    tilted = init_state(replace(config, seed=config.seed.tilted(1e-16, axis)))
+    assert not np.array_equal(base.k, tilted.k)
+    assert weighted_norm(rotation_field(base.k, tilted.k), config.dt, config.law.beta) > 0.0
+    short = replace(config, horizon=config.t0 + 0.05)
+    result = twin_run(short, 1e-16, axis, unwritten)
+    assert result.distances[0] > 0.0 and result.growth_constant is not None
