@@ -239,7 +239,7 @@ def _rate_violation(prev, nxt, config: SimConfig, rate_tol: float) -> str | None
     c = prev.contacts
     if nxt.n_grown - prev.n_grown != 1 or prev.mu is None or not c.size:
         return None
-    rates = step_normal_rates(prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt)
+    rates = step_normal_rates(prev, nxt, c, config.dt)
     target = pushback_rates(c.phi, config.kappa, config.dt)
     resid, speed = rate_gaps(rates, target, prev.mu)
     if resid > rate_tol * (1.0 + speed):

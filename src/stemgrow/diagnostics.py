@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import _columns, _cross_columns, _norm_columns
+from .curves import Stem, _columns, _cross_columns, _norm_columns
 from .errors import AntipodalAmbiguity, NonPositiveDistance
 from .obstacles import Scene, signed_distances
+from .reaction import ContactSet
 
 # audit_arrays' tolerance on tangent norm drift
 UNIT_TOL = 1e-10
@@ -96,23 +97,17 @@ def audit_arrays(
     return bad
 
 
-def step_normal_rates(
-    gamma_prev: np.ndarray,
-    gamma_next: np.ndarray,
-    contact_nodes: np.ndarray,
-    contact_normals: np.ndarray,
-    tip: bool,
-    dt: float,
-) -> np.ndarray:
-    """Realized per-step normal velocity at each contact of the earlier frame.
+def step_normal_rates(prev: Stem, nxt: Stem, contacts: ContactSet, dt: float) -> np.ndarray:
+    """Realized per-step normal velocity at each of prev's contacts, from prev to nxt.
 
-    The tip contact follows the moving tip (one node further in the later
-    frame); interior contacts follow their own material node.
+    The tip contact follows the moving tip (one node further in nxt);
+    interior contacts follow their own material node.
     """
-    disp = (gamma_next[contact_nodes] - gamma_prev[contact_nodes]) / dt
-    rates = np.einsum("jd,jd->j", disp, contact_normals)
-    if tip:
-        n = gamma_prev.shape[0] - 1
-        tip_disp = (gamma_next[n + 1] - gamma_prev[n]) / dt
-        rates[-1] = float(tip_disp @ contact_normals[-1])
+    nodes = contacts.nodes
+    disp = (nxt.gamma[nodes] - prev.gamma[nodes]) / dt
+    rates = np.einsum("jd,jd->j", disp, contacts.normals)
+    if contacts.tip:
+        n = prev.n_grown
+        tip_disp = (nxt.gamma[n + 1] - prev.gamma[n]) / dt
+        rates[-1] = float(tip_disp @ contacts.normals[-1])
     return rates

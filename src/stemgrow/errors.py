@@ -30,14 +30,6 @@ class DegenerateGradient(SimulationError):
 class PenetrationExceeded(SimulationError):
     """A node sits deeper inside an obstacle than the tolerance allows."""
 
-    def __init__(self, node: int, depth: float, limit: float):
-        self.node = node
-        self.depth = depth
-        self.limit = limit
-        super().__init__(
-            f"node {node} penetrates by {depth:.3e} (limit {limit:.3e})"
-        )
-
 
 class NonFiniteState(SimulationError):
     """A step produced a tangent or position that is NaN or infinite."""
@@ -50,18 +42,10 @@ class InfeasibleReaction(SimulationError):
 class MaxIterationsExceeded(SimulationError):
     """An iteration failed to reach tolerance within its sweep budget.
 
-    loop names the iteration that gave up: the dual solver's active-set
-    iteration ("dual solve") or the step's defect correction ("correction loop").
+    The message starts with the iteration that gave up: the dual solver's
+    active-set iteration ("dual solve") or the step's defect correction
+    ("correction loop").
     """
-
-    def __init__(self, loop: str, residual: float, tol: float, sweeps: int):
-        self.loop = loop
-        self.residual = residual
-        self.tol = tol
-        self.sweeps = sweeps
-        super().__init__(
-            f"{loop}: residual {residual:.3e} after {sweeps} sweeps (tol {tol:.3e})"
-        )
 
 
 class NoCandidateFeasible(SimulationError):

@@ -83,7 +83,9 @@ def detect_contacts(
     phi = signed_distances(scene, gamma)
     worst = int(phi.argmin()) if phi.size else 0
     if phi.size and phi[worst] < -eps_penetration:
-        raise PenetrationExceeded(worst, float(-phi[worst]), eps_penetration)
+        raise PenetrationExceeded(
+            f"node {worst} penetrates by {float(-phi[worst]):.3e} (limit {eps_penetration:.3e})"
+        )
     nodes = (phi <= eps_contact).nonzero()[0]
     band = max(10.0 * eps_contact, 2.0 * eps_penetration)
     normals = np.empty((nodes.size, 3))
@@ -412,7 +414,9 @@ def solve_reaction(
         steps += 1
         if steps > limit:
             worst = -float(np.min(g @ mu - b))
-            raise MaxIterationsExceeded("dual solve", worst, tol, steps)
+            raise MaxIterationsExceeded(
+                f"dual solve: residual {worst:.3e} after {steps} sweeps (tol {tol:.3e})"
+            )
         if p is not None:
             # Move along p, towards the face minimizer or along d, until a
             # face multiplier reaches zero, and drop its row.

@@ -25,14 +25,17 @@ or leaves the band.
 A step makes the frame of the state it advances from: its contacts, the
 reaction solved there and the step's scalars. It computes the KKT residuals
 of its solve only when that frame is written, so an unwritten contact step
-skips the O(m n) stationarity check. simulate is the only stepping loop: it
-seeds the state when called, and its iterator makes each frame as it is
-drawn, flagged with whether the run writes it, which the loop alone decides.
-run hands the written frames to a sink as they are made, and twin_run hands
-each run's to a write function as they are made, so a caller that writes
-each one out leaves a run holding one step's working set and the terminal
-frame, not a frame list. A frame holds its tangents, not its positions: a
-frame is a Stem too, and derives them as the state does.
+skips the O(m n) stationarity check. simulate is the only stepping loop, a
+generator over a seeded state: it makes each frame as it is drawn, flagged
+with whether the run writes it, which the loop alone decides, and records
+the run's events, frame counts, exit and terminal frame into a Trajectory as
+it goes. run draws it from init_state and hands the written frames to a
+sink, and twin_run draws it for each of its two runs and hands each run's
+written frames to a write function, all as they are made, so a run holds one
+step's working set and the terminal frame, not a frame list; a caller that
+wants the frames in memory passes frames.extend as the sink. A frame holds
+its tangents, not its positions: a frame is a Stem too, and derives them as
+the state does.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .diagnostics import (
     weighted_norm,
 )
 from .errors import (
+    AntipodalAmbiguity,
     InitialPenetration,
     MaxIterationsExceeded,
     NonFiniteState,
@@ -199,24 +203,15 @@ def step(
     # are drive + G mu, since the Gram matrix sums the cells linear_rates does.
     for sweep in range(config.correction_sweeps):
         new = _advance_fields(state, psi + sol.omega, config.dt)
-        realized = step_normal_rates(
-            state.gamma,
-            new.gamma,
-            contacts.nodes,
-            contacts.normals,
-            contacts.tip,
-            config.dt,
-        )
+        realized = step_normal_rates(state, new, contacts, config.dt)
         defect = realized - drive - system.gram @ sol.mu
         realized_residual, _ = rate_gaps(realized, pushback, sol.mu)
         if realized_residual <= config.correction_tol:
             break
         if sweep == config.correction_sweeps - 1:
             raise MaxIterationsExceeded(
-                "correction loop",
-                realized_residual,
-                config.correction_tol,
-                config.correction_sweeps,
+                f"correction loop: residual {realized_residual:.3e} after "
+                f"{config.correction_sweeps} sweeps (tol {config.correction_tol:.3e})"
             )
         b = b0 - defect
         sol = solve_reaction(system, b, sol.mu)
@@ -336,29 +331,25 @@ class _ContactPatches:
         return events
 
 
-def simulate(config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], bool]]:
-    """Step a scenario to the horizon, a rigid jam, or an integrity failure.
+def simulate(
+    state: Stem, config: SimConfig, traj: Trajectory
+) -> Iterator[tuple[TrajectoryFrame, bool]]:
+    """Step a seeded state to the horizon, a rigid jam, or an integrity failure.
 
-    Returns an iterator over each frame as it is made, with the events first
-    seen at it and whether the run writes it: frame i is written when the
-    config's stride divides i, and so is the terminal frame, the last item,
-    whose events end with the run's exit event (HorizonReached, Breakdown or
-    IntegrityFailure). Only written frames carry KKT residuals. The seed is
-    set and checked at the call, so a seed error raises here; the steps run
-    only as the frames are drawn.
-    """
-    return _steps(init_state(config), config)
-
-
-def _steps(state: Stem, config: SimConfig) -> Iterator[tuple[TrajectoryFrame, list[Event], bool]]:
-    """simulate's iterator from a seeded state: detect, track patches, test the exits, step.
+    Yields each frame as it is made, with whether the run writes it: frame i
+    is written when the config's stride divides i, and so is the terminal
+    frame, the last item. Only written frames carry KKT residuals. traj
+    records the run as it goes: each frame's events as it is made, the counts
+    of frames made and written, and with the terminal frame the exit kind and
+    that frame as its frames.
 
     A frame's events are the ends and then the starts of the contact patches
     (_ContactPatches) first seen at its state, one ContactPatchEnd or
     ContactPatchStart record each, not a record per node that enters or
-    leaves the band; the terminal frame's end with the exit event. A patch
-    still open at the exit gets no end. A state with no contacts and no open
-    patch does no patch work, so free growth pays nothing for them.
+    leaves the band; the terminal frame's end with the exit event
+    (HorizonReached, Breakdown or IntegrityFailure). A patch still open at the
+    exit gets no end. A state with no contacts and no open patch does no patch
+    work, so free growth pays nothing for them.
     """
     n_total = config.n_total_cells
     patches = _ContactPatches()
@@ -370,19 +361,18 @@ def _steps(state: Stem, config: SimConfig) -> Iterator[tuple[TrajectoryFrame, li
     )
     memory = _ContactMemory()
 
-    # Every iteration either steps or ends the run; the terminal outcome is
-    # yielded once below, as the final frame plus its event.
+    # Every iteration either steps or ends the run; the terminal frame is
+    # yielded once below, after the exit event is recorded.
     for i in count():
         t = state.t
         contacts, min_phi = no_contacts, None
-        events: list[Event] = []
         written = i % config.stride == 0
         try:
             contacts, min_phi = detect_contacts(
                 state, config.scene, config.eps_contact, config.eps_penetration
             )
             if contacts.size or patches.open:
-                events = patches.update(contacts, t)
+                traj.events.extend(patches.update(contacts, t))
 
             broke, diag = detect_breakdown(state, contacts, config)
             if broke:
@@ -404,53 +394,39 @@ def _steps(state: Stem, config: SimConfig) -> Iterator[tuple[TrajectoryFrame, li
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 
-        yield frame, events, written
+        traj.frames_total += 1
+        traj.frames_written += written
+        yield frame, written
         if defect is not None:
             memory.remember(frame, defect)
         state = new_state
 
-    events.append(Event(t=state.t, kind=exit_kind, data=data))
+    traj.events.append(Event(t=state.t, kind=exit_kind, data=data))
+    traj.exit_kind = exit_kind
     if min_phi is None and config.scene.obstacles:
         # detection failed on this state before it measured it
         min_phi = float(np.min(signed_distances(config.scene, state.gamma)))
-    yield TrajectoryFrame(state.ds, state.k, contacts, min_phi=min_phi), events, True
-
-
-def _record(
-    made: Iterator[tuple[TrajectoryFrame, list[Event], bool]], traj: Trajectory
-) -> Iterator[tuple[TrajectoryFrame, bool]]:
-    """Pass on each frame of a simulate iterator with whether the run writes it.
-
-    traj gets every event, the counts of frames made and written, the exit
-    kind, and the terminal frame as its frames.
-    """
-    for frame, events, written in made:
-        traj.events.extend(events)
-        traj.frames_total += 1
-        traj.frames_written += written
-        yield frame, written
-    traj.exit_kind = traj.events[-1].kind
-    traj.frames = [frame]
+    traj.frames = [TrajectoryFrame(state.ds, state.k, contacts, min_phi=min_phi)]
+    traj.frames_total += 1
+    traj.frames_written += 1
+    yield traj.frames[0], True
 
 
 def run(config: SimConfig, sink: Callable[[Iterator[TrajectoryFrame]], object]) -> Trajectory:
     """Run a scenario, handing the frames its stride writes to sink as they are made.
 
     sink is called once, after the seed is set and before the first step,
-    with an iterator over those frames in order, and must draw it to its end.
-    When it returns a list, as sink=list does, that list is the trajectory's
-    frames; a sink that writes each frame out as it comes, and returns
-    anything else, leaves only the terminal frame in memory.
+    with an iterator over those frames in order, and must draw it to its end;
+    sink=frames.extend keeps them in the list frames. The trajectory holds
+    the run's events, counts and exit kind, and only its terminal frame.
     """
     traj = Trajectory()
-    kept = sink(frame for frame, written in _record(simulate(config), traj) if written)
-    if isinstance(kept, list):
-        traj.frames = kept
+    sink(frame for frame, written in simulate(init_state(config), config, traj) if written)
     return traj
 
 
 def _writing(frames: Iterator[tuple[TrajectoryFrame, bool]], write: Callable) -> Iterator:
-    """Each frame of a _record stream, handing the written ones to write first."""
+    """Each frame of a simulate iterator, handing the written ones to write first."""
     for frame, written in frames:
         if written:
             write(frame)
@@ -483,8 +459,10 @@ def twin_run(
     bounding its growth from the first frame, None when a run ends at its
     first frame. Each run's trajectory holds only its terminal frame. A tilt
     that leaves that distance 0 at the seed, as one that underflows or whose
-    axis lies along the seed does, fits no certificate: it raises
-    ValidationError, as a seed error does, before ready is called.
+    axis lies along the seed does, fits no certificate, and one that turns a
+    seed tangent onto its opposite has no distance: either raises
+    ValidationError, as a seed error does, before ready is called. An
+    antipodal pair at a later frame stays an integrity failure.
     """
     tilted = replace(
         config,
@@ -492,17 +470,24 @@ def twin_run(
         label=config.label + "+tilt" if config.label else "tilt",
     )
     base_seed, pert_seed = init_state(config), init_state(tilted)
-    if not weighted_norm(rotation_field(base_seed.k, pert_seed.k), config.dt, config.law.beta):
-        axis_text = ",".join(map(repr, np.asarray(axis, dtype=float).tolist()))
+    axis_text = ",".join(map(repr, np.asarray(axis, dtype=float).tolist()))
+    flag = f"--perturb tilt:{angle!r}:{axis_text}"
+    try:
+        seed_field = rotation_field(base_seed.k, pert_seed.k)
+    except AntipodalAmbiguity:
         raise ValidationError(
-            f"--perturb tilt:{angle!r}:{axis_text} does not move the seed: "
+            f"{flag} turns a seed tangent onto its opposite, so the minimal "
+            "rotation between the seeds, and their distance, is ambiguous"
+        ) from None
+    if not weighted_norm(seed_field, config.dt, config.law.beta):
+        raise ValidationError(
+            f"{flag} does not move the seed: "
             "its distance from the base seed is 0, so no growth rate can be fitted"
         )
     base, pert = Trajectory(), Trajectory()
-    base_made, pert_made = _steps(base_seed, config), _steps(pert_seed, tilted)
     write_base, write_pert = ready()
-    base_frames = _writing(_record(base_made, base), write_base)
-    pert_frames = _writing(_record(pert_made, pert), write_pert)
+    base_frames = _writing(simulate(base_seed, config, base), write_base)
+    pert_frames = _writing(simulate(pert_seed, tilted, pert), write_pert)
     times, dists = [], []
     for fa, fb in zip(base_frames, pert_frames):
         times.append(fa.t)

@@ -79,7 +79,7 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """A run's events and its terminal frame, or every written frame when the run keeps them.
+    """A run's events, its exit kind and its terminal frame, the one item of frames.
 
     frames_total counts every frame made, frames_written those the run writes.
     """

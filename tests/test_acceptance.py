@@ -54,7 +54,8 @@ def ceiling():
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     assert config.dt == 1e-2
     assert config.n_total_cells - config.n_seed_cells == 1000
-    return config, run(config, list)
+    frames = []
+    return config, run(config, frames.extend), frames
 
 
 @pytest.fixture(scope="module")
@@ -131,30 +132,30 @@ def test_criterion_02_kkt_certificates(qp_battery):
 
 
 def test_criterion_03_non_penetration_under_ceiling(ceiling):
-    config, traj = ceiling
-    min_phi = min(f.min_phi for f in traj.frames if f.min_phi is not None)
+    config, traj, frames = ceiling
+    min_phi = min(f.min_phi for f in frames if f.min_phi is not None)
     bound = -0.05 * config.dt
-    contact_frames = sum(1 for f in traj.frames if f.contacts.size)
+    contact_frames = sum(1 for f in frames if f.contacts.size)
     ok = (
         traj.exit_kind == "HorizonReached"
-        and len(traj.frames) == 1001
+        and len(frames) == 1001
         and min_phi >= bound
     )
     report(
         3,
         ok,
-        f"{traj.exit_kind} after {len(traj.frames)} frames, "
+        f"{traj.exit_kind} after {len(frames)} frames, "
         f"{contact_frames} with contact, min distance {min_phi:.3e} "
         f">= {bound:.1e}",
     )
 
 
 def test_criterion_04_normal_velocity_annihilation(ceiling):
-    config, traj = ceiling
+    config, _, frames = ceiling
     dt = config.dt
     worst = 0.0
     checked = 0
-    for prev, nxt in zip(traj.frames, traj.frames[1:]):
+    for prev, nxt in zip(frames, frames[1:]):
         if prev.mu is None or not np.any(prev.mu > 0):
             continue
         tip = bool(prev.contacts.size and prev.contacts.nodes[-1] == prev.n_grown)
@@ -178,9 +179,9 @@ def test_criterion_04_normal_velocity_annihilation(ceiling):
 
 
 def test_criterion_05_unit_tangent_conservation(ceiling):
-    _, traj = ceiling
+    _, _, frames = ceiling
     worst = max(
-        float(np.max(np.abs(np.linalg.norm(f.k, axis=1) - 1.0))) for f in traj.frames
+        float(np.max(np.abs(np.linalg.norm(f.k, axis=1) - 1.0))) for f in frames
     )
     ok = worst <= 1e-10
     report(5, ok, f"max | |k| - 1 | = {worst:.3e} over 1000 steps (tol 1e-10)")
@@ -200,9 +201,10 @@ def test_criterion_06_free_growth_convergence_order():
             t0=0.04,
             horizon=1.0,
         )
-        traj = run(config, list)
+        frames = []
+        traj = run(config, frames.extend)
         assert traj.exit_kind == "HorizonReached"
-        final = traj.frames[-1]
+        final = frames[-1]
         return final.gamma[final.n_grown]
 
     reference = tip_at_horizon(1.5625e-4)
@@ -302,8 +304,8 @@ def test_criterion_09_zero_reaction_purity(ceiling):
     )
 
     # frames without contact never carry reaction artifacts
-    _, traj = ceiling
-    empty = [f for f in traj.frames if f.contacts.size == 0]
+    _, _, frames = ceiling
+    empty = [f for f in frames if f.contacts.size == 0]
     frames_ok = all(
         (f.energy is None or f.energy == 0.0) and f.mu is None for f in empty
     )
@@ -321,14 +323,15 @@ def test_criterion_09_zero_reaction_purity(ceiling):
         )
 
     far = Scene([Sphere(center=np.array([50.0, 0.0, 0.0]), radius=1.0)])
-    traj_a = run(straight(Scene([])), list)
-    traj_b = run(straight(far), list)
-    bitwise_ok = len(traj_a.frames) == len(traj_b.frames) and all(
+    frames_a, frames_b = [], []
+    run(straight(Scene([])), frames_a.extend)
+    run(straight(far), frames_b.extend)
+    bitwise_ok = len(frames_a) == len(frames_b) and all(
         fa.t == fb.t
         and np.array_equal(fa.gamma, fb.gamma)
         and np.array_equal(fa.k, fb.k)
         and fa.contacts.size == fb.contacts.size == 0
-        for fa, fb in zip(traj_a.frames, traj_b.frames)
+        for fa, fb in zip(frames_a, frames_b)
     )
 
     ok = direct_ok and frames_ok and bitwise_ok

@@ -17,7 +17,13 @@ from conftest import STEMGROW, bare_frame, k_bytes, sidecar, stemgrow_env, uprig
 from stemgrow import cli, stepper
 from stemgrow.config import load_config
 from stemgrow.reaction import assemble_constraints, density_from_multipliers, oracle_solve_reaction
-from stemgrow.trajectory import frame_from_dict, read_frames, write_events, write_frames
+from stemgrow.trajectory import (
+    Trajectory,
+    frame_from_dict,
+    read_frames,
+    write_events,
+    write_frames,
+)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCENARIOS = PYPROJECT.parent / "scenarios"
@@ -489,15 +495,18 @@ def test_run_memory_is_flat_in_the_step_count(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("stride", [1, 3, 186])
 def test_streamed_frames_equal_the_frames_a_run_keeps(tmp_path, capsys, stride):
-    # the CLI streams each frame as it is made; run(config, list) keeps the
-    # same frames in memory through the same path, and writes the same bytes
+    # the CLI streams each frame as it is made; run(config, frames.extend)
+    # keeps the same frames in memory through the same path, and writes the
+    # same bytes, while the trajectory keeps only the terminal frame
     config_path = str(SCENARIOS / "sphere_oblique.json")
     outdir = tmp_path / "out"
     assert cli.main(["run", config_path, "--stride", str(stride), "--out", str(outdir)]) == 0
     capsys.readouterr()
-    traj = stepper.run(replace(load_config(config_path), stride=stride), list)
+    config = replace(load_config(config_path), stride=stride)
+    frames = []
+    traj = stepper.run(config, frames.extend)
     kept = tmp_path / "kept.jsonl"
-    assert write_frames(str(kept), traj.frames) == traj.frames_written == len(traj.frames)
+    assert write_frames(str(kept), frames) == traj.frames_written == len(frames)
     assert (outdir / "frames.jsonl").read_bytes() == kept.read_bytes()
     assert (outdir / "frames.k").read_bytes() == sidecar(kept).read_bytes()
     write_events(str(tmp_path / "events.jsonl"), traj.events)
@@ -505,6 +514,11 @@ def test_streamed_frames_equal_the_frames_a_run_keeps(tmp_path, capsys, stride):
     outputs = json.loads((outdir / "manifest.json").read_text())["outputs"]
     assert outputs["frames_written"] == traj.frames_written
     assert outputs["frames_total"] == traj.frames_total
+    assert len(traj.frames) == 1 and traj.frames[0] is frames[-1]
+    made = stepper.simulate(stepper.init_state(config), config, Trajectory())
+    flags = [written for _, written in made]
+    assert traj.frames_written == sum(flags)
+    assert traj.frames_total == len(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -1180,18 +1194,26 @@ def test_twin_non_finite_perturbation_exits_two(tmp_path, spec):
 
 
 @pytest.mark.parametrize(
-    "scenario, spec",
-    [("gravitropic_ceiling", "tilt:1e-300"), ("straight", "tilt:0.1:0,0,1")],
-    ids=["angle_underflows", "axis_along_seed"],
+    "scenario, spec, reason",
+    [
+        ("gravitropic_ceiling", "tilt:1e-300", "does not move the seed"),
+        ("straight", "tilt:0.1:0,0,1", "does not move the seed"),
+        ("gravitropic_ceiling", f"tilt:{math.pi!r}", "onto its opposite"),
+    ],
+    ids=["angle_underflows", "axis_along_seed", "antipodal"],
 )
-def test_twin_perturbation_that_leaves_the_seed_unmoved_exits_two(tmp_path, scenario, spec):
+def test_twin_perturbation_that_leaves_the_seed_unmoved_exits_two(
+    tmp_path, scenario, spec, reason
+):
     # the twin's distance would be 0 at every frame, and the certificate
-    # could fit no rate: rejected before either run steps
+    # could fit no rate, or a half turn sets a seed tangent against its base
+    # twin, between which the minimal rotation is ambiguous: rejected before
+    # either run steps, as --perturb, not as an integrity failure
     outdir = tmp_path / "out"
     config_path = str(SCENARIOS / f"{scenario}.json")
     proc = invoke("twin", config_path, "--perturb", spec, "--out", str(outdir))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --perturb "), proc.stderr
-    assert "does not move the seed" in lines[0]
+    assert reason in lines[0]
     assert not outdir.exists()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stemgrow.curves import rotate_vectors
+from stemgrow.curves import Stem, rotate_vectors
 from stemgrow.diagnostics import (
     audit_arrays,
     gronwall_certificate,
@@ -13,6 +13,7 @@ from stemgrow.diagnostics import (
 )
 from stemgrow.errors import AntipodalAmbiguity, NonPositiveDistance
 from stemgrow.obstacles import HalfSpace, Scene
+from stemgrow.reaction import ContactSet
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -152,18 +153,21 @@ def test_audit_flags_penetration():
 
 
 def test_step_normal_rates_tracks_interior_and_tip():
-    # consecutive frames: the stem gains one grown node between them
-    n = 5
-    gamma_prev = np.stack([np.zeros(n + 1), np.zeros(n + 1), 0.1 * np.arange(n + 1)], axis=1)
-    gamma_next = np.stack([np.zeros(n + 2), np.zeros(n + 2), 0.1 * np.arange(n + 2)], axis=1)
-    gamma_next = gamma_next + np.array([0.02, 0.0, 0.0])
-    nodes = np.array([2, n])
-    normals = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    rates = step_normal_rates(
-        gamma_prev, gamma_next, nodes, normals, tip=True, dt=0.1
+    # consecutive states: the stem gains one grown node between them, and the
+    # later one leans a = asin(0.1) from e3 towards e1 all the way from its base
+    n, ds = 5, 0.1
+    lean = np.array([0.1, 0.0, np.sqrt(0.99)])
+    prev = Stem(ds, np.tile(E3, (n + 1, 1)))
+    nxt = Stem(ds, np.tile(lean, (n + 2, 1)))
+    contacts = ContactSet(
+        nodes=np.array([2, n]),
+        normals=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+        phi=np.zeros(2),
+        tip=True,
     )
-    # interior node moved 0.02 along its normal over dt = 0.1
+    rates = step_normal_rates(prev, nxt, contacts, dt=0.1)
+    # interior node 2 moved 2 ds sin a = 0.02 along its normal over dt = 0.1
     assert rates[0] == pytest.approx(0.2)
-    # the tip contact follows the moving tip: gamma_next[n+1] - gamma_prev[n]
-    # is (0.02, 0, 0.1), so the rate along -e3 is -1
-    assert rates[1] == pytest.approx(-1.0)
+    # the tip contact follows the moving tip: nxt.gamma[n+1] - prev.gamma[n]
+    # is (0.06, 0, 0.6 cos a - 0.5), so the rate along -e3 is 5 - 6 cos a
+    assert rates[1] == pytest.approx(5.0 - 6.0 * lean[2])

@@ -28,7 +28,7 @@ from stemgrow.reaction import (
 from stemgrow import stepper
 from stemgrow.diagnostics import step_normal_rates
 from stemgrow.stepper import init_state, run, simulate, step
-from stemgrow.trajectory import read_frames, write_frames
+from stemgrow.trajectory import Trajectory, read_frames, write_frames
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -385,7 +385,7 @@ def test_gram_identity_holds_on_a_sliding_ceiling_step():
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     frame = next(
         fr
-        for fr, _, _ in simulate(config)
+        for fr, _ in simulate(init_state(config), config, Trajectory())
         if fr.contacts.tip and fr.contacts.size > 1
     )
     assert frame.mu[-1] > 0.0
@@ -412,7 +412,9 @@ def test_frames_read_back_rebuild_the_system_each_step_solved_on(
     monkeypatch.setattr(stepper, "assemble_constraints", recorded)
     config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), horizon=horizon)
     path = str(tmp_path / "frames.jsonl")
-    write_frames(path, run(config, list).frames)
+    made = []
+    run(config, made.extend)
+    write_frames(path, made)
     frames = [fr for fr in read_frames(path, config.dt) if fr.mu is not None]
     assert len(frames) == len(built) > 10
     for fr, system in zip(frames, built):
@@ -434,7 +436,7 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
 
     monkeypatch.setattr(stepper, "step", recorded)
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
-    for _ in simulate(config):
+    for _ in simulate(init_state(config), config, Trajectory()):
         pass
     checked = 0
     for state, new_state, frame, defect in taken:
@@ -443,9 +445,7 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
         c = frame.contacts
         system = assemble_constraints(state, c, config.law.beta)
         psi = psi_field(config.law, state.t, state.s, state.k)
-        realized = step_normal_rates(
-            state.gamma, new_state.gamma, c.nodes, c.normals, c.tip, config.dt
-        )
+        realized = step_normal_rates(state, new_state, c, config.dt)
         want = realized - linear_rates(system, psi + density_from_multipliers(system, frame.mu))
         scale = float(np.max(np.abs(system.gram @ frame.mu)))
         assert np.max(np.abs(defect - want)) <= 1e-12 * scale
@@ -630,7 +630,7 @@ def test_oracle_matches_the_reference_on_every_ceiling_frame():
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
     assert config.stride == 1
     checked = 0
-    for frame, _, written in simulate(config):
+    for frame, written in simulate(init_state(config), config, Trajectory()):
         if not (written and frame.mu is not None and frame.contacts.size):
             continue
         system = assemble_constraints(frame, frame.contacts, config.law.beta)

@@ -35,7 +35,7 @@ from stemgrow.stepper import (
     step,
     twin_run,
 )
-from stemgrow.trajectory import TrajectoryFrame, frame_to_dict
+from stemgrow.trajectory import Trajectory, TrajectoryFrame, frame_to_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -85,17 +85,18 @@ def test_seed_fills_grid_with_vertical_tangents():
 
 
 def test_free_growth_straight_run():
-    traj = run(make_config(), list)
+    frames = []
+    traj = run(make_config(), frames.extend)
     assert traj.exit_kind == "HorizonReached"
-    final = traj.frames[-1]
+    final = frames[-1]
     assert final.n_grown == 10
     assert np.array_equal(final.k, np.tile(E3, (11, 1)))
     assert np.max(np.abs(final.gamma[-1] - np.array([0.0, 0.0, 1.0]))) < 1e-12
     kinds = [e.kind for e in traj.events]
     assert kinds == ["HorizonReached"]
     # no contacts anywhere, so no frame carries reaction fields
-    assert all(f.contacts.size == 0 for f in traj.frames)
-    assert all(f.energy is None for f in traj.frames)
+    assert all(f.contacts.size == 0 for f in frames)
+    assert all(f.energy is None for f in frames)
 
 
 def test_gravitropic_growth_bends_upward():
@@ -106,9 +107,10 @@ def test_gravitropic_growth_bends_upward():
         t0=0.2,
         horizon=0.5,
     )
-    traj = run(config, list)
+    frames = []
+    traj = run(config, frames.extend)
     assert traj.exit_kind == "HorizonReached"
-    final = traj.frames[-1]
+    final = frames[-1]
     assert final.gamma[-1][2] > 0.02  # tip lifted off the horizontal
     assert final.k[-1] @ E3 > final.k[0] @ E3  # newest tissue bent hardest
     norms = np.linalg.norm(final.k, axis=1)
@@ -128,13 +130,14 @@ def test_oblique_plane_contact_slides_to_horizon():
         horizon=0.75,
         eps_contact=0.01,
     )
-    traj = run(config, list)
+    frames = []
+    traj = run(config, frames.extend)
     assert traj.exit_kind == "HorizonReached"
     kinds = [e.kind for e in traj.events]
     assert "ContactPatchStart" in kinds
     assert "Breakdown" not in kinds
-    assert any(f.contacts.size > 0 for f in traj.frames)
-    for f in traj.frames:
+    assert any(f.contacts.size > 0 for f in frames)
+    for f in frames:
         assert f.min_phi >= -0.05 * config.dt
         if f.mu is not None and np.any(f.mu > 0):
             assert f.realized_residual <= 1e-6 * (1.0 + 1.0)
@@ -145,7 +148,9 @@ def test_frames_keep_the_distance_detection_measured(scenario):
     # a frame's min_phi is the least distance detection measured on its state,
     # not a second measurement of the same positions
     config = load_config(str(SCENARIOS / f"{scenario}.json"))
-    for fr in run(config, list).frames:
+    frames = []
+    run(config, frames.extend)
+    for fr in frames:
         if config.scene.obstacles:
             assert fr.min_phi == float(np.min(signed_distances(config.scene, fr.gamma)))
         else:
@@ -162,9 +167,10 @@ def test_penetrated_terminal_frame_measures_its_distance():
         t0=0.2,
         eps_contact=1e-3 * 0.2,
     )
-    traj = run(config, list)
+    frames = []
+    traj = run(config, frames.extend)
     assert traj.exit_kind == "IntegrityFailure"
-    final = traj.frames[-1]
+    final = frames[-1]
     assert final.min_phi == float(np.min(signed_distances(config.scene, final.gamma))) < 0.0
 
 
@@ -175,9 +181,10 @@ def test_head_on_plane_contact_breaks_down():
         t0=0.3,
         eps_contact=1e-3 * 0.1,
     )
-    traj = run(config, list)
+    frames = []
+    traj = run(config, frames.extend)
     assert traj.exit_kind == "Breakdown"
-    assert traj.frames[-1].t <= 0.5 + 1e-12
+    assert frames[-1].t <= 0.5 + 1e-12
     last = traj.events[-1]
     assert last.kind == "Breakdown"
     assert last.data["angle_residual"] <= config.breakdown_angle_tol
@@ -205,19 +212,18 @@ def test_near_head_on_plane_impacts_never_accept_an_inward_step(variant):
             t0=0.3,
             horizon=1.5,
         )
-        traj = run(config, list)
+        frames = []
+        traj = run(config, frames.extend)
         last = traj.events[-1]
         if last.kind == "IntegrityFailure":
             assert last.data["error"].startswith("correction loop"), (theta, last.data)
         else:
             assert last.kind in ("HorizonReached", "Breakdown")
-        for prev, nxt in zip(traj.frames, traj.frames[1:]):
+        for prev, nxt in zip(frames, frames[1:]):
             if prev.mu is None:
                 continue
             c = prev.contacts
-            realized = step_normal_rates(
-                prev.gamma, nxt.gamma, c.nodes, c.normals, c.tip, config.dt
-            )
+            realized = step_normal_rates(prev, nxt, c, config.dt)
             pushback = pushback_rates(c.phi, config.kappa, config.dt)
             assert np.all(realized >= pushback - config.correction_tol), (theta, prev.t)
 
@@ -231,9 +237,10 @@ def test_initial_jam_is_rejected_at_seeding():
         t0=0.5,
         eps_contact=1e-3 * 0.1,
     )
-    traj = run(config, list)
+    frames = []
+    traj = run(config, frames.extend)
     assert traj.exit_kind == "Breakdown"
-    assert [f.t for f in traj.frames] == [config.t0]
+    assert [f.t for f in frames] == [config.t0]
     assert [e.kind for e in traj.events] == ["ContactPatchStart", "Breakdown"]
 
 
@@ -363,10 +370,11 @@ def test_far_obstacle_run_is_bitwise_identical_to_empty_scene():
         scene=Scene([Sphere(center=np.array([50.0, 0.0, 0.0]), radius=1.0)]),
         eps_contact=1e-3 * 0.05,
     )
-    t_empty = run(near_nothing, list)
-    t_far = run(far_sphere, list)
-    assert len(t_empty.frames) == len(t_far.frames)
-    for fa, fb in zip(t_empty.frames, t_far.frames):
+    empty_frames, far_frames = [], []
+    run(near_nothing, empty_frames.extend)
+    run(far_sphere, far_frames.extend)
+    assert len(empty_frames) == len(far_frames)
+    for fa, fb in zip(empty_frames, far_frames):
         assert np.array_equal(fa.gamma, fb.gamma)
         assert np.array_equal(fa.k, fb.k)
 
@@ -424,14 +432,7 @@ def test_defect_correction_cancels_realized_normal_rates():
             psi = psi_field(config.law, state.t, state.s, state.k)
             system = assemble_constraints(state, contacts, config.law.beta)
             predicted = linear_rates(system, psi + density_from_multipliers(system, frame.mu))
-            realized = step_normal_rates(
-                state.gamma,
-                new_state.gamma,
-                contacts.nodes,
-                contacts.normals,
-                contacts.tip,
-                config.dt,
-            )
+            realized = step_normal_rates(state, new_state, contacts, config.dt)
             assert np.max(np.abs(realized - predicted)) < 0.1
         state = new_state
     assert saw_contact
@@ -464,23 +465,26 @@ def _frame_lines(frames):
 )
 def test_stride_keeps_every_kth_frame_and_the_terminal_one(name, overrides, exit_kind, total):
     config = replace(load_config(str(SCENARIOS / f"{name}.json")), **overrides)
-    full = run(config, list)
+    full_frames = []
+    full = run(config, full_frames.extend)
     assert full.exit_kind == exit_kind
     assert full.events[-1].kind == exit_kind
-    assert full.frames_total == len(full.frames) == total
-    every = _frame_lines(full.frames)
+    assert full.frames_total == len(full_frames) == total
+    every = _frame_lines(full_frames)
     for k in (3, 7, total + 5):
-        kept = run(replace(config, stride=k), list)
+        kept_frames = []
+        kept = run(replace(config, stride=k), kept_frames.extend)
         assert kept.exit_kind == exit_kind
         assert kept.frames_total == total
-        assert kept.frames_written == len(kept.frames)
-        assert _frame_lines(kept.frames) == [
+        assert kept.frames_written == len(kept_frames)
+        assert _frame_lines(kept_frames) == [
             every[i] for i in _kept_indices(total, k)
         ]
         assert kept.events == full.events
-        flags = [written for _, _, written in simulate(replace(config, stride=k))]
+        strided = replace(config, stride=k)
+        flags = [written for _, written in simulate(init_state(strided), strided, Trajectory())]
         assert [i for i, written in enumerate(flags) if written] == _kept_indices(total, k)
-        for fr in kept.frames:
+        for fr in kept_frames:
             assert (fr.kkt_complementarity is None) == (fr.mu is None)
             assert (fr.kkt_stationarity is None) == (fr.mu is None)
 
@@ -490,7 +494,7 @@ def test_only_the_frames_written_carry_kkt_residuals():
     # that is not written carries no KKT residuals
     config = replace(load_config(str(SCENARIOS / "sphere_oblique.json")), stride=3)
     certified = []
-    for i, (frame, _, _) in enumerate(simulate(config)):
+    for i, (frame, _) in enumerate(simulate(init_state(config), config, Trajectory())):
         if frame.mu is not None:
             certified.append((i % 3 == 0, frame.kkt_complementarity is not None))
             assert (frame.kkt_stationarity is not None) == certified[-1][1]
@@ -530,9 +534,10 @@ def test_frames_derive_s_t_and_gamma_as_the_state_holds_them(monkeypatch, scenar
         return new_state, frame, defect
 
     monkeypatch.setattr(stepper, "step", checked)
-    traj = run(config, list)
+    frames = []
+    traj = run(config, frames.extend)
     assert len(states) == traj.frames_total
-    same_stem(traj.frames[-1], states[-1])
+    same_stem(frames[-1], states[-1])
 
 
 def held_bytes(obj):
@@ -541,7 +546,8 @@ def held_bytes(obj):
 
 def test_kept_frames_hold_only_their_tangents_and_reaction():
     ceiling = replace(load_config(str(SCENARIOS / "gravitropic_ceiling.json")), stride=20)
-    ceiling_run = run(ceiling, list)
+    ceiling_frames = []
+    run(ceiling, ceiling_frames.extend)
     twin_config = load_config(str(SCENARIOS / "twin_tilt.json"))
     base, perturbed = [], []
     twin = twin_run(
@@ -551,7 +557,7 @@ def test_kept_frames_hold_only_their_tangents_and_reaction():
     assert len(twin.base.frames) == len(twin.perturbed.frames) == 1
     assert twin.base.frames[0] is base[-1] and twin.perturbed.frames[0] is perturbed[-1]
     assert len(base) == twin.base.frames_written and len(perturbed) == twin.perturbed.frames_written
-    frames = ceiling_run.frames + base + perturbed
+    frames = ceiling_frames + base + perturbed
     assert any(fr.mu is not None for fr in frames)
     for fr in frames:
         assert "s" not in vars(fr) and "gamma" not in vars(fr)
@@ -560,7 +566,7 @@ def test_kept_frames_hold_only_their_tangents_and_reaction():
         assert all(a.shape == (fr.contacts.size,) for a in reaction)
         assert held_bytes(fr) == fr.k.nbytes + sum(a.nbytes for a in reaction)
     # positions follow the tangents a frame holds, also after a replace
-    frame = ceiling_run.frames[-1]
+    frame = ceiling_frames[-1]
     other = rotate_vectors(np.tile([0.0, 0.3, 0.0], (frame.n_grown + 1, 1)), frame.k)
     assert not np.array_equal(frame.gamma, integrate_tangents(other, frame.ds))
     moved = replace(frame, k=other)
@@ -599,9 +605,7 @@ def test_seed_changes_only_the_iteration_count():
         except MaxIterationsExceeded:
             continue
         assert frame.realized_residual <= config.correction_tol
-        realized = step_normal_rates(
-            state.gamma, new_state.gamma, contacts.nodes, contacts.normals, True, config.dt
-        )
+        realized = step_normal_rates(state, new_state, contacts, config.dt)
         active = frame.mu > 0.0
         assert np.all(np.abs(realized[active] - pushback[active]) <= config.correction_tol)
         accepted[name] = (new_state, frame.mu)
@@ -725,7 +729,7 @@ def test_contact_events_do_not_grow_with_the_step_count():
     kinds = []
     for dt in (0.01, 0.005):
         refined = replace(config, dt=dt, eps_contact=dt, eps_penetration=0.05 * dt)
-        traj = run(refined, list)
+        traj = run(refined, [].extend)
         assert traj.exit_kind == "HorizonReached"
         kinds.append([ev.kind for ev in traj.events])
     assert kinds[0] == kinds[1] == ["ContactPatchStart", "HorizonReached"]
@@ -769,7 +773,7 @@ def test_ceiling_carries_each_contact_across_steps(
     if dt is not None:
         config = replace(config, dt=dt)
     contact_steps = 0
-    for frame, _, _ in simulate(config):
+    for frame, _ in simulate(init_state(config), config, Trajectory()):
         if frame.mu is not None:
             contact_steps += 1
             assert frame.realized_residual <= config.correction_tol
@@ -796,6 +800,7 @@ def test_final_shape_converges_at_first_order_in_dt(obstacles):
     finals, impulses, onsets = [], [], []
     for refine in (1, 2, 4):
         dt = 0.01 / refine
+        frames = []
         traj = run(
             replace(
                 config,
@@ -805,13 +810,13 @@ def test_final_shape_converges_at_first_order_in_dt(obstacles):
                 horizon=1.5,
                 stride=10 * refine,  # a frame every 0.1 in t
             ),
-            list,
+            frames.extend,
         )
         assert traj.exit_kind == "HorizonReached"
-        assert any(f.mu is not None for f in traj.frames) == (obstacles == "ceiling")
-        finals.append(traj.frames[-1].gamma[::refine])
+        assert any(f.mu is not None for f in frames) == (obstacles == "ceiling")
+        finals.append(frames[-1].gamma[::refine])
         if obstacles == "ceiling":
-            kept = {round(fr.t, 9): fr for fr in traj.frames}
+            kept = {round(fr.t, 9): fr for fr in frames}
             omegas = (
                 density_from_multipliers(assemble_constraints(fr, fr.contacts, beta), fr.mu)
                 for fr in (kept[1.2], kept[1.3], kept[1.4])

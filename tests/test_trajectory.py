@@ -163,7 +163,8 @@ def test_read_frames_gives_back_the_frames_run_made(tmp_path, scenario, stride):
     # and dt as the made frame does, whose derived values test_stepper pins to
     # the state's
     config = replace(load_config(str(SCENARIOS / f"{scenario}.json")), stride=stride)
-    made = run(config, list).frames
+    made = []
+    run(config, made.extend)
     path = str(tmp_path / "frames.jsonl")
     write_frames(path, made)
     back = list(read_frames(path, config.dt))
