@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from contextlib import ExitStack
@@ -34,17 +33,7 @@ from .trajectory import (
     write_manifest,
 )
 
-log = logging.getLogger("stemgrow.cli")
-
 EXIT_CODES = {"HorizonReached": 0, "Breakdown": 10, "IntegrityFailure": 20}
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("STEMGROW_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
 
 
 def _make_dirs(*paths: str) -> None:
@@ -84,12 +73,30 @@ def _write_run(outdir: str, traj, config: SimConfig, argv: list[str]) -> dict:
     )
 
 
+def _report_exit(traj, prefix: str = "") -> None:
+    """One stderr line with why a run that did not reach the horizon ended.
+
+    The reason is read from the run's exit event, the last in events.jsonl:
+    the breakdown diagnostics, or the integrity failure's error.
+    """
+    exit_event = traj.events[-1]
+    if exit_event.kind == "HorizonReached":
+        return
+    data = exit_event.data
+    if exit_event.kind == "IntegrityFailure":
+        reason = data["error"]
+    else:
+        reason = ", ".join(f"{key}={value}" for key, value in data.items())
+    print(f"{prefix}{exit_event.kind} at t={exit_event.t:.6g}: {reason}", file=sys.stderr)
+
+
 def _cmd_run(args, argv) -> int:
     config = load_config(args.config)
     if args.stride is not None:
         config = replace(config, stride=args.stride)  # validates the override
     traj = run_scenario(config, partial(_write_frames, args.out))
     _write_run(args.out, traj, config, argv)
+    _report_exit(traj)
     final = traj.frames[-1]
     print(
         f"{traj.exit_kind}: t={final.t:.6g} nodes={final.n_grown + 1} "
@@ -134,7 +141,8 @@ def _cmd_twin(args, argv) -> int:
     if args.stride is not None:
         config = replace(config, stride=args.stride)  # validates the override
     angle, axis = _parse_perturbation(args.perturb)
-    sides = [os.path.join(args.out, side) for side in ("base", "perturbed")]
+    names = ("base", "perturbed")
+    sides = [os.path.join(args.out, name) for name in names]
     with ExitStack() as stack:
 
         def ready():
@@ -154,10 +162,11 @@ def _cmd_twin(args, argv) -> int:
     }
     write_jsonl(os.path.join(args.out, "certificate.json"), [cert])
     # a side's manifest, written last, marks a finished twin
-    for outdir, traj, side_config in zip(
-        sides, (result.base, result.perturbed), (config, result.perturbed_config)
+    for name, outdir, traj, side_config in zip(
+        names, sides, (result.base, result.perturbed), (config, result.perturbed_config)
     ):
         _write_run(outdir, traj, side_config, argv)
+        _report_exit(traj, f"{name}: ")
     c = result.growth_constant
     print(
         f"twin: C={'none' if c is None else format(c, '.6g')} "
@@ -276,7 +285,12 @@ def _cmd_oracle_check(args) -> int:
         if oracle.degenerate:
             degenerate += 1
             print(f"oracle-check: frame {idx}: degenerate ({oracle.degenerate})")
-        if diff > args.tol * scale:
+        if "candidate densities disagree" in oracle.degenerate:
+            # the minimizer's density is unique, so feasible candidates that
+            # disagree in it leave the stored density nothing to agree with
+            mismatched += 1
+            print(f"oracle-check: frame {idx} t={fr.t:.6g}: candidate densities disagree")
+        elif diff > args.tol * scale:
             mismatched += 1
             print(
                 f"oracle-check: frame {idx} t={fr.t:.6g}: density differs by "
@@ -326,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)

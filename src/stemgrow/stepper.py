@@ -40,7 +40,6 @@ the state does.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, count
@@ -76,8 +75,6 @@ from .reaction import (
     solve_reaction,
 )
 from .trajectory import Event, Trajectory, TrajectoryFrame
-
-log = logging.getLogger("stemgrow.stepper")
 
 
 def init_state(config: SimConfig) -> Stem:
@@ -324,7 +321,6 @@ class _ContactPatches:
             pid = self.open[continued[j]]["patch"] if j in continued else next(self._ids)
             patch = {"patch": pid, "nodes": run, "tip": contacts.tip and j == len(runs) - 1}
             if j not in continued:
-                log.info("contact patch %d starts at t=%.6g: nodes %d..%d", pid, t, *run)
                 events.append(Event(t=t, kind="ContactPatchStart", data=patch))
             opened.append(patch)
         self.open = opened
@@ -376,7 +372,6 @@ def simulate(
 
             broke, diag = detect_breakdown(state, contacts, config)
             if broke:
-                log.warning("breakdown at t=%.6g: %s", t, diag)
                 exit_kind, data = "Breakdown", diag
                 break
             if state.n_grown >= n_total:
@@ -390,7 +385,6 @@ def simulate(
                 state, config, contacts, min_phi, warm_start, seed, written
             )
         except SimulationError as exc:
-            log.warning("integrity failure at t=%.6g: %s", t, exc)
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}
             break
 

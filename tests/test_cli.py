@@ -413,16 +413,60 @@ def test_manifest_with_removed_solver_key_exits_two(straight_run, tmp_path):
     assert not outdir.exists()
 
 
-def test_log_level_env_controls_verbosity(tmp_path):
-    config_path = write_scenario(tmp_path / "jam.json", breakdown_doc())
-    # at the default WARNING level the jam emits a breakdown warning
-    proc = invoke("run", config_path, "--out", str(tmp_path / "a"))
-    assert "breakdown" in proc.stderr
-    # raising the threshold silences it
-    proc = invoke(
-        "run", config_path, "--out", str(tmp_path / "b"), env_extra={"STEMGROW_LOG": "ERROR"}
-    )
-    assert "breakdown" not in proc.stderr
+def stderr_doc(name):
+    """The scenarios whose stderr the reason-line test reads."""
+    doc = breakdown_doc()
+    if name == "coarse_jam":
+        # the tip jumps past the band deep into the ceiling: exit 20
+        doc["numerics"] = {"dt": 0.2, "t0": 0.2, "horizon": 1.0, "eps_contact": 1e-3 * 0.2}
+        doc["seed_curve"]["length"] = 0.2
+    elif name == "fine_jam":
+        # tilted by 0.5 rad, the twin's seed slides along the ceiling to the horizon
+        doc["numerics"] = {"dt": 0.01, "t0": 0.3, "horizon": 0.7}
+    elif name == "straight":
+        doc = straight_doc()
+    return doc
+
+
+JAM_REASON = "angle_residual=0.0, max_free_curvature=0.0, contact_nodes="
+
+
+@pytest.mark.parametrize(
+    "command, doc, perturb, code, expected",
+    [
+        ("run", "jam", None, 10, [f"Breakdown at t=0.5: {JAM_REASON}[5]"]),
+        ("run", "coarse_jam", None, 20, ["IntegrityFailure at t=0.6: {run}"]),
+        ("twin", "fine_jam", "tilt:0.5", 10, [f"base: Breakdown at t=0.49: {JAM_REASON}[49]"]),
+        (
+            "twin", "jam", "tilt:0.05", 20,
+            [
+                f"base: Breakdown at t=0.5: {JAM_REASON}[5]",
+                "perturbed: IntegrityFailure at t=0.6: {perturbed}",
+            ],
+        ),
+        ("run", "straight", None, 0, []),
+        ("twin", "straight", "tilt:0.05", 0, []),
+        ("twin", "straight", "tilt:0", 2, ["error: --perturb angle must be nonzero, got 'tilt:0'"]),
+    ],
+    ids=["run_breakdown", "run_integrity", "twin_one_side", "twin_both_sides",
+         "run_horizon", "twin_horizon", "twin_usage"],
+)
+def test_stderr_has_one_reason_line_per_failing_run(
+    tmp_path, capsys, command, doc, perturb, code, expected
+):
+    # a run or twin side that ends short of the horizon says why in one line,
+    # read from its exit event; {run} and {perturbed} stand for the error that
+    # the run's or the perturbed side's exit event holds
+    config_path = write_scenario(tmp_path / "scenario.json", stderr_doc(doc))
+    outdir = tmp_path / "out"
+    perturb = ["--perturb", perturb] if perturb else []
+    assert cli.main([command, config_path, *perturb, "--out", str(outdir)]) == code
+    errors = {}
+    for name, where in [("run", outdir), ("perturbed", outdir / "perturbed")]:
+        events = where / "events.jsonl"
+        if events.exists():
+            errors[name] = json.loads(events.read_text().splitlines()[-1])["data"].get("error")
+    assert capsys.readouterr().err.splitlines() == [line.format_map(errors) for line in expected]
 
 
 @pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
@@ -680,6 +724,37 @@ def test_oracle_check_reports_an_infeasible_frame(tmp_path):
         "oracle-check: frame 0: no active set among 2^1 is feasible",
         "oracle-check: 0 checked, 0 skipped (too many contacts), 0 degenerate, 1 mismatched",
     ]
+
+
+def test_oracle_check_counts_disagreeing_candidate_densities_as_mismatched(
+    tmp_path, monkeypatch, capsys
+):
+    # the density is unique, so feasible candidates that disagree in it leave
+    # the stored one nothing to agree with: a mismatch with a line of its own,
+    # where the frame used to pass as degenerate. No bundled scenario has such
+    # a frame, so the oracle is made to report one on a clean frame
+    manifest = write_scenario(tmp_path / "scenario.json", straight_doc())
+    n = 5
+    contact = {"node": n, "phi": 0.0, "normal": [1.0, 0.0, 0.0], "b": 0.0, "mu": 0.0}
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(bare_frame(n=n, contacts=[contact]))
+    sidecar(frames).write_bytes(k_bytes(upright(n)))
+    argv = ["oracle-check", str(frames), "--manifest", manifest]
+    summary = (
+        "oracle-check: 1 checked, 0 skipped (too many contacts), {0} degenerate, {0} mismatched"
+    )
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [summary.format(0)]
+    solve = cli.oracle_solve_reaction
+    disagree = "candidate densities disagree"
+    monkeypatch.setattr(
+        cli, "oracle_solve_reaction", lambda *args: replace(solve(*args), degenerate=disagree)
+    )
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"oracle-check: frame 0: degenerate ({disagree})"
+    assert re.fullmatch(rf"oracle-check: frame 0 t=\S+: {disagree}", lines[1]), lines
+    assert lines[2:] == [summary.format(1)]
 
 
 @pytest.mark.parametrize(

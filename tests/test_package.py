@@ -87,10 +87,12 @@ def test_test_extra_installs_what_the_tests_import():
     assert _third_party_imports(ROOT / "tests") <= installed
 
 
-def test_command_line_does_not_load_orjson():
-    # the writer and the readers import orjson only when they are called, so
-    # importing the command line, which every run pays for, does not load it
-    code = "import stemgrow.cli, sys; sys.exit(int('orjson' in sys.modules))"
+@pytest.mark.parametrize("module", ["orjson", "logging"])
+def test_command_line_does_not_load(module):
+    # importing the command line is paid by every run: the writer and the
+    # readers import orjson only when they are called, and a run reports
+    # through its events and exit lines, never through logging
+    code = f"import stemgrow.cli, sys; sys.exit(int({module!r} in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=stemgrow_env()
     )
