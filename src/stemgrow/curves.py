@@ -1,11 +1,21 @@
-"""The stem's geometry, tangent integration, cumulative rotation, and the rotation kernel.
+"""The stem's geometry, tangent integration, cumulative rotation, and the rotation maps.
 
 The stem is represented by its unit tangent field on a uniform arclength grid;
 positions are recovered by quadrature from the base point. Stem holds the
 grid spacing and the tangents and is the one place that derives the rest:
-the node count, the time, the arclength grid and the positions. Rotations are
-applied through the exponential map of a rotation vector (axis times angle),
-evaluated in closed form with a series branch near zero angle.
+the node count, the time, the arclength grid and the positions.
+
+A rotation vector w turns a vector by one of two maps, both evaluated by the
+one Rodrigues body v + a (w x v) + b (w x (w x v)) and differing only in
+their coefficients. rotate_vectors applies the exponential map, a rotation
+by |w| about w, in closed form with a series branch near zero angle; seeds
+and their tilts take it, since their angles reach pi. cayley_vectors applies
+the Cayley map, a rotation by 2 atan(|w| / 2) = |w| - |w|^3 / 12 + ... about
+w, whose coefficients take one division and no square root, sine or cosine.
+The stepper turns every tangent by it each step: a step's angles are of
+order dt, where the two maps differ by O(dt^3), far below the scheme's
+first-order error, and the map is still an exact rotation, so tangents stay
+unit.
 
 The per-node kernels work on component columns, one (n,) array per axis,
 rather than broadcasting over (n, 3) rows, whose inner loops run three
@@ -28,10 +38,15 @@ def _columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x[..., 0], x[..., 1], x[..., 2]
 
 
+def _square_norm_columns(x):
+    """Squared Euclidean length from components, summed in numpy.linalg.norm's order."""
+    x0, x1, x2 = x
+    return x0 * x0 + x1 * x1 + x2 * x2
+
+
 def _norm_columns(x):
     """Euclidean length from components, bitwise equal to numpy.linalg.norm over the last axis."""
-    x0, x1, x2 = x
-    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    return np.sqrt(_square_norm_columns(x))
 
 
 def _cross_columns(a, b, out=(None, None, None)):
@@ -49,13 +64,14 @@ def _cross_columns(a, b, out=(None, None, None)):
     )
 
 
-def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (sin t / t, (1 - cos t) / t^2), series-expanded below 1e-6.
+def _rot_coeffs(w) -> tuple[np.ndarray, np.ndarray]:
+    """Return (sin t / t, (1 - cos t) / t^2) with t = |w| from the component columns of w.
 
-    The closed forms are taken over the whole array and then replaced at the
-    few small angles, such as the zero rotation at the base node, where they
-    read 0 / 0.
+    Series-expanded below t = 1e-6: the closed forms are taken over the whole
+    array and then replaced at the few small angles, such as the zero
+    rotation at the base node, where they read 0 / 0.
     """
+    theta = _norm_columns(w)
     with np.errstate(invalid="ignore"):
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / (theta * theta)
@@ -67,6 +83,36 @@ def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _cayley_coeffs(w) -> tuple[np.ndarray, np.ndarray]:
+    """Return (4 / (4 + |w|^2), a / 2) from the component columns of w.
+
+    Exact at w = 0, where they read (1, 1/2), so no angle needs a branch.
+    """
+    a = 4.0 / (4.0 + _square_norm_columns(w))
+    return a, 0.5 * a
+
+
+def _rodrigues(w, v, out, coeffs):
+    """Write v_i + a_i (w_i x v_i) + b_i (w_i x (w_i x v_i)) for every row i to out.
+
+    coeffs maps the component columns of w to the columns a and b. The
+    formula is evaluated one component column at a time, in the order of
+    operations of its row form, so that rows with identical (w, v) produce
+    bitwise identical output whatever their neighbours.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(w.shape, v.shape))
+    wc = _columns(w.reshape(-1, 3))
+    vc = _columns(v.reshape(-1, 3))
+    a, b = coeffs(wc)
+    wxv = _cross_columns(wc, vc)
+    wxwxv = _cross_columns(wc, wxv)
+    rows = out if out.ndim == 2 else out[None]
+    for i in range(3):
+        np.add(vc[i] + a * wxv[i], b * wxwxv[i], out=rows[:, i])
+    return out
+
+
 def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the rotation exp([w_i]) to v_i for every row i; one w may rotate every row.
 
@@ -76,22 +122,20 @@ def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) 
     when one is given.
     exp([w]) solves v' = w x v over unit time. Uses Rodrigues' formula
     R v = v + a (w x v) + b (w x (w x v)) with t = |w|, a = sin t / t and
-    b = (1 - cos t) / t^2, so zero rotation vectors need no branch. The
-    formula is evaluated one component column at a time, in the order of
-    operations of its row form, so that rows with identical (w, v) produce
-    bitwise identical output whatever their neighbours.
+    b = (1 - cos t) / t^2, so zero rotation vectors need no branch.
     """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(w.shape, v.shape))
-    wc = _columns(w.reshape(-1, 3))
-    vc = _columns(v.reshape(-1, 3))
-    a, b = _rot_coeffs(_norm_columns(wc))
-    wxv = _cross_columns(wc, vc)
-    wxwxv = _cross_columns(wc, wxv)
-    rows = out if out.ndim == 2 else out[None]
-    for i in range(3):
-        np.add(vc[i] + a * wxv[i], b * wxwxv[i], out=rows[:, i])
-    return out
+    return _rodrigues(w, v, out, _rot_coeffs)
+
+
+def cayley_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the Cayley map of w_i to v_i for every row i; shapes as in rotate_vectors.
+
+    The Cayley map (I - [w]/2)^-1 (I + [w]/2) is the rotation about w by
+    2 atan(|w| / 2). In Rodrigues' form R v = v + a (w x v) + b (w x (w x v))
+    its coefficients are a = 4 / (4 + |w|^2) and b = a / 2, with |w|^2 summed
+    as _norm_columns sums it and no square root taken.
+    """
+    return _rodrigues(w, v, out, _cayley_coeffs)
 
 
 def integrate_tangents(k: np.ndarray, ds: float) -> np.ndarray:

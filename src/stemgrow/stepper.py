@@ -7,6 +7,13 @@ every tangent by the cumulative rotation below it, append the new tip node as
 a copy of the rotated tip tangent, and rebuild positions from the base. So one grid cell
 grows per step, and the new cell continues the tip straight.
 
+A tangent turns by the Cayley map of dt times its cumulative rotation
+(curves.cayley_vectors), not by its exponential: both are exact rotations
+about that vector, so tangents stay unit, and their angles differ by a cube
+of the step's angle, which keeps the scheme's first order in dt. The Cayley
+map needs no sine, cosine or square root, and this rotation is the one
+per-node kernel that every step pays, once per correction sweep.
+
 When contacts are present the constraint right-hand side is refined a few
 times against the velocity the geometric update actually realizes, so that
 complementarity holds for the realized per-step displacement, not just the
@@ -47,7 +54,7 @@ from itertools import chain, count
 import numpy as np
 
 from .config import SimConfig
-from .curves import Stem, angular_displacement_profile, rotate_vectors
+from .curves import Stem, angular_displacement_profile, cayley_vectors
 from .diagnostics import (
     gronwall_certificate,
     rotation_field,
@@ -135,7 +142,7 @@ def detect_breakdown(
 
 
 def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
-    """Rotate tangents by the cumulative rotation below each node, grow, rebuild positions.
+    """Turn tangents by the Cayley map of the cumulative rotation below each node, grow, rebuild.
 
     The new tip node continues the rotated tip tangent: its row is a bitwise
     copy of the row below it. A state that is not finite raises, with no
@@ -144,7 +151,7 @@ def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
     omega_cap = angular_displacement_profile(density, state.ds)
     k = np.empty((state.n_grown + 2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        rotate_vectors(dt * omega_cap, state.k, out=k[:-1])
+        cayley_vectors(dt * omega_cap, state.k, out=k[:-1])
         k[-1] = k[-2]
         new = Stem(state.ds, k)
         # Integrated here, not at the next detection that reads it: made among

@@ -10,6 +10,7 @@ from stemgrow.curves import (
     _columns,
     _cross_columns,
     angular_displacement_profile,
+    cayley_vectors,
     integrate_tangents,
     rotate_vectors,
 )
@@ -137,6 +138,72 @@ def test_rotate_vectors_zero_rotation_is_bitwise_identity():
     v = np.array([[0.1, -0.7, 0.3], [1.0, 0.0, 0.0]])
     got = rotate_vectors(np.zeros((2, 3)), v)
     assert np.array_equal(got, v)
+
+
+# cayley_vectors, the stepper's map, is the rotation about w by 2 atan(|w| / 2).
+# The bounds below were fixed before the first run.
+
+
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _step_vectors(rng, n, largest):
+    """n rotation vectors at the step's angles: uniform in [0, largest], random axes."""
+    return rng.uniform(0.0, largest, size=(n, 1)) * _unit_rows(rng, n)
+
+
+def test_cayley_keeps_the_norm():
+    # at angles up to 0.1, over twice the largest a bundled step turns a node
+    rng = np.random.default_rng(21)
+    w = _step_vectors(rng, 200, 0.1)
+    v = _unit_rows(rng, 200)
+    got = np.linalg.norm(cayley_vectors(w, v), axis=1)
+    assert np.max(np.abs(got - np.linalg.norm(v, axis=1))) <= 1e-15
+
+
+def test_cayley_is_orthogonal_with_unit_determinant():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        q = cayley_vectors(rng.normal(scale=2.0, size=3), BASIS)
+        assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-14
+        assert abs(np.linalg.det(q) - 1.0) < 1e-14
+
+
+def test_cayley_rotates_about_w_by_twice_the_arctangent_of_half_its_length():
+    rng = np.random.default_rng(23)
+    w = rng.normal(scale=2.0, size=(50, 3))
+    v = _unit_rows(rng, 50)
+    t = np.linalg.norm(w, axis=1, keepdims=True)
+    want = rotate_vectors(w * (2.0 * np.arctan(t / 2.0) / t), v)
+    assert np.max(np.abs(cayley_vectors(w, v) - want)) < 1e-14
+
+
+def test_cayley_negative_vector_is_inverse():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        w = rng.normal(scale=2.0, size=3)
+        q = cayley_vectors(-w, cayley_vectors(w, BASIS))
+        assert np.max(np.abs(q - np.eye(3))) < 1e-14
+
+
+def test_cayley_zero_rotation_is_bitwise_identity():
+    v = np.array([[0.1, -0.7, 0.3], [1.0, 0.0, 0.0], [-2.5, 1e-300, 7.0]])
+    for w, vs in ((np.zeros((3, 3)), v), (np.zeros(3), v), (np.zeros(3), v[0])):
+        assert np.array_equal(cayley_vectors(w, vs).view(np.uint64), vs.view(np.uint64))
+
+
+def test_cayley_departs_from_the_exponential_map_by_the_cube_of_the_angle():
+    # the angles differ by |w| - 2 atan(|w| / 2) <= |w|^3 / 12, and a unit
+    # vector's two images by at most that angle
+    rng = np.random.default_rng(25)
+    w = _step_vectors(rng, 200, 0.05)
+    w[:2] = [[0.0, 0.0, 0.0], [0.0, 0.05, 0.0]]
+    v = _unit_rows(rng, 200)
+    gap = np.linalg.norm(cayley_vectors(w, v) - rotate_vectors(w, v), axis=1)
+    t = np.linalg.norm(w, axis=1)
+    assert np.all(gap <= t**3 / 12.0 + 1e-15)
 
 
 def test_integrate_tangents_straight_vertical():

@@ -41,36 +41,36 @@ GOLDEN = {
         "c7dce86431c0302dfebde6d0c5ab5d189d29a2d3320fe4d33d1dcdac08254dcb"
     ),
     "sphere_oblique/frames.jsonl": (
-        "39f391afbc301b157690367bf93862e180106a815b319aaf2fdfea0c0a13caa1"
+        "1b1f703e133caf9d33fab3f2495dd8ee0ee3c78f05779197cf261220e01785e7"
     ),
-    "sphere_oblique/frames.k": "59b1c822756aa9e3c8deeb5f3db119869d704a082658f74a5226e39e3f20e5f7",
+    "sphere_oblique/frames.k": "011e154be0bb331f8067f44ae0af2ffde3edcdbd55cbec30ec6541a12aee59ed",
     "sphere_oblique/events.jsonl": (
         "1942923fe0f4d63ca71bcfede2d14c06bbbee9c55613b1d2185c58727373a7e6"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "08db559ead639991466a45a3bde27dd46efc10bccc065bf30c809b6f2d88697b",
-    "ceiling/frames.k": "8e488ab888761e956bc4f46ee0da8f24fe43484f1741f7e69eebd8f6a8a48999",
+    "ceiling/frames.jsonl": "c8154aa229bb7a9640463186150c5c50e38df6e38546f8cfc6f767c38be75239",
+    "ceiling/frames.k": "d4d19c481e36669b4948e70763e479bfe652a1a51279fecacd7b04059c922d61",
     "ceiling/events.jsonl": "5c4c3f0cc8c9e1fd4176ec27baabd44620fb82ef3a2e87de5f7fcd80cb646326",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "11dfd0960ad2667502aa49bb44cb4d482c025ba177a3cb878cec49f5332b6f19"
+        "bd38dff267e79b77ddd7aad4f808dca4aab864da47dfaf043968178108fca35c"
     ),
-    "ceiling_stride1/frames.k": "74c18d9b08aee8e6b7c4cffb9204410996188dd619a91a3afaf76e2c94ad14ff",
+    "ceiling_stride1/frames.k": "f04b35acc4d9029f3765fda212ba6d18a6c146eb15e46f9e1b36dceb3b80895e",
     "ceiling_stride1/events.jsonl": (
         "5c4c3f0cc8c9e1fd4176ec27baabd44620fb82ef3a2e87de5f7fcd80cb646326"
     ),
-    "twin/base/frames.jsonl": "9187197260cd26a6a04da29aeb301d1a45c55df9ef8bf168b79d71c6eacf3dc0",
-    "twin/base/frames.k": "f550f77133754050856e031b42bf6057f9a75c3e7be3a1af9c6f468df6270f83",
+    "twin/base/frames.jsonl": "0a8e7c8be8e4c8f21fe54799b6ef41d508c4f840a9c7b3dc1ae3e80c07508daf",
+    "twin/base/frames.k": "cc426be3dc129841aa17eae58f78c658b378a43f35822a890ce06f9d96dbbafe",
     "twin/base/events.jsonl": "1f3d3d5d3414eb96c480fbcd09e556cb12586b1244657d8e68021624c30413ad",
     "twin/perturbed/frames.jsonl": (
-        "e6ae1ea3e29c090281d6c8c55f13777611c761c8f33a3c88d220a3f1bc3f6852"
+        "56945246139d0a13caa3f6b2ba9f78358eee49e805c0616d0a55635664d974d3"
     ),
-    "twin/perturbed/frames.k": "6e350e7027b0d492dc5e046adc3e6de6e517254ff9b7cfdca97f72ce3d39f199",
+    "twin/perturbed/frames.k": "9c8f70e3574318e3211dec1b4c76a28932a6425bd6d759b09a29b1abdb85b56d",
     "twin/perturbed/events.jsonl": (
         "f12d9d544178b80af2bc92d6a2dadc48de628bc557201bffdd6282234543d377"
     ),
-    "twin/distances.jsonl": "2ec11f1dcc94bf311b92e97505e1eccc3ba22ac45f3b5774fc5f09c29f413659",
-    "twin/certificate.json": "b9b0aea1551b287be229f0f626454caae75cf4a534b1351492cf435c73974680",
+    "twin/distances.jsonl": "824412b884d373e7bd33271995b6c32282ef3cb1e36a17ab7cc2ccaab11cfdc2",
+    "twin/certificate.json": "5aef6e7dc2404c243999fb66072a7ac86975e4432ac4a591a111963bbc3c7f11",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
@@ -83,10 +83,10 @@ GOLDEN = {
         "c7dce86431c0302dfebde6d0c5ab5d189d29a2d3320fe4d33d1dcdac08254dcb"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "6024fae7dc764ab2482fce9279d8c06252c1610823174aafe1dba59fe7f35b67"
+        "bc9a2eb5cdab73a3d2c53f962e873438814ada13a2f0b3a57ddb13a03c3be768"
     ),
     "twin_perpendicular/perturbed/frames.k": (
-        "0d7c593adbc69810c8a6b483323309cbaa427da1c805ae18e64408417eca1ec1"
+        "15e1dd1f7bc3ea0aca2e8a9e30f23eec023c39c4d84dc7cbbebc81a9fadb394e"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "fffeacdf38a7a1868bcc6f7da8e4663a9c95c3a4f1283dbf62f1917319a53d8c"

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stemgrow.curves import Stem, _columns, _norm_columns, rotate_vectors
+from stemgrow.curves import Stem, _columns, _norm_columns, cayley_vectors, rotate_vectors
 from stemgrow.diagnostics import UNIT_TOL, audit_arrays, rotation_field
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import Cylinder, HalfSpace, Scene, Sphere, signed_distances
@@ -53,6 +53,13 @@ def rotate_rows(w, v):
     wxv = np.cross(w, v)
     wxwxv = np.cross(w, wxv)
     return v + a * wxv + b * wxwxv
+
+
+def cayley_rows(w, v):
+    a = 4.0 / (4.0 + np.add.reduce(w * w, axis=-1, keepdims=True))
+    wxv = np.cross(w, v)
+    wxwxv = np.cross(w, wxv)
+    return v + a * wxv + (0.5 * a) * wxwxv
 
 
 def psi_rows(law, t, s, k):
@@ -139,6 +146,15 @@ def test_rotate_vectors_into_out_is_bitwise_the_row_form(operands):
     out = np.full(np.broadcast_shapes(w.shape, v.shape), np.nan)
     assert rotate_vectors(w, v, out=out) is out
     assert same_bits(out, rotate_rows(w, v))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(rotate_operands())
+@example((np.zeros((3, 3)), np.eye(3)))
+def test_cayley_vectors_is_bitwise_the_row_form(operands):
+    # the two maps share the body that writes into out, which the test above covers
+    w, v = operands
+    assert same_bits(cayley_vectors(w, v), cayley_rows(w, v))
 
 
 @st.composite

@@ -9,7 +9,12 @@ import pytest
 from conftest import unwritten, written_lines
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
-from stemgrow.curves import angular_displacement_profile, integrate_tangents, rotate_vectors
+from stemgrow.curves import (
+    angular_displacement_profile,
+    cayley_vectors,
+    integrate_tangents,
+    rotate_vectors,
+)
 from stemgrow.diagnostics import rotation_field, step_normal_rates, weighted_norm
 from stemgrow.errors import InitialPenetration, MaxIterationsExceeded
 from stemgrow.growth import GrowthLaw, psi_field
@@ -340,7 +345,8 @@ def test_advance_makes_k_in_the_layout_frames_k_is_written_from(stepped):
 
 def test_advance_matches_rotation_of_every_row(stepped):
     # reference: the stem padded to the horizon with copies of its tip, every
-    # row rotated, the padding reusing the tip's cumulative rotation
+    # row turned by the step's Cayley map, the padding reusing the tip's
+    # cumulative rotation
     config, states = stepped
     n0, n_total = states[0].n_grown, config.n_total_cells
     rng = np.random.default_rng(13)
@@ -351,7 +357,7 @@ def test_advance_matches_rotation_of_every_row(stepped):
         omega_cap = np.empty_like(k_pad)
         omega_cap[: n + 1] = angular_displacement_profile(density, state.ds)
         omega_cap[n + 1 :] = omega_cap[n]
-        k_want = rotate_vectors(config.dt * omega_cap, k_pad)
+        k_want = cayley_vectors(config.dt * omega_cap, k_pad)
         gamma_want = integrate_tangents(k_want, state.ds)
         new = _advance_fields(state, density, config.dt)
         assert np.array_equal(new.k, k_want[: n + 2])
@@ -793,11 +799,11 @@ def test_calls_per_step_stay_within_five_percent_of_their_measure():
     whether called by name or reached through an operator, so the C count is
     a floor. The counts include numpy's Python-level wrappers, so the bounds
     hold under the numpy version that CI pins (2.4.6, on Python 3.11).
-    Measured: 62.04 Python-level and 38.04 C calls per free step over 89 free
-    steps, 196.42 and 179.14 per contact step over 111 contact steps. The
+    Measured: 53.04 Python-level and 30.04 C calls per free step over 89 free
+    steps, 179.88 and 164.43 per contact step over 111 contact steps. The
     bounds are those plus 5%.
     """
-    measured = {"free": (62.04, 38.04), "contact": (196.42, 179.14)}
+    measured = {"free": (53.04, 30.04), "contact": (179.88, 164.43)}
     config = replace(
         load_config(str(SCENARIOS / "gravitropic_ceiling.json")), horizon=2.2, stride=10_000
     )
@@ -923,7 +929,8 @@ def test_twin_certificate_is_a_constant_of_the_problem():
     # the seed distance is linear in it (0.198512 per radian), and C converges
     # at first order in dt, each gap between successive C about half the one
     # before (measured 10.8955, 11.5164, 11.8630, 12.0467 at dt = 0.01 down to
-    # 0.00125 with tilt 1e-6: ratios 0.56 and 0.53). The bounds were fixed
+    # 0.00125 with tilt 1e-6: ratios 0.56 and 0.53, under the exponential step
+    # map and again, to within 1e-8, under the Cayley map). The bounds were fixed
     # before the first run.
     config = replace(load_config(str(SCENARIOS / "twin_tilt.json")), stride=10_000)
     axis = np.array([0.0, 1.0, 0.0])
