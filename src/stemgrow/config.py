@@ -83,6 +83,12 @@ class SeedCurve:
         return SeedCurve(self.kind, length=self.length, radius=self.radius, **rotated)
 
 
+# The most cells a run may grow to. A step costs about 0.1 us per node, so a
+# run to this many cells already takes about 14 hours; a grid past it would
+# fail to allocate, or overflow the cell count, long before its run ended.
+MAX_CELLS = 10**6
+
+
 @dataclass
 class SimConfig:
     scene: Scene
@@ -109,6 +115,13 @@ class SimConfig:
         if self.horizon <= self.t0:
             raise ValidationError(
                 f"numerics.horizon ({self.horizon}) must exceed numerics.t0 ({self.t0})"
+            )
+        # before any cell count is rounded: the ratio may overflow to inf. The
+        # seed is shorter than the horizon, so this bounds its grid too.
+        if not self.horizon / self.dt <= MAX_CELLS:
+            raise ValidationError(
+                f"numerics.horizon ({self.horizon}) is {self.horizon / self.dt:.7g} cells "
+                f"of numerics.dt ({self.dt}), more than the {MAX_CELLS} a run may grow"
             )
         for name, value in (("t0", self.t0), ("horizon", self.horizon)):
             cells = round(value / self.dt)

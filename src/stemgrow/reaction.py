@@ -65,6 +65,22 @@ class ContactSet:
         return int(self.nodes.size)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The contact set of every detection that finds no node in the band. A step
+# with no contacts reads it and never writes it, so one read-only set serves
+# them all.
+NO_CONTACTS = ContactSet(
+    nodes=_read_only(np.zeros(0, dtype=np.intp)),
+    normals=_read_only(np.zeros((0, 3))),
+    phi=_read_only(np.zeros(0)),
+    tip=False,
+)
+
+
 def detect_contacts(
     stem: Stem,
     scene: Scene,
@@ -74,10 +90,11 @@ def detect_contacts(
     """Nodes with signed distance at most eps_contact, and the least distance of any node.
 
     Every grown node must satisfy phi >= -eps_penetration; a deeper node is a
-    hard failure. Normals are queried in a band wide enough to cover both
-    tolerances, each from the obstacles' distances at its node, which one
-    call per obstacle measures for all contact nodes. The least distance is
-    None for an empty scene.
+    hard failure. When the least distance is outside the band, no node is in
+    it, and detection stops there with NO_CONTACTS. Otherwise normals are
+    queried in a band wide enough to cover both tolerances, each from the
+    obstacles' distances at its node, which one call per obstacle measures
+    for all contact nodes. The least distance is None for an empty scene.
     """
     gamma = stem.gamma
     phi = signed_distances(scene, gamma)
@@ -86,21 +103,24 @@ def detect_contacts(
         raise PenetrationExceeded(
             f"node {worst} penetrates by {float(-phi[worst]):.3e} (limit {eps_penetration:.3e})"
         )
+    # no node is in the band exactly when the least distance fails the band
+    # test below; an empty scene's distances are all +inf, so it stops here
+    if not (phi.size and phi[worst] <= eps_contact):
+        return NO_CONTACTS, float(phi[worst]) if scene.obstacles else None
     nodes = (phi <= eps_contact).nonzero()[0]
     band = max(10.0 * eps_contact, 2.0 * eps_penetration)
     normals = np.empty((nodes.size, 3))
-    if nodes.size:
-        points = gamma[nodes]
-        dists = zip(*[ob.distances(points).tolist() for ob in scene.obstacles])
-        for i, d in enumerate(dists):
-            normals[i] = outer_normal(scene, points[i], d, band_width=band)
+    points = gamma[nodes]
+    dists = zip(*[ob.distances(points).tolist() for ob in scene.obstacles])
+    for i, d in enumerate(dists):
+        normals[i] = outer_normal(scene, points[i], d, band_width=band)
     contacts = ContactSet(
         nodes=nodes,
         normals=normals,
         phi=phi[nodes],
-        tip=bool(nodes.size and nodes[-1] == stem.n_grown),
+        tip=bool(nodes[-1] == stem.n_grown),
     )
-    return contacts, float(phi[worst]) if scene.obstacles else None
+    return contacts, float(phi[worst])
 
 
 @dataclass

@@ -72,6 +72,7 @@ from .errors import (
 from .growth import psi_field
 from .obstacles import signed_distances
 from .reaction import (
+    NO_CONTACTS,
     ContactSet,
     assemble_constraints,
     check_kkt,
@@ -352,23 +353,20 @@ def simulate(
     leaves the band; the terminal frame's end with the exit event
     (HorizonReached, Breakdown or IntegrityFailure). A patch still open at the
     exit gets no end. A state with no contacts and no open patch does no patch
-    work, so free growth pays nothing for them.
+    work, so free growth pays nothing for them. Such a state's detection
+    stops at its least distance and hands back reaction.NO_CONTACTS, the
+    package's one empty contact set, which also stands in for the contacts
+    of a state whose detection failed.
     """
     n_total = config.n_total_cells
     patches = _ContactPatches()
-    no_contacts = ContactSet(
-        nodes=np.zeros(0, dtype=int),
-        normals=np.zeros((0, 3)),
-        phi=np.zeros(0),
-        tip=False,
-    )
     memory = _ContactMemory()
 
     # Every iteration either steps or ends the run; the terminal frame is
     # yielded once below, after the exit event is recorded.
     for i in count():
         t = state.t
-        contacts, min_phi = no_contacts, None
+        contacts, min_phi = NO_CONTACTS, None
         written = i % config.stride == 0
         try:
             contacts, min_phi = detect_contacts(

@@ -246,6 +246,21 @@ def test_run_invalid_config_exits_two(tmp_path):
     assert "dt" in proc.stderr
 
 
+def test_run_of_a_grid_past_the_cell_bound_exits_two(tmp_path):
+    # 1e299 seed cells would fail to allocate in init_state; the validator
+    # rejects the config before any grid is made
+    doc = straight_doc()
+    doc["numerics"]["dt"] = 1e-300
+    config_path = write_scenario(tmp_path / "huge.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerics.horizon"), proc.stderr
+    assert "numerics.dt" in lines[0]
+    assert not outdir.exists()
+
+
 def test_run_missing_config_exits_two(tmp_path):
     proc = invoke("run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemgrow.config import SeedCurve, config_from_dict, config_to_dict, load_config
+from stemgrow.config import MAX_CELLS, SeedCurve, config_from_dict, config_to_dict, load_config
 from stemgrow.errors import ParseError, ValidationError
 
 
@@ -180,6 +180,32 @@ def test_t0_must_be_whole_cells():
     doc["seed_curve"]["length"] = 0.25
     with pytest.raises(ValidationError, match="whole number of dt cells"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "dt, t0, horizon",
+    [
+        (1e-300, 0.2, 1.0),  # 1e299 seed cells
+        (0.1, 0.2, 1e300),  # 1e301 steps
+        (1e-10, 0.2, 1e300),  # the cell count overflows to inf
+        (0.5, 0.5, 500_000.5),  # one cell past the bound
+    ],
+    ids=["tiny_dt", "huge_horizon", "overflowing_ratio", "one_past_the_bound"],
+)
+def test_grid_past_the_cell_bound_rejected(dt, t0, horizon):
+    # no grid is allocated: the bound is checked on the numbers alone
+    doc = base_doc()
+    doc["seed_curve"]["length"] = t0
+    doc["numerics"] = {"dt": dt, "t0": t0, "horizon": horizon}
+    with pytest.raises(ValidationError, match=r"numerics\.horizon .* cells of numerics\.dt"):
+        config_from_dict(doc)
+
+
+def test_grid_at_the_cell_bound_accepted():
+    doc = base_doc()
+    doc["seed_curve"]["length"] = 0.5
+    doc["numerics"] = {"dt": 0.5, "t0": 0.5, "horizon": 500_000.0}
+    assert config_from_dict(doc).n_total_cells == MAX_CELLS == 10**6
 
 
 def test_seed_length_must_match_t0():

@@ -13,6 +13,7 @@ from stemgrow.errors import InfeasibleReaction, PenetrationExceeded
 from stemgrow.growth import GrowthLaw, psi_field
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
+    NO_CONTACTS,
     ContactSet,
     _scale_rows,
     assemble_constraints,
@@ -114,11 +115,19 @@ def test_detect_contacts_rejects_deep_penetration():
         detect_contacts(state, scene, config.eps_contact, eps_penetration=0.05)
 
 
-def test_detect_contacts_measures_each_obstacle_twice(monkeypatch):
+@pytest.mark.parametrize(
+    "lift, contacts_measured",
+    [(0.0, [7, 7]), (1e-3, [7, 7]), (1.5e-3, [])],
+    ids=["on_the_floor", "at_the_band_edge", "just_above_the_band"],
+)
+def test_detect_contacts_measures_each_obstacle_twice(monkeypatch, lift, contacts_measured):
     # a stem lying on a floor touches it at every node; each obstacle is
     # measured once at every node and once more at the contact nodes, never
-    # again node by node for their normals
-    floor = HalfSpace(point=np.zeros(3), outward_normal=E3)
+    # again node by node for their normals. A node at the band's edge is a
+    # contact: detection stops early only on the band test's own <=. Lifted
+    # just above the band, the stem has no contact node, and detection stops
+    # at the least distance
+    floor = HalfSpace(point=np.array([0.0, 0.0, -lift]), outward_normal=E3)
     far = Sphere(center=np.array([0.0, 0.0, 10.0]), radius=1.0)
     calls = []
     for kind in (HalfSpace, Sphere):
@@ -128,9 +137,28 @@ def test_detect_contacts_measures_each_obstacle_twice(monkeypatch):
         )
     stem = Stem(0.25, np.tile(E1, (7, 1)))
     contacts, min_phi = detect_contacts(stem, Scene([floor, far]), 1e-3, 1e-4)
-    assert contacts.size == 7 and contacts.tip and min_phi == 0.0
-    assert np.array_equal(contacts.normals, np.tile(E3, (7, 1)))
-    assert calls == [7, 7, 7, 7]
+    assert min_phi == lift
+    assert calls == [7, 7] + contacts_measured
+    if contacts_measured:
+        assert contacts.size == 7 and contacts.tip
+        assert np.array_equal(contacts.phi, np.full(7, lift))
+        assert np.array_equal(contacts.normals, np.tile(E3, (7, 1)))
+    else:
+        assert contacts is NO_CONTACTS
+
+
+def test_empty_scene_gives_the_shared_empty_set_and_no_distance():
+    stem = Stem(0.25, np.tile(E3, (7, 1)))
+    contacts, min_phi = detect_contacts(stem, Scene([]), 1e-3, 1e-4)
+    assert contacts is NO_CONTACTS and min_phi is None
+    assert contacts.size == 0 and not contacts.tip
+
+
+@pytest.mark.parametrize("field", ["nodes", "normals", "phi"])
+def test_the_shared_empty_set_cannot_be_written(field):
+    array = getattr(NO_CONTACTS, field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0
 
 
 def test_assemble_right_hand_side_hand_quadrature():

@@ -799,11 +799,11 @@ def test_calls_per_step_stay_within_five_percent_of_their_measure():
     whether called by name or reached through an operator, so the C count is
     a floor. The counts include numpy's Python-level wrappers, so the bounds
     hold under the numpy version that CI pins (2.4.6, on Python 3.11).
-    Measured: 53.04 Python-level and 30.04 C calls per free step over 89 free
+    Measured: 52.03 Python-level and 27.01 C calls per free step over 89 free
     steps, 179.88 and 164.43 per contact step over 111 contact steps. The
     bounds are those plus 5%.
     """
-    measured = {"free": (53.04, 30.04), "contact": (179.88, 164.43)}
+    measured = {"free": (52.03, 27.01), "contact": (179.88, 164.43)}
     config = replace(
         load_config(str(SCENARIOS / "gravitropic_ceiling.json")), horizon=2.2, stride=10_000
     )

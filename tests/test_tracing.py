@@ -8,6 +8,7 @@ catch it in Tier-1.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from stemgrow import cli
@@ -17,17 +18,18 @@ from stemgrow.trajectory import read_frames
 ROOT = Path(__file__).resolve().parent.parent
 STRAIGHT = str(ROOT / "scenarios" / "straight.json")
 OBLIQUE = str(ROOT / "scenarios" / "sphere_oblique.json")
+CEILING = ROOT / "scenarios" / "gravitropic_ceiling.json"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_records_run_twin_step_and_write(tmp_path):
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
         assert cli.main(["run", STRAIGHT, "--out", str(tmp_path / "run")]) == 0
@@ -53,7 +55,7 @@ def test_tracer_records_run_twin_step_and_write(tmp_path):
 
 
 def test_tracer_records_the_contact_layers(tmp_path):
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
         assert cli.main(["run", OBLIQUE, "--out", str(tmp_path)]) == 0
@@ -79,7 +81,7 @@ def test_tracer_records_the_contact_layers(tmp_path):
 def test_tracer_records_one_kkt_check_per_written_contact_frame(tmp_path):
     # a step certifies its solve only when its frame is written; the traced
     # benchmark still needs check_kkt busy on its strided runs
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
         assert cli.main(["run", OBLIQUE, "--stride", "5", "--out", str(tmp_path)]) == 0
@@ -91,3 +93,34 @@ def test_tracer_records_one_kkt_check_per_written_contact_frame(tmp_path):
     assert len(written) > 0
     assert layers["reaction.check_kkt"]["calls"] == len(written)
     assert tracer.counts["contact_steps"] == 43
+
+
+def test_obstacle_free_run_keeps_the_free_growth_layer_lists(tmp_path):
+    # the traced benchmark fails a free_growth sample whose busy layers record
+    # no call or whose idle layers record any; the same lists, read from
+    # bench/run.py, hold on a short run of its scenario: the ceiling's law,
+    # seed and grid with no obstacles, at its stride
+    workload = _load_bench("run").WORKLOADS["free_growth"]
+    doc = json.loads(CEILING.read_text())
+    doc["scene"]["obstacles"] = []
+    doc["numerics"]["horizon"] = 1.0
+    config = tmp_path / "free_growth.json"
+    config.write_text(json.dumps(doc))
+    tracer = _load_bench("tracing").Tracer()
+    tracer.install()
+    try:
+        argv = ["run", str(config), "--stride", "2", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary()["layers"]
+    steps = layers["stepper.step"]["calls"]
+    assert steps == 80
+    for name in workload["busy"]:
+        assert layers[name]["calls"] > 0, name
+    for name in workload["idle"]:
+        assert layers[name]["calls"] == 0, name
+    # detection, and its one measurement, at each state the loop reaches:
+    # every stepped state and the terminal one
+    assert layers["reaction.detect_contacts"]["calls"] == steps + 1
+    assert layers["obstacles.signed_distances"]["calls"] == steps + 1
