@@ -141,6 +141,10 @@ class SimConfig:
             raise ValidationError("numerics.correction_sweeps must be >= 1")
         if self.correction_tol <= 0.0:
             raise ValidationError("numerics.correction_tol must be positive")
+        # 0 is the exact head-on test; below it the test could never pass
+        for name in ("breakdown_angle_tol", "breakdown_curvature_tol"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"numerics.{name} must be >= 0, got {getattr(self, name)}")
         if self.stride < 1:
             raise ValidationError(f"output.stride must be >= 1, got {self.stride}")
         seed_len = self.seed.arclength()

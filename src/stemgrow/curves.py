@@ -5,15 +5,16 @@ positions are recovered by quadrature from the base point. Stem holds the
 grid spacing and the tangents and is the one place that derives the rest:
 the node count, the time, the arclength grid and the positions.
 
-A rotation vector w turns a vector by one of two maps, both evaluated by the
-one Rodrigues body v + a (w x v) + b (w x (w x v)) and differing only in
-their coefficients. rotate_vectors applies the exponential map, a rotation
-by |w| about w, in closed form with a series branch near zero angle; seeds
-and their tilts take it, since their angles reach pi. cayley_vectors applies
-the Cayley map, a rotation by 2 atan(|w| / 2) = |w| - |w|^3 / 12 + ... about
-w, whose coefficients take one division and no square root, sine or cosine.
-The stepper turns every tangent by it each step: a step's angles are of
-order dt, where the two maps differ by O(dt^3), far below the scheme's
+A vector is turned by one of two maps. rotate_vectors applies the
+exponential map of a rotation vector w, a rotation by |w| about w, in
+Rodrigues' closed form v + a (w x v) + b (w x (w x v)) with a series branch
+near zero angle; seeds and their tilts take it, since their angles reach pi.
+cayley_vectors applies the Cayley map in its half-angle form: handed the
+half vector u = w / 2, it writes v + c (u x (v + u x v)) with
+c = 2 / (1 + |u|^2), the rotation about u by 2 atan(|u|) =
+|w| - |w|^3 / 12 + ..., with one division and no square root, sine or
+cosine. The stepper turns every tangent by it each step: a step's angles are
+of order dt, where the two maps differ by O(dt^3), far below the scheme's
 first-order error, and the map is still an exact rotation, so tangents stay
 unit.
 
@@ -83,34 +84,16 @@ def _rot_coeffs(w) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _cayley_coeffs(w) -> tuple[np.ndarray, np.ndarray]:
-    """Return (4 / (4 + |w|^2), a / 2) from the component columns of w.
+def _row_operands(w, v, out):
+    """The component columns of w and of v, out (made when None) and out as rows.
 
-    Exact at w = 0, where they read (1, 1/2), so no angle needs a branch.
-    """
-    a = 4.0 / (4.0 + _square_norm_columns(w))
-    return a, 0.5 * a
-
-
-def _rodrigues(w, v, out, coeffs):
-    """Write v_i + a_i (w_i x v_i) + b_i (w_i x (w_i x v_i)) for every row i to out.
-
-    coeffs maps the component columns of w to the columns a and b. The
-    formula is evaluated one component column at a time, in the order of
-    operations of its row form, so that rows with identical (w, v) produce
-    bitwise identical output whatever their neighbours.
+    A single vector, shape (3,), stands for one row, and its column pairs
+    with every row of the other operand.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(w.shape, v.shape))
-    wc = _columns(w.reshape(-1, 3))
-    vc = _columns(v.reshape(-1, 3))
-    a, b = coeffs(wc)
-    wxv = _cross_columns(wc, vc)
-    wxwxv = _cross_columns(wc, wxv)
     rows = out if out.ndim == 2 else out[None]
-    for i in range(3):
-        np.add(vc[i] + a * wxv[i], b * wxwxv[i], out=rows[:, i])
-    return out
+    return _columns(w.reshape(-1, 3)), _columns(v.reshape(-1, 3)), out, rows
 
 
 def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -122,20 +105,37 @@ def rotate_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) 
     when one is given.
     exp([w]) solves v' = w x v over unit time. Uses Rodrigues' formula
     R v = v + a (w x v) + b (w x (w x v)) with t = |w|, a = sin t / t and
-    b = (1 - cos t) / t^2, so zero rotation vectors need no branch.
+    b = (1 - cos t) / t^2, so zero rotation vectors need no branch. The
+    formula is evaluated one component column at a time, in the order of
+    operations of its row form, so that rows with identical (w, v) produce
+    bitwise identical output whatever their neighbours.
     """
-    return _rodrigues(w, v, out, _rot_coeffs)
+    wc, vc, out, rows = _row_operands(w, v, out)
+    a, b = _rot_coeffs(wc)
+    wxv = _cross_columns(wc, vc)
+    wxwxv = _cross_columns(wc, wxv)
+    for i in range(3):
+        np.add(vc[i] + a * wxv[i], b * wxwxv[i], out=rows[:, i])
+    return out
 
 
-def cayley_vectors(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the Cayley map of w_i to v_i for every row i; shapes as in rotate_vectors.
+def cayley_vectors(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Turn each v_i by the Cayley map of the half vector u_i; shapes as in rotate_vectors.
 
-    The Cayley map (I - [w]/2)^-1 (I + [w]/2) is the rotation about w by
-    2 atan(|w| / 2). In Rodrigues' form R v = v + a (w x v) + b (w x (w x v))
-    its coefficients are a = 4 / (4 + |w|^2) and b = a / 2, with |w|^2 summed
-    as _norm_columns sums it and no square root taken.
+    The Cayley map (I - [u])^-1 (I + [u]) is the rotation about u by
+    2 atan(|u|), the Cayley map of w = 2 u in its usual form. It writes
+    v + c (u x (v + u x v)) with c = 2 / (1 + |u|^2), |u|^2 summed as
+    _norm_columns sums it and no square root taken, component column by
+    column in the order of operations of that row form.
     """
-    return _rodrigues(w, v, out, _cayley_coeffs)
+    uc, vc, out, rows = _row_operands(u, v, out)
+    c = 2.0 / (1.0 + _square_norm_columns(uc))
+    inner = _cross_columns(uc, vc)
+    for vi, col in zip(vc, inner):
+        np.add(vi, col, out=col)
+    for i, col in enumerate(_cross_columns(uc, inner)):
+        np.add(vc[i], np.multiply(c, col, out=col), out=rows[:, i])
+    return out
 
 
 def integrate_tangents(k: np.ndarray, ds: float) -> np.ndarray:

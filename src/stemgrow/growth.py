@@ -3,6 +3,11 @@
 The density at material coordinate s and time t is a rotation vector; the
 gravitropic variant steers tangents toward the up axis with an exponentially
 fading response in material age t - s.
+
+On the stepper's grid every age is a whole number of cells, so a run needs
+the law's coefficient at its grid's ages alone: it evaluates the law once,
+at dt * a for every age a = 0..n_total_cells, and each step reads the
+coefficients of its nodes from that table by their ages.
 """
 
 from __future__ import annotations
@@ -58,13 +63,13 @@ class GrowthLaw:
         return self.gain * np.exp(-self.beta * age)
 
 
-def psi_field(law: GrowthLaw, t: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rotation density at every node: coeff(t - s_i) * (k_i x up).
+def psi_field(law: GrowthLaw, by_age: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Rotation density at every node: by_age[n - i] * (k_i x up) at node i of n + 1.
 
-    Every node must be no younger than the clock, s_i <= t, as the stepper's
-    are: its t and s are ds times integers, so each age is +0.0 or more.
+    by_age[a] is the law's coefficient at an age of a cells, law._coeff(dt * a);
+    node i of a stem of n cells is n - i cells old. by_age must reach age n.
     """
-    coeff = law._coeff(t - s)
+    coeff = by_age[k.shape[0] - 1 :: -1]
     psi = np.empty(k.shape)
     for i, col in enumerate(_cross_columns(_columns(k), law.unit_up)):
         np.multiply(coeff, col, out=psi[:, i])

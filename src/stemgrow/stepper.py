@@ -10,9 +10,16 @@ grows per step, and the new cell continues the tip straight.
 A tangent turns by the Cayley map of dt times its cumulative rotation
 (curves.cayley_vectors), not by its exponential: both are exact rotations
 about that vector, so tangents stay unit, and their angles differ by a cube
-of the step's angle, which keeps the scheme's first order in dt. The Cayley
-map needs no sine, cosine or square root, and this rotation is the one
+of the step's angle, which keeps the scheme's first order in dt. The map
+takes the half vector, so the step integrates the cumulative rotation at
+half of dt times the cell, the dt folded into the quadrature's one scalar.
+It needs no sine, cosine or square root, and this rotation is the one
 per-node kernel that every step pays, once per correction sweep.
+
+A node's age is a whole number of cells, so a run evaluates its growth law
+once: simulate tabulates the law's coefficient at every age the run can
+reach, 0..n_total_cells cells, and each step reads its nodes' coefficients
+from that table (growth.psi_field).
 
 When contacts are present the constraint right-hand side is refined a few
 times against the velocity the geometric update actually realizes, so that
@@ -143,16 +150,16 @@ def detect_breakdown(
 
 
 def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
-    """Turn tangents by the Cayley map of the cumulative rotation below each node, grow, rebuild.
+    """Turn each tangent by the Cayley map of dt times the rotation below it, grow, rebuild.
 
     The new tip node continues the rotated tip tangent: its row is a bitwise
     copy of the row below it. A state that is not finite raises, with no
     overflow warning first: the tip position sums every cell, so it alone tells.
     """
-    omega_cap = angular_displacement_profile(density, state.ds)
+    half = angular_displacement_profile(density, 0.5 * dt * state.ds)
     k = np.empty((state.n_grown + 2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        cayley_vectors(dt * omega_cap, state.k, out=k[:-1])
+        cayley_vectors(half, state.k, out=k[:-1])
         k[-1] = k[-2]
         new = Stem(state.ds, k)
         # Integrated here, not at the next detection that reads it: made among
@@ -165,6 +172,7 @@ def _advance_fields(state: Stem, density: np.ndarray, dt: float) -> Stem:
 def step(
     state: Stem,
     config: SimConfig,
+    by_age: np.ndarray,
     contacts: ContactSet,
     min_phi: float | None,
     warm_start: np.ndarray | None,
@@ -183,9 +191,10 @@ def step(
     step without contacts reads neither warm_start nor seed. certify says
     whether the step's frame is written: only then are the KKT residuals of the
     accepted solve computed, while the step's constraint system is still at
-    hand.
+    hand. by_age is the run's growth-law table, its coefficient by age in
+    cells (growth.psi_field).
     """
-    psi = psi_field(config.law, state.t, state.s, state.k)
+    psi = psi_field(config.law, by_age, state.k)
     if contacts.size == 0:
         frame = TrajectoryFrame(state.ds, state.k, contacts, min_phi=min_phi)
         return _advance_fields(state, psi, config.dt), frame, None
@@ -359,6 +368,7 @@ def simulate(
     of a state whose detection failed.
     """
     n_total = config.n_total_cells
+    by_age = config.law._coeff(config.dt * np.arange(n_total + 1, dtype=float))
     patches = _ContactPatches()
     memory = _ContactMemory()
 
@@ -387,7 +397,7 @@ def simulate(
             if contacts.size:
                 warm_start, seed = memory.start(contacts)
             new_state, frame, defect = step(
-                state, config, contacts, min_phi, warm_start, seed, written
+                state, config, by_age, contacts, min_phi, warm_start, seed, written
             )
         except SimulationError as exc:
             exit_kind, data = "IntegrityFailure", {"error": str(exc)}

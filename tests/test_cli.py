@@ -261,6 +261,30 @@ def test_run_of_a_grid_past_the_cell_bound_exits_two(tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("key", ["breakdown_angle_tol", "breakdown_curvature_tol"])
+def test_negative_breakdown_tolerance_exits_two(tmp_path, key):
+    # the head-on sphere jams (exit 10); a negative tolerance would switch the
+    # jam test off and leave the run to fail in the solve instead (exit 20)
+    doc = json.loads((SCENARIOS / "sphere_perpendicular.json").read_text())
+    doc["numerics"][key] = -1.0
+    config_path = write_scenario(tmp_path / "off.json", doc)
+    outdir = tmp_path / "out"
+    proc = invoke("run", config_path, "--out", str(outdir))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr == f"error: numerics.{key} must be >= 0, got -1.0\n"
+    assert not outdir.exists()
+
+
+def test_zero_breakdown_angle_tolerance_still_jams(tmp_path):
+    # 0 is the exact head-on test, which the perpendicular sphere still meets
+    doc = json.loads((SCENARIOS / "sphere_perpendicular.json").read_text())
+    doc["numerics"]["breakdown_angle_tol"] = 0.0
+    config_path = write_scenario(tmp_path / "exact.json", doc)
+    proc = invoke("run", config_path, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 10, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("Breakdown at t=1.49"), proc.stderr
+
+
 def test_run_missing_config_exits_two(tmp_path):
     proc = invoke("run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2

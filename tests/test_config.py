@@ -349,6 +349,23 @@ def test_malformed_document_names_the_field(mutate, message):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["breakdown_angle_tol", "breakdown_curvature_tol"])
+def test_negative_breakdown_tolerance_rejected(key):
+    # below 0 the jam test could never pass, so breakdown would be off unsaid
+    doc = base_doc()
+    doc["numerics"][key] = -1.0
+    with pytest.raises(ValidationError, match=rf"numerics\.{key} must be >= 0, got -1\.0"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["breakdown_angle_tol", "breakdown_curvature_tol"])
+def test_zero_breakdown_tolerance_accepted(key):
+    # 0 is the exact test: a tip pressed exactly head-on into a straight stem
+    doc = base_doc()
+    doc["numerics"][key] = 0.0
+    assert getattr(config_from_dict(doc), key) == 0.0
+
+
 def test_integer_keys_must_be_whole_numbers():
     doc = base_doc()
     doc["numerics"]["correction_sweeps"] = 2.5

@@ -140,8 +140,9 @@ def test_rotate_vectors_zero_rotation_is_bitwise_identity():
     assert np.array_equal(got, v)
 
 
-# cayley_vectors, the stepper's map, is the rotation about w by 2 atan(|w| / 2).
-# The bounds below were fixed before the first run.
+# cayley_vectors, the stepper's map, takes the half vector u and is the
+# rotation about u by 2 atan(|u|). The bounds below were fixed before the
+# first run.
 
 
 def _unit_rows(rng, n):
@@ -157,51 +158,52 @@ def _step_vectors(rng, n, largest):
 def test_cayley_keeps_the_norm():
     # at angles up to 0.1, over twice the largest a bundled step turns a node
     rng = np.random.default_rng(21)
-    w = _step_vectors(rng, 200, 0.1)
+    u = 0.5 * _step_vectors(rng, 200, 0.1)
     v = _unit_rows(rng, 200)
-    got = np.linalg.norm(cayley_vectors(w, v), axis=1)
+    got = np.linalg.norm(cayley_vectors(u, v), axis=1)
     assert np.max(np.abs(got - np.linalg.norm(v, axis=1))) <= 1e-15
 
 
 def test_cayley_is_orthogonal_with_unit_determinant():
     rng = np.random.default_rng(22)
     for _ in range(50):
-        q = cayley_vectors(rng.normal(scale=2.0, size=3), BASIS)
+        q = cayley_vectors(rng.normal(size=3), BASIS)
         assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-14
         assert abs(np.linalg.det(q) - 1.0) < 1e-14
 
 
-def test_cayley_rotates_about_w_by_twice_the_arctangent_of_half_its_length():
+def test_cayley_rotates_about_u_by_twice_the_arctangent_of_its_length():
     rng = np.random.default_rng(23)
-    w = rng.normal(scale=2.0, size=(50, 3))
+    u = rng.normal(size=(50, 3))
     v = _unit_rows(rng, 50)
-    t = np.linalg.norm(w, axis=1, keepdims=True)
-    want = rotate_vectors(w * (2.0 * np.arctan(t / 2.0) / t), v)
-    assert np.max(np.abs(cayley_vectors(w, v) - want)) < 1e-14
+    t = np.linalg.norm(u, axis=1, keepdims=True)
+    want = rotate_vectors(u * (2.0 * np.arctan(t) / t), v)
+    assert np.max(np.abs(cayley_vectors(u, v) - want)) < 1e-14
 
 
 def test_cayley_negative_vector_is_inverse():
     rng = np.random.default_rng(24)
     for _ in range(20):
-        w = rng.normal(scale=2.0, size=3)
-        q = cayley_vectors(-w, cayley_vectors(w, BASIS))
+        u = rng.normal(size=3)
+        q = cayley_vectors(-u, cayley_vectors(u, BASIS))
         assert np.max(np.abs(q - np.eye(3))) < 1e-14
 
 
 def test_cayley_zero_rotation_is_bitwise_identity():
     v = np.array([[0.1, -0.7, 0.3], [1.0, 0.0, 0.0], [-2.5, 1e-300, 7.0]])
-    for w, vs in ((np.zeros((3, 3)), v), (np.zeros(3), v), (np.zeros(3), v[0])):
-        assert np.array_equal(cayley_vectors(w, vs).view(np.uint64), vs.view(np.uint64))
+    for u, vs in ((np.zeros((3, 3)), v), (np.zeros(3), v), (np.zeros(3), v[0])):
+        assert np.array_equal(cayley_vectors(u, vs).view(np.uint64), vs.view(np.uint64))
 
 
 def test_cayley_departs_from_the_exponential_map_by_the_cube_of_the_angle():
-    # the angles differ by |w| - 2 atan(|w| / 2) <= |w|^3 / 12, and a unit
-    # vector's two images by at most that angle
+    # handed w / 2, it turns by 2 atan(|w| / 2) where exp([w]) turns by |w|:
+    # the angles differ by at most |w|^3 / 12, and a unit vector's two images
+    # by at most that angle
     rng = np.random.default_rng(25)
     w = _step_vectors(rng, 200, 0.05)
     w[:2] = [[0.0, 0.0, 0.0], [0.0, 0.05, 0.0]]
     v = _unit_rows(rng, 200)
-    gap = np.linalg.norm(cayley_vectors(w, v) - rotate_vectors(w, v), axis=1)
+    gap = np.linalg.norm(cayley_vectors(0.5 * w, v) - rotate_vectors(w, v), axis=1)
     t = np.linalg.norm(w, axis=1)
     assert np.all(gap <= t**3 / 12.0 + 1e-15)
 

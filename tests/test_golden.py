@@ -41,36 +41,36 @@ GOLDEN = {
         "c7dce86431c0302dfebde6d0c5ab5d189d29a2d3320fe4d33d1dcdac08254dcb"
     ),
     "sphere_oblique/frames.jsonl": (
-        "1b1f703e133caf9d33fab3f2495dd8ee0ee3c78f05779197cf261220e01785e7"
+        "bd49f120e0f28ee7d6f6026b64c90dc90a01bc6c28c4b9bd27b786e37d70e1ae"
     ),
-    "sphere_oblique/frames.k": "011e154be0bb331f8067f44ae0af2ffde3edcdbd55cbec30ec6541a12aee59ed",
+    "sphere_oblique/frames.k": "f236b7793b15ad3691f22e3f587c53924b71e654fc450ede8fd1f767082c41a8",
     "sphere_oblique/events.jsonl": (
         "1942923fe0f4d63ca71bcfede2d14c06bbbee9c55613b1d2185c58727373a7e6"
     ),
     # up to three contacts per step and one to two solves and advances each
-    "ceiling/frames.jsonl": "c8154aa229bb7a9640463186150c5c50e38df6e38546f8cfc6f767c38be75239",
-    "ceiling/frames.k": "d4d19c481e36669b4948e70763e479bfe652a1a51279fecacd7b04059c922d61",
+    "ceiling/frames.jsonl": "93aad8c1cb89ca97440f7a7292c9495458f2e33e2f746a02fb50a50ca0a25022",
+    "ceiling/frames.k": "7f6ee1fd49798e96f4fe58ffc38edd73f39e9bb23f71f144d0b36a3affedd593",
     "ceiling/events.jsonl": "5c4c3f0cc8c9e1fd4176ec27baabd44620fb82ef3a2e87de5f7fcd80cb646326",
     # every frame of the same run: stride 20 skips the frames between
     "ceiling_stride1/frames.jsonl": (
-        "bd38dff267e79b77ddd7aad4f808dca4aab864da47dfaf043968178108fca35c"
+        "6bc2208e8bfa7fb5e7cd409f05a5695ecec2f14ec173db533dc0553fbc14fd41"
     ),
-    "ceiling_stride1/frames.k": "f04b35acc4d9029f3765fda212ba6d18a6c146eb15e46f9e1b36dceb3b80895e",
+    "ceiling_stride1/frames.k": "8086f0cf7adf1eebea4ce3d25cce9038426d26f1a19c43cb16300050e43840ea",
     "ceiling_stride1/events.jsonl": (
         "5c4c3f0cc8c9e1fd4176ec27baabd44620fb82ef3a2e87de5f7fcd80cb646326"
     ),
-    "twin/base/frames.jsonl": "0a8e7c8be8e4c8f21fe54799b6ef41d508c4f840a9c7b3dc1ae3e80c07508daf",
-    "twin/base/frames.k": "cc426be3dc129841aa17eae58f78c658b378a43f35822a890ce06f9d96dbbafe",
+    "twin/base/frames.jsonl": "dfbc29fb4e2c10f603a8b3a5c94aeba90626967a80320a99b3954ee810924c93",
+    "twin/base/frames.k": "a8bf575ac3573f110a542e80ee4e1144cbd2dc21de14422d5d0504e2877aa08c",
     "twin/base/events.jsonl": "1f3d3d5d3414eb96c480fbcd09e556cb12586b1244657d8e68021624c30413ad",
     "twin/perturbed/frames.jsonl": (
-        "56945246139d0a13caa3f6b2ba9f78358eee49e805c0616d0a55635664d974d3"
+        "02fe8ec5362d21b2fc541b75d99d5328936f4d5d18ebf80f56a5d72efabcc335"
     ),
-    "twin/perturbed/frames.k": "9c8f70e3574318e3211dec1b4c76a28932a6425bd6d759b09a29b1abdb85b56d",
+    "twin/perturbed/frames.k": "a9b7296fa3461d88b067bf4387024e4781a01734a55ea0596d719e92b2e807b7",
     "twin/perturbed/events.jsonl": (
         "f12d9d544178b80af2bc92d6a2dadc48de628bc557201bffdd6282234543d377"
     ),
-    "twin/distances.jsonl": "824412b884d373e7bd33271995b6c32282ef3cb1e36a17ab7cc2ccaab11cfdc2",
-    "twin/certificate.json": "5aef6e7dc2404c243999fb66072a7ac86975e4432ac4a591a111963bbc3c7f11",
+    "twin/distances.jsonl": "69686e0e8f1576bc17fc26b6aee77778514c7cf5a761c5f6d17437f9a9091928",
+    "twin/certificate.json": "f0fd53e20e71273f509406da8652a5ad20af1d6b05d50a34a2502755441a2c93",
     # a twin whose base jams at frame 129 while the tilted run goes on to 180,
     # at a stride that divides neither end
     "twin_perpendicular/base/frames.jsonl": (
@@ -83,10 +83,10 @@ GOLDEN = {
         "c7dce86431c0302dfebde6d0c5ab5d189d29a2d3320fe4d33d1dcdac08254dcb"
     ),
     "twin_perpendicular/perturbed/frames.jsonl": (
-        "bc9a2eb5cdab73a3d2c53f962e873438814ada13a2f0b3a57ddb13a03c3be768"
+        "ed9837084a038c78c60fbd7daa46c705275ed357fed0f4bfd0d8390fbede35ad"
     ),
     "twin_perpendicular/perturbed/frames.k": (
-        "15e1dd1f7bc3ea0aca2e8a9e30f23eec023c39c4d84dc7cbbebc81a9fadb394e"
+        "40abfa796ff171c1458dcd9b82a81e21919255e542241070bc434a74763b2c9e"
     ),
     "twin_perpendicular/perturbed/events.jsonl": (
         "fffeacdf38a7a1868bcc6f7da8e4663a9c95c3a4f1283dbf62f1917319a53d8c"

@@ -11,8 +11,8 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 
 def psi_at(law, t, s, k):
-    """Density at one material point: a one-row psi_field."""
-    return psi_field(law, t, np.array([s]), np.asarray(k, dtype=float)[None, :])[0]
+    """Density at one material point: a one-row psi_field whose node is t - s old."""
+    return psi_field(law, law._coeff(np.array([t - s])), np.asarray(k, dtype=float)[None, :])[0]
 
 
 def test_gravitropic_fresh_tissue_bends_toward_up():
@@ -90,11 +90,12 @@ def test_custom_law_interpolates_coefficient_table():
 def test_psi_field_matches_pointwise_evaluation():
     law = GrowthLaw(variant="gravitropic", beta=1.2, gain=0.9)
     rng = np.random.default_rng(33)
-    n = 17
-    s = np.linspace(0.0, 2.0, n)
+    n, ds = 17, 0.125
+    s = ds * np.arange(n)
     k = rng.normal(size=(n, 3))
     k /= np.linalg.norm(k, axis=1, keepdims=True)
-    field = psi_field(law, 2.0, s, k)
+    # a table that reaches past the stem's oldest node, as a run's does
+    field = psi_field(law, law._coeff(ds * np.arange(n + 5)), k)
     for i in range(n):
         want = psi_at(law, 2.0, s[i], k[i])
         assert np.max(np.abs(field[i] - want)) < 1e-15

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_constraint_system
+from conftest import random_constraint_system, state_psi
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import Stem, _columns
 from stemgrow.errors import InfeasibleReaction, PenetrationExceeded
-from stemgrow.growth import GrowthLaw, psi_field
+from stemgrow.growth import GrowthLaw
 from stemgrow.obstacles import HalfSpace, Scene, Sphere
 from stemgrow.reaction import (
     NO_CONTACTS,
@@ -80,7 +80,7 @@ def rate_system(state, nodes, normals):
 def assemble(state, contacts, law, kappa, dt):
     """assemble_constraints and the right-hand side pushback - drive the stepper solves on."""
     system = assemble_constraints(state, contacts, law.beta)
-    psi = psi_field(law, state.t, state.s, state.k)
+    psi = state_psi(law, state)
     return system, pushback_rates(contacts.phi, kappa, dt) - linear_rates(system, psi)
 
 
@@ -457,8 +457,8 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
     # for, the realized rates less the linear rates of psi + omega
     taken = []
 
-    def recorded(state, config, contacts, min_phi, warm_start, seed, certify):
-        out = step(state, config, contacts, min_phi, warm_start, seed, certify)
+    def recorded(state, config, by_age, contacts, min_phi, warm_start, seed, certify):
+        out = step(state, config, by_age, contacts, min_phi, warm_start, seed, certify)
         taken.append((state, *out))
         return out
 
@@ -472,7 +472,7 @@ def test_loop_defect_is_the_linear_defect_on_every_ceiling_step(monkeypatch):
             continue
         c = frame.contacts
         system = assemble_constraints(state, c, config.law.beta)
-        psi = psi_field(config.law, state.t, state.s, state.k)
+        psi = state_psi(config.law, state)
         realized = step_normal_rates(state, new_state, c, config.dt)
         want = realized - linear_rates(system, psi + density_from_multipliers(system, frame.mu))
         scale = float(np.max(np.abs(system.gram @ frame.mu)))

@@ -1,12 +1,13 @@
 """Time stepping: free growth, contact response, breakdown, and runs."""
 
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import unwritten, written_lines
+from conftest import coeff_by_age, state_psi, unwritten, written_lines
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import (
@@ -73,7 +74,9 @@ def detected(state, config):
 
 def cold_step(state, config, contacts, min_phi):
     """One step with no warm multipliers and a zero seed, its KKT residuals computed."""
-    return step(state, config, contacts, min_phi, None, np.zeros(contacts.size), True)
+    return step(
+        state, config, coeff_by_age(config), contacts, min_phi, None, np.zeros(contacts.size), True
+    )
 
 
 def test_seed_fills_grid_with_vertical_tangents():
@@ -345,8 +348,8 @@ def test_advance_makes_k_in_the_layout_frames_k_is_written_from(stepped):
 
 def test_advance_matches_rotation_of_every_row(stepped):
     # reference: the stem padded to the horizon with copies of its tip, every
-    # row turned by the step's Cayley map, the padding reusing the tip's
-    # cumulative rotation
+    # row turned by the step's Cayley map of its half vector, the padding
+    # reusing the tip's cumulative rotation
     config, states = stepped
     n0, n_total = states[0].n_grown, config.n_total_cells
     rng = np.random.default_rng(13)
@@ -354,14 +357,78 @@ def test_advance_matches_rotation_of_every_row(stepped):
         state = states[n - n0]
         density = rng.normal(scale=0.5, size=(n + 1, 3))
         k_pad = np.concatenate([state.k, np.tile(state.k[-1], (n_total - n, 1))])
-        omega_cap = np.empty_like(k_pad)
-        omega_cap[: n + 1] = angular_displacement_profile(density, state.ds)
-        omega_cap[n + 1 :] = omega_cap[n]
-        k_want = cayley_vectors(config.dt * omega_cap, k_pad)
+        half = np.empty_like(k_pad)
+        half[: n + 1] = angular_displacement_profile(density, 0.5 * config.dt * state.ds)
+        half[n + 1 :] = half[n]
+        k_want = cayley_vectors(half, k_pad)
         gamma_want = integrate_tangents(k_want, state.ds)
         new = _advance_fields(state, density, config.dt)
         assert np.array_equal(new.k, k_want[: n + 2])
         assert np.array_equal(new.gamma, gamma_want[: n + 2])
+
+
+@pytest.mark.parametrize("horizon", [1.2, 2.2])
+def test_a_run_evaluates_its_growth_law_once(monkeypatch, horizon):
+    # every node's age is a whole number of cells, so a run tabulates the law
+    # at its n_total_cells + 1 ages once, whatever its step count, and a twin
+    # once a side; the steps only read the table
+    evaluated = []
+    coeff = GrowthLaw._coeff
+    monkeypatch.setattr(
+        GrowthLaw, "_coeff", lambda law, age: evaluated.append(np.shape(age)) or coeff(law, age)
+    )
+    config = replace(
+        load_config(str(SCENARIOS / "gravitropic_ceiling.json")), horizon=horizon, stride=10_000
+    )
+    traj = run(config, list)
+    assert traj.exit_kind == "HorizonReached"
+    assert traj.frames_total == config.n_total_cells - config.n_seed_cells + 1
+    assert evaluated == [(config.n_total_cells + 1,)]
+
+    evaluated.clear()
+    twin = replace(load_config(str(SCENARIOS / "twin_tilt.json")), stride=10_000)
+    twin_run(twin, 0.05, np.array([0.0, 1.0, 0.0]), unwritten)
+    assert evaluated == [(twin.n_total_cells + 1,)] * 2
+
+
+GROWTH_LAWS = {
+    "gravitropic": GrowthLaw(variant="gravitropic", beta=1.0, gain=1.0),
+    "zero": GrowthLaw(variant="zero"),
+    "custom": GrowthLaw(
+        variant="custom",
+        gain=1.5,
+        ages=np.array([0.0, 0.3, 1.0]),
+        response=np.array([1.0, -0.5, 0.25]),
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", GROWTH_LAWS)
+def test_each_node_reads_the_law_at_its_age_in_whole_cells(monkeypatch, variant):
+    # at step n, node i's coefficient is bitwise the law at dt * (n - i),
+    # evaluated alone, and each step reads the table once
+    law = GROWTH_LAWS[variant]
+    config = replace(
+        load_config(str(SCENARIOS / "gravitropic_ceiling.json")),
+        law=law,
+        horizon=1.5,
+        stride=10_000,
+    )
+    read = []
+
+    def recorded(law, by_age, k):
+        psi = psi_field(law, by_age, k)
+        read.append((k, psi))
+        return psi
+
+    monkeypatch.setattr(stepper, "psi_field", recorded)
+    traj = run(config, list)
+    assert len(read) == traj.frames_total - 1 > 100
+    for k, psi in read:
+        n = len(k) - 1
+        coeff = np.array([law._coeff(config.dt * (n - i)) for i in range(n + 1)])
+        want = coeff[:, None] * np.cross(k, law.unit_up)
+        assert np.array_equal(psi.view(np.uint64), want.view(np.uint64))
 
 
 def test_far_obstacle_run_is_bitwise_identical_to_empty_scene():
@@ -404,7 +471,7 @@ def test_contact_step_agrees_with_enumeration_solver():
         state, config.scene, config.eps_contact, config.eps_penetration
     )
     assert 0 < contacts.size <= 12
-    psi = psi_field(config.law, state.t, state.s, state.k)
+    psi = state_psi(config.law, state)
     system = assemble_constraints(state, contacts, config.law.beta)
     b = pushback_rates(contacts.phi, config.kappa, config.dt) - linear_rates(system, psi)
     sol = solve_reaction(system, b, warm_start=None)
@@ -436,7 +503,7 @@ def test_defect_correction_cancels_realized_normal_rates():
             # stays finite while the realized rates land on the demanded
             # pushback
             assert frame.realized_residual <= config.correction_tol
-            psi = psi_field(config.law, state.t, state.s, state.k)
+            psi = state_psi(config.law, state)
             system = assemble_constraints(state, contacts, config.law.beta)
             predicted = linear_rates(system, psi + density_from_multipliers(system, frame.mu))
             realized = step_normal_rates(state, new_state, contacts, config.dt)
@@ -586,13 +653,13 @@ def test_seed_changes_only_the_iteration_count():
     # its realized rates or fails loudly, and the accepted steps agree to
     # within the correction tolerance's reach
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
-    state, memory = init_state(config), _ContactMemory()
+    state, memory, by_age = init_state(config), _ContactMemory(), coeff_by_age(config)
     for _ in range(300):
         contacts, min_phi = detected(state, config)
         warm = seed = None
         if contacts.size:
             warm, seed = memory.start(contacts)
-        state, frame, defect = step(state, config, contacts, min_phi, warm, seed, False)
+        state, frame, defect = step(state, config, by_age, contacts, min_phi, warm, seed, False)
         if defect is not None:
             memory.remember(frame, defect)
     contacts, min_phi = detected(state, config)
@@ -608,7 +675,9 @@ def test_seed_changes_only_the_iteration_count():
         ("flipped", -carried),
     ]:
         try:
-            new_state, frame, _ = step(state, config, contacts, min_phi, warm, seed, False)
+            new_state, frame, _ = step(
+                state, config, by_age, contacts, min_phi, warm, seed, False
+            )
         except MaxIterationsExceeded:
             continue
         assert frame.realized_residual <= config.correction_tol
@@ -799,24 +868,33 @@ def test_calls_per_step_stay_within_five_percent_of_their_measure():
     whether called by name or reached through an operator, so the C count is
     a floor. The counts include numpy's Python-level wrappers, so the bounds
     hold under the numpy version that CI pins (2.4.6, on Python 3.11).
-    Measured: 52.03 Python-level and 27.01 C calls per free step over 89 free
-    steps, 179.88 and 164.43 per contact step over 111 contact steps. The
-    bounds are those plus 5%.
+    Measured: 47.04 Python-level and 23.02 C calls per free step over 89 free
+    steps, 176.05 and 164.43 per contact step over 111 contact steps. The
+    bounds are those plus 5%. A step over its bound names the ten functions
+    it calls most, with their calls per step.
     """
-    measured = {"free": (52.03, 27.01), "contact": (179.88, 164.43)}
+    measured = {"free": (47.04, 23.02), "contact": (176.05, 164.43)}
     config = replace(
         load_config(str(SCENARIOS / "gravitropic_ceiling.json")), horizon=2.2, stride=10_000
     )
     frames = simulate(init_state(config), config, Trajectory())
     counts = {"call": 0, "c_call": 0}
+    callees = Counter()
 
     def profile(frame, event, arg):
-        if event in counts:
-            counts[event] += 1
+        if event == "call":
+            code = frame.f_code
+            callees[f"{frame.f_globals.get('__name__')}.{code.co_qualname}"] += 1
+        elif event == "c_call":
+            callees[f"{getattr(arg, '__module__', None)}.{arg.__qualname__}"] += 1
+        else:
+            return
+        counts[event] += 1
 
-    made = []  # (kind, Python-level calls, C calls) of each frame
+    made = []  # (kind, Python-level calls, C calls, callees) of each frame
     while True:
         counts.update(call=0, c_call=0)
+        callees.clear()
         sys.setprofile(profile)
         try:
             item = next(frames, None)
@@ -824,12 +902,18 @@ def test_calls_per_step_stay_within_five_percent_of_their_measure():
             sys.setprofile(None)
         if item is None:
             break
-        made.append(("free" if item[0].mu is None else "contact", counts["call"], counts["c_call"]))
+        kind = "free" if item[0].mu is None else "contact"
+        made.append((kind, counts["call"], counts["c_call"], Counter(callees)))
     # the terminal frame is made after the exit, by no step
     for kind, bounds in measured.items():
-        steps = np.array([(py, c) for k, py, c in made[:-1] if k == kind])
+        steps = [m for m in made[:-1] if m[0] == kind]
         assert len(steps) >= 80
-        assert np.all(steps.mean(axis=0) <= 1.05 * np.array(bounds)), (kind, steps.mean(axis=0))
+        mean = np.array([(py, c) for _, py, c, _ in steps]).mean(axis=0)
+        busiest = sum((m[3] for m in steps), Counter()).most_common(10)
+        assert np.all(mean <= 1.05 * np.array(bounds)), "\n".join(
+            [f"{kind} step: {mean.round(2).tolist()} calls, most called per step:"]
+            + [f"  {n / len(steps):8.2f}  {name}" for name, n in busiest]
+        )
 
 
 @pytest.mark.parametrize("obstacles", ["ceiling", "none"])
