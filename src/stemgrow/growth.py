@@ -6,8 +6,8 @@ fading response in material age t - s.
 
 On the stepper's grid every age is a whole number of cells, so a run needs
 the law's coefficient at its grid's ages alone: it evaluates the law once,
-at dt * a for every age a = 0..n_total_cells, and each step reads the
-coefficients of its nodes from that table by their ages.
+into the table coeff_by_age(dt, cells) of ages 0..cells, and psi_field
+reads each node's coefficient from that table by its age.
 """
 
 from __future__ import annotations
@@ -62,12 +62,16 @@ class GrowthLaw:
             return self.gain * np.interp(age, self.ages, self.response)
         return self.gain * np.exp(-self.beta * age)
 
+    def coeff_by_age(self, dt: float, cells: int) -> np.ndarray:
+        """The coefficient at an age of a cells, _coeff(dt * a), for every a = 0..cells."""
+        return self._coeff(dt * np.arange(cells + 1, dtype=float))
+
 
 def psi_field(law: GrowthLaw, by_age: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rotation density at every node: by_age[n - i] * (k_i x up) at node i of n + 1.
 
-    by_age[a] is the law's coefficient at an age of a cells, law._coeff(dt * a);
-    node i of a stem of n cells is n - i cells old. by_age must reach age n.
+    by_age is law.coeff_by_age(dt, cells) for the stem's dt and any cells >= n:
+    node i of a stem of n cells is n - i cells old.
     """
     coeff = by_age[k.shape[0] - 1 :: -1]
     psi = np.empty(k.shape)

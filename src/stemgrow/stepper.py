@@ -368,7 +368,7 @@ def simulate(
     of a state whose detection failed.
     """
     n_total = config.n_total_cells
-    by_age = config.law._coeff(config.dt * np.arange(n_total + 1, dtype=float))
+    by_age = config.law.coeff_by_age(config.dt, n_total)
     patches = _ContactPatches()
     memory = _ContactMemory()
 

@@ -1,6 +1,6 @@
-"""Shared helpers: random constraint systems, growth-law tables, a bare frame
-record and its tangents, a twin that writes nothing, the lines the writer
-writes and the command-line runner."""
+"""Shared helpers: random constraint systems, the growth density at a state, a
+bare frame record and its tangents, a twin that writes nothing, the lines the
+writer writes and the command-line runner."""
 
 import json
 import os
@@ -61,14 +61,9 @@ def random_constraint_system(rng, tip_allowed=True):
     return assemble_constraints(Stem(ds, k), contacts, beta), b
 
 
-def coeff_by_age(config):
-    """The run's growth-law table as simulate makes it: the coefficient at 0..n_total_cells cells."""
-    return config.law._coeff(config.dt * np.arange(config.n_total_cells + 1, dtype=float))
-
-
 def state_psi(law, state):
     """The growth density at a state, its nodes' ages read from a table of its own grid."""
-    return psi_field(law, law._coeff(state.ds * np.arange(state.n_grown + 1, dtype=float)), state.k)
+    return psi_field(law, law.coeff_by_age(state.ds, state.n_grown), state.k)
 
 
 def upright(n):

@@ -95,7 +95,7 @@ def test_psi_field_matches_pointwise_evaluation():
     k = rng.normal(size=(n, 3))
     k /= np.linalg.norm(k, axis=1, keepdims=True)
     # a table that reaches past the stem's oldest node, as a run's does
-    field = psi_field(law, law._coeff(ds * np.arange(n + 5)), k)
+    field = psi_field(law, law.coeff_by_age(ds, n + 4), k)
     for i in range(n):
         want = psi_at(law, 2.0, s[i], k[i])
         assert np.max(np.abs(field[i] - want)) < 1e-15

@@ -169,7 +169,7 @@ def growth_operands(draw):
     n = draw(st.integers(1, 12))
     ds = draw(st.floats(1e-3, 0.5))
     # a run's table reaches its horizon, at or past the stem's oldest node
-    by_age = ds * np.arange(n + draw(st.integers(0, 5)))
+    cells = n - 1 + draw(st.integers(0, 5))
     up = draw(arrays(np.float64, 3, elements=_unit).filter(lambda u: np.linalg.norm(u) > 1e-3))
     law = GrowthLaw(
         variant=variant,
@@ -180,7 +180,7 @@ def growth_operands(draw):
         response=np.array([1.0, -0.5, 0.25]) if variant == "custom" else None,
     )
     k = draw(vectors(n))
-    return law, law._coeff(by_age), k
+    return law, law.coeff_by_age(ds, cells), k
 
 
 @BITS

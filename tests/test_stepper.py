@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import coeff_by_age, state_psi, unwritten, written_lines
+from conftest import state_psi, unwritten, written_lines
 
 from stemgrow.config import SeedCurve, SimConfig, load_config
 from stemgrow.curves import (
@@ -74,9 +74,8 @@ def detected(state, config):
 
 def cold_step(state, config, contacts, min_phi):
     """One step with no warm multipliers and a zero seed, its KKT residuals computed."""
-    return step(
-        state, config, coeff_by_age(config), contacts, min_phi, None, np.zeros(contacts.size), True
-    )
+    by_age = config.law.coeff_by_age(config.dt, config.n_total_cells)
+    return step(state, config, by_age, contacts, min_phi, None, np.zeros(contacts.size), True)
 
 
 def test_seed_fills_grid_with_vertical_tangents():
@@ -653,7 +652,8 @@ def test_seed_changes_only_the_iteration_count():
     # its realized rates or fails loudly, and the accepted steps agree to
     # within the correction tolerance's reach
     config = load_config(str(SCENARIOS / "gravitropic_ceiling.json"))
-    state, memory, by_age = init_state(config), _ContactMemory(), coeff_by_age(config)
+    state, memory = init_state(config), _ContactMemory()
+    by_age = config.law.coeff_by_age(config.dt, config.n_total_cells)
     for _ in range(300):
         contacts, min_phi = detected(state, config)
         warm = seed = None
@@ -868,12 +868,12 @@ def test_calls_per_step_stay_within_five_percent_of_their_measure():
     whether called by name or reached through an operator, so the C count is
     a floor. The counts include numpy's Python-level wrappers, so the bounds
     hold under the numpy version that CI pins (2.4.6, on Python 3.11).
-    Measured: 47.04 Python-level and 23.02 C calls per free step over 89 free
+    Measured: 47.06 Python-level and 23.02 C calls per free step over 89 free
     steps, 176.05 and 164.43 per contact step over 111 contact steps. The
     bounds are those plus 5%. A step over its bound names the ten functions
     it calls most, with their calls per step.
     """
-    measured = {"free": (47.04, 23.02), "contact": (176.05, 164.43)}
+    measured = {"free": (47.06, 23.02), "contact": (176.05, 164.43)}
     config = replace(
         load_config(str(SCENARIOS / "gravitropic_ceiling.json")), horizon=2.2, stride=10_000
     )
