@@ -1014,8 +1014,8 @@ def test_twin_certificate_is_a_constant_of_the_problem():
     # at first order in dt, each gap between successive C about half the one
     # before (measured 10.8955, 11.5164, 11.8630, 12.0467 at dt = 0.01 down to
     # 0.00125 with tilt 1e-6: ratios 0.56 and 0.53, under the exponential step
-    # map and again, to within 1e-8, under the Cayley map). The bounds were fixed
-    # before the first run.
+    # map and again, to within 2e-8, under the half-angle Cayley map). The
+    # bounds were fixed before the first run.
     config = replace(load_config(str(SCENARIOS / "twin_tilt.json")), stride=10_000)
     axis = np.array([0.0, 1.0, 0.0])
 
